@@ -45,7 +45,6 @@ pub use oblivious::Oblivious;
 pub use preference::PreferenceKiller;
 pub use simple::{RandomKiller, Storm};
 pub use valency::{
-    classify, classify_with, estimate_valency, estimate_valency_fork, BoxedAdversary, ProbeSet,
-    Valence, ValencyEstimate,
+    classify, classify_with, estimate_valency, BoxedAdversary, ProbeSet, Valence, ValencyEstimate,
 };
 pub use walker::MessageWalker;

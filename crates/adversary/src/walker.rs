@@ -18,11 +18,8 @@
 //!
 //! This adversary is the finest-grained (and most expensive) realisation
 //! of the lower bound in the workspace: every step of the walk costs a
-//! valency estimate — all of which run on the lockstep cohort engine
-//! ([`synran_sim::parallel::cohort`]) through [`estimate_valency`], so the
-//! walk inherits the cohort's early retirement and shared-snapshot wins
-//! with no change to its own logic or results (the cohort is byte-identical
-//! to the per-fork path). Use
+//! valency estimate ([`estimate_valency`], one shared snapshot forked per
+//! `(probe, sample)` pair). Use
 //! [`LowerBoundAdversary`](crate::LowerBoundAdversary)
 //! for experiments at scale; use this to *watch the proof work* at small
 //! `n` (see `examples/message_walk.rs`).

@@ -71,8 +71,8 @@ fn estimate_valency_reaches_allocation_steady_state() {
     let world = fixture_world();
     let probes = ProbeSet::synran(3);
 
-    // Warm-up: the snapshot's scratch pool, the worker pool, and the
-    // cohort's lane buffers all reach capacity on the first call.
+    // Warm-up: the snapshot's scratch pool and the worker pool both reach
+    // capacity on the first call.
     let _ = estimate_valency(&world, &probes, 4, 40, 9).unwrap();
 
     // Steady state: identical calls must allocate an identical, flat

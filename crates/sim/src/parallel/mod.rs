@@ -40,8 +40,6 @@
 //! finished. Which thread ran a chunk is unobservable; *that* chunk `w`
 //! ran indices `[w·chunk, min((w+1)·chunk, total))` is guaranteed.
 
-pub mod cohort;
-
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +47,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::{Adversary, Process, RunReport, SimError, Telemetry, World};
+use crate::{Process, Telemetry, World};
 
 /// Sentinel for "use all available parallelism" in thread-count knobs.
 pub const AUTO_THREADS: usize = 0;
@@ -656,7 +654,8 @@ where
 
 /// Forks `world` once per seed and evaluates each fork on the worker pool.
 ///
-/// The canonical fork-evaluation primitive behind valency estimation. The
+/// The fork-evaluation primitive behind valency estimation, which drives
+/// each fork to completion with [`World::drive`] inside `eval`. The
 /// paused `world` is condensed once into a copy-on-write
 /// [`WorldSnapshot`](crate::WorldSnapshot) (bounded at `horizon` rounds
 /// past the pause point), every worker forks the snapshot with `seeds[i]`
@@ -690,49 +689,11 @@ where
     })
 }
 
-/// Convenience for the common "run each fork to completion under its own
-/// adversary" shape: forks `world` per seed, builds an adversary with
-/// `make_adversary(seed)`, drives the fork, and hands the outcome (the
-/// consumed world's report, or the engine error) to `score`.
-///
-/// # Errors
-///
-/// Returns the error of the lowest failing index.
-pub fn fork_run<P, A, T, E, FA, FS>(
-    world: &World<P>,
-    threads: usize,
-    seeds: &[u64],
-    horizon: u32,
-    make_adversary: FA,
-    score: FS,
-) -> Result<Vec<T>, E>
-where
-    P: Process + Clone + Send + Sync,
-    P::Msg: Send + Sync,
-    A: Adversary<P>,
-    T: Send,
-    E: Send,
-    FA: Fn(u64) -> A + Sync,
-    FS: Fn(Result<RunReport, SimError>) -> Result<T, E> + Sync,
-{
-    fork_eval(world, threads, seeds, horizon, |i, mut fork| {
-        let mut adversary = make_adversary(seeds[i]);
-        let outcome = match fork.drive(&mut adversary) {
-            Ok(()) => Ok(fork.into_report()),
-            Err(e) => {
-                fork.retire();
-                Err(e)
-            }
-        };
-        score(outcome)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::Echo;
-    use crate::{Bit, Passive, SimConfig};
+    use crate::{Bit, Context, Inbox, Passive, SendPattern, SimConfig, SimError};
 
     #[test]
     fn par_map_matches_serial_for_any_thread_count() {
@@ -915,6 +876,23 @@ mod tests {
         assert!(resolve_threads(7) <= available.max(2));
     }
 
+    /// A process that never halts — only the horizon stops its forks.
+    #[derive(Debug, Clone)]
+    struct Forever;
+    impl Process for Forever {
+        type Msg = Bit;
+        fn send(&mut self, _: &mut Context<'_>) -> SendPattern<Bit> {
+            SendPattern::Broadcast(Bit::One)
+        }
+        fn receive(&mut self, _: &mut Context<'_>, _: &Inbox<Bit>) {}
+        fn decision(&self) -> Option<Bit> {
+            None
+        }
+        fn halted(&self) -> bool {
+            false
+        }
+    }
+
     #[test]
     fn fork_eval_is_thread_count_invariant() {
         let world = World::new(SimConfig::new(6).seed(11), |pid| {
@@ -923,19 +901,45 @@ mod tests {
         .unwrap();
         let seeds: Vec<u64> = (0..13).map(|i| 1000 + i).collect();
         let run = |threads: usize| -> Vec<Vec<Option<Bit>>> {
-            fork_run(
-                &world,
-                threads,
-                &seeds,
-                50,
-                |_| Passive,
-                |outcome| Ok::<_, SimError>(outcome.unwrap().decisions().to_vec()),
-            )
+            fork_eval(&world, threads, &seeds, 50, |_, mut fork| {
+                fork.drive(&mut Passive)?;
+                Ok::<_, SimError>(fork.into_report().decisions().to_vec())
+            })
             .unwrap()
         };
         let baseline = run(1);
         for threads in [2, 5, 13] {
             assert_eq!(run(threads), baseline, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn horizon_hit_worlds_report_like_max_rounds() {
+        // Bounded forks of a never-halting world stop at the horizon with
+        // `MaxRoundsExceeded`, whatever the thread count.
+        let world = World::new(SimConfig::new(4).seed(3).max_rounds(1_000), |_| Forever).unwrap();
+        let seeds = [7u64, 8, 9, 10, 11];
+        for threads in [1usize, 2, 8] {
+            let outcomes = fork_eval(&world, threads, &seeds, 5, |_, mut fork| {
+                let outcome = fork.drive(&mut Passive);
+                fork.retire();
+                Ok::<_, SimError>(outcome)
+            })
+            .unwrap();
+            for outcome in outcomes {
+                assert!(
+                    matches!(outcome, Err(SimError::MaxRoundsExceeded { .. })),
+                    "threads = {threads}: {outcome:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_seed_list_is_empty() {
+        let world = World::new(SimConfig::new(3).seed(1), |_| Forever).unwrap();
+        let outcomes =
+            fork_eval(&world, 4, &[], 10, |_, fork| Ok::<_, SimError>(fork.n())).unwrap();
+        assert!(outcomes.is_empty());
     }
 }

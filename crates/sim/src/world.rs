@@ -964,19 +964,6 @@ impl<P: Process> World<P> {
         }
     }
 
-    /// Exchanges this world's round scratch with `scratch` (the cohort
-    /// engine's per-lane caddy).
-    ///
-    /// Sound by the scratch invariant: between [`World::deliver`] calls a
-    /// scratch is clean, so any clean width-`n` scratch is observationally
-    /// interchangeable with the world's own. The caller must swap a
-    /// width-`n` scratch in before stepping the world and may swap it back
-    /// out once the step completes ([`World::phase_a`] and adversary
-    /// `intervene` never touch scratch, so only `deliver` needs it).
-    pub(crate) fn swap_scratch(&mut self, scratch: &mut RoundScratch<P::Msg>) {
-        std::mem::swap(&mut self.scratch, scratch);
-    }
-
     fn note_decision(&mut self, pid: ProcessId) {
         if let Some(value) = self.slots[pid.index()].proc.decision() {
             if self.metrics.decided_at(pid).is_none() {
@@ -1183,44 +1170,6 @@ where
             scratch: inner.scratch.take(inner.cfg.n()),
             scratch_home: Some(Arc::clone(&inner.scratch)),
         }
-    }
-
-    /// [`fork`](WorldSnapshot::fork) without a pooled scratch: the copy
-    /// carries a zero-width placeholder and no scratch home.
-    ///
-    /// The cohort engine drives many such forks in lockstep sharing one
-    /// caddy scratch per lane (swapped in around each round step via
-    /// [`World::swap_scratch`]), so checking a scratch out of the pool per
-    /// fork would be wasted mutex traffic. Callers **must** swap a real
-    /// width-`n` scratch in before delivering a round.
-    pub(crate) fn fork_detached(&self, seed: u64) -> World<P> {
-        let inner = &*self.inner;
-        World {
-            cfg: Arc::clone(&inner.cfg),
-            round: inner.round,
-            phase: inner.phase,
-            slots: inner.slots.clone(),
-            outboxes: inner.outboxes.clone(),
-            budget: inner.budget,
-            metrics: inner.metrics.clone(),
-            trace: Trace::disabled(),
-            telemetry: Telemetry::off(),
-            seed,
-            alive: inner.alive.clone(),
-            scratch: RoundScratch::new(0),
-            scratch_home: None,
-        }
-    }
-
-    /// Checks a width-`n` scratch out of the snapshot's recycling pool
-    /// (building a fresh one when the pool is empty).
-    pub(crate) fn take_scratch(&self) -> RoundScratch<P::Msg> {
-        self.inner.scratch.take(self.inner.cfg.n())
-    }
-
-    /// Returns a (clean, by invariant) scratch to the snapshot's pool.
-    pub(crate) fn put_scratch(&self, scratch: RoundScratch<P::Msg>) {
-        self.inner.scratch.put(scratch);
     }
 
     /// System size `n` of the snapshotted world.

@@ -28,14 +28,6 @@ echo "== nightly: fresh bench_parallel vs BENCH_parallel.json =="
 "$gate" compare BENCH_parallel.json "$scratch/fresh_parallel.json" --max-regress "$max_regress" \
     || { echo "nightly gate FAILED against BENCH_parallel.json"; exit 1; }
 
-echo "== nightly: fresh bench_valency vs BENCH_valency.json =="
-# The cohort-vs-fork differential re-asserts byte-identity on every fresh
-# run; the gate then checks the fork_ms/cohort_ms timings against the
-# committed baseline.
-(cd "$scratch" && "$OLDPWD/target/release/bench_valency" --out fresh_valency.json >/dev/null)
-"$gate" compare BENCH_valency.json "$scratch/fresh_valency.json" --max-regress "$max_regress" \
-    || { echo "nightly gate FAILED against BENCH_valency.json"; exit 1; }
-
 echo "== nightly: fresh bench_lab vs BENCH_lab.json =="
 # bench_lab resolves the sibling synran binary for its fleet_procs_* rows,
 # so the workspace build above is a prerequisite, not an optimisation.

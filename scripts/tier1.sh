@@ -94,29 +94,12 @@ grep -q '"reused_gt_spawned": true' "$pool_dir/pool.json" \
     || { echo "pool did not re-use threads across batches"; exit 1; }
 echo "worker-pool smoke OK: $rows/$rows rows identical at threads {1,2,8}, pool re-used"
 
-echo "== tier1: cohort valency smoke test =="
-# The lockstep cohort engine behind estimate_valency must stay
-# byte-identical to the per-fork reference path at threads 1, 2, and 8 on
-# every row, and must observe early retirement on the counters pass (the
-# binary asserts both and exits non-zero on divergence). Run in a scratch
-# dir so the smoke artifact never clobbers the committed BENCH_valency.json.
-cohort_dir="$(mktemp -d /tmp/synran-bench-valency.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir"' EXIT
-(cd "$cohort_dir" && "$OLDPWD/target/release/bench_valency" --smoke --out valency.json >/dev/null)
-vrows="$(grep -c '"group"' "$cohort_dir/valency.json")"
-vmatches="$(grep -c '"identical": true' "$cohort_dir/valency.json")"
-[ "$vrows" -gt 0 ] && [ "$vrows" -eq "$vmatches" ] \
-    || { echo "cohort differential failed: $vmatches/$vrows rows identical"; exit 1; }
-grep -q '"retirement_observed": true' "$cohort_dir/valency.json" \
-    || { echo "cohort never retired a world early"; exit 1; }
-echo "cohort smoke OK: $vrows/$vrows rows identical to the per-fork path at threads {1,2,8}"
-
 echo "== tier1: campaign smoke test =="
 # End-to-end contract of the campaign engine: run a small grid campaign,
 # simulate a crash by truncating the journal mid-file, resume at a
 # different thread count, and require byte-identical rendered output.
 campaign_dir="$(mktemp -d /tmp/synran-campaign.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir" "$campaign_dir"' EXIT
+trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir"' EXIT
 cat > "$campaign_dir/smoke.campaign" <<'EOF'
 campaign  = smoke
 adversary = balancer
@@ -150,7 +133,7 @@ echo "== tier1: fleet smoke test =="
 # including under an injected worker panic — and a kill -9'd supervisor
 # must resume to the same rendered output with every cell journalled.
 fleet_dir="$(mktemp -d /tmp/synran-fleet.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir" "$campaign_dir" "$fleet_dir"' EXIT
+trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir" "$fleet_dir"' EXIT
 cat > "$fleet_dir/fsmoke.campaign" <<'EOF'
 campaign  = fsmoke
 adversary = balancer
@@ -210,7 +193,7 @@ agent_pid=$!
 SYNRAN_FLEET_TOKEN=tier1-secret SYNRAN_FLEET_FAULT=drop_conn "$synran_bin" campaign agent \
     --listen 127.0.0.1:0 --port-file "$fleet_dir/agent2.port" 2>/dev/null &
 drop_agent_pid=$!
-trap 'kill "$agent_pid" "$drop_agent_pid" 2>/dev/null || true; rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir" "$campaign_dir" "$fleet_dir"' EXIT
+trap 'kill "$agent_pid" "$drop_agent_pid" 2>/dev/null || true; rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir" "$fleet_dir"' EXIT
 for _ in $(seq 1 100); do
     [ -s "$fleet_dir/agent.port" ] && [ -s "$fleet_dir/agent2.port" ] && break
     sleep 0.1
