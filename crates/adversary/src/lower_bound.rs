@@ -23,7 +23,8 @@ use synran_sim::{
     Adversary, Bit, BitPlane, Intervention, Passive, SimConfig, SimError, SimRng, World,
 };
 
-use crate::{estimate_valency, Balancer, ProbeSet};
+use crate::valency::estimate_valency_above;
+use crate::{Balancer, ProbeSet};
 
 /// The valency-guided lower-bound adversary for SynRan-family protocols.
 ///
@@ -163,24 +164,31 @@ impl Adversary<SynRanProcess> for LowerBoundAdversary {
             if fork.deliver(candidate.clone()).is_err() {
                 continue; // e.g. a stale candidate that exceeds the budget
             }
-            let Ok(est) = estimate_valency(
+            // A later candidate must beat the incumbent by a clear margin:
+            // with few samples the estimates are noisy, and on a near-tie
+            // the earlier (structurally stronger) move should stand. The
+            // margin is also the cutoff: sampling stops as soon as the
+            // candidate provably cannot clear it (exact, so the chosen
+            // intervention is the one full scoring would choose).
+            let floor = best.as_ref().map(|(bs, _, _)| bs + 0.125);
+            let est = match estimate_valency_above(
                 &fork,
                 &self.probes,
                 self.samples,
                 self.horizon,
                 probe_seed.clone().next_u64() ^ 0x5EED,
-            ) else {
-                continue;
+                floor,
+            ) {
+                Ok(Some(est)) => est,
+                Ok(None) => {
+                    world.telemetry().incr("adversary.candidates_cut", 1);
+                    continue;
+                }
+                Err(_) => continue,
             };
             let kills = candidate.kills().len();
             let score = est.uncertainty();
-            // A later candidate must beat the incumbent by a clear margin:
-            // with few samples the estimates are noisy, and on a near-tie
-            // the earlier (structurally stronger) move should stand.
-            let better = match &best {
-                None => true,
-                Some((bs, _, _)) => score > bs + 0.125,
-            };
+            let better = floor.is_none_or(|floor| score > floor);
             if better {
                 best = Some((score, kills, candidate));
             }
@@ -253,7 +261,9 @@ pub fn find_adversarial_input(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate_valency;
     use synran_core::{check_consensus, ConsensusProtocol};
+    use synran_sim::{Telemetry, TelemetryMode};
 
     #[test]
     fn forces_more_rounds_than_passive() {
@@ -326,10 +336,12 @@ mod tests {
         }
     }
 
-    /// Scores every candidate with no short-circuit — the exhaustive loop
-    /// `intervene` ran before the ≥ 0.875 early break landed. The break is
-    /// exact (uncertainty is capped at 1.0, the margin is +0.125), so the
-    /// two must pick identical interventions.
+    /// Scores every candidate fully, with no short-circuit — the
+    /// exhaustive loop `intervene` ran before the ≥ 0.875 early break and
+    /// the losing-candidate cutoff landed. Both shortcuts are exact
+    /// (uncertainty is capped at 1.0, the margin is +0.125, and the cutoff
+    /// bound is exact arithmetic), so the two must pick identical
+    /// interventions.
     fn intervene_exhaustive(
         lb: &LowerBoundAdversary,
         world: &World<SynRanProcess>,
@@ -371,13 +383,36 @@ mod tests {
 
     #[test]
     fn short_circuit_preserves_chosen_interventions() {
-        // Regression for the ≥ 0.875 early break: on E3-fixture-style
-        // worlds (even-split inputs, paper-scale kill caps, the E3 run
-        // seeds), the chosen intervention must match exhaustive scoring
-        // at several rounds of depth.
-        let n = 16;
+        // Regression for the ≥ 0.875 early break and the losing-candidate
+        // cutoff: on E3-fixture-style worlds (even-split inputs; E3's probe
+        // horizon with the paper cap and E3's starved pinch cap, plus the
+        // original small-cap fixture), the chosen intervention must match
+        // exhaustive scoring round after round — eight rounds, or until
+        // the protocol decides. Paper-cap worlds stall, so they must be
+        // compared at least six rounds deep; the others may decide sooner
+        // (Lemma 4.6's pinch).
         let protocol = SynRan::new();
-        for seed in 0..4u64 {
+        let telemetry = Telemetry::new(TelemetryMode::Counters);
+        // (n, cap, samples, horizon, seed, minimum depth)
+        let mut fixtures = vec![
+            (16, 6, 2, 40, 0, 0),
+            (16, 6, 2, 40, 1, 0),
+            (16, 6, 2, 40, 2, 0),
+            (16, 6, 2, 40, 3, 0),
+        ];
+        for n in [16usize, 32] {
+            let budget = per_round_kill_budget(n);
+            let paper_cap = budget.ceil() as usize + 1;
+            let starved_cap = ((budget / 16.0).ceil() as usize).max(1);
+            let horizon = 3 * (n as f64).sqrt() as u32 + 20;
+            fixtures.extend([
+                (n, paper_cap, 3, horizon, 0u64, 6),
+                (n, paper_cap, 3, horizon, 1, 6),
+                (n, starved_cap, 3, horizon, 2, 0),
+                (n, starved_cap, 3, horizon, 5, 0),
+            ]);
+        }
+        for (n, cap, samples, horizon, seed, min_depth) in fixtures {
             let mut world = World::new(
                 SimConfig::new(n)
                     .faults(n - 1)
@@ -386,18 +421,30 @@ mod tests {
                 |pid| protocol.spawn(pid, n, Bit::from(pid.index() < n / 2)),
             )
             .unwrap();
-            let mut lb = LowerBoundAdversary::with_params(6, 2, 40, seed);
-            for _ in 0..3 {
-                if world.finished() {
-                    break;
-                }
+            world.set_telemetry(telemetry.clone());
+            let mut lb = LowerBoundAdversary::with_params(cap, samples, horizon, seed);
+            let mut depth = 0;
+            while depth < 8 && !world.finished() {
                 world.phase_a().unwrap();
                 let exhaustive = intervene_exhaustive(&lb, &world);
                 let chosen = lb.intervene(&world);
-                assert_eq!(chosen, exhaustive, "seed {seed}, round {:?}", world.round());
+                assert_eq!(
+                    chosen,
+                    exhaustive,
+                    "n {n}, cap {cap}, seed {seed}, round {:?}",
+                    world.round()
+                );
                 world.deliver(chosen).unwrap();
+                depth += 1;
             }
+            assert!(
+                depth >= min_depth,
+                "n {n}, cap {cap}, seed {seed}: decided after {depth} rounds"
+            );
         }
+        // The cutoff actually fired: the comparison above is not vacuous.
+        let cut = telemetry.snapshot().counter("adversary.candidates_cut");
+        assert!(cut.is_some_and(|c| c > 0), "cutoff never fired: {cut:?}");
     }
 
     #[test]

@@ -255,13 +255,13 @@ pub fn classify_with(estimate: &ValencyEstimate, lo: f64, hi: f64) -> Valence {
 ///
 /// The `(probe, sample)` grid is evaluated on
 /// [`world.config().threads_value()`](synran_sim::SimConfig::threads)
-/// worker threads through [`synran_sim::parallel::fork_eval`]: one shared
-/// snapshot, and each fork driven to completion by
-/// [`World::drive`](synran_sim::World::drive). Fork seeds are derived from
-/// the `(probe, sample)` index, never from execution order, so the
-/// estimate is **bit-for-bit identical for every thread count** (including
-/// the serial `threads = 1` path). Committed golden estimates
-/// (`crates/adversary/tests/valency_golden.rs`) pin the exact bits.
+/// worker threads in one dispatch: one shared snapshot, and each fork
+/// driven to completion by [`World::drive`](synran_sim::World::drive).
+/// Fork seeds are derived from the `(probe, sample)` index, never from
+/// execution order, so the estimate is **bit-for-bit identical for every
+/// thread count** (including the serial `threads = 1` path). Committed
+/// golden estimates (`crates/adversary/tests/valency_golden.rs`) pin the
+/// exact bits.
 ///
 /// # Errors
 ///
@@ -283,6 +283,43 @@ where
     P: Process + Clone + Send + Sync,
     P::Msg: Send + Sync,
 {
+    let estimate = estimate_valency_above(world, probes, samples, horizon, seed, None)?;
+    Ok(estimate.expect("no floor, no cutoff"))
+}
+
+/// [`estimate_valency`] that gives up as soon as the estimate provably
+/// cannot reach an [`uncertainty`](ValencyEstimate::uncertainty) above
+/// `floor`, returning `Ok(None)`.
+///
+/// With a floor, the grid is swept **sample-major**: sweep `s` evaluates
+/// sample `s` of every probe, and after each sweep
+/// [`uncertainty_bound`] of the partial per-probe sums is compared with
+/// the floor. The bound is exact arithmetic (scores are multiples of ½),
+/// so a cut estimate is one whose full score would have been `≤ floor`,
+/// and an estimate that completes is bit-identical to [`estimate_valency`]
+/// — same seeds, same fork outcomes, same [`reduce_outcomes`] fold. Without
+/// a floor the whole grid is one dispatch and nothing is cut.
+///
+/// # Errors
+///
+/// As [`estimate_valency`], over the forks actually evaluated: a fork the
+/// cutoff skipped never reports its error.
+///
+/// # Panics
+///
+/// Panics if `probes` is empty or `samples` is zero.
+pub(crate) fn estimate_valency_above<P>(
+    world: &World<P>,
+    probes: &ProbeSet<P>,
+    samples: usize,
+    horizon: u32,
+    seed: u64,
+    floor: Option<f64>,
+) -> Result<Option<ValencyEstimate>, SimError>
+where
+    P: Process + Clone + Send + Sync,
+    P::Msg: Send + Sync,
+{
     assert!(!probes.is_empty(), "need at least one probe");
     assert!(samples > 0, "need at least one sample per probe");
     // Telemetry is observe-only: the span and counters below never touch
@@ -290,38 +327,74 @@ where
     // handle (or none) attached to `world`.
     let telemetry = world.telemetry();
     let _span = telemetry.span("valency.estimate");
-    // One work unit per (probe, sample) pair, in the serial nested-loop
-    // order. Seeds depend only on the pair's indices.
+    // One work unit per (probe, sample) pair, indexed probe-major as in
+    // the serial nested loop. Seeds depend only on the pair's indices.
     let fork_seeds = derive_seed_grid(seed, probes.len(), samples);
-    let outcomes = parallel::fork_eval(
-        world,
-        world.config().threads_value(),
-        &fork_seeds,
-        horizon,
-        |unit, mut fork| {
-            let factory = &probes.factories[unit / samples].1;
-            let mut adversary = factory(fork_seeds[unit]);
-            match fork.drive(&mut adversary) {
-                Ok(()) => {
-                    let report = fork.into_report();
-                    Ok(match first_decision(&report) {
-                        Some(Bit::One) => (1.0, false),
-                        Some(Bit::Zero) => (0.0, false),
-                        None => (0.5, true),
-                    })
-                }
-                Err(SimError::MaxRoundsExceeded { .. }) => {
-                    // Horizon hit: the fork is abandoned, but its warmed
-                    // scratch goes back to the snapshot pool for the next
-                    // sample to re-use.
-                    fork.retire();
-                    Ok((0.5, true))
-                }
-                Err(other) => Err(other),
+    let snapshot = world.snapshot_bounded(horizon);
+    let eval = |unit: usize| -> Result<(f64, bool), SimError> {
+        let mut fork = snapshot.fork(fork_seeds[unit]);
+        let factory = &probes.factories[unit / samples].1;
+        let mut adversary = factory(fork_seeds[unit]);
+        match fork.drive(&mut adversary) {
+            Ok(()) => {
+                let report = fork.into_report();
+                Ok(match first_decision(&report) {
+                    Some(Bit::One) => (1.0, false),
+                    Some(Bit::Zero) => (0.0, false),
+                    None => (0.5, true),
+                })
             }
-        },
-    )?;
-    Ok(reduce_outcomes(probes, samples, &outcomes, telemetry))
+            Err(SimError::MaxRoundsExceeded { .. }) => {
+                // Horizon hit: the fork is abandoned, but its warmed
+                // scratch goes back to the snapshot pool for the next
+                // sample to re-use.
+                fork.retire();
+                Ok((0.5, true))
+            }
+            Err(other) => Err(other),
+        }
+    };
+    // Sweeps of `width` samples across every probe: one sweep of the whole
+    // grid without a floor, one sample per sweep with one.
+    let width = if floor.is_some() { 1 } else { samples };
+    let mut outcomes = vec![(0.0, false); probes.len() * samples];
+    let mut sums = vec![0.0; probes.len()];
+    for first in (0..samples).step_by(width) {
+        let unit = |q: usize| (q / width) * samples + first + q % width;
+        let sweep = parallel::try_par_map_in(
+            telemetry,
+            world.config().threads_value(),
+            probes.len() * width,
+            |q| eval(unit(q)),
+        )?;
+        for (q, outcome) in sweep.into_iter().enumerate() {
+            outcomes[unit(q)] = outcome;
+            sums[q / width] += outcome.0;
+        }
+        if floor.is_some_and(|floor| uncertainty_bound(&sums, first + width, samples) <= floor) {
+            return Ok(None);
+        }
+    }
+    Ok(Some(reduce_outcomes(probes, samples, &outcomes, telemetry)))
+}
+
+/// The largest [`uncertainty`](ValencyEstimate::uncertainty) an estimate
+/// can still reach once `evaluated` of its `samples` forks per probe are
+/// in, given each probe's partial score sum `sums[p]`:
+/// `min(1 − min_p S_p/m, max_p (S_p + m − k)/m)`. Each probe's final
+/// `Pr[decide 1]` lies in `[S_p/m, (S_p + m − k)/m]`, and uncertainty is
+/// monotone in both of its terms. At `evaluated = samples` it equals the
+/// final uncertainty bit for bit: the sums are exact in `f64` (multiples
+/// of ½), and the arithmetic matches [`reduce_outcomes`].
+fn uncertainty_bound(sums: &[f64], evaluated: usize, samples: usize) -> f64 {
+    let m = samples as f64;
+    let open = (samples - evaluated) as f64;
+    let low = sums.iter().map(|&s| s / m).fold(f64::INFINITY, f64::min);
+    let high = sums
+        .iter()
+        .map(|&s| (s + open) / m)
+        .fold(f64::NEG_INFINITY, f64::max);
+    (1.0 - low).min(high)
 }
 
 /// Derives the fork-seed grid for `groups × per_group` work units.
@@ -400,7 +473,7 @@ fn first_decision(report: &synran_sim::RunReport) -> Option<Bit> {
 mod tests {
     use super::*;
     use synran_core::{ConsensusProtocol, SynRan};
-    use synran_sim::{Bit, SimConfig};
+    use synran_sim::{Bit, Intervention, ProcessId, SimConfig};
 
     fn world_with_inputs(n: usize, t: usize, ones: usize, seed: u64) -> World<SynRanProcess> {
         let protocol = SynRan::new();
@@ -537,6 +610,113 @@ mod tests {
             })
             .collect();
         assert_eq!(derive_seed_grid(0xABCD, 4, 7), per_unit);
+    }
+
+    #[test]
+    fn cutoff_bound_never_undercuts_the_final_uncertainty() {
+        // Fixed-seed property: for random outcome grids (probe counts 1–5,
+        // 1–9 samples, per-probe biases from always-0 to always-1, with
+        // undecided ½ scores mixed in), the bound after every sweep prefix
+        // is ≥ the final uncertainty, and after the last sweep it *is* the
+        // final uncertainty, bit for bit.
+        let mut rng = SimRng::new(0xB0D);
+        for _ in 0..5_000 {
+            let groups = 1 + rng.index(5);
+            let samples = 1 + rng.index(9);
+            let mut probes: ProbeSet<SynRanProcess> = ProbeSet::new();
+            for g in 0..groups {
+                probes = probes.with_probe(format!("p{g}"), |_| Box::new(Passive));
+            }
+            let mut outcomes = Vec::with_capacity(groups * samples);
+            for _ in 0..groups {
+                let bias = rng.index(5) as f64 / 4.0;
+                for _ in 0..samples {
+                    outcomes.push(if rng.chance(0.2) {
+                        (0.5, true)
+                    } else {
+                        (if rng.chance(bias) { 1.0 } else { 0.0 }, false)
+                    });
+                }
+            }
+            let exact =
+                reduce_outcomes(&probes, samples, &outcomes, &Telemetry::off()).uncertainty();
+            for evaluated in 0..=samples {
+                let sums: Vec<f64> = (0..groups)
+                    .map(|g| {
+                        outcomes[g * samples..g * samples + evaluated]
+                            .iter()
+                            .map(|&(score, _)| score)
+                            .sum()
+                    })
+                    .collect();
+                let bound = uncertainty_bound(&sums, evaluated, samples);
+                assert!(
+                    bound >= exact,
+                    "bound {bound} < final {exact} after {evaluated}/{samples}: {outcomes:?}"
+                );
+                if evaluated == samples {
+                    assert_eq!(bound.to_bits(), exact.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cutoff_is_exact_on_random_candidates() {
+        // Random lower-bound-style candidates — a paused world, a random
+        // kill set delivered on a fork — scored fully and with floors
+        // around the full score: the cutoff fires exactly when the full
+        // score is ≤ the floor, and an estimate that completes is the full
+        // estimate, bit for bit.
+        let protocol = SynRan::new();
+        let probes = ProbeSet::synran(3);
+        let mut rng = SimRng::new(0xCA7);
+        let mut cut = 0;
+        for trial in 0..24u64 {
+            let n = 8 + rng.index(13);
+            let mut world = World::new(
+                SimConfig::new(n)
+                    .faults(n - 1)
+                    .seed(trial)
+                    .max_rounds(5_000),
+                |pid| protocol.spawn(pid, n, Bit::from(pid.index() < n / 2)),
+            )
+            .unwrap();
+            world.phase_a().unwrap();
+            let alive: Vec<ProcessId> = world.alive_ids().collect();
+            let kills = rng.index(alive.len().min(5) + 1);
+            let candidate = Intervention::kill_all_silent(
+                rng.sample_indices(alive.len(), kills)
+                    .into_iter()
+                    .map(|i| alive[i]),
+            );
+            let mut fork = world.fork_bounded(trial, 30);
+            fork.deliver(candidate).unwrap();
+            let samples = 1 + rng.index(5);
+            let full = estimate_valency(&fork, &probes, samples, 30, trial).unwrap();
+            let score = full.uncertainty();
+            for floor in [
+                score - 0.5,
+                score - 0.125,
+                score - 1e-9,
+                score,
+                score + 0.125,
+            ] {
+                let above = estimate_valency_above(&fork, &probes, samples, 30, trial, Some(floor))
+                    .unwrap();
+                match above {
+                    None => {
+                        assert!(score <= floor, "cut at floor {floor}, full score {score}");
+                        cut += 1;
+                    }
+                    Some(est) => {
+                        assert!(score > floor, "floor {floor} not cut, full score {score}");
+                        assert_eq!(est, full);
+                    }
+                }
+            }
+        }
+        assert!(cut > 0, "no floor ever cut");
     }
 
     #[test]

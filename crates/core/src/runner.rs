@@ -7,7 +7,7 @@
 
 use synran_sim::{parallel, Adversary, Bit, SimConfig, SimError, SimRng, Telemetry};
 
-use crate::checker::{check_consensus_with, ConsensusVerdict};
+use crate::checker::check_consensus_with;
 use crate::ConsensusProtocol;
 
 /// How inputs are assigned across processes in a batch.
@@ -153,10 +153,14 @@ where
 }
 
 /// [`run_batch`] with a telemetry handle: every run's world records into
-/// it, the fan-out gets per-worker spans, and the batch itself contributes
-/// a `batch.run_batch` span, `batch.runs` / `batch.timeouts` /
-/// `batch.violations` counters, and `batch.rounds` / `batch.kills`
-/// histograms (accumulated in run order during the deterministic fold).
+/// it, the fan-out gets per-worker spans, and the in-order fold
+/// ([`BatchOutcome::fold`]) contributes a `batch.run_batch` span,
+/// `batch.runs` / `batch.timeouts` / `batch.violations` counters, and
+/// `batch.rounds` / `batch.kills` histograms.
+///
+/// This is [`run_step`] mapped over `0..runs` on the worker pool, then
+/// folded: callers that schedule runs of several batches in one dispatch
+/// (the campaign engine) use the same two pieces.
 ///
 /// Telemetry is observe-only: the outcome is byte-identical to
 /// [`run_batch`] for every handle and thread count.
@@ -177,53 +181,109 @@ where
     P: ConsensusProtocol + Sync,
     A: Adversary<P::Proc>,
 {
-    let _span = telemetry.span("batch.run_batch");
     let results = parallel::try_par_map_in(telemetry, base_cfg.threads_value(), runs, |i| {
-        let seed = SimRng::new(base_seed).derive(i as u64).next_u64();
-        let mut input_rng = SimRng::new(seed).derive(0xD1CE);
-        let inputs = assignment.materialize(base_cfg.n(), &mut input_rng);
-        let cfg = base_cfg.clone().seed(seed);
-        let mut adversary = make_adversary(seed);
-        match check_consensus_with(protocol, &inputs, cfg, &mut adversary, telemetry) {
-            Ok(verdict) => Ok(Some((seed, verdict))),
-            Err(SimError::MaxRoundsExceeded { .. }) => Ok(None),
-            Err(other) => Err(other),
-        }
+        run_step(
+            protocol,
+            assignment,
+            base_cfg,
+            base_seed,
+            i,
+            telemetry,
+            &make_adversary,
+        )
     })?;
-    let mut outcome = BatchOutcome {
-        rounds: Vec::with_capacity(runs),
-        kills: Vec::with_capacity(runs),
-        incorrect: Vec::new(),
-        timeouts: 0,
-    };
-    // Fold in run order, not completion order, to keep seed-order outputs
-    // (and deterministic batch histograms).
-    for result in &results {
-        match result {
-            Some((seed, verdict)) => {
-                record(&mut outcome, *seed, verdict);
-                telemetry.observe("batch.rounds", u64::from(verdict.rounds()));
-                telemetry.observe(
-                    "batch.kills",
-                    verdict.report().metrics().total_kills() as u64,
-                );
-            }
-            None => outcome.timeouts += 1,
-        }
-    }
-    telemetry.incr("batch.runs", runs as u64);
-    telemetry.incr("batch.timeouts", outcome.timeouts as u64);
-    telemetry.incr("batch.violations", outcome.incorrect.len() as u64);
-    Ok(outcome)
+    Ok(BatchOutcome::fold(results, telemetry))
 }
 
-fn record(outcome: &mut BatchOutcome, seed: u64, verdict: &ConsensusVerdict) {
-    outcome.rounds.push(verdict.rounds());
-    outcome.kills.push(verdict.report().metrics().total_kills());
-    if !verdict.is_correct() {
+/// What one run of a batch observed: just the fields the fold keeps, so a
+/// scheduler can hold many runs' worth between dispatch and fold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunRecord {
+    seed: u64,
+    rounds: u32,
+    kills: usize,
+    violations: Vec<String>,
+}
+
+/// Run `index` of a batch: derives the run's seed from
+/// `(base_seed, index)`, materialises its inputs, and checks one execution
+/// under a fresh adversary from `make_adversary(seed)`.
+///
+/// Returns `Ok(None)` for a run aborted by the round limit (a timeout, not
+/// an error). A pure function of its arguments, so runs can execute in any
+/// order on any thread.
+///
+/// # Errors
+///
+/// Propagates engine errors other than [`SimError::MaxRoundsExceeded`].
+pub fn run_step<P, A>(
+    protocol: &P,
+    assignment: InputAssignment,
+    base_cfg: &SimConfig,
+    base_seed: u64,
+    index: usize,
+    telemetry: &Telemetry,
+    make_adversary: impl Fn(u64) -> A,
+) -> Result<Option<RunRecord>, SimError>
+where
+    P: ConsensusProtocol,
+    A: Adversary<P::Proc>,
+{
+    let seed = SimRng::new(base_seed).derive(index as u64).next_u64();
+    let mut input_rng = SimRng::new(seed).derive(0xD1CE);
+    let inputs = assignment.materialize(base_cfg.n(), &mut input_rng);
+    let cfg = base_cfg.clone().seed(seed);
+    let mut adversary = make_adversary(seed);
+    match check_consensus_with(protocol, &inputs, cfg, &mut adversary, telemetry) {
+        Ok(verdict) => Ok(Some(RunRecord {
+            seed,
+            rounds: verdict.rounds(),
+            kills: verdict.report().metrics().total_kills(),
+            violations: verdict.violations().to_vec(),
+        })),
+        Err(SimError::MaxRoundsExceeded { .. }) => Ok(None),
+        Err(other) => Err(other),
+    }
+}
+
+impl BatchOutcome {
+    /// Folds per-run results, given **in run order** (`None` = timeout),
+    /// into a batch outcome, recording the `batch.run_batch` span, the
+    /// `batch.*` counters and the `batch.rounds` / `batch.kills`
+    /// histograms as it goes. Folding in run order rather than completion
+    /// order keeps seed-order outputs and deterministic histograms.
+    #[must_use]
+    pub fn fold(
+        results: impl IntoIterator<Item = Option<RunRecord>>,
+        telemetry: &Telemetry,
+    ) -> BatchOutcome {
+        let _span = telemetry.span("batch.run_batch");
+        let results = results.into_iter();
+        let mut outcome = BatchOutcome {
+            rounds: Vec::with_capacity(results.size_hint().0),
+            kills: Vec::with_capacity(results.size_hint().0),
+            incorrect: Vec::new(),
+            timeouts: 0,
+        };
+        let mut runs = 0u64;
+        for result in results {
+            runs += 1;
+            let Some(run) = result else {
+                outcome.timeouts += 1;
+                continue;
+            };
+            telemetry.observe("batch.rounds", u64::from(run.rounds));
+            telemetry.observe("batch.kills", run.kills as u64);
+            outcome.rounds.push(run.rounds);
+            outcome.kills.push(run.kills);
+            if !run.violations.is_empty() {
+                outcome.incorrect.push((run.seed, run.violations));
+            }
+        }
+        telemetry.incr("batch.runs", runs);
+        telemetry.incr("batch.timeouts", outcome.timeouts as u64);
+        telemetry.incr("batch.violations", outcome.incorrect.len() as u64);
         outcome
-            .incorrect
-            .push((seed, verdict.violations().to_vec()));
     }
 }
 

@@ -1,9 +1,9 @@
 //! The sharded campaign scheduler.
 //!
-//! [`Engine::run_cells`] partitions a campaign's cell list across worker
-//! threads via [`synran_sim::parallel`] and folds the results **in cell
-//! order**, so the merged output is byte-identical at every thread count —
-//! the same contract the fork-evaluation engine and the batch runner keep.
+//! [`Engine::run_cells`] spreads a campaign's runs across worker threads
+//! via [`synran_sim::parallel`] and folds the results **in cell order**,
+//! so the merged output is byte-identical at every thread count — the
+//! same contract the fork-evaluation engine and the batch runner keep.
 //!
 //! Execution proceeds in *waves* of `threads × 4` cells: each wave is
 //! evaluated in parallel, then appended to the journal in cell order
@@ -11,9 +11,15 @@
 //! one in-flight wave, and the journal's line order is itself a pure
 //! function of the cell list (never of scheduling).
 //!
+//! The unit of parallel work is one **run**, not one cell: a wave is one
+//! dispatch over its cells' flat `(cell, run)` index space, and pool
+//! participants claim runs one at a time, so a wave of a few expensive
+//! cells still keeps every worker busy until its last run. Each cell's
+//! runs are then folded in run order straight into its [`CellResult`].
+//!
 //! Waves dispatch onto the persistent worker pool in
 //! [`synran_sim::parallel`]: the helper threads are spawned by the first
-//! wave and re-used by every later wave (and by any nested fan-out a cell
+//! wave and re-used by every later wave (and by any nested fan-out a run
 //! performs — nested dispatches fall back inline, deterministically), so
 //! a thousand-wave campaign pays thread-spawn cost exactly once.
 //!
@@ -29,7 +35,7 @@ use synran_sim::{parallel, Telemetry};
 use crate::cell::{Cell, CellResult};
 use crate::journal::{load_cache, CellCache, Journal};
 use crate::progress::{Heartbeat, ProgressSink};
-use crate::registry::run_cell;
+use crate::registry::run_cells_flat;
 use crate::LabError;
 
 /// An attached progress sink plus its emission cadence.
@@ -186,10 +192,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the first failing cell's error **by cell order** (the
-    /// deterministic-error contract of
-    /// [`try_par_map`](synran_sim::parallel::try_par_map)), or an I/O
-    /// error from the journal.
+    /// Returns the first failing cell's error **by cell order** — within
+    /// it, the lowest failing run's — whatever the thread count, or an I/O
+    /// error from the journal. The failing cell's wave is not journaled.
     pub fn run_cells(&mut self, cells: &[Cell]) -> Result<Vec<CellResult>, LabError> {
         let start = Instant::now();
         let hashes: Vec<String> = cells.iter().map(Cell::content_hash).collect();
@@ -206,9 +211,8 @@ impl Engine {
 
         let workers = parallel::resolve_threads(self.threads).max(1);
         for wave in pending.chunks(workers * 4) {
-            let outs = parallel::try_par_map_in(&self.telemetry, self.threads, wave.len(), |k| {
-                run_cell(&cells[wave[k]], &self.telemetry)
-            })?;
+            let wave_cells: Vec<&Cell> = wave.iter().map(|&i| &cells[i]).collect();
+            let outs = run_cells_flat(&wave_cells, self.threads, &self.telemetry)?;
             for (&i, result) in wave.iter().zip(outs) {
                 self.record(&cells[i], &hashes[i], result)?;
                 run_executed += 1;
@@ -335,6 +339,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::run_cell;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -356,6 +361,72 @@ mod tests {
             }
         }
         cells
+    }
+
+    /// Cheap passive `n = 8` cells interleaved with lower-bound `n = 32`
+    /// cells (each run scores candidates over hundreds of forks), with
+    /// 1 to 5 runs per cell: per-run cost varies by orders of magnitude.
+    fn heterogeneous() -> Vec<Cell> {
+        [1usize, 3, 5, 2, 4, 1, 5, 2]
+            .into_iter()
+            .enumerate()
+            .map(|(k, runs)| {
+                let mut cell = if k % 2 == 0 {
+                    Cell::new("synran", "passive", 8)
+                } else {
+                    let mut cell = Cell::new("synran", "lower-bound", 32);
+                    cell.cap = 8;
+                    cell.samples = 2;
+                    cell.horizon = 20;
+                    cell
+                };
+                cell.runs = runs;
+                cell.seed = 10 + k as u64;
+                cell
+            })
+            .collect()
+    }
+
+    #[test]
+    fn heterogeneous_cells_match_run_cell_at_every_thread_count() {
+        let cells = heterogeneous();
+        let per_cell: Vec<CellResult> = cells
+            .iter()
+            .map(|cell| run_cell(cell, &Telemetry::off()).unwrap())
+            .collect();
+        let dir = tmpdir("hetero");
+        let mut journals = Vec::new();
+        for threads in [1, 2, 8] {
+            let path = dir.join(format!("t{threads}.journal.jsonl"));
+            let _ = std::fs::remove_file(&path);
+            let (journal, cache) = Journal::open(&path).unwrap();
+            let results = Engine::new(threads, Telemetry::off())
+                .with_journal(journal, cache)
+                .run_cells(&cells)
+                .unwrap();
+            assert_eq!(results, per_cell, "threads = {threads}");
+            journals.push(std::fs::read(&path).unwrap());
+        }
+        assert_eq!(journals[0], journals[1], "journal bytes, threads 1 vs 2");
+        assert_eq!(journals[0], journals[2], "journal bytes, threads 1 vs 8");
+    }
+
+    #[test]
+    fn invalid_cell_mid_list_fails_with_its_own_error() {
+        let mut cells = heterogeneous();
+        let mut invalid = Cell::new("synran", "passive", 8);
+        invalid.ones = 9;
+        cells.insert(3, invalid.clone());
+        let alone = run_cell(&invalid, &Telemetry::off())
+            .unwrap_err()
+            .to_string();
+        assert_eq!(alone, "spec error: ones = 9 exceeds n = 8");
+        for threads in [1, 2, 8] {
+            let err = Engine::new(threads, Telemetry::off())
+                .run_cells(&cells)
+                .unwrap_err();
+            assert_eq!(err.to_string(), alone, "threads = {threads}");
+        }
     }
 
     #[test]

@@ -424,6 +424,11 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let peer = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
+            // Read the supervisor's hello line first: closing before it is
+            // written would turn the supervisor's write into a connection
+            // reset instead of the malformed reply under test.
+            let mut hello = String::new();
+            let _ = std::io::BufRead::read_line(&mut std::io::BufReader::new(&stream), &mut hello);
             let mut half = &stream;
             let _ = writeln!(half, "HTTP/1.1 400 Bad Request");
         });

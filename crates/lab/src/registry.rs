@@ -8,20 +8,22 @@
 //! the SynRan-specific attacks only target the SynRan family, `hunter`
 //! only targets `leader`.
 //!
-//! Execution goes through [`synran_core::run_batch_with`] with the cell's
-//! base seed, so a cell reproduces exactly what a hand-rolled experiment
-//! loop with the same seed derivation produces — that equivalence is what
-//! lets the E3/E4/E7 binaries delegate to the engine byte-for-byte.
+//! Execution goes through [`synran_core::run_step`] and
+//! [`BatchOutcome::fold`] — the two halves of
+//! [`synran_core::run_batch_with`] — with the cell's base seed, so a cell
+//! reproduces exactly what a hand-rolled experiment loop with the same
+//! seed derivation produces. That equivalence is what lets the E3/E4/E7
+//! binaries delegate to the engine byte-for-byte.
 
 use synran_adversary::{
     Balancer, LeaderHunter, LowerBoundAdversary, MessageWalker, Oblivious, PreferenceKiller,
     RandomKiller, Storm,
 };
 use synran_core::{
-    run_batch_with, ConsensusProtocol, FloodingConsensus, InputAssignment, LeaderConsensus,
-    LeaderProcess, SynRan, SynRanProcess,
+    run_step, BatchOutcome, ConsensusProtocol, FloodingConsensus, InputAssignment, LeaderConsensus,
+    LeaderProcess, RunRecord, SynRan, SynRanProcess,
 };
-use synran_sim::{Adversary, Bit, Passive, Process, SimConfig, Telemetry};
+use synran_sim::{parallel, Adversary, Bit, Passive, Process, SimConfig, SimError, Telemetry};
 
 use crate::cell::{Cell, CellResult};
 use crate::LabError;
@@ -115,36 +117,123 @@ fn leader_factory(cell: &Cell) -> Result<Factory<LeaderProcess>, LabError> {
     generic_factory(cell)
 }
 
-fn batch<P>(
-    protocol: &P,
-    cell: &Cell,
-    telemetry: &Telemetry,
-    factory: &Factory<P::Proc>,
-) -> Result<CellResult, LabError>
+/// One run of a resolved cell: `(run index, telemetry) → record`, or
+/// `None` for a round-limit timeout.
+type RunFn<'a> = Box<dyn Fn(usize, &Telemetry) -> Result<Option<RunRecord>, SimError> + Sync + 'a>;
+
+/// A cell whose protocol and adversary factory are resolved once, so its
+/// runs can be scheduled individually across the pool.
+struct CellPlan<'a> {
+    runs: usize,
+    step: RunFn<'a>,
+}
+
+impl<'a> CellPlan<'a> {
+    /// Resolves `cell`'s names into a per-run step, or returns the
+    /// [`validate_cell`] error for an invalid cell.
+    fn new(cell: &'a Cell) -> Result<CellPlan<'a>, LabError> {
+        validate_cell(cell)?;
+        let step = match cell.protocol.as_str() {
+            "synran" => plan_step(SynRan::new(), cell, synran_factory(cell)?),
+            "symmetric" => plan_step(SynRan::symmetric(), cell, synran_factory(cell)?),
+            "flooding" => plan_step(
+                FloodingConsensus::for_faults(cell.t),
+                cell,
+                generic_factory(cell)?,
+            ),
+            "leader" => plan_step(
+                LeaderConsensus::for_faults(cell.t),
+                cell,
+                leader_factory(cell)?,
+            ),
+            other => {
+                return Err(LabError::Unknown(format!(
+                    "unknown protocol {other:?} (see `synran list`)"
+                )))
+            }
+        };
+        Ok(CellPlan {
+            runs: cell.runs,
+            step,
+        })
+    }
+}
+
+fn plan_step<'a, P>(protocol: P, cell: &'a Cell, factory: Factory<P::Proc>) -> RunFn<'a>
 where
-    P: ConsensusProtocol + Sync,
+    P: ConsensusProtocol + Sync + 'a,
 {
-    // Cells are the engine's sharding unit, so the batch inside one cell
-    // runs serially — the scheduler parallelises *across* cells.
+    // The engine parallelises across runs, so each run's own fan-outs
+    // (valency estimation) stay on its thread.
     let cfg = SimConfig::new(cell.n)
         .faults(cell.t)
         .max_rounds(cell.max_rounds)
         .threads(1);
-    let outcome = run_batch_with(
-        protocol,
-        InputAssignment::Split { ones: cell.ones },
-        &cfg,
-        cell.runs,
-        cell.seed,
-        telemetry,
-        factory,
-    )?;
-    Ok(CellResult {
-        rounds: outcome.rounds().to_vec(),
-        kills: outcome.kills().iter().map(|&k| k as u64).collect(),
-        timeouts: u32::try_from(outcome.timeouts()).unwrap_or(u32::MAX),
-        violations: u32::try_from(outcome.incorrect().len()).unwrap_or(u32::MAX),
+    let assignment = InputAssignment::Split { ones: cell.ones };
+    Box::new(move |index, telemetry| {
+        run_step(
+            &protocol, assignment, &cfg, cell.seed, index, telemetry, &factory,
+        )
     })
+}
+
+/// Executes `cells` with their runs spread over `threads` pool workers in
+/// **one** dispatch over the flat `(cell, run)` index space, then folds
+/// each cell's runs in run order. Results are identical to executing the
+/// cells one by one, serially, at every thread count.
+///
+/// # Errors
+///
+/// Returns the error of the lowest failing cell (by position in `cells`);
+/// within it, the lowest failing run's.
+pub(crate) fn run_cells_flat(
+    cells: &[&Cell],
+    threads: usize,
+    telemetry: &Telemetry,
+) -> Result<Vec<CellResult>, LabError> {
+    let mut plans = Vec::with_capacity(cells.len());
+    let mut invalid = None;
+    for cell in cells {
+        match CellPlan::new(cell) {
+            Ok(plan) => plans.push(plan),
+            // Cells after an invalid one cannot change which error wins.
+            Err(e) => {
+                invalid = Some(e);
+                break;
+            }
+        }
+    }
+    // `starts[c]` is cell c's first flat index; the last entry is the total.
+    let mut starts = Vec::with_capacity(plans.len() + 1);
+    starts.push(0usize);
+    for plan in &plans {
+        starts.push(starts[starts.len() - 1] + plan.runs);
+    }
+    let total = starts[plans.len()];
+    let records = parallel::par_map_in(telemetry, threads, total, |k| {
+        let c = starts.partition_point(|&s| s <= k) - 1;
+        (plans[c].step)(k - starts[c], telemetry)
+    });
+    // Fold each cell's runs in run order straight into its result.
+    let mut records = records.into_iter();
+    let mut results = Vec::with_capacity(plans.len());
+    for plan in &plans {
+        let cell_records = records
+            .by_ref()
+            .take(plan.runs)
+            .collect::<Result<Vec<_>, SimError>>()?;
+        let outcome = BatchOutcome::fold(cell_records, telemetry);
+        results.push(CellResult {
+            rounds: outcome.rounds().to_vec(),
+            kills: outcome.kills().iter().map(|&k| k as u64).collect(),
+            timeouts: u32::try_from(outcome.timeouts()).unwrap_or(u32::MAX),
+            violations: u32::try_from(outcome.incorrect().len()).unwrap_or(u32::MAX),
+        });
+    }
+    match invalid {
+        Some(e) => Err(e),
+        None => Ok(results),
+    }
 }
 
 /// Validates a cell's names without executing anything — `status` and
@@ -189,31 +278,8 @@ pub fn validate_cell(cell: &Cell) -> Result<(), LabError> {
 /// for engine errors other than round-limit overruns (tallied as
 /// [`CellResult::timeouts`]).
 pub fn run_cell(cell: &Cell, telemetry: &Telemetry) -> Result<CellResult, LabError> {
-    validate_cell(cell)?;
-    match cell.protocol.as_str() {
-        "synran" => batch(&SynRan::new(), cell, telemetry, &synran_factory(cell)?),
-        "symmetric" => batch(
-            &SynRan::symmetric(),
-            cell,
-            telemetry,
-            &synran_factory(cell)?,
-        ),
-        "flooding" => batch(
-            &FloodingConsensus::for_faults(cell.t),
-            cell,
-            telemetry,
-            &generic_factory(cell)?,
-        ),
-        "leader" => batch(
-            &LeaderConsensus::for_faults(cell.t),
-            cell,
-            telemetry,
-            &leader_factory(cell)?,
-        ),
-        other => Err(LabError::Unknown(format!(
-            "unknown protocol {other:?} (see `synran list`)"
-        ))),
-    }
+    let mut results = run_cells_flat(&[cell], 1, telemetry)?;
+    Ok(results.pop().expect("one result per cell"))
 }
 
 #[cfg(test)]

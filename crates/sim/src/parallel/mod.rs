@@ -30,37 +30,40 @@
 //! a condvar between dispatches, and joined when the pool is dropped (the
 //! global pool lives for the process).
 //!
-//! Work is handed to the pool as `workers` contiguous index chunks of
-//! `ceil(total / workers)` — the split is a pure function of
-//! `(total, threads)`, so chunk boundaries (and therefore results and
-//! per-worker telemetry attribution) never depend on scheduling. Chunks
-//! are *claimed*, not assigned: the dispatching thread and the pool
-//! helpers race to claim chunk indices, each chunk writes only its own
-//! output slots, and the dispatcher blocks until every claimed chunk has
-//! finished. Which thread ran a chunk is unobservable; *that* chunk `w`
-//! ran indices `[w·chunk, min((w+1)·chunk, total))` is guaranteed.
+//! A dispatch engages `workers = min(threads, ceil(total / MIN_CHUNK))`
+//! *participants* — the dispatching thread plus up to `workers − 1` pool
+//! helpers — and each participant **claims indices one at a time** from a
+//! shared atomic cursor until none are left. Work with uneven per-index
+//! cost (one slow run among quick ones) therefore keeps every participant
+//! busy until the last index is claimed, instead of leaving a worker idle
+//! behind a fixed range that happened to be cheap. Which participant ran
+//! which index depends on scheduling and is unobservable in the results:
+//! every index is claimed exactly once and writes only its own output
+//! slot, and the dispatcher blocks until every participant has finished.
+//! What stays a pure function of `(total, threads)` is the participant
+//! count, and hence the set of `parallel.worker` spans a dispatch records
+//! (one per participant, indexed `0..workers`).
 
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::{Process, Telemetry, World};
+use crate::Telemetry;
 
 /// Sentinel for "use all available parallelism" in thread-count knobs.
 pub const AUTO_THREADS: usize = 0;
 
-/// Minimum work units per spawned worker.
+/// Minimum work units per engaged participant.
 ///
 /// Waking a parked pool thread costs more than evaluating a handful of
 /// small forks, so tiny fan-outs (the `n = 64` regime, estimator probes
 /// with few samples) used to run *slower* parallel than serial. Capping
-/// workers at `ceil(total / MIN_CHUNK)` makes small batches collapse
-/// toward the inline path while leaving large batches' chunking unchanged
-/// — and the worker count stays a pure function of `(total, threads)`,
-/// preserving the determinism contract.
+/// participants at `ceil(total / MIN_CHUNK)` makes small batches collapse
+/// toward the inline path while leaving large batches unchanged — and the
+/// participant count stays a pure function of `(total, threads)`.
 pub const MIN_CHUNK: usize = 4;
 
 /// This machine's available parallelism, probed once per process.
@@ -112,7 +115,8 @@ pub struct PoolStats {
     pub spawned: u64,
     /// Helper-thread engagements that re-used an already-running thread.
     pub reused: u64,
-    /// Chunks dispatched through the pool (excludes inline fallbacks).
+    /// Participants dispatched through the pool (excludes inline
+    /// fallbacks).
     pub tasks: u64,
     /// Dispatches that ran entirely inline because the pool was busy
     /// (nested fan-out) — results are identical, only scheduling differs.
@@ -130,21 +134,21 @@ struct JobPtr(*const (dyn Fn(usize) + Sync));
 
 // SAFETY: the pointee is `Sync` (callable through `&` from any thread),
 // and `WorkerPool::run` keeps it alive — it does not return until every
-// claimed chunk has finished running.
+// claimed participant has finished running.
 #[allow(unsafe_code)]
 unsafe impl Send for JobPtr {}
 
-/// Shared pool state: the published job and the chunk-claim cursor.
+/// Shared pool state: the published job and the participant-claim cursor.
 struct PoolState {
     /// The dispatch in flight, if any.
     job: Option<JobPtr>,
-    /// Next unclaimed chunk index.
+    /// Next unclaimed participant index.
     next: usize,
-    /// One past the last chunk index of the current job.
+    /// One past the last participant index of the current job.
     end: usize,
-    /// Chunks claimed but not yet finished.
+    /// Participants claimed but not yet finished.
     running: usize,
-    /// Panic payloads carried out of chunks, tagged with the chunk index.
+    /// Panic payloads carried out of participants, tagged with their index.
     panics: Vec<(usize, Box<dyn std::any::Any + Send>)>,
     /// Set by [`WorkerPool::drop`]; parked helpers exit when they see it.
     shutdown: bool,
@@ -154,11 +158,11 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Helpers park here between dispatches.
     work_cv: Condvar,
-    /// The dispatcher parks here waiting for claimed chunks to finish.
+    /// The dispatcher parks here waiting for claimed participants to finish.
     done_cv: Condvar,
 }
 
-/// Tasks never panic while holding the state lock (chunk bodies run under
+/// Tasks never panic while holding the state lock (participants run under
 /// `catch_unwind` *outside* it), so a poisoned mutex carries no broken
 /// invariant — recover the guard.
 fn lock_state(shared: &PoolShared) -> MutexGuard<'_, PoolState> {
@@ -175,9 +179,10 @@ fn lock_state(shared: &PoolShared) -> MutexGuard<'_, PoolState> {
 ///
 /// One dispatch runs at a time. If a dispatch arrives while another is in
 /// flight — a work item fanning out again, or two instrumented worlds
-/// estimating concurrently — it falls back to running its chunks inline on
-/// the caller, which is deterministically identical (chunk → output-slot
-/// mapping is fixed) and cannot deadlock.
+/// estimating concurrently — it falls back to running its participants
+/// inline on the caller, one after another, which is deterministically
+/// identical (every index still lands in its own output slot) and cannot
+/// deadlock.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     /// Dispatch token + helper-thread handles. Held (via `try_lock`) for
@@ -248,24 +253,27 @@ impl WorkerPool {
             .len()
     }
 
-    /// Runs `task(0), …, task(chunks - 1)`, each exactly once, spreading
-    /// chunks across the caller and up to `chunks - 1` pool helpers.
-    /// Returns only after every chunk has finished. Propagates the panic
-    /// of the lowest panicking chunk index.
-    fn run(&self, telemetry: &Telemetry, chunks: usize, task: &(dyn Fn(usize) + Sync)) {
-        debug_assert!(chunks >= 2, "single-chunk dispatches run inline");
+    /// Runs `task(0), …, task(participants - 1)`, each exactly once,
+    /// spreading them across the caller and up to `participants - 1` pool
+    /// helpers. Returns only after every participant has finished.
+    /// Propagates the panic of the lowest panicking participant index.
+    fn run(&self, telemetry: &Telemetry, participants: usize, task: &(dyn Fn(usize) + Sync)) {
+        debug_assert!(
+            participants >= 2,
+            "single-participant dispatches run inline"
+        );
         let Ok(mut crew) = self.crew.try_lock() else {
-            // Pool busy (nested or concurrent fan-out): run inline. The
-            // chunk → slot mapping is fixed, so results are identical.
+            // Pool busy (nested or concurrent fan-out): run inline. Every
+            // index still lands in its own slot, so results are identical.
             self.inline.fetch_add(1, Ordering::Relaxed);
-            run_chunks_inline(chunks, task);
+            run_participants_inline(participants, task);
             return;
         };
 
         // Lazily grow the crew. A failed spawn degrades gracefully: the
-        // claim loop below guarantees the caller picks up any chunk no
-        // helper claims.
-        let want = chunks - 1;
+        // claim loop below guarantees the caller picks up any participant
+        // no helper claims.
+        let want = participants - 1;
         let before = crew.len().min(want);
         while crew.len() < want {
             let shared = Arc::clone(&self.shared);
@@ -281,7 +289,7 @@ impl WorkerPool {
         let newly = (crew.len().min(want) - before) as u64;
         self.spawned.fetch_add(newly, Ordering::Relaxed);
         self.reused.fetch_add(before as u64, Ordering::Relaxed);
-        self.tasks.fetch_add(chunks as u64, Ordering::Relaxed);
+        self.tasks.fetch_add(participants as u64, Ordering::Relaxed);
         // Zero increments are skipped so the counters only materialise for
         // dispatches that actually spawned / re-used (mirrors how the
         // engine's `round.deliver.*` counters behave).
@@ -291,7 +299,7 @@ impl WorkerPool {
         if before > 0 {
             telemetry.incr("pool.reused", before as u64);
         }
-        telemetry.incr("pool.tasks", chunks as u64);
+        telemetry.incr("pool.tasks", participants as u64);
 
         // Publish the job and wake the helpers.
         {
@@ -299,11 +307,11 @@ impl WorkerPool {
             debug_assert!(st.job.is_none() && st.running == 0);
             st.job = Some(erase_task(task));
             st.next = 0;
-            st.end = chunks;
+            st.end = participants;
             self.shared.work_cv.notify_all();
         }
-        // The caller claims chunks alongside the helpers: progress never
-        // depends on a helper actually existing or waking up.
+        // The caller claims participants alongside the helpers: progress
+        // never depends on a helper actually existing or waking up.
         loop {
             let w = {
                 let mut st = lock_state(&self.shared);
@@ -322,9 +330,9 @@ impl WorkerPool {
             }
             st.running -= 1;
         }
-        // Wait for the helpers' claimed chunks, then retire the job. From
-        // here no thread holds the task pointer, so the borrow it erased
-        // may end.
+        // Wait for the helpers' claimed participants, then retire the job.
+        // From here no thread holds the task pointer, so the borrow it
+        // erased may end.
         let panics = {
             let mut st = lock_state(&self.shared);
             while st.running > 0 {
@@ -358,11 +366,12 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Inline fallback: the caller runs every chunk itself, in index order,
-/// with the same lowest-chunk panic propagation as the pooled path.
-fn run_chunks_inline(chunks: usize, task: &(dyn Fn(usize) + Sync)) {
+/// Inline fallback: the caller runs every participant itself, in index
+/// order, with the same lowest-participant panic propagation as the pooled
+/// path.
+fn run_participants_inline(participants: usize, task: &(dyn Fn(usize) + Sync)) {
     let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for w in 0..chunks {
+    for w in 0..participants {
         if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| task(w))) {
             first_panic.get_or_insert(payload);
         }
@@ -378,13 +387,13 @@ fn run_chunks_inline(chunks: usize, task: &(dyn Fn(usize) + Sync)) {
 fn erase_task<'a>(task: &'a (dyn Fn(usize) + Sync + 'a)) -> JobPtr {
     // SAFETY: lifetime-only transmute between identical fat-pointer
     // layouts. `WorkerPool::run` publishes the pointer after this call and
-    // blocks until `running == 0` with no chunk left to claim before
+    // blocks until `running == 0` with no participant left to claim before
     // returning, so the pointee strictly outlives every dereference.
     let erased: &'static (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(task) };
     JobPtr(std::ptr::from_ref(erased))
 }
 
-/// Invokes the published job on chunk `w`.
+/// Invokes the published job as participant `w`.
 #[allow(unsafe_code)]
 fn invoke(job: JobPtr, w: usize) {
     // SAFETY: `job` was published by a `WorkerPool::run` still blocked in
@@ -394,8 +403,8 @@ fn invoke(job: JobPtr, w: usize) {
     task(w);
 }
 
-/// Body of a parked helper thread: claim chunks while a job is published,
-/// park on `work_cv` otherwise, exit on shutdown.
+/// Body of a parked helper thread: claim participants while a job is
+/// published, park on `work_cv` otherwise, exit on shutdown.
 fn worker_loop(shared: &PoolShared) {
     loop {
         let (job, w) = {
@@ -458,8 +467,9 @@ pub fn export_pool_stats(telemetry: &Telemetry) {
 // par_map entry points
 // ---------------------------------------------------------------------------
 
-/// Write handle into the output slots, shared by raw pointer so chunks on
-/// different threads can fill their disjoint index ranges concurrently.
+/// Write handle into the output slots, shared by raw pointer so
+/// participants on different threads can fill the indices they claimed
+/// concurrently.
 struct SlotWriter<T> {
     base: *mut Option<T>,
 }
@@ -471,10 +481,11 @@ impl<T> Clone for SlotWriter<T> {
 }
 impl<T> Copy for SlotWriter<T> {}
 
-// SAFETY: `SlotWriter` is only used by `par_map_pooled`, whose chunks
-// write *disjoint* index ranges of a buffer that outlives the dispatch;
-// sending/sharing the pointer across the pool's threads is sound because
-// no two threads ever touch the same slot.
+// SAFETY: `SlotWriter` is only used by `par_map_pooled`, whose
+// participants write only the indices they claimed from an atomic cursor
+// (each index is claimed exactly once) into a buffer that outlives the
+// dispatch; sending/sharing the pointer across the pool's threads is sound
+// because no two threads ever touch the same slot.
 #[allow(unsafe_code)]
 unsafe impl<T: Send> Send for SlotWriter<T> {}
 #[allow(unsafe_code)]
@@ -503,7 +514,8 @@ impl<T> SlotWriter<T> {
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the dispatch joins all chunks first).
+/// Propagates the panic of the lowest panicking index (every index is
+/// evaluated first).
 pub fn par_map<T, F>(threads: usize, total: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -513,16 +525,19 @@ where
 }
 
 /// [`par_map`] with telemetry: the fan-out is wrapped in a
-/// `parallel.par_map` span, each chunk records a `parallel.worker` span
-/// attributed to its chunk index, the `parallel.tasks` counter accumulates
-/// `total`, and pooled dispatches record the `pool.*` scheduling counters.
+/// `parallel.par_map` span, each participant records one `parallel.worker`
+/// span attributed to its participant index (spans opened inside it on the
+/// same thread inherit that index), the `parallel.tasks` counter
+/// accumulates `total`, and pooled dispatches record the `pool.*`
+/// scheduling counters.
 ///
 /// Telemetry is observe-only — results are identical to [`par_map`] (and
 /// to the serial map) for every `telemetry` handle and thread count.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the dispatch joins all chunks first).
+/// Propagates the panic of the lowest panicking index (every index is
+/// evaluated first).
 pub fn par_map_in<T, F>(telemetry: &Telemetry, threads: usize, total: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -539,7 +554,8 @@ where
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the dispatch joins all chunks first).
+/// Propagates the panic of the lowest panicking index (every index is
+/// evaluated first).
 pub fn par_map_pooled<T, F>(
     pool: &WorkerPool,
     telemetry: &Telemetry,
@@ -559,13 +575,22 @@ where
         return (0..total).map(f).collect();
     }
     let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    let chunk = total.div_ceil(workers);
     let out = SlotWriter {
         base: slots.as_mut_ptr(),
     };
-    // In spans mode, measure per-chunk busy time against the dispatch's
-    // wall time for the `pool.utilization` histogram. Observe-only: the
-    // clock reads never influence chunking or results.
+    // The next unclaimed index. `Relaxed` suffices: `fetch_add` alone makes
+    // every claim unique, and the slot writes are published to the
+    // dispatcher by the pool's state mutex, which each participant takes
+    // when it finishes and the dispatcher takes before returning.
+    let cursor = AtomicUsize::new(0);
+    // The lowest panicking index and its payload. Panics are caught per
+    // index so every index is still evaluated and the propagated panic
+    // does not depend on which participant claimed what. (The `Option` is
+    // replaced whole, so a poisoned lock still holds a valid value.)
+    let first_panic: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
+    // In spans mode, measure per-participant busy time against the
+    // dispatch's wall time for the `pool.utilization` histogram.
+    // Observe-only: the clock reads never influence claiming or results.
     let track_util = telemetry.spans_enabled();
     let busy_ns: Vec<AtomicU64> = if track_util {
         (0..workers).map(|_| AtomicU64::new(0)).collect()
@@ -576,24 +601,37 @@ where
     pool.run(telemetry, workers, &|w| {
         #[allow(clippy::cast_possible_truncation)]
         let _worker = telemetry.worker_span("parallel.worker", w as u32);
-        let chunk_start = track_util.then(Instant::now);
-        let lo = w * chunk;
-        let hi = total.min(lo + chunk);
-        for i in lo..hi {
-            let value = f(i);
-            // SAFETY: `i` is in `[0, total)`; chunk ranges are disjoint,
-            // and `slots` outlives `pool.run` (which joins every chunk
-            // before returning).
-            #[allow(unsafe_code)]
-            unsafe {
-                out.write(i, value);
-            };
+        let start = track_util.then(Instant::now);
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= total {
+                break;
+            }
+            match panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
+                // SAFETY: `i < total`, the cursor hands each index to
+                // exactly one participant, and `slots` outlives `pool.run`
+                // (which joins every participant before returning).
+                #[allow(unsafe_code)]
+                Ok(value) => unsafe { out.write(i, value) },
+                Err(payload) => {
+                    let mut first = first_panic.lock().unwrap_or_else(PoisonError::into_inner);
+                    if first.as_ref().is_none_or(|&(j, _)| i < j) {
+                        *first = Some((i, payload));
+                    }
+                }
+            }
         }
-        if let Some(start) = chunk_start {
+        if let Some(start) = start {
             #[allow(clippy::cast_possible_truncation)]
             busy_ns[w].store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     });
+    if let Some((_, payload)) = first_panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        panic::resume_unwind(payload);
+    }
     if track_util {
         #[allow(clippy::cast_possible_truncation)]
         let wall = (dispatch_start.elapsed().as_nanos() as u64).max(1);
@@ -604,7 +642,7 @@ where
     }
     slots
         .into_iter()
-        .map(|slot| slot.expect("every index was assigned to exactly one chunk"))
+        .map(|slot| slot.expect("every index was claimed exactly once"))
         .collect()
 }
 
@@ -652,48 +690,11 @@ where
     Ok(out)
 }
 
-/// Forks `world` once per seed and evaluates each fork on the worker pool.
-///
-/// The fork-evaluation primitive behind valency estimation, which drives
-/// each fork to completion with [`World::drive`] inside `eval`. The
-/// paused `world` is condensed once into a copy-on-write
-/// [`WorldSnapshot`](crate::WorldSnapshot) (bounded at `horizon` rounds
-/// past the pause point), every worker forks the snapshot with `seeds[i]`
-/// — sharing the config and recycling round scratch through the
-/// snapshot's pool instead of deep-cloning per fork — and `eval` consumes
-/// the fork. Per the [module contract](self), results are identical for
-/// every `threads` value.
-///
-/// # Errors
-///
-/// Returns the error of the lowest failing index.
-pub fn fork_eval<P, T, E, F>(
-    world: &World<P>,
-    threads: usize,
-    seeds: &[u64],
-    horizon: u32,
-    eval: F,
-) -> Result<Vec<T>, E>
-where
-    P: Process + Clone + Send + Sync,
-    P::Msg: Send + Sync,
-    T: Send,
-    E: Send,
-    F: Fn(usize, World<P>) -> Result<T, E> + Sync,
-{
-    // Worker attribution comes from the parent world's handle; the forks
-    // themselves are detached (see `World::fork`).
-    let snapshot = world.snapshot_bounded(horizon);
-    try_par_map_in(world.telemetry(), threads, seeds.len(), |i| {
-        eval(i, snapshot.fork(seeds[i]))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::Echo;
-    use crate::{Bit, Context, Inbox, Passive, SendPattern, SimConfig, SimError};
+    use crate::{Bit, Context, Inbox, Passive, Process, SendPattern, SimConfig, SimError, World};
 
     #[test]
     fn par_map_matches_serial_for_any_thread_count() {
@@ -727,13 +728,22 @@ mod tests {
         use crate::telemetry::{Telemetry, TelemetryMode};
         let serial: Vec<u64> = (0..40).map(|i| (i as u64) * 3).collect();
         let telemetry = Telemetry::new(TelemetryMode::Spans);
-        let instrumented = par_map_in(&telemetry, 4, 40, |i| (i as u64) * 3);
+        let calls: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(0)).collect();
+        let instrumented = par_map_in(&telemetry, 4, 40, |i| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            let _item = telemetry.span("item");
+            (i as u64) * 3
+        });
         assert_eq!(instrumented, serial);
+        assert!(
+            calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+            "every index claimed exactly once"
+        );
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("parallel.tasks"), Some(40));
-        // Worker spans are attributed to chunk indices, one span per
-        // chunk, whatever thread ran it. The chunk count follows the
-        // resolve/clamp formula, so compute it rather than hard-coding.
+        // One worker span per participant, participant-indexed, whatever
+        // thread ran it. The participant count follows the resolve/clamp
+        // formula, so compute it rather than hard-coding.
         let expected = resolve_threads(4).min(40usize.div_ceil(MIN_CHUNK));
         let mut workers: Vec<u32> = snap
             .spans
@@ -743,8 +753,46 @@ mod tests {
             .collect();
         workers.sort_unstable();
         let want: Vec<u32> = (0..expected as u32).collect();
-        assert_eq!(workers, want, "one span per chunk, chunk-indexed");
+        assert_eq!(
+            workers, want,
+            "one span per participant, participant-indexed"
+        );
+        // Which participant claimed an index is scheduling, but every item
+        // ran inside some participant and carries its lane.
+        let items: Vec<Option<u32>> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "item")
+            .map(|s| s.worker)
+            .collect();
+        assert_eq!(items.len(), 40);
+        assert!(
+            items.iter().all(|w| w.is_some_and(|w| w < expected as u32)),
+            "{items:?}"
+        );
         assert!(snap.spans.iter().any(|s| s.name == "parallel.par_map"));
+    }
+
+    #[test]
+    fn claiming_evaluates_uneven_work_exactly_once() {
+        // Per-index cost varies by three orders of magnitude; claiming must
+        // still hand out each index exactly once and keep slot order.
+        let pool = WorkerPool::new();
+        let calls: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let out = par_map_pooled(&pool, &Telemetry::off(), 2, 64, |i| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            let spin = if i % 16 == 0 { 200_000 } else { 200 };
+            std::hint::black_box((0..spin).fold(i as u64, |a, b| a.wrapping_add(b)))
+        });
+        let want: Vec<u64> = (0..64)
+            .map(|i| {
+                let spin = if i % 16 == 0 { 200_000 } else { 200 };
+                (0..spin).fold(i as u64, |a, b| a.wrapping_add(b))
+            })
+            .collect();
+        assert_eq!(out, want);
+        assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        assert_eq!(pool.stats().tasks, 2, "two participants engaged");
     }
 
     #[test]
@@ -806,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_propagates_lowest_chunk_panic_and_survives() {
+    fn pool_propagates_lowest_index_panic_and_survives() {
         let pool = WorkerPool::new();
         let telemetry = Telemetry::off();
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -815,7 +863,15 @@ mod tests {
                 i
             })
         }));
-        assert!(result.is_err(), "panic must propagate to the dispatcher");
+        let payload = result.expect_err("panic must propagate to the dispatcher");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(
+            message.contains("boom at 3"),
+            "lowest index wins: {message}"
+        );
         // The pool is still usable afterwards: no wedged state, no dead
         // helpers, and results are correct.
         let out = par_map_pooled(&pool, &telemetry, 2, 16, |i| i);
@@ -835,31 +891,49 @@ mod tests {
     fn tiny_batches_collapse_to_one_worker() {
         use crate::telemetry::{Telemetry, TelemetryMode};
         // total ≤ MIN_CHUNK: any thread count runs inline (one worker span,
-        // worker 0) and results still match serial.
+        // worker 0, which every item inherits) and results still match
+        // serial.
         for threads in [2, 8, 64] {
             let telemetry = Telemetry::new(TelemetryMode::Spans);
-            let out = par_map_in(&telemetry, threads, MIN_CHUNK, |i| i * 7);
+            let out = par_map_in(&telemetry, threads, MIN_CHUNK, |i| {
+                let _item = telemetry.span("item");
+                i * 7
+            });
             assert_eq!(out, vec![0, 7, 14, 21], "threads = {threads}");
             let snap = telemetry.snapshot();
-            let workers: Vec<u32> = snap
-                .spans
-                .iter()
-                .filter(|s| s.name == "parallel.worker")
-                .filter_map(|s| s.worker)
-                .collect();
-            assert_eq!(workers, vec![0], "threads = {threads}: expected inline run");
+            let lanes = |name: &str| -> Vec<Option<u32>> {
+                snap.spans
+                    .iter()
+                    .filter(|s| s.name == name)
+                    .map(|s| s.worker)
+                    .collect()
+            };
+            assert_eq!(
+                lanes("parallel.worker"),
+                vec![Some(0)],
+                "threads = {threads}: expected inline run"
+            );
+            assert_eq!(lanes("item"), vec![Some(0); MIN_CHUNK]);
         }
-        // Just past the threshold: exactly two workers, same results.
+        // Just past the threshold: exactly two participants, same results,
+        // and every index claimed once between them.
         let telemetry = Telemetry::new(TelemetryMode::Spans);
-        let out = par_map_in(&telemetry, 64, MIN_CHUNK + 1, |i| i * 7);
+        let calls: Vec<AtomicUsize> = (0..=MIN_CHUNK).map(|_| AtomicUsize::new(0)).collect();
+        let out = par_map_in(&telemetry, 64, MIN_CHUNK + 1, |i| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
+            i * 7
+        });
         assert_eq!(out, (0..=MIN_CHUNK).map(|i| i * 7).collect::<Vec<_>>());
+        assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
         let spans = telemetry.snapshot();
-        let workers = spans
+        let mut workers: Vec<u32> = spans
             .spans
             .iter()
             .filter(|s| s.name == "parallel.worker")
-            .count();
-        assert_eq!(workers, 2);
+            .filter_map(|s| s.worker)
+            .collect();
+        workers.sort_unstable();
+        assert_eq!(workers, vec![0, 1]);
     }
 
     #[test]
@@ -894,14 +968,15 @@ mod tests {
     }
 
     #[test]
-    fn fork_eval_is_thread_count_invariant() {
+    fn snapshot_forks_are_thread_count_invariant() {
         let world = World::new(SimConfig::new(6).seed(11), |pid| {
             Echo::new(Bit::from(pid.index() % 2 == 0))
         })
         .unwrap();
-        let seeds: Vec<u64> = (0..13).map(|i| 1000 + i).collect();
+        let snapshot = world.snapshot_bounded(50);
         let run = |threads: usize| -> Vec<Vec<Option<Bit>>> {
-            fork_eval(&world, threads, &seeds, 50, |_, mut fork| {
+            try_par_map(threads, 13, |i| {
+                let mut fork = snapshot.fork(1000 + i as u64);
                 fork.drive(&mut Passive)?;
                 Ok::<_, SimError>(fork.into_report().decisions().to_vec())
             })
@@ -918,14 +993,14 @@ mod tests {
         // Bounded forks of a never-halting world stop at the horizon with
         // `MaxRoundsExceeded`, whatever the thread count.
         let world = World::new(SimConfig::new(4).seed(3).max_rounds(1_000), |_| Forever).unwrap();
-        let seeds = [7u64, 8, 9, 10, 11];
+        let snapshot = world.snapshot_bounded(5);
         for threads in [1usize, 2, 8] {
-            let outcomes = fork_eval(&world, threads, &seeds, 5, |_, mut fork| {
+            let outcomes = par_map(threads, 5, |i| {
+                let mut fork = snapshot.fork(7 + i as u64);
                 let outcome = fork.drive(&mut Passive);
                 fork.retire();
-                Ok::<_, SimError>(outcome)
-            })
-            .unwrap();
+                outcome
+            });
             for outcome in outcomes {
                 assert!(
                     matches!(outcome, Err(SimError::MaxRoundsExceeded { .. })),
@@ -933,13 +1008,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn empty_seed_list_is_empty() {
-        let world = World::new(SimConfig::new(3).seed(1), |_| Forever).unwrap();
-        let outcomes =
-            fork_eval(&world, 4, &[], 10, |_, fork| Ok::<_, SimError>(fork.n())).unwrap();
-        assert!(outcomes.is_empty());
     }
 }

@@ -14,13 +14,18 @@
 //! order, no parent ids. The tree is reconstructed from **time
 //! containment**: spans are sorted by `(start, -end, name, worker)` and a
 //! span's parent is the innermost earlier span whose interval contains it.
-//! For a serial artifact (worker threads ≤ 1) intervals nest perfectly and
-//! this recovers the true call tree. For a parallel artifact, spans from
-//! concurrent workers overlap; the same rule still produces a
-//! *deterministic* tree (ties broken by the sort), but a span may attach
-//! under a concurrent sibling's interval — aggregate per-phase totals
-//! remain exact, only the nesting is approximate. Profile with
-//! `--threads 1` when exact nesting matters.
+//!
+//! Containment is tracked **per worker lane**. Every span opened inside a
+//! `parallel.worker` span carries that worker's index (the parent module's
+//! lane inheritance), and one lane is one thread at a time, so spans of a
+//! lane nest exactly like a serial call stack. A lane span's ancestors are
+//! the unattributed (`worker: null`) spans containing it — the dispatch
+//! around the workers — followed by the enclosing spans of its own lane;
+//! concurrent lanes never nest inside each other. Unattributed spans nest
+//! only among themselves. (Artifacts written before lane inheritance carry
+//! a worker index on `parallel.worker` spans only; their inner spans fold
+//! as siblings of the worker span rather than its children. Per-phase
+//! totals are exact either way.)
 //!
 //! # Determinism
 //!
@@ -198,26 +203,54 @@ impl SpanTree {
                 .then(a.worker.cmp(&b.worker))
         });
 
-        let mut folder = Folder::default();
-        // Stack of open intervals: (end_ns, name). A span's path is the
-        // chain of still-open intervals that contain it.
-        let mut open: Vec<(u64, &str)> = Vec::new();
-        for span in sorted {
-            while let Some(&(end, _)) = open.last() {
-                // An open interval no longer contains this span once it
-                // ends at or before the span starts, or would end before
-                // the span does (overlap without containment — concurrent
-                // workers; treat as siblings).
+        /// Pops the open intervals of `stack` that cannot contain `span`:
+        /// those ending at or before it starts, or before it ends (overlap
+        /// without containment; treat as siblings).
+        fn close(stack: &mut Vec<(u64, &str)>, span: &OwnedSpan) {
+            while let Some(&(end, _)) = stack.last() {
                 if end <= span.start_ns || end < span.end_ns() {
-                    open.pop();
+                    stack.pop();
                 } else {
                     break;
                 }
             }
-            let mut path: Vec<&str> = open.iter().map(|&(_, name)| name).collect();
+        }
+
+        let mut folder = Folder::default();
+        // Stacks of open intervals, (end_ns, name): one for unattributed
+        // spans and one per worker lane. A span's path is the chain of
+        // still-open intervals that contain it.
+        let mut shared: Vec<(u64, &str)> = Vec::new();
+        let mut lanes: BTreeMap<u32, Vec<(u64, &str)>> = BTreeMap::new();
+        for span in sorted {
+            let mut path: Vec<&str> = Vec::new();
+            let stack = match span.worker {
+                None => {
+                    close(&mut shared, span);
+                    &mut shared
+                }
+                Some(w) => {
+                    // Closed unattributed intervals can go (later spans
+                    // start later still); open ones that do not contain
+                    // this span may still contain a later one.
+                    while shared.last().is_some_and(|&(end, _)| end <= span.start_ns) {
+                        shared.pop();
+                    }
+                    path.extend(
+                        shared
+                            .iter()
+                            .take_while(|&&(end, _)| end >= span.end_ns())
+                            .map(|&(_, name)| name),
+                    );
+                    let lane = lanes.entry(w).or_default();
+                    close(lane, span);
+                    lane
+                }
+            };
+            path.extend(stack.iter().map(|&(_, name)| name));
             path.push(&span.name);
             folder.insert(&path, span.elapsed_ns);
-            open.push((span.end_ns(), &span.name));
+            stack.push((span.end_ns(), &span.name));
         }
         SpanTree {
             roots: folder.into_nodes(),
@@ -299,17 +332,38 @@ impl SpanTree {
     }
 }
 
-/// Busy nanoseconds per attributed worker: the sum of span durations
-/// carrying each `worker` id (chunk-indexed inside the parallel engine).
+/// Busy nanoseconds per worker lane: the time covered by that lane's
+/// `parallel.worker` spans (one per dispatch participant). Other spans
+/// carry the lane too but are work *inside* a worker, and a nested inline
+/// dispatch's worker spans lie inside the outer one, so each lane counts
+/// the union of its worker-span intervals — never the same nanosecond
+/// twice.
 #[must_use]
 pub fn worker_busy_ns(spans: &[OwnedSpan]) -> BTreeMap<u32, u64> {
-    let mut busy = BTreeMap::new();
+    let mut intervals: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
     for span in spans {
-        if let Some(w) = span.worker {
-            *busy.entry(w).or_insert(0) += span.elapsed_ns;
+        if let (Some(w), "parallel.worker") = (span.worker, span.name.as_str()) {
+            intervals
+                .entry(w)
+                .or_default()
+                .push((span.start_ns, span.end_ns()));
         }
     }
-    busy
+    intervals
+        .into_iter()
+        .map(|(w, mut lane)| {
+            lane.sort_unstable();
+            let (mut busy, mut covered_to) = (0u64, 0u64);
+            for (start, end) in lane {
+                let start = start.max(covered_to);
+                if end > start {
+                    busy += end - start;
+                    covered_to = end;
+                }
+            }
+            (w, busy)
+        })
+        .collect()
 }
 
 /// Wall-clock extent of a span set: `max(end) − min(start)` (0 when
@@ -603,6 +657,42 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_lanes_never_nest_inside_each_other() {
+        // Two participants of one dispatch, each driving a world. Lane 1's
+        // drive starts inside lane 0's drive interval, and a single
+        // containment stack would make it lane 0's child.
+        let spans = vec![
+            span("parallel.par_map", None, 0, 1_000),
+            span("parallel.worker", Some(0), 10, 900),
+            span("world.drive", Some(0), 20, 800),
+            span("round.adversary", Some(0), 30, 700),
+            span("parallel.worker", Some(1), 15, 900),
+            span("world.drive", Some(1), 100, 300),
+            span("round.adversary", Some(1), 110, 200),
+            // Unattributed work after the dispatch, inside no lane.
+            span("batch.run_batch", None, 1_000, 20),
+        ];
+        let folded = SpanTree::build(&spans).folded();
+        // The dispatch's own self time saturates at 0 (its children ran
+        // concurrently), so its line is omitted.
+        assert_eq!(
+            folded.lines().collect::<Vec<_>>(),
+            vec![
+                "batch.run_batch 20",
+                "parallel.par_map;parallel.worker 700",
+                "parallel.par_map;parallel.worker;world.drive 200",
+                "parallel.par_map;parallel.worker;world.drive;round.adversary 900",
+            ],
+            "{folded}"
+        );
+        let phases: BTreeMap<String, PhaseStat> =
+            SpanTree::build(&spans).phases().into_iter().collect();
+        assert_eq!(phases["world.drive"].total_ns, 1_100);
+        assert_eq!(phases["world.drive"].self_ns, 200);
+        assert_eq!(phases["parallel.worker"].self_ns, 700);
+    }
+
+    #[test]
     fn phases_sum_self_time_across_positions() {
         // deliver appears under drive AND at the root.
         let spans = vec![
@@ -634,12 +724,22 @@ mod tests {
             span("parallel.worker", Some(0), 0, 80),
             span("parallel.worker", Some(1), 10, 60),
             span("world.drive", None, 5, 20),
+            // Work inside lane 0, and a nested inline dispatch's worker
+            // span: both lie inside lane 0's worker span.
+            span("world.drive", Some(0), 5, 70),
+            span("parallel.worker", Some(0), 10, 30),
+            // A later dispatch's participant 1.
+            span("parallel.worker", Some(1), 100, 5),
         ];
         let busy = worker_busy_ns(&spans);
-        assert_eq!(busy.get(&0), Some(&80));
-        assert_eq!(busy.get(&1), Some(&60));
+        assert_eq!(
+            busy.get(&0),
+            Some(&80),
+            "nested spans are not counted twice"
+        );
+        assert_eq!(busy.get(&1), Some(&65));
         assert_eq!(busy.len(), 2, "unattributed spans don't count");
-        assert_eq!(wall_ns(&spans), 80);
+        assert_eq!(wall_ns(&spans), 105);
         assert_eq!(wall_ns(&[]), 0);
     }
 

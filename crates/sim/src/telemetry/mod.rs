@@ -9,7 +9,9 @@
 //! * **Spans** ([`Telemetry::span`]) are RAII guards recording monotonic
 //!   nanosecond timings (`round.phase_a`, `parallel.worker`, …) into a
 //!   thread-safe registry, with per-worker attribution inside the parallel
-//!   fan-out engine;
+//!   fan-out engine: while a [`worker_span`](Telemetry::worker_span) guard
+//!   is live on a thread, every span opened on that thread carries its
+//!   worker index (its *lane*);
 //! * the **registry** holds named [counters](Telemetry::incr) and
 //!   [histograms](Telemetry::observe) (messages/round, kills/round against
 //!   the paper's per-round cap, valency-probe outcomes, decision rounds);
@@ -43,6 +45,7 @@
 //! assert_eq!(sink.events().len(), 3); // one counter, one histogram, one span
 //! ```
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write;
@@ -50,6 +53,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub mod aggregate;
+
+thread_local! {
+    /// The worker lane of the outermost live worker span on this thread.
+    static LANE: Cell<Option<u32>> = const { Cell::new(None) };
+}
 
 /// How much the telemetry layer records.
 ///
@@ -235,20 +243,34 @@ impl Telemetry {
 
     /// Starts a span; the returned guard records its wall-clock duration
     /// into the registry when dropped. A no-op (no clock read) unless the
-    /// mode is [`TelemetryMode::Spans`].
+    /// mode is [`TelemetryMode::Spans`]. Opened while a
+    /// [`worker_span`](Telemetry::worker_span) guard is live on this
+    /// thread, the span inherits that guard's worker index.
     #[must_use]
     pub fn span(&self, name: &'static str) -> Span {
-        self.span_inner(name, None)
+        self.span_inner(name, LANE.get(), false)
     }
 
-    /// Like [`span`](Telemetry::span), attributed to worker thread
-    /// `worker` — used by the parallel fan-out engine.
+    /// Like [`span`](Telemetry::span), attributed to worker `worker` — used
+    /// by the parallel fan-out engine, one per participant. Until the guard
+    /// drops, spans opened on this thread inherit `worker` as their lane.
+    /// Opened inside another worker span (a nested dispatch running inline
+    /// on the same thread), it inherits the outer lane instead: the thread
+    /// is still that participant.
+    ///
+    /// The guard must be dropped on the thread that opened it.
     #[must_use]
     pub fn worker_span(&self, name: &'static str, worker: u32) -> Span {
-        self.span_inner(name, Some(worker))
+        match LANE.get() {
+            Some(outer) => self.span_inner(name, Some(outer), false),
+            None => {
+                LANE.set(Some(worker));
+                self.span_inner(name, Some(worker), true)
+            }
+        }
     }
 
-    fn span_inner(&self, name: &'static str, worker: Option<u32>) -> Span {
+    fn span_inner(&self, name: &'static str, worker: Option<u32>, owns_lane: bool) -> Span {
         let hub = self
             .hub
             .as_ref()
@@ -259,6 +281,7 @@ impl Telemetry {
             hub,
             name,
             worker,
+            owns_lane,
         }
     }
 
@@ -387,10 +410,15 @@ pub struct Span {
     name: &'static str,
     worker: Option<u32>,
     start: Option<Instant>,
+    /// This guard set the thread's lane and clears it on drop.
+    owns_lane: bool,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
+        if self.owns_lane {
+            LANE.set(None);
+        }
         let (Some(hub), Some(start)) = (&self.hub, self.start) else {
             return;
         };
@@ -855,6 +883,38 @@ mod tests {
         assert_eq!(totals.len(), 2);
         assert_eq!(totals[0].0, "inner");
         assert_eq!(totals[0].1, 1);
+    }
+
+    #[test]
+    fn spans_inherit_the_live_worker_lane() {
+        let t = Telemetry::new(TelemetryMode::Spans);
+        {
+            let _worker = t.worker_span("parallel.worker", 2);
+            drop(t.span("work"));
+            // A nested worker span (an inline dispatch) keeps the lane.
+            let _nested = t.worker_span("parallel.worker", 0);
+            drop(t.span("nested"));
+        }
+        // The lane ends with the guard that opened it.
+        drop(t.span("after"));
+        std::thread::scope(|scope| {
+            scope.spawn(|| drop(t.span("other-thread")));
+            let _worker = t.worker_span("parallel.worker", 5);
+        });
+        let snap = t.snapshot();
+        let lane = |name: &str| snap.spans.iter().find(|s| s.name == name).unwrap().worker;
+        assert_eq!(lane("work"), Some(2));
+        assert_eq!(lane("nested"), Some(2));
+        assert_eq!(lane("after"), None);
+        assert_eq!(lane("other-thread"), None, "lanes are per thread");
+        let mut workers: Vec<Option<u32>> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "parallel.worker")
+            .map(|s| s.worker)
+            .collect();
+        workers.sort_unstable();
+        assert_eq!(workers, vec![Some(2), Some(2), Some(5)]);
     }
 
     #[test]

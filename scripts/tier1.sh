@@ -20,6 +20,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier1: cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== tier1: end-to-end benchmark smoke (golden digests) =="
+# Every workload of the end-to-end benchmark, shrunk to under a second,
+# checked against its committed golden render digest (E1's coin calls, the
+# E3 and E7 presets, the campaign grid). Any scheduling or adversary change
+# that moves a single result fails here with a nonzero exit.
+cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
+    --bin bench_e2e -- run --smoke --workload all
+
 echo "== tier1: telemetry smoke test =="
 # A spans-mode CLI run must produce a parseable JSONL file containing at
 # least one span and one counter event (the layer's end-to-end contract).
