@@ -4,9 +4,10 @@
 //! `s` of at most `t` coordinates to hide, aiming for `f(y_s̄) = v`. This
 //! module provides three searchers:
 //!
-//! * [`ExhaustiveHider`] — exact: enumerates hide-sets in increasing size,
-//!   so it either finds a forcing set, **proves** none exists, or gives up
-//!   at its evaluation cap.
+//! * [`ExhaustiveHider`] — exact: enumerates hide-sets of size ≤ t
+//!   depth-first in lexicographic order, so it either finds a forcing set,
+//!   **proves** none exists, or gives up at its evaluation cap. A returned
+//!   set is verified and has size ≤ t, but is not necessarily minimum.
 //! * [`GreedyHider`] — scalable: hides players in the order the game's
 //!   [`hide_preference`](crate::CoinGame::hide_preference) suggests,
 //!   checking the outcome after each hide. Sound (never claims a forcing
@@ -59,7 +60,11 @@ pub trait HideSearch {
     ) -> SearchOutcome;
 }
 
-/// Exact search over all hide-sets of size at most `t`, smallest first.
+/// Exact search over all hide-sets of size at most `t`, depth-first in
+/// lexicographic order (the empty set first).
+///
+/// A returned set is verified and has size ≤ `t`, but is not necessarily
+/// minimum: the first forcing set the depth-first order reaches wins.
 ///
 /// # Examples
 ///
@@ -278,12 +283,24 @@ mod tests {
     use synran_sim::SimRng;
 
     #[test]
-    fn exhaustive_finds_minimum_size_sets() {
+    fn exhaustive_finds_verified_sets_within_budget() {
         let g = MajorityGame::new(7);
-        // 5 ones: need to hide exactly 2 to force 0.
+        // 5 ones leading: the first set depth-first order reaches is {0, 1},
+        // which happens to be minimum.
         let values = [1, 1, 1, 1, 1, 0, 0];
         match ExhaustiveHider::default().force(&g, &values, 7, Outcome(0)) {
             SearchOutcome::Forced(set) => assert_eq!(set.len(), 2),
+            other => panic!("expected forced, got {other:?}"),
+        }
+        // 0s leading: depth-first order hides them before reaching a 1, so
+        // it returns {0, 1, 2, 3} although {2, 3} suffices. The set still
+        // forces 0 and fits the budget; minimality is not promised.
+        let values = [0, 0, 1, 1, 1, 1, 1];
+        match ExhaustiveHider::default().force(&g, &values, 7, Outcome(0)) {
+            SearchOutcome::Forced(set) => {
+                assert!(set.len() <= 7);
+                assert_eq!(g.outcome(&with_hidden(&values, &set)), Outcome(0));
+            }
             other => panic!("expected forced, got {other:?}"),
         }
     }

@@ -8,7 +8,7 @@
 //! search per outcome, and tally.
 
 use crate::adversary::{HideSearch, SearchOutcome};
-use crate::game::{sample_inputs, CoinGame, Outcome};
+use crate::game::{sample_inputs, CoinGame, Outcome, Visible};
 use synran_sim::SimRng;
 
 /// The paper's `h = 4·√(n·log n)` — the per-outcome bias radius of
@@ -146,13 +146,21 @@ pub fn estimate_control<G: CoinGame + ?Sized, S: HideSearch>(
     }
 }
 
-/// Computes `Pr(U^v)` **exactly** for a binary-fair-input game by
-/// enumerating all `2^n` input vectors and running the exact hide-set
-/// search on each — the paper's `U^v` with no sampling error.
+/// Computes `Pr(U^v)` **exactly** for a binary-fair-input game — the
+/// paper's `U^v` with no sampling error.
 ///
 /// `U^v` is the set of input vectors from which *no* hide-set of size ≤ t
 /// forces outcome `v`; Lemma 2.1 asserts some `v` has `Pr(U^v) < 1/n` once
 /// `t > k·4√(n·log n)`.
+///
+/// One depth-first pass over the coordinates fixes each to `0`, `1` or
+/// hidden (`—`), stopping at hidden once `t` hides are spent. Each node
+/// returns, for every assignment of the coordinates still open, the
+/// fewest further hides that make `f = v` (saturated at `t + 1`); a node
+/// combines its children as `min(child_c, 1 + child_—)`, and each leaf
+/// evaluates `f` once. An input is in `U^v` iff its entry at the root
+/// exceeds `t`. That is `Σ_{h ≤ t} C(n, h)·2^{n−h}` evaluations of `f`
+/// (`3^n` once `t ≥ n`) and `2^{n+1}` bytes of buffers, whatever `v` is.
 ///
 /// # Panics
 ///
@@ -166,18 +174,14 @@ pub fn estimate_control<G: CoinGame + ?Sized, S: HideSearch>(
 /// ```
 /// use synran_coin::{exact_uncontrollable, MajorityGame, Outcome};
 ///
-/// // With t = 2 hides on 5 players, forcing 0 fails only on the all-but-
-/// // two-ones inputs where too few 1s can be hidden... enumerate exactly:
+/// // Hiding a player counts it as 0, so hides can only lower the tally of
+/// // 1s: outcome 1 is forcible exactly from the inputs that already have a
+/// // 1-majority. The other half of the cube (16 of the 32 vectors) is U^1.
 /// let p = exact_uncontrollable(&MajorityGame::new(5), 2, Outcome(1));
-/// // Forcing 1 is impossible unless the input already majorizes to 1:
-/// // exactly half the cube (16/32 vectors) is uncontrollable toward 1.
 /// assert!((p - 0.5).abs() < 1e-12);
 /// ```
 #[must_use]
 pub fn exact_uncontrollable<G: CoinGame + ?Sized>(game: &G, t: usize, v: Outcome) -> f64 {
-    use crate::adversary::{ExhaustiveHider, SearchOutcome};
-    use crate::game::all_visible;
-
     let n = game.players();
     assert!(n <= 20, "exact enumeration needs n ≤ 20 (got {n})");
     {
@@ -192,25 +196,54 @@ pub fn exact_uncontrollable<G: CoinGame + ?Sized>(game: &G, t: usize, v: Outcome
             }
         }
     }
-    let searcher = ExhaustiveHider::with_budget(u64::MAX);
-    let total = 1u64 << n;
-    let mut uncontrollable = 0u64;
-    let mut values = vec![0u32; n];
-    for point in 0..total {
-        for (i, slot) in values.iter_mut().enumerate() {
-            *slot = ((point >> i) & 1) as u32;
-        }
-        // Already-v inputs are trivially controllable (empty hide-set).
-        if game.outcome(&all_visible(&values)) == v {
-            continue;
-        }
-        match searcher.force(game, &values, t, v) {
-            SearchOutcome::Forced(_) => {}
-            SearchOutcome::Impossible => uncontrollable += 1,
-            SearchOutcome::Unknown => unreachable!("unbounded exhaustive search cannot give up"),
+    let t = t.min(n);
+    let mut seq = vec![Visible::Hidden; n];
+    let mut buf = vec![0u8; 2 << n];
+    let (hides, scratch) = buf.split_at_mut(1 << n);
+    let cap = t as u8 + 1; // t ≤ n ≤ 20
+    min_hides(game, &mut seq, 0, t, v, cap, hides, scratch);
+    let uncontrollable = hides.iter().filter(|&&h| usize::from(h) > t).count() as u64;
+    uncontrollable as f64 / (1u64 << n) as f64
+}
+
+/// One node of [`exact_uncontrollable`]'s pass: `seq[..d]` is fixed and
+/// `budget` hides are left. Fills `out[c·half + r]` — coordinate `d` set to
+/// `c`, the rest of `d+1..n` to the bits of `r` — with the fewest further
+/// hides forcing `target`. Entries `≤ budget` are exact; larger ones only
+/// say "not within budget" and never exceed `cap`. `scratch` must hold
+/// `out.len() − 1` bytes for the hidden children below.
+#[allow(clippy::too_many_arguments)]
+fn min_hides<G: CoinGame + ?Sized>(
+    game: &G,
+    seq: &mut [Visible],
+    d: usize,
+    budget: usize,
+    target: Outcome,
+    cap: u8,
+    out: &mut [u8],
+    scratch: &mut [u8],
+) {
+    if d == seq.len() {
+        out[0] = if game.outcome(seq) == target { 0 } else { cap };
+        return;
+    }
+    let half = out.len() / 2;
+    let (zero, one) = out.split_at_mut(half);
+    seq[d] = Visible::Value(0);
+    min_hides(game, seq, d + 1, budget, target, cap, zero, scratch);
+    seq[d] = Visible::Value(1);
+    min_hides(game, seq, d + 1, budget, target, cap, one, scratch);
+    if budget == 0 {
+        return;
+    }
+    let (hidden, rest) = scratch.split_at_mut(half);
+    seq[d] = Visible::Hidden;
+    min_hides(game, seq, d + 1, budget - 1, target, cap, hidden, rest);
+    for side in out.chunks_exact_mut(half) {
+        for (slot, &h) in side.iter_mut().zip(hidden.iter()) {
+            *slot = (*slot).min(h + 1);
         }
     }
-    uncontrollable as f64 / total as f64
 }
 
 #[cfg(test)]
@@ -344,6 +377,62 @@ mod tests {
             (sampled - exact).abs() < 0.04,
             "sampled {sampled} vs exact {exact}"
         );
+    }
+
+    /// The per-input definition of `Pr(U^v)`: run the exact subset search
+    /// from each of the `2^n` inputs and count the proven impossibilities.
+    fn per_input_oracle<G: CoinGame + ?Sized>(game: &G, t: usize, v: Outcome) -> f64 {
+        let n = game.players();
+        let searcher = ExhaustiveHider::with_budget(u64::MAX);
+        let mut impossible = 0u64;
+        for point in 0..1u64 << n {
+            let values: Vec<u32> = (0..n).map(|i| ((point >> i) & 1) as u32).collect();
+            match searcher.force(game, &values, t, v) {
+                SearchOutcome::Forced(_) => {}
+                SearchOutcome::Impossible => impossible += 1,
+                SearchOutcome::Unknown => unreachable!("unbounded search cannot give up"),
+            }
+        }
+        impossible as f64 / (1u64 << n) as f64
+    }
+
+    fn assert_matches_oracle<G: CoinGame + ?Sized>(game: &G, name: &str) {
+        let n = game.players();
+        for t in 0..=n + 1 {
+            for v in 0..2 {
+                let pass = exact_uncontrollable(game, t, Outcome(v));
+                let oracle = per_input_oracle(game, t, Outcome(v));
+                assert_eq!(
+                    pass.to_bits(),
+                    oracle.to_bits(),
+                    "{name} n={n} t={t} v={v}: pass {pass} vs oracle {oracle}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exact_uncontrollable_matches_per_input_search() {
+        use crate::games::{DictatorGame, RecursiveMajorityGame, ThresholdGame, TribesGame};
+        assert_matches_oracle(&MajorityGame::new(7), "majority");
+        assert_matches_oracle(&MajorityGame::new(8), "majority");
+        assert_matches_oracle(&ParityGame::new(7), "parity");
+        assert_matches_oracle(&OneSidedGame::new(7), "one-sided");
+        assert_matches_oracle(&DictatorGame::new(6), "dictator");
+        assert_matches_oracle(&TribesGame::new(3, 3), "tribes");
+        assert_matches_oracle(&ThresholdGame::new(8, 3), "threshold");
+        assert_matches_oracle(&RecursiveMajorityGame::new(2), "recursive-majority");
+    }
+
+    #[test]
+    fn exact_uncontrollable_single_player() {
+        // n = 1: f is the lone input. Hiding it turns it into a 0, so 0 is
+        // forcible from input 1 once t ≥ 1, while 1 is never forcible from 0.
+        let g = MajorityGame::new(1);
+        assert_matches_oracle(&g, "majority");
+        assert_eq!(exact_uncontrollable(&g, 0, Outcome(0)), 0.5);
+        assert_eq!(exact_uncontrollable(&g, 1, Outcome(0)), 0.0);
+        assert_eq!(exact_uncontrollable(&g, 1, Outcome(1)), 0.5);
     }
 
     #[test]

@@ -28,6 +28,30 @@ echo "== tier1: end-to-end benchmark smoke (golden digests) =="
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
     --bin bench_e2e -- run --smoke --workload all
 
+echo "== tier1: E1 committed table =="
+# E1 at default settings must reproduce results/e1_coin_control.txt byte
+# for byte, including the exact Pr(U^v) rows at n = 16 (t = 16 among them,
+# which the benchmark leaves out). Both sides get the normalization
+# benchmark/suite.sh applies: drop cargo's Compiling/Finished/Running
+# lines, a closing `telemetry:` line, and trailing blank lines. Run from a
+# scratch dir so the binary's artifacts never touch the committed ones.
+normalize() {
+    grep -Ev '^ *(Compiling|Finished|Running) ' "$1" \
+        | awk '{ lines[NR] = $0 } END {
+                 n = NR
+                 if (n > 0 && lines[n] ~ /^telemetry: /) n--
+                 while (n > 0 && lines[n] == "") n--
+                 for (i = 1; i <= n; i++) print lines[i]
+               }'
+}
+e1_dir="$(mktemp -d /tmp/synran-e1.XXXXXX)"
+trap 'rm -rf "$e1_dir"' EXIT
+(cd "$e1_dir" && "$OLDPWD/target/release/e1_coin_control" > e1.txt)
+diff <(normalize results/e1_coin_control.txt) <(normalize "$e1_dir/e1.txt") \
+    || { echo "E1 stdout diverged from results/e1_coin_control.txt"; exit 1; }
+rm -rf "$e1_dir"
+echo "E1 OK: stdout matches results/e1_coin_control.txt"
+
 echo "== tier1: telemetry smoke test =="
 # A spans-mode CLI run must produce a parseable JSONL file containing at
 # least one span and one counter event (the layer's end-to-end contract).
