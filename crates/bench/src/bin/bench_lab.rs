@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use synran_bench::Args;
 use synran_core::{run_batch, InputAssignment, SynRan};
-use synran_lab::{Cell, CellResult, CellRunner, Engine, Fleet, FleetConfig, Journal};
+use synran_lab::{Cell, CellResult, Engine, Journal};
 use synran_sim::{SimConfig, Telemetry};
 
 /// Best-of-`reps` wall time in milliseconds (after one warm-up call).
@@ -115,40 +115,6 @@ fn main() {
         time_ms(reps, || engine.run_cells(&cells).expect("warm run"))
     };
 
-    // Fleet overhead: the same grid through `--procs {1,2,4}` worker
-    // subprocesses. Needs the sibling `synran` binary from the same
-    // target dir; skip (with a note) when it isn't built.
-    let synran_bin = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("synran")))
-        .filter(|p| p.exists());
-    let fleet_rows: Vec<(usize, f64)> = match &synran_bin {
-        Some(bin) => [1usize, 2, 4]
-            .iter()
-            .map(|&procs| {
-                let worker = vec![
-                    bin.display().to_string(),
-                    "campaign".to_string(),
-                    "worker".to_string(),
-                ];
-                let ms = time_ms(reps, || {
-                    let mut cfg = FleetConfig::new(procs);
-                    cfg.worker.clone_from(&worker);
-                    let mut fleet = Fleet::new(Engine::new(1, Telemetry::off()), cfg);
-                    let results = fleet.run_cells(&cells).expect("fleet run");
-                    assert_eq!(results, baseline, "fleet diverged from the raw loop");
-                    results
-                });
-                (procs, ms)
-            })
-            .collect(),
-        None => {
-            println!(
-                "fleet rows skipped: no sibling synran binary (run `cargo build --release` first)"
-            );
-            Vec::new()
-        }
-    };
     let _ = std::fs::remove_dir_all(&journal_dir);
 
     let overhead_pct = (engine_ms / raw_ms - 1.0) * 100.0;
@@ -163,10 +129,6 @@ fn main() {
     println!("engine          : {engine_ms:.3} ms  ({overhead_pct:+.1}% vs raw)");
     println!("engine + journal: {journal_ms:.3} ms  ({journal_pct:+.1}% vs raw)");
     println!("warm cache      : {warm_ms:.3} ms");
-    for &(procs, ms) in &fleet_rows {
-        let pct = (ms / raw_ms - 1.0) * 100.0;
-        println!("fleet --procs {procs} : {ms:.3} ms  ({pct:+.1}% vs raw)");
-    }
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -195,16 +157,8 @@ fn main() {
         "    {{\"path\": \"engine_journal\", \"ms\": {journal_ms:.3}, \"overhead_pct\": {journal_pct:.1}}},\n"
     ));
     json.push_str(&format!(
-        "    {{\"path\": \"warm_cache\", \"ms\": {warm_ms:.3}}}{}\n",
-        if fleet_rows.is_empty() { "" } else { "," }
+        "    {{\"path\": \"warm_cache\", \"ms\": {warm_ms:.3}}}\n"
     ));
-    for (i, &(procs, ms)) in fleet_rows.iter().enumerate() {
-        let pct = (ms / raw_ms - 1.0) * 100.0;
-        json.push_str(&format!(
-            "    {{\"path\": \"fleet_procs_{procs}\", \"ms\": {ms:.3}, \"overhead_pct\": {pct:.1}}}{}\n",
-            if i + 1 == fleet_rows.len() { "" } else { "," }
-        ));
-    }
     json.push_str("  ]\n}\n");
     let mut file = std::fs::File::create(&out_path).expect("create BENCH_lab.json");
     file.write_all(json.as_bytes())

@@ -184,9 +184,8 @@ pub fn to_jsonl(cell: &Cell, result: &CellResult) -> String {
 }
 
 /// The cell fields as a comma-joined flat-JSON fragment in declaration
-/// order (no surrounding braces). Shared by [`to_jsonl`] and the fleet
-/// wire protocol so a cell serialises identically on both paths.
-pub(crate) fn cell_fields_json(cell: &Cell) -> String {
+/// order (no surrounding braces).
+fn cell_fields_json(cell: &Cell) -> String {
     format!(
         "\"protocol\":\"{}\",\"adversary\":\"{}\",\
          \"n\":{},\"t\":{},\"ones\":{},\"runs\":{},\"seed\":{},\"max_rounds\":{},\
@@ -208,7 +207,7 @@ pub(crate) fn cell_fields_json(cell: &Cell) -> String {
 
 /// The result fields as a comma-joined flat-JSON fragment (no surrounding
 /// braces), the dual of [`cell_fields_json`].
-pub(crate) fn result_fields_json(result: &CellResult) -> String {
+fn result_fields_json(result: &CellResult) -> String {
     format!(
         "\"rounds\":{},\"kills\":{},\"timeouts\":{},\"violations\":{}",
         u64_array_json(&self_rounds(result)),
@@ -218,10 +217,9 @@ pub(crate) fn result_fields_json(result: &CellResult) -> String {
     )
 }
 
-/// Decodes the cell fields out of any flat JSON object that embeds the
-/// [`cell_fields_json`] fragment. Shared by [`from_jsonl`] and the fleet
-/// wire protocol.
-pub(crate) fn cell_from_flat_json(line: &str) -> Option<Cell> {
+/// Decodes the cell fields out of a flat JSON object that embeds the
+/// [`cell_fields_json`] fragment.
+fn cell_from_flat_json(line: &str) -> Option<Cell> {
     Some(Cell {
         protocol: json_str_field(line, "protocol")?.to_string(),
         adversary: json_str_field(line, "adversary")?.to_string(),
@@ -238,9 +236,9 @@ pub(crate) fn cell_from_flat_json(line: &str) -> Option<Cell> {
     })
 }
 
-/// Decodes the result fields out of any flat JSON object that embeds the
+/// Decodes the result fields out of a flat JSON object that embeds the
 /// [`result_fields_json`] fragment.
-pub(crate) fn result_from_flat_json(line: &str) -> Option<CellResult> {
+fn result_from_flat_json(line: &str) -> Option<CellResult> {
     let rounds_u64 = json_u64_array_field(line, "rounds")?;
     Some(CellResult {
         rounds: rounds_u64

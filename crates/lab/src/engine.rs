@@ -45,11 +45,10 @@ struct Progress {
     sink: Box<dyn ProgressSink>,
 }
 
-/// Anything that can execute a campaign's cell list: the in-process
-/// [`Engine`], or the multi-process [`Fleet`](crate::fleet::Fleet) that
-/// shards the same list across worker subprocesses. Presets render
-/// against this trait, so a campaign's stdout is a pure function of the
-/// results whichever runner produced them.
+/// Anything that can execute a campaign's cell list. [`Engine`] is the
+/// runner; the trait lets a caller wrap it (to time or count its calls)
+/// without the presets knowing. Presets render against this trait, so a
+/// campaign's stdout is a pure function of the results.
 pub trait CellRunner {
     /// Runs the cells and returns their results in cell order. Same
     /// contract as [`Engine::run_cells`]: cached cells are spliced in,
@@ -91,9 +90,9 @@ impl CellRunner for Engine {
 }
 
 /// First index per distinct un-cached hash, in cell order — the canonical
-/// execution (and journal) order every runner must follow. Duplicates
-/// within the list run once and share the result.
-pub(crate) fn pending_order(hashes: &[String], results: &[Option<CellResult>]) -> Vec<usize> {
+/// execution (and journal) order. Duplicates within the list run once and
+/// share the result.
+fn pending_order(hashes: &[String], results: &[Option<CellResult>]) -> Vec<usize> {
     let mut pending: Vec<usize> = Vec::new();
     for (i, result) in results.iter().enumerate() {
         if result.is_none() && !pending.iter().any(|&p| hashes[p] == hashes[i]) {
@@ -240,37 +239,9 @@ impl Engine {
             .collect())
     }
 
-    /// A cached result by content hash, cloned out of the cache.
-    pub(crate) fn cache_get(&self, hash: &str) -> Option<CellResult> {
-        self.cache.get(hash).cloned()
-    }
-
-    /// Accounts `n` cache hits without running anything — for runners
-    /// that perform their own cache splice before delegating record-
-    /// keeping back to the engine.
-    pub(crate) fn note_cache_hits(&mut self, n: usize) {
-        self.cache_hits += n;
-    }
-
-    /// The attached journal's file path, if any.
-    pub(crate) fn journal_path(&self) -> Option<&Path> {
-        self.journal.as_ref().map(Journal::path)
-    }
-
-    /// The progress cadence, if a sink is attached.
-    pub(crate) fn progress_every(&self) -> Option<usize> {
-        self.progress.as_ref().map(|p| p.every)
-    }
-
     /// Records one freshly-executed cell: journal append (flushed),
-    /// cache insert, executed tally. The single write path every runner
-    /// funnels through, so journal bytes cannot diverge between them.
-    pub(crate) fn record(
-        &mut self,
-        cell: &Cell,
-        hash: &str,
-        result: CellResult,
-    ) -> Result<(), LabError> {
+    /// cache insert, executed tally.
+    fn record(&mut self, cell: &Cell, hash: &str, result: CellResult) -> Result<(), LabError> {
         if let Some(journal) = &mut self.journal {
             journal.append(cell, &result)?;
         }
@@ -282,13 +253,7 @@ impl Engine {
     /// Emits the observe-only end-of-run counters for `synran report`
     /// (cells/sec, cache hit rate). Accumulated across runs on the same
     /// telemetry handle.
-    pub(crate) fn finish_counters(
-        &self,
-        total: usize,
-        run_executed: usize,
-        warm: usize,
-        start: Instant,
-    ) {
+    fn finish_counters(&self, total: usize, run_executed: usize, warm: usize, start: Instant) {
         self.telemetry.incr("lab.cells.total", total as u64);
         self.telemetry
             .incr("lab.cells.executed", run_executed as u64);
@@ -300,7 +265,7 @@ impl Engine {
 
     /// Emits one heartbeat from the serial fold, if a sink is attached.
     /// Reads clocks and pool stats but writes nothing except to the sink.
-    pub(crate) fn emit_heartbeat(
+    fn emit_heartbeat(
         &mut self,
         done: usize,
         total: usize,

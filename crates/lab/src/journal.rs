@@ -54,9 +54,10 @@ pub struct JournalScan {
     /// The last `"type":"campaign"` header, if any.
     pub header: Option<JournalHeader>,
     /// Distinct cells in first-appearance order, **last line wins** per
-    /// hash — a crash-retried fleet run may append the same cell twice,
-    /// and the re-run's line supersedes. This is the row list `synran
-    /// report` renders into a per-cell table.
+    /// hash — a journal read from disk may hold the same cell twice (two
+    /// runs appending to one file, or a journal written by an older
+    /// build), and the later line supersedes. This is the row list
+    /// `synran report` renders into a per-cell table.
     pub rows: Vec<(Cell, CellResult)>,
 }
 
@@ -307,16 +308,17 @@ mod tests {
 
     #[test]
     fn duplicate_cell_lines_keep_one_row_last_wins() {
-        // A crash-retried fleet run can append the same cell twice: once
-        // before the kill, once after resume. The scan must surface one
-        // row per distinct cell, carrying the *last* line's result.
+        // A journal on disk can hold the same cell twice (two runs
+        // appending to one file, or an older build's journal). The scan
+        // must surface one row per distinct cell, carrying the *last*
+        // line's result.
         let path = tmpdir("dup").join("demo.journal.jsonl");
         let mut text = String::new();
         text.push_str(&to_jsonl(&cell(1), &result(4)));
         text.push('\n');
         text.push_str(&to_jsonl(&cell(2), &result(9)));
         text.push('\n');
-        text.push_str(&to_jsonl(&cell(1), &result(7))); // retry supersedes
+        text.push_str(&to_jsonl(&cell(1), &result(7))); // later line supersedes
         text.push('\n');
         std::fs::write(&path, text).unwrap();
 

@@ -42,7 +42,6 @@
 pub mod artifact;
 pub mod cell;
 pub mod engine;
-pub mod fleet;
 pub mod journal;
 pub mod presets;
 pub mod progress;
@@ -53,10 +52,6 @@ pub mod spec;
 pub use artifact::{results_telemetry_path, write_telemetry_jsonl};
 pub use cell::{fnv1a64, Cell, CellResult, CELL_SCHEMA_VERSION};
 pub use engine::{CellRunner, Engine};
-pub use fleet::{
-    agent_main, fleet_sidecar_path, parse_workers, scan_fleet_sidecar, AgentConfig, Fleet,
-    FleetConfig, FleetStatus, FleetWorkerStatus, SlotSpec,
-};
 pub use journal::{load_cache, scan_journal, CellCache, Journal, JournalHeader, JournalScan};
 pub use progress::{Heartbeat, MemoryProgress, ProgressSink, StderrProgress};
 pub use registry::{run_cell, validate_cell};
@@ -74,9 +69,6 @@ pub enum LabError {
     Unknown(String),
     /// The simulator reported an engine error.
     Sim(synran_sim::SimError),
-    /// The multi-process fleet could not complete a cell (retries
-    /// exhausted or worker protocol failure).
-    Fleet(String),
 }
 
 impl std::fmt::Display for LabError {
@@ -86,7 +78,6 @@ impl std::fmt::Display for LabError {
             LabError::Spec(msg) => write!(f, "spec error: {msg}"),
             LabError::Unknown(msg) => write!(f, "{msg}"),
             LabError::Sim(e) => write!(f, "engine error: {e}"),
-            LabError::Fleet(msg) => write!(f, "fleet error: {msg}"),
         }
     }
 }
@@ -96,7 +87,7 @@ impl std::error::Error for LabError {
         match self {
             LabError::Io(e) => Some(e),
             LabError::Sim(e) => Some(e),
-            LabError::Spec(_) | LabError::Unknown(_) | LabError::Fleet(_) => None,
+            LabError::Spec(_) | LabError::Unknown(_) => None,
         }
     }
 }

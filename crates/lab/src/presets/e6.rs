@@ -98,8 +98,7 @@ pub fn run(
     out: &mut dyn Write,
 ) -> Result<(), LabError> {
     // No cells — but running the empty list keeps the journal/cache
-    // bookkeeping identical to every other preset (and is a no-op under
-    // the fleet: nothing pending, nothing spawned).
+    // bookkeeping identical to every other preset.
     runner.run_cells(&params.cells())?;
     let telemetry = runner.telemetry();
 

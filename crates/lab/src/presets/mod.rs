@@ -69,9 +69,8 @@ pub fn campaign_cells(spec: &CampaignSpec) -> Result<Vec<Cell>, LabError> {
 }
 
 /// Runs a campaign end-to-end: expands the spec, executes its cells on
-/// `runner` (the in-process engine or a process fleet — output is
-/// byte-identical either way), and renders with the experiment's
-/// renderer into `out`.
+/// `runner` (the [`Engine`](crate::Engine), possibly wrapped), and renders
+/// with the experiment's renderer into `out`.
 ///
 /// # Errors
 ///

@@ -25,7 +25,6 @@ use synran_sim::telemetry::aggregate::{worker_busy_ns, TelemetryStream};
 use synran_sim::telemetry::per_round_kill_cap;
 use synran_sim::{OwnedSpan, PhaseStat, SpanNode, SpanTree};
 
-use crate::fleet::{scan_fleet_sidecar, FleetStatus};
 use crate::journal::{scan_journal, JournalScan};
 use crate::LabError;
 
@@ -63,7 +62,6 @@ impl ReportFormat {
 pub struct Report {
     telemetry: Vec<(String, TelemetryStream)>,
     journals: Vec<(String, JournalScan)>,
-    fleets: Vec<(String, FleetStatus)>,
 }
 
 impl Report {
@@ -74,8 +72,7 @@ impl Report {
     }
 
     /// Ingests `path`, classifying it by name: `*.journal.jsonl` parses
-    /// as a campaign journal, `*.fleet.jsonl` as a fleet sidecar, and
-    /// anything else as a telemetry stream.
+    /// as a campaign journal, anything else as a telemetry stream.
     ///
     /// # Errors
     ///
@@ -86,17 +83,6 @@ impl Report {
         let name = path.display().to_string();
         if name.ends_with(".journal.jsonl") {
             self.journals.push((name, scan_journal(path)?));
-        } else if name.ends_with(".fleet.jsonl") {
-            // The sidecar scanner treats a missing file as "clean
-            // completion", but a path named on the command line must
-            // exist — surface the I/O error the caller expects.
-            let status = scan_fleet_sidecar(path)?.ok_or_else(|| {
-                LabError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    "no such file",
-                ))
-            })?;
-            self.fleets.push((name, status));
         } else {
             let file = std::fs::File::open(path)?;
             let stream = TelemetryStream::read(std::io::BufReader::new(file))?;
@@ -163,20 +149,7 @@ impl Report {
                 if bad { "  [FAIL]" } else { "" },
             ));
         }
-        for (name, status) in &self.fleets {
-            // The sidecar scanner is forgiving by design (a killed
-            // supervisor truncates mid-line), so presence is accounting,
-            // never a failure.
-            out.push_str(&format!(
-                "{}: {} workers, {} leases outstanding, {} restarts, {} failed\n",
-                name,
-                status.workers.len(),
-                status.outstanding,
-                status.restarts,
-                status.failed,
-            ));
-        }
-        if self.telemetry.is_empty() && self.journals.is_empty() && self.fleets.is_empty() {
+        if self.telemetry.is_empty() && self.journals.is_empty() {
             return Err("no input files\n".to_string());
         }
         if ok {
@@ -360,19 +333,6 @@ impl Report {
             };
             t.row(["cells_per_sec", &fmt_f64(per_sec, 1)]);
         }
-        for key in [
-            "fleet.leases.issued",
-            "fleet.leases.reissued",
-            "fleet.worker.restarts",
-            "fleet.heartbeat.gaps",
-            "fleet.stale_results",
-            "fleet.cells.failed",
-        ] {
-            if let Some(v) = self.counter_sum(key) {
-                campaign_rows = true;
-                t.row([key, &v.to_string()]);
-            }
-        }
         for (name, scan) in &self.journals {
             campaign_rows = true;
             t.row(["journal", name.as_str()]);
@@ -386,29 +346,6 @@ impl Report {
             out.push_str(&t.to_string());
         } else {
             out.push_str("(no campaign counters or journals)\n");
-        }
-
-        for (name, status) in &self.fleets {
-            out.push_str(&format!("\n## Fleet — {name}\n\n"));
-            if status.workers.is_empty() {
-                out.push_str("(no worker connect events)\n");
-            } else {
-                let mut t = Table::new(["slot", "transport", "peer", "connects", "reconnects"]);
-                for w in &status.workers {
-                    t.row([
-                        w.slot.to_string(),
-                        w.transport.clone(),
-                        w.peer.clone(),
-                        w.connects.to_string(),
-                        w.reconnects().to_string(),
-                    ]);
-                }
-                out.push_str(&t.to_string());
-            }
-            out.push_str(&format!(
-                "({} procs, {} leases outstanding, {} restarts, {} cells failed)\n",
-                status.procs, status.outstanding, status.restarts, status.failed
-            ));
         }
 
         for (name, scan) in &self.journals {
@@ -568,30 +505,6 @@ impl Report {
             }
             out.push_str("]}");
         }
-        out.push_str("],\"fleets\":[");
-        for (i, (name, status)) in self.fleets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"path\":\"{name}\",\"procs\":{},\"outstanding\":{},\"restarts\":{},\"failed\":{},\"workers\":[",
-                status.procs, status.outstanding, status.restarts, status.failed
-            ));
-            for (j, w) in status.workers.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"slot\":{},\"transport\":\"{}\",\"peer\":\"{}\",\"connects\":{},\"reconnects\":{}}}",
-                    w.slot,
-                    w.transport,
-                    w.peer,
-                    w.connects,
-                    w.reconnects()
-                ));
-            }
-            out.push_str("]}");
-        }
         out.push_str("]}");
         out.push('\n');
         out
@@ -709,21 +622,12 @@ mod tests {
         std::fs::write(&path, format!("{}\n", to_jsonl(&cell, &result))).unwrap();
 
         let mut report = Report::new();
-        report.add_telemetry(
-            "fleet.telemetry.jsonl",
-            TelemetryStream::parse(
-                "{\"type\":\"counter\",\"name\":\"fleet.worker.restarts\",\"value\":2}\n\
-                 {\"type\":\"counter\",\"name\":\"fleet.stale_results\",\"value\":1}\n",
-            ),
-        );
         report.load(&path).unwrap();
 
         let table = report.render(ReportFormat::Table);
         assert!(table.contains("## Cells —"), "{table}");
         assert!(table.contains("balancer"));
         assert!(table.contains("4.00"), "mean rounds: {table}");
-        assert!(table.contains("fleet.worker.restarts"));
-        assert!(table.contains("fleet.stale_results"));
 
         let json = report.render(ReportFormat::Json);
         assert!(
@@ -732,57 +636,6 @@ mod tests {
         );
         assert!(json.contains("\"mean_kills\":1.50"), "{json}");
         assert_eq!(table, report.render(ReportFormat::Table));
-    }
-
-    #[test]
-    fn fleet_sidecar_renders_transport_identity_and_reconnects() {
-        let dir = std::env::temp_dir().join(format!("synran-report-fleet-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("demo.fleet.jsonl");
-        std::fs::write(
-            &path,
-            "{\"type\":\"fleet\",\"event\":\"start\",\"procs\":2}\n\
-             {\"type\":\"fleet\",\"event\":\"worker\",\"slot\":0,\"transport\":\"pipe\",\"peer\":\"pid=41\"}\n\
-             {\"type\":\"fleet\",\"event\":\"worker\",\"slot\":1,\"transport\":\"tcp\",\"peer\":\"127.0.0.1:7070\"}\n\
-             {\"type\":\"fleet\",\"event\":\"lease\",\"index\":0,\"attempt\":0}\n\
-             {\"type\":\"fleet\",\"event\":\"restart\"}\n\
-             {\"type\":\"fleet\",\"event\":\"worker\",\"slot\":1,\"transport\":\"tcp\",\"peer\":\"127.0.0.1:7071\"}\n",
-        )
-        .unwrap();
-
-        let mut report = Report::new();
-        report.load(&path).unwrap();
-        let table = report.render(ReportFormat::Table);
-        assert!(table.contains("## Fleet —"), "{table}");
-        assert!(table.contains("pipe"), "{table}");
-        assert!(table.contains("pid=41"), "{table}");
-        assert!(
-            table.contains("127.0.0.1:7071"),
-            "latest peer wins: {table}"
-        );
-        assert!(
-            !table.contains("127.0.0.1:7070"),
-            "stale peer gone: {table}"
-        );
-        assert!(
-            table.contains("2 procs, 1 leases outstanding, 1 restarts"),
-            "{table}"
-        );
-        assert_eq!(table, report.render(ReportFormat::Table));
-
-        let json = report.render(ReportFormat::Json);
-        assert!(
-            json.contains(
-                "{\"slot\":1,\"transport\":\"tcp\",\"peer\":\"127.0.0.1:7071\",\"connects\":2,\"reconnects\":1}"
-            ),
-            "{json}"
-        );
-
-        let check = report.check().unwrap();
-        assert!(check.contains("2 workers"), "{check}");
-
-        let mut missing = Report::new();
-        assert!(missing.load(&dir.join("absent.fleet.jsonl")).is_err());
     }
 
     #[test]

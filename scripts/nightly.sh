@@ -29,40 +29,8 @@ echo "== nightly: fresh bench_parallel vs BENCH_parallel.json =="
     || { echo "nightly gate FAILED against BENCH_parallel.json"; exit 1; }
 
 echo "== nightly: fresh bench_lab vs BENCH_lab.json =="
-# bench_lab resolves the sibling synran binary for its fleet_procs_* rows,
-# so the workspace build above is a prerequisite, not an optimisation.
 (cd "$scratch" && "$OLDPWD/target/release/bench_lab" --out fresh_lab.json >/dev/null)
 "$gate" compare BENCH_lab.json "$scratch/fresh_lab.json" --max-regress "$max_regress" \
     || { echo "nightly gate FAILED against BENCH_lab.json"; exit 1; }
-
-echo "== nightly: fleet TCP parity =="
-# Fresh loopback check that the network transport stays invisible: a
-# campaign served entirely by a TCP agent must render byte-identically
-# to the in-process engine (stdout and journal both).
-cat > "$scratch/ntcp.campaign" <<'EOF'
-campaign  = ntcp
-adversary = balancer
-runs      = 3
-seed      = 9
-sweep n   = 8,10,12
-sweep t   = half,max
-EOF
-./target/release/synran campaign agent --listen 127.0.0.1:0 \
-    --token nightly-secret --port-file "$scratch/agent.port" 2>/dev/null &
-agent_pid=$!
-trap 'kill "$agent_pid" 2>/dev/null || true; rm -rf "$scratch"' EXIT
-for _ in $(seq 1 100); do [ -s "$scratch/agent.port" ] && break; sleep 0.1; done
-[ -s "$scratch/agent.port" ] || { echo "campaign agent never bound"; exit 1; }
-agent_addr="$(cat "$scratch/agent.port")"
-(cd "$scratch" && "$OLDPWD/target/release/synran" campaign run ntcp.campaign \
-    --results-dir serial > serial.txt 2>/dev/null)
-(cd "$scratch" && "$OLDPWD/target/release/synran" campaign run ntcp.campaign \
-    --workers "$agent_addr" --token nightly-secret \
-    --results-dir tcp > tcp.txt 2>/dev/null)
-diff "$scratch/serial.txt" "$scratch/tcp.txt" \
-    || { echo "nightly TCP stdout diverged from the engine"; exit 1; }
-cmp "$scratch/serial/ntcp.journal.jsonl" "$scratch/tcp/ntcp.journal.jsonl" \
-    || { echo "nightly TCP journal diverged from the engine"; exit 1; }
-echo "nightly TCP parity OK: loopback agent byte-identical to the engine"
 
 echo "== nightly: OK (max regress ${max_regress}%) =="

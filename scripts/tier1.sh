@@ -159,100 +159,51 @@ grep -q "0 pending" <<< "$status_out" \
     || { echo "campaign status shows pending cells after resume"; exit 1; }
 echo "campaign resume OK: serial and resumed output byte-identical"
 
-echo "== tier1: fleet smoke test =="
-# End-to-end contract of the multi-process fleet: `--procs 2` must produce
-# the same stdout and a byte-identical journal as the in-process engine —
-# including under an injected worker panic — and a kill -9'd supervisor
-# must resume to the same rendered output with every cell journalled.
-fleet_dir="$(mktemp -d /tmp/synran-fleet.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir" "$fleet_dir"' EXIT
-cat > "$fleet_dir/fsmoke.campaign" <<'EOF'
-campaign  = fsmoke
-adversary = balancer
-runs      = 3
-seed      = 5
-sweep n   = 8,10,12,14
-sweep t   = half,max
-EOF
+echo "== tier1: campaign kill -9 resume test =="
+# A live `campaign run` killed with SIGKILL mid-campaign must resume to
+# the serial run's stdout byte for byte, journal the same set of cell
+# lines, and leave nothing pending. The engine journals (and flushes)
+# each completed wave, so the kill loses at most the wave in flight.
 synran_bin="$OLDPWD/target/release/synran"
-(cd "$fleet_dir" && "$synran_bin" campaign run fsmoke.campaign \
-    --results-dir serial > serial.txt 2>/dev/null)
-# Parity under an injected worker panic: the worker running cell 1 dies,
-# the supervisor re-leases, and nothing observable changes.
-(cd "$fleet_dir" && SYNRAN_FLEET_FAULT=panic:cell=1 "$synran_bin" campaign run \
-    fsmoke.campaign --procs 2 --results-dir fleet > fleet.txt 2>/dev/null)
-diff "$fleet_dir/serial.txt" "$fleet_dir/fleet.txt" \
-    || { echo "fleet stdout diverged from the engine"; exit 1; }
-cmp "$fleet_dir/serial/fsmoke.journal.jsonl" "$fleet_dir/fleet/fsmoke.journal.jsonl" \
-    || { echo "fleet journal diverged from the engine"; exit 1; }
-[ ! -e "$fleet_dir/fleet/fsmoke.fleet.jsonl" ] \
-    || { echo "fleet sidecar survived a clean run"; exit 1; }
-# Crash-resume: kill -9 the supervisor mid-campaign, then resume with the
-# fleet again. The resumed output must match serial byte-for-byte and the
-# journal must end up with the same cell lines.
-(cd "$fleet_dir" && exec "$synran_bin" campaign run fsmoke.campaign --procs 2 \
-    --results-dir crash > crash.txt 2>/dev/null) &
-supervisor_pid=$!
-sleep 0.2
-kill -9 "$supervisor_pid" 2>/dev/null || true
-wait "$supervisor_pid" 2>/dev/null || true
-pkill -9 -f "$synran_bin campaign worker" 2>/dev/null || true
-(cd "$fleet_dir" && "$synran_bin" campaign resume fsmoke.campaign --procs 2 \
-    --results-dir crash > resumed.txt 2>/dev/null)
-diff "$fleet_dir/serial.txt" "$fleet_dir/resumed.txt" \
-    || { echo "fleet crash-resume output diverged"; exit 1; }
-# The crash journal may carry a second header and (at worst) duplicate
-# cell lines from a kill between append and resume bookkeeping, but its
-# *set* of cell lines must equal the serial journal's.
-diff <(grep '"type":"cell"' "$fleet_dir/serial/fsmoke.journal.jsonl" | sort -u) \
-     <(grep '"type":"cell"' "$fleet_dir/crash/fsmoke.journal.jsonl" | sort -u) \
-    || { echo "fleet crash-resume journal cell lines diverged"; exit 1; }
-status_out="$("$synran_bin" campaign status "$fleet_dir/fsmoke.campaign" \
-    --results-dir "$fleet_dir/crash")"
-grep -q "0 pending" <<< "$status_out" \
-    || { echo "campaign status shows pending cells after fleet resume"; exit 1; }
-echo "fleet smoke OK: --procs 2 byte-identical (incl. injected panic), kill -9 resume converges"
-
-echo "== tier1: fleet TCP smoke test =="
-# The network transport must be invisible: a campaign served by a
-# loopback `campaign agent` (mixed with one local pipe slot) must be
-# byte-identical to the in-process engine, and an agent that severs its
-# connection mid-cell must be reconnected and converge to the same
-# output. Reuses the fleet smoke's spec and serial baseline.
-SYNRAN_FLEET_TOKEN=tier1-secret "$synran_bin" campaign agent \
-    --listen 127.0.0.1:0 --port-file "$fleet_dir/agent.port" 2>/dev/null &
-agent_pid=$!
-SYNRAN_FLEET_TOKEN=tier1-secret SYNRAN_FLEET_FAULT=drop_conn "$synran_bin" campaign agent \
-    --listen 127.0.0.1:0 --port-file "$fleet_dir/agent2.port" 2>/dev/null &
-drop_agent_pid=$!
-trap 'kill "$agent_pid" "$drop_agent_pid" 2>/dev/null || true; rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir" "$fleet_dir"' EXIT
-for _ in $(seq 1 100); do
-    [ -s "$fleet_dir/agent.port" ] && [ -s "$fleet_dir/agent2.port" ] && break
-    sleep 0.1
+cat > "$campaign_dir/kill.campaign" <<'EOF'
+campaign   = kill
+adversary  = lower-bound
+runs       = 2
+sweep n    = 16,24,32,48
+sweep seed = 1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20
+EOF
+(cd "$campaign_dir" && "$synran_bin" campaign run kill.campaign --threads 1 \
+    --results-dir serial > kill-serial.txt 2>/dev/null)
+total="$(grep -c '"type":"cell"' "$campaign_dir/serial/kill.journal.jsonl")"
+crash_journal="$campaign_dir/crash/kill.journal.jsonl"
+(cd "$campaign_dir" && exec "$synran_bin" campaign run kill.campaign --threads 1 \
+    --results-dir crash > /dev/null 2>&1) &
+run_pid=$!
+# Kill as soon as the first wave is journalled.
+for _ in $(seq 1 500); do
+    journalled="$(grep -c '"type":"cell"' "$crash_journal" 2>/dev/null || true)"
+    [ "${journalled:-0}" -gt 0 ] && break
+    sleep 0.01
 done
-[ -s "$fleet_dir/agent.port" ] && [ -s "$fleet_dir/agent2.port" ] \
-    || { echo "campaign agent never wrote its port file"; exit 1; }
-agent_addr="$(cat "$fleet_dir/agent.port")"
-drop_agent_addr="$(cat "$fleet_dir/agent2.port")"
-(cd "$fleet_dir" && "$synran_bin" campaign run fsmoke.campaign \
-    --workers "$agent_addr,local:1" --token tier1-secret \
-    --results-dir tcp > tcp.txt 2>/dev/null)
-diff "$fleet_dir/serial.txt" "$fleet_dir/tcp.txt" \
-    || { echo "TCP fleet stdout diverged from the engine"; exit 1; }
-cmp "$fleet_dir/serial/fsmoke.journal.jsonl" "$fleet_dir/tcp/fsmoke.journal.jsonl" \
-    || { echo "TCP fleet journal diverged from the engine"; exit 1; }
-[ ! -e "$fleet_dir/tcp/fsmoke.fleet.jsonl" ] \
-    || { echo "TCP fleet sidecar survived a clean run"; exit 1; }
-# Dropped connection mid-cell: the faulted agent severs its socket on the
-# first lease of cell 0 (attempt 0 only); the supervisor's backoff
-# reconnect must find the same agent and retry to identical output.
-(cd "$fleet_dir" && SYNRAN_FLEET_BACKOFF_MS=50 "$synran_bin" campaign run fsmoke.campaign \
-    --workers "$drop_agent_addr" --token tier1-secret \
-    --results-dir tcpdrop > tcpdrop.txt 2>/dev/null)
-diff "$fleet_dir/serial.txt" "$fleet_dir/tcpdrop.txt" \
-    || { echo "TCP drop_conn re-run output diverged"; exit 1; }
-cmp "$fleet_dir/serial/fsmoke.journal.jsonl" "$fleet_dir/tcpdrop/fsmoke.journal.jsonl" \
-    || { echo "TCP drop_conn re-run journal diverged"; exit 1; }
-echo "fleet TCP smoke OK: loopback agent byte-identical (mixed remote+local), drop_conn reconnect converges"
+kill -9 "$run_pid" 2>/dev/null || true
+wait "$run_pid" 2>/dev/null || true
+done_before="$(grep -c '"type":"cell"' "$crash_journal" || true)"
+[ "$done_before" -gt 0 ] && [ "$done_before" -lt "$total" ] \
+    || { echo "kill -9 did not land mid-campaign ($done_before/$total cells journalled)"; exit 1; }
+(cd "$campaign_dir" && "$synran_bin" campaign resume kill.campaign --threads 2 \
+    --results-dir crash > kill-resumed.txt 2>/dev/null)
+diff "$campaign_dir/kill-serial.txt" "$campaign_dir/kill-resumed.txt" \
+    || { echo "kill -9 resume output diverged"; exit 1; }
+# The crash journal carries a second header (and may repeat a cell whose
+# line the kill cut mid-append), but its *set* of cell lines must equal
+# the serial journal's.
+diff <(grep '"type":"cell"' "$campaign_dir/serial/kill.journal.jsonl" | sort -u) \
+     <(grep '"type":"cell"' "$crash_journal" | sort -u) \
+    || { echo "kill -9 resume journal cell lines diverged"; exit 1; }
+status_out="$("$synran_bin" campaign status "$campaign_dir/kill.campaign" \
+    --results-dir "$campaign_dir/crash")"
+grep -q "0 pending" <<< "$status_out" \
+    || { echo "campaign status shows pending cells after kill -9 resume"; exit 1; }
+echo "kill -9 resume OK: killed after $done_before/$total cells, resumed output byte-identical"
 
 echo "== tier1: OK =="

@@ -21,8 +21,7 @@ use synran::core::{
     LeaderConsensus, SynRan,
 };
 use synran::lab::{
-    agent_main, fleet_sidecar_path, load_cache, presets, scan_fleet_sidecar, scan_journal,
-    AgentConfig, CampaignSpec, CellCache, CellRunner, Engine, Fleet, FleetConfig, Journal, Report,
+    load_cache, presets, scan_journal, CampaignSpec, CellCache, Engine, Journal, Report,
     ReportFormat, StderrProgress,
 };
 use synran::sim::{
@@ -43,9 +42,6 @@ USAGE:
   synran campaign status <spec>  show percent-complete and journal health,
                  no execution
   synran campaign list           list the specs under campaigns/
-  synran campaign agent --listen <addr>  serve campaign cells to remote
-                 supervisors over TCP (long-lived; pair with
-                 `campaign run --workers host:port,...`)
   synran report [OPTIONS] <file>...  render telemetry/journal JSONL artifacts
                  as deterministic tables, JSON, or folded stacks
   synran list               list protocols, adversaries, and experiments
@@ -53,18 +49,6 @@ USAGE:
 CAMPAIGN OPTIONS:
   --threads <int>      worker threads (0 = all cores; results identical
                        for every value)                      (default 0)
-  --procs <int>        worker *processes* (campaign run only). The
-                       supervisor leases cells to N subprocesses with
-                       heartbeats and crash-tolerant retry; journal and
-                       stdout are byte-identical for every value
-                       (default 1 = in-process engine)
-  --workers <list>     comma-separated worker slots (campaign run only):
-                       TCP agent addresses and local pipe slots, e.g.
-                       10.0.0.2:7070,local:2. Overrides --procs; remote
-                       disconnects retry like worker crashes; journal and
-                       stdout stay byte-identical to the engine
-  --token <secret>     shared handshake secret for TCP workers
-                       (default $SYNRAN_FLEET_TOKEN, else empty)
   --results-dir <dir>  journal directory                     (default results)
   --fresh              truncate the journal first (campaign run only)
   --import <path>      merge another campaign's journal as a read-only
@@ -72,16 +56,9 @@ CAMPAIGN OPTIONS:
   --progress <int>     heartbeat to stderr every N completed cells
                        (observe-only; results identical with it on or off)
   --dir <dir>          directory scanned by campaign list    (default campaigns)
-
-AGENT OPTIONS:
-  --listen <addr>      bind address, e.g. 127.0.0.1:7070 (port 0 picks an
-                       ephemeral port)                      (required)
-  --token <secret>     secret supervisors must present
-                       (default $SYNRAN_FLEET_TOKEN, else empty)
-  --threads <int>      capability advertised in the handshake (0 = all cores)
-  --port-file <path>   atomically write the bound address to <path> —
-                       ephemeral-port discovery for scripts
-  --once               exit after serving one supervisor connection
+  status takes only --results-dir; list takes --dir and --results-dir.
+  Any other option is an error. Each completed wave of cells is journalled
+  before the next starts, so even a kill -9 loses at most one wave.
 
 REPORT OPTIONS:
   --format table | json | folded   rendering                 (default table)
@@ -453,21 +430,42 @@ fn campaign_cmd(
     flags: &[String],
 ) -> Result<(), String> {
     let spec_path = rest.get(1).map(String::as_str);
-    match rest.first().map(String::as_str) {
-        Some(sub @ ("run" | "resume")) => campaign_run(spec_path, values, flags, sub == "run"),
-        Some("status") => campaign_status(spec_path, values),
-        Some("list") => campaign_list(values),
-        Some("agent") => campaign_agent(values, flags),
-        // Hidden: the fleet worker half of `campaign run --procs N`.
-        // Supervisors spawn it; humans never type it.
-        Some("worker") => {
-            synran::lab::fleet::worker_main();
-            Ok(())
+    let sub = rest
+        .first()
+        .map(String::as_str)
+        .ok_or("campaign expects a command: run, resume, status, or list")?;
+    // The options (`--key value` or bare `--flag`) each command accepts.
+    let accepted: &[&str] = match sub {
+        "run" | "resume" => &["threads", "results-dir", "fresh", "import", "progress"],
+        "status" => &["results-dir"],
+        "list" => &["dir", "results-dir"],
+        other => {
+            return Err(format!(
+                "unknown campaign command {other:?} (run, resume, status, list)"
+            ))
         }
-        Some(other) => Err(format!(
-            "unknown campaign command {other:?} (run, resume, status, list, agent)"
-        )),
-        None => Err("campaign expects a command: run, resume, status, list, or agent".into()),
+    };
+    reject_unknown_options(sub, accepted, values, flags)?;
+    match sub {
+        "status" => campaign_status(spec_path, values),
+        "list" => campaign_list(values),
+        _ => campaign_run(spec_path, values, flags, sub == "run"),
+    }
+}
+
+/// Fails on the first option, in name order, that `campaign <sub>` does
+/// not accept — a typo or a stale option must never be silently dropped.
+fn reject_unknown_options(
+    sub: &str,
+    accepted: &[&str],
+    values: &HashMap<String, String>,
+    flags: &[String],
+) -> Result<(), String> {
+    let mut given: Vec<&str> = values.keys().chain(flags).map(String::as_str).collect();
+    given.sort_unstable();
+    match given.into_iter().find(|key| !accepted.contains(key)) {
+        Some(key) => Err(format!("unknown option --{key} for `campaign {sub}`")),
+        None => Ok(()),
     }
 }
 
@@ -503,10 +501,6 @@ fn campaign_run(
         v.parse()
             .map_err(|_| format!("--threads: not an integer: {v}"))
     })?;
-    let procs: usize = values.get("procs").map_or(Ok(1), |v| {
-        v.parse()
-            .map_err(|_| format!("--procs: not an integer: {v}"))
-    })?;
     let telemetry = Telemetry::new(spec.telemetry_mode().map_err(|e| e.to_string())?);
     let warm = cache.len();
     let mut engine = Engine::new(threads, telemetry).with_journal(journal, cache);
@@ -535,59 +529,16 @@ fn campaign_run(
             spec.name()
         );
     }
-    // `--procs 1` (the default) is the in-process engine verbatim;
-    // more than one local slot — or any `--workers` remote — wraps it in
-    // the fleet supervisor. Either way the journal and stdout are
-    // byte-identical — the fleet's parity contract.
-    let mut fleet_cfg = FleetConfig::from_env(procs);
-    if let Some(workers) = values.get("workers") {
-        fleet_cfg = fleet_cfg.with_workers(workers)?;
-    }
-    if let Some(token) = values.get("token") {
-        fleet_cfg.token = token.clone();
-    }
-    let mut fleet_holder;
-    let runner: &mut dyn CellRunner = if fleet_cfg.engages() {
-        fleet_holder = Fleet::new(engine, fleet_cfg);
-        &mut fleet_holder
-    } else {
-        &mut engine
-    };
-    presets::run_campaign(&spec, runner, &mut std::io::stdout().lock())
+    presets::run_campaign(&spec, &mut engine, &mut std::io::stdout().lock())
         .map_err(|e| e.to_string())?;
     eprintln!(
         "campaign {}: {} cells executed, {} cache hits → {}",
         spec.name(),
-        runner.executed(),
-        runner.cache_hits(),
+        engine.executed(),
+        engine.cache_hits(),
         journal_path.display()
     );
     Ok(())
-}
-
-/// `synran campaign agent` — a long-lived TCP worker serving cells to
-/// remote supervisors (`campaign run --workers host:port,...`).
-fn campaign_agent(values: &HashMap<String, String>, flags: &[String]) -> Result<(), String> {
-    let listen = values
-        .get("listen")
-        .cloned()
-        .ok_or("campaign agent expects --listen ADDR (e.g. --listen 127.0.0.1:7070)")?;
-    let token = values
-        .get("token")
-        .cloned()
-        .or_else(|| std::env::var("SYNRAN_FLEET_TOKEN").ok())
-        .unwrap_or_default();
-    let threads = values.get("threads").map_or(Ok(0), |v| {
-        v.parse()
-            .map_err(|_| format!("--threads: not an integer: {v}"))
-    })?;
-    agent_main(&AgentConfig {
-        listen,
-        token,
-        threads,
-        port_file: values.get("port-file").map(std::path::PathBuf::from),
-        once: flags.iter().any(|f| f == "once"),
-    })
 }
 
 fn campaign_status(
@@ -636,26 +587,6 @@ fn campaign_status(
         scan.entries
     );
     println!("last write : {}", last_write_age(&journal_path));
-    // A fleet sidecar is only left behind by an in-flight or failed
-    // `--procs N` run (clean completions remove it) — surface it.
-    if let Some(fleet) =
-        scan_fleet_sidecar(&fleet_sidecar_path(&journal_path)).map_err(|e| e.to_string())?
-    {
-        println!(
-            "fleet      : {} leases outstanding, {} procs, {} worker restarts, {} cells failed",
-            fleet.outstanding, fleet.procs, fleet.restarts, fleet.failed
-        );
-        for w in &fleet.workers {
-            println!(
-                "  slot {:<4} : {} {} ({} connects, {} reconnects)",
-                w.slot,
-                w.transport,
-                w.peer,
-                w.connects,
-                w.reconnects()
-            );
-        }
-    }
     Ok(())
 }
 

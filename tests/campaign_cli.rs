@@ -1,0 +1,138 @@
+//! End-to-end contract of `synran campaign`: stdout and the journal are
+//! byte-identical at every `--threads` value, a campaign whose journal
+//! was cut mid-append resumes to the serial run's output, and an option
+//! a subcommand does not accept fails the command instead of being
+//! silently dropped.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("synran-campaign-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+const SPEC: &str = "\
+campaign  = cli
+adversary = balancer
+runs      = 3
+seed      = 5
+sweep n   = 8,10,12
+sweep t   = half,max
+";
+
+fn write_spec(dir: &Path) -> PathBuf {
+    let path = dir.join("cli.campaign");
+    std::fs::write(&path, SPEC).unwrap();
+    path
+}
+
+/// Runs `synran campaign <sub> <spec> --results-dir <results> [extra]`.
+fn campaign(sub: &str, spec: &Path, results: &Path, extra: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_synran"))
+        .arg("campaign")
+        .arg(sub)
+        .arg(spec)
+        .arg("--results-dir")
+        .arg(results)
+        .args(extra)
+        .output()
+        .expect("spawn synran")
+}
+
+fn journal_path(results: &Path) -> PathBuf {
+    results.join("cli.journal.jsonl")
+}
+
+#[test]
+fn threads_1_2_4_are_byte_identical() {
+    let dir = tmpdir("threads");
+    let spec = write_spec(&dir);
+    let serial_results = dir.join("t1");
+    let serial = campaign("run", &spec, &serial_results, &["--threads", "1"]);
+    assert!(serial.status.success(), "{serial:?}");
+    assert!(!serial.stdout.is_empty(), "campaign prints tables");
+    let serial_journal = std::fs::read(journal_path(&serial_results)).unwrap();
+
+    for threads in ["2", "4"] {
+        let results = dir.join(format!("t{threads}"));
+        let out = campaign("run", &spec, &results, &["--threads", threads]);
+        assert!(out.status.success(), "--threads {threads}: {out:?}");
+        assert_eq!(out.stdout, serial.stdout, "--threads {threads} stdout");
+        assert_eq!(
+            std::fs::read(journal_path(&results)).unwrap(),
+            serial_journal,
+            "--threads {threads} journal"
+        );
+    }
+}
+
+#[test]
+fn truncated_journal_resumes_to_identical_output() {
+    let dir = tmpdir("resume");
+    let spec = write_spec(&dir);
+    let serial_results = dir.join("serial");
+    let serial = campaign("run", &spec, &serial_results, &["--threads", "1"]);
+    assert!(serial.status.success());
+
+    // Simulate a crash: keep the header and two cell lines, cutting the
+    // last kept line in half (a kill mid-append).
+    let results = dir.join("crash");
+    assert!(campaign("run", &spec, &results, &["--threads", "2"])
+        .status
+        .success());
+    let path = journal_path(&results);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut cut = text.lines().take(3).collect::<Vec<_>>().join("\n");
+    cut.truncate(cut.len() - 40);
+    std::fs::write(&path, cut).unwrap();
+
+    let resumed = campaign("resume", &spec, &results, &["--threads", "2"]);
+    assert!(resumed.status.success(), "{resumed:?}");
+    assert_eq!(resumed.stdout, serial.stdout, "resumed stdout diverged");
+
+    // The resumed journal holds a second header and re-appends what the
+    // truncation destroyed; parsed through the real loader, its cache
+    // must equal the serial journal's exactly.
+    let resumed_scan = synran::lab::scan_journal(&path).unwrap();
+    let serial_scan = synran::lab::scan_journal(&journal_path(&serial_results)).unwrap();
+    assert_eq!(resumed_scan.cache, serial_scan.cache);
+    assert_eq!(resumed_scan.rows.len(), serial_scan.rows.len());
+}
+
+#[test]
+fn unknown_options_are_rejected() {
+    let dir = tmpdir("options");
+    let spec = write_spec(&dir);
+    let results = dir.join("results");
+    for (sub, extra, bad) in [
+        ("run", &["--procs", "2"][..], "--procs"),
+        ("run", &["--thread", "1"][..], "--thread"),
+        ("resume", &["--fresh-start"][..], "--fresh-start"),
+        ("status", &["--threads", "2"][..], "--threads"),
+        ("list", &["--bogus"][..], "--bogus"),
+    ] {
+        let out = campaign(sub, &spec, &results, extra);
+        assert!(!out.status.success(), "campaign {sub} {extra:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {bad} ")),
+            "campaign {sub} {extra:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "campaign {sub} {extra:?} printed");
+    }
+    assert!(
+        !journal_path(&results).exists(),
+        "a rejected run must not start the campaign"
+    );
+
+    // The accepted options still work.
+    let ok = campaign("run", &spec, &results, &["--threads", "1", "--fresh"]);
+    assert!(ok.status.success(), "{ok:?}");
+    let status = campaign("status", &spec, &results, &[]);
+    assert!(status.status.success(), "{status:?}");
+    assert!(String::from_utf8_lossy(&status.stdout).contains("0 pending"));
+}

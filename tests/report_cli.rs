@@ -150,54 +150,6 @@ fn check_accepts_healthy_and_rejects_broken_artifacts() {
 }
 
 #[test]
-fn fleet_sidecar_fixture_reports_transport_identity() {
-    // A committed sidecar from a mixed pipe/TCP fleet whose slot 2 agent
-    // dropped and rejoined on a new port: the report names each slot's
-    // transport, the *latest* peer, and the reconnect count.
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/sample.fleet.jsonl")
-        .to_string_lossy()
-        .into_owned();
-    let out = synran(&["report", &fixture]);
-    assert!(out.status.success(), "{out:?}");
-    let table = String::from_utf8(out.stdout).unwrap();
-    for needle in [
-        "## Fleet —",
-        "pipe",
-        "pid=4242",
-        "10.0.0.7:7070",
-        "10.0.0.8:7071",
-        "3 procs, 1 leases outstanding, 1 restarts, 1 cells failed",
-    ] {
-        assert!(table.contains(needle), "missing {needle:?} in:\n{table}");
-    }
-    assert!(
-        !table.contains("10.0.0.8:7070"),
-        "pre-rejoin peer must be superseded:\n{table}"
-    );
-
-    let json = synran(&["report", "--format", "json", &fixture]);
-    assert!(json.status.success());
-    let json = String::from_utf8(json.stdout).unwrap();
-    assert!(
-        json.contains(
-            "{\"slot\":2,\"transport\":\"tcp\",\"peer\":\"10.0.0.8:7071\",\"connects\":2,\"reconnects\":1}"
-        ),
-        "{json}"
-    );
-
-    // --check treats the sidecar as accounting, never a failure.
-    let check = synran(&["report", "--check", &fixture]);
-    assert!(check.status.success(), "{check:?}");
-    let text = String::from_utf8(check.stdout).unwrap();
-    assert!(text.contains("3 workers"), "{text}");
-
-    // Byte-identical on re-run — the purity contract extends to fleets.
-    let again = synran(&["report", &fixture]);
-    assert_eq!(String::from_utf8(again.stdout).unwrap(), table);
-}
-
-#[test]
 fn report_without_inputs_is_an_error() {
     let out = synran(&["report"]);
     assert!(!out.status.success());
