@@ -14,8 +14,12 @@
 //!   set that doesn't work) but incomplete.
 //! * [`CombinedHider`] — greedy first, falling back to exhaustive within a
 //!   budget: the default for the control experiments.
+//!
+//! Both searchers edit one coordinate at a time through the game's
+//! [`Tracker`](crate::Tracker), so a hide costs the tracker's per-edit
+//! price, not a re-evaluation of `f` over all `n` inputs.
 
-use crate::game::{all_visible, CoinGame, Outcome, Value, Visible};
+use crate::game::{all_visible, CoinGame, Outcome, Tracker, Value, Visible};
 
 /// The verdict of a hide-set search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,57 +115,63 @@ impl HideSearch for ExhaustiveHider {
         t: usize,
         target: Outcome,
     ) -> SearchOutcome {
-        let n = values.len();
-        let t = t.min(n);
-        let mut seq = all_visible(values);
+        let t = t.min(values.len());
+        let mut tracker = game.tracker(&all_visible(values));
+        let mut hidden = Vec::with_capacity(t);
         let mut evals: u64 = 0;
 
         // Depth-first over subsets in lexicographic order, bounded depth;
         // the empty set is checked first so "already forced" is free.
+        // `hidden` is the current set, in increasing order.
         #[allow(clippy::too_many_arguments)]
-        fn dfs<G: CoinGame + ?Sized>(
-            game: &G,
-            seq: &mut Vec<Visible>,
+        fn dfs(
+            tracker: &mut dyn Tracker,
+            hidden: &mut Vec<usize>,
             values: &[Value],
             start: usize,
             depth_left: usize,
             target: Outcome,
             evals: &mut u64,
             cap: u64,
-        ) -> Option<Option<Vec<usize>>> {
-            // Returns Some(Some(set)) on success, Some(None) if this branch
-            // is exhausted, None if the eval budget ran out.
+        ) -> Option<bool> {
+            // Returns Some(true) on success (with the set left in
+            // `hidden`), Some(false) if this branch is exhausted, None if
+            // the eval budget ran out.
             *evals += 1;
             if *evals > cap {
                 return None;
             }
-            if game.outcome(seq) == target {
-                let set = seq
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, v)| v.is_hidden().then_some(i))
-                    .collect();
-                return Some(Some(set));
+            if tracker.outcome() == target {
+                return Some(true);
             }
             if depth_left == 0 {
-                return Some(None);
+                return Some(false);
             }
             for i in start..values.len() {
-                seq[i] = Visible::Hidden;
-                let r = dfs(game, seq, values, i + 1, depth_left - 1, target, evals, cap);
-                seq[i] = Visible::Value(values[i]);
-                match r {
-                    Some(Some(set)) => return Some(Some(set)),
-                    Some(None) => {}
-                    None => return None,
+                tracker.set(i, Visible::Hidden);
+                hidden.push(i);
+                let r = dfs(
+                    tracker,
+                    hidden,
+                    values,
+                    i + 1,
+                    depth_left - 1,
+                    target,
+                    evals,
+                    cap,
+                );
+                if r != Some(false) {
+                    return r;
                 }
+                hidden.pop();
+                tracker.set(i, Visible::Value(values[i]));
             }
-            Some(None)
+            Some(false)
         }
 
         match dfs(
-            game,
-            &mut seq,
+            tracker.as_mut(),
+            &mut hidden,
             values,
             0,
             t,
@@ -169,14 +179,14 @@ impl HideSearch for ExhaustiveHider {
             &mut evals,
             self.max_evals,
         ) {
-            Some(Some(set)) => {
+            Some(true) => {
                 debug_assert_eq!(
-                    game.outcome(&crate::game::with_hidden(values, &set)),
+                    game.outcome(&crate::game::with_hidden(values, &hidden)),
                     target
                 );
-                SearchOutcome::Forced(set)
+                SearchOutcome::Forced(hidden)
             }
-            Some(None) => SearchOutcome::Impossible,
+            Some(false) => SearchOutcome::Impossible,
             None => SearchOutcome::Unknown,
         }
     }
@@ -186,7 +196,9 @@ impl HideSearch for ExhaustiveHider {
 ///
 /// Hides candidates in descending preference (ties broken by index),
 /// skipping players the game marks as useless (negative preference), and
-/// stops as soon as the target outcome appears. Linear in `n` evaluations.
+/// stops as soon as the target outcome appears. An O(n log n) sort of the
+/// candidates, then one tracker edit per hide: O(1) for the tally games,
+/// O(depth) for recursive majority.
 ///
 /// # Examples
 ///
@@ -209,8 +221,8 @@ impl HideSearch for GreedyHider {
         t: usize,
         target: Outcome,
     ) -> SearchOutcome {
-        let mut seq = all_visible(values);
-        if game.outcome(&seq) == target {
+        let mut tracker = game.tracker(&all_visible(values));
+        if tracker.outcome() == target {
             return SearchOutcome::Forced(Vec::new());
         }
         let mut candidates: Vec<(i32, usize)> = values
@@ -227,9 +239,9 @@ impl HideSearch for GreedyHider {
             if hide.len() >= t {
                 break;
             }
-            seq[i] = Visible::Hidden;
+            tracker.set(i, Visible::Hidden);
             hide.push(i);
-            if game.outcome(&seq) == target {
+            if tracker.outcome() == target {
                 return SearchOutcome::Forced(hide);
             }
         }

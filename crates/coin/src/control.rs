@@ -7,8 +7,10 @@
 //! estimates `Pr(U^v)` empirically: sample input vectors, run a hide-set
 //! search per outcome, and tally.
 
+use std::collections::HashMap;
+
 use crate::adversary::{HideSearch, SearchOutcome};
-use crate::game::{sample_inputs, CoinGame, Outcome, Visible};
+use crate::game::{sample_inputs, CoinGame, Outcome, Tracker, Visible};
 use synran_sim::SimRng;
 
 /// The paper's `h = 4·√(n·log n)` — the per-outcome bias radius of
@@ -159,8 +161,18 @@ pub fn estimate_control<G: CoinGame + ?Sized, S: HideSearch>(
 /// fewest further hides that make `f = v` (saturated at `t + 1`); a node
 /// combines its children as `min(child_c, 1 + child_—)`, and each leaf
 /// evaluates `f` once. An input is in `U^v` iff its entry at the root
-/// exceeds `t`. That is `Σ_{h ≤ t} C(n, h)·2^{n−h}` evaluations of `f`
-/// (`3^n` once `t ≥ n`) and `2^{n+1}` bytes of buffers, whatever `v` is.
+/// exceeds `t`. Each node edits one coordinate of the game's
+/// [`Tracker`], so a leaf costs one tracker query.
+///
+/// Coordinates past the node's depth are always hidden, so a node's
+/// output depends only on its depth, its budget and the tracker's
+/// [`key`](Tracker::key): nodes are memoized on that triple in an arena of
+/// at most `2^{n+1}` bytes, inserts stopping once it is full. A tally game
+/// then evaluates `O(n²·t)` distinct nodes. Games without a key (tribes,
+/// recursive majority, the default tracker) skip the memo and make
+/// `Σ_{h ≤ t} C(n, h)·2^{n−h}` tracker queries (`3^n` once `t ≥ n`). Either
+/// way the pass holds `2^{n+1}` bytes of buffers plus the arena, whatever
+/// `v` is.
 ///
 /// # Panics
 ///
@@ -197,51 +209,82 @@ pub fn exact_uncontrollable<G: CoinGame + ?Sized>(game: &G, t: usize, v: Outcome
         }
     }
     let t = t.min(n);
-    let mut seq = vec![Visible::Hidden; n];
     let mut buf = vec![0u8; 2 << n];
     let (hides, scratch) = buf.split_at_mut(1 << n);
-    let cap = t as u8 + 1; // t ≤ n ≤ 20
-    min_hides(game, &mut seq, 0, t, v, cap, hides, scratch);
+    let mut pass = MinHides {
+        tracker: game.tracker(&vec![Visible::Hidden; n]),
+        target: v,
+        cap: t as u8 + 1, // t ≤ n ≤ 20
+        memo: HashMap::new(),
+        arena: Vec::with_capacity(2 << n),
+        arena_limit: 2 << n,
+    };
+    pass.node(0, t, hides, scratch);
     let uncontrollable = hides.iter().filter(|&&h| usize::from(h) > t).count() as u64;
     uncontrollable as f64 / (1u64 << n) as f64
 }
 
-/// One node of [`exact_uncontrollable`]'s pass: `seq[..d]` is fixed and
-/// `budget` hides are left. Fills `out[c·half + r]` — coordinate `d` set to
-/// `c`, the rest of `d+1..n` to the bits of `r` — with the fewest further
-/// hides forcing `target`. Entries `≤ budget` are exact; larger ones only
-/// say "not within budget" and never exceed `cap`. `scratch` must hold
-/// `out.len() − 1` bytes for the hidden children below.
-#[allow(clippy::too_many_arguments)]
-fn min_hides<G: CoinGame + ?Sized>(
-    game: &G,
-    seq: &mut [Visible],
-    d: usize,
-    budget: usize,
+/// The state of one [`exact_uncontrollable`] pass.
+struct MinHides<'a> {
+    /// Coordinates below the current node's depth hold its fixed prefix;
+    /// the rest are hidden.
+    tracker: Box<dyn Tracker + 'a>,
     target: Outcome,
     cap: u8,
-    out: &mut [u8],
-    scratch: &mut [u8],
-) {
-    if d == seq.len() {
-        out[0] = if game.outcome(seq) == target { 0 } else { cap };
-        return;
-    }
-    let half = out.len() / 2;
-    let (zero, one) = out.split_at_mut(half);
-    seq[d] = Visible::Value(0);
-    min_hides(game, seq, d + 1, budget, target, cap, zero, scratch);
-    seq[d] = Visible::Value(1);
-    min_hides(game, seq, d + 1, budget, target, cap, one, scratch);
-    if budget == 0 {
-        return;
-    }
-    let (hidden, rest) = scratch.split_at_mut(half);
-    seq[d] = Visible::Hidden;
-    min_hides(game, seq, d + 1, budget - 1, target, cap, hidden, rest);
-    for side in out.chunks_exact_mut(half) {
-        for (slot, &h) in side.iter_mut().zip(hidden.iter()) {
-            *slot = (*slot).min(h + 1);
+    /// Finished nodes by `(depth, budget, key)`: where their output starts
+    /// in `arena` (its length is fixed by the depth).
+    memo: HashMap<(usize, usize, u64), usize>,
+    arena: Vec<u8>,
+    /// The arena's size cap, the same `2^{n+1}` bytes as the pass's
+    /// buffers. Each entry is at least 2 bytes, so `memo` holds at most
+    /// `2^n` entries.
+    arena_limit: usize,
+}
+
+impl MinHides<'_> {
+    /// One node: coordinates `..d` are fixed, `budget` hides are left.
+    /// Fills `out[c·half + r]` — coordinate `d` set to `c`, the rest of
+    /// `d+1..n` to the bits of `r` — with the fewest further hides forcing
+    /// the target. Entries `≤ budget` are exact; larger ones only say "not
+    /// within budget" and never exceed `cap`. `scratch` must hold
+    /// `out.len() − 1` bytes for the hidden children below. Leaves
+    /// coordinate `d` hidden.
+    fn node(&mut self, d: usize, budget: usize, out: &mut [u8], scratch: &mut [u8]) {
+        if out.len() == 1 {
+            // d == n: every coordinate is fixed.
+            out[0] = if self.tracker.outcome() == self.target {
+                0
+            } else {
+                self.cap
+            };
+            return;
+        }
+        let key = self.tracker.key().map(|k| (d, budget, k));
+        if let Some(&at) = key.as_ref().and_then(|k| self.memo.get(k)) {
+            out.copy_from_slice(&self.arena[at..at + out.len()]);
+            return;
+        }
+        let half = out.len() / 2;
+        let (zero, one) = out.split_at_mut(half);
+        self.tracker.set(d, Visible::Value(0));
+        self.node(d + 1, budget, zero, scratch);
+        self.tracker.set(d, Visible::Value(1));
+        self.node(d + 1, budget, one, scratch);
+        self.tracker.set(d, Visible::Hidden);
+        if budget > 0 {
+            let (hidden, rest) = scratch.split_at_mut(half);
+            self.node(d + 1, budget - 1, hidden, rest);
+            for side in out.chunks_exact_mut(half) {
+                for (slot, &h) in side.iter_mut().zip(hidden.iter()) {
+                    *slot = (*slot).min(h + 1);
+                }
+            }
+        }
+        if let Some(key) = key {
+            if self.arena.len() + out.len() <= self.arena_limit {
+                self.memo.insert(key, self.arena.len());
+                self.arena.extend_from_slice(out);
+            }
         }
     }
 }

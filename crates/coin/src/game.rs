@@ -68,14 +68,79 @@ impl fmt::Display for Visible {
     }
 }
 
+/// An incremental evaluator of one game's outcome function: a visible
+/// sequence held in a summary that single-coordinate edits update in place.
+///
+/// The hide-set searchers, the exact `Pr(U^v)` pass and the influence
+/// computations edit one coordinate at a time, so each re-evaluation costs
+/// what the game's tracker charges per edit instead of a full pass over
+/// the sequence.
+///
+/// # Contract
+///
+/// * After any sequence of [`set`](Tracker::set) calls, [`outcome`](Tracker::outcome)
+///   equals [`CoinGame::outcome`] of the edited sequence.
+/// * [`key`](Tracker::key), when `Some`, summarises the state: two trackers
+///   of one game with equal keys, whose sequences agree on every
+///   coordinate still to be edited, report equal outcomes after the same
+///   further edits.
+///
+/// # Examples
+///
+/// ```
+/// use synran_coin::{all_visible, CoinGame, MajorityGame, Visible};
+///
+/// let game = MajorityGame::new(3);
+/// let mut tracker = game.tracker(&all_visible(&[1, 1, 0]));
+/// assert_eq!(tracker.outcome().0, 1);
+/// tracker.set(0, Visible::Hidden);
+/// assert_eq!(tracker.outcome().0, 0);
+/// ```
+pub trait Tracker {
+    /// The outcome of the current sequence.
+    fn outcome(&self) -> Outcome;
+
+    /// Replaces coordinate `i` with `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a player of the game.
+    fn set(&mut self, i: usize, v: Visible);
+
+    /// A summary of the state (see the contract above), or `None` if the
+    /// game has no compact one. The default is `None`.
+    fn key(&self) -> Option<u64> {
+        None
+    }
+}
+
+/// The default [`Tracker`]: a copy of the sequence, re-evaluated in full
+/// by [`CoinGame::outcome`] on every query.
+struct Rescan<'a, G: ?Sized> {
+    game: &'a G,
+    seq: Vec<Visible>,
+}
+
+impl<G: CoinGame + ?Sized> Tracker for Rescan<'_, G> {
+    fn outcome(&self) -> Outcome {
+        self.game.outcome(&self.seq)
+    }
+
+    fn set(&mut self, i: usize, v: Visible) {
+        self.seq[i] = v;
+    }
+}
+
 /// A one-round collective coin-flipping game: input distributions plus the
 /// outcome function `f`.
 ///
 /// Implementations must be pure: [`CoinGame::outcome`] may not depend on
-/// anything but the visible sequence. The adversary machinery (the
-/// [`HideSearch`](crate::HideSearch) searchers and
-/// [`estimate_control`](crate::estimate_control)) relies on re-evaluating
-/// `f` under candidate hide-sets.
+/// anything but the visible sequence, and the game's
+/// [`tracker`](CoinGame::tracker) must agree with `outcome` after every
+/// edit. The adversary machinery (the [`HideSearch`](crate::HideSearch)
+/// searchers, [`estimate_control`](crate::estimate_control) and
+/// [`exact_uncontrollable`](crate::exact_uncontrollable)) evaluates `f`
+/// under candidate hide-sets through the tracker.
 ///
 /// # Examples
 ///
@@ -111,6 +176,23 @@ pub trait CoinGame {
     ///
     /// Implementations may panic if `inputs.len() != self.players()`.
     fn outcome(&self, inputs: &[Visible]) -> Outcome;
+
+    /// An incremental evaluator of [`outcome`](CoinGame::outcome), started
+    /// at `seq`.
+    ///
+    /// The default re-evaluates `outcome` on a copy of the sequence, which
+    /// costs O(n) per query; games override it with an O(1) or O(depth)
+    /// per-edit summary.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `seq.len() != self.players()`.
+    fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+        Box::new(Rescan {
+            game: self,
+            seq: seq.to_vec(),
+        })
+    }
 
     /// How much the adversary should prefer hiding a player holding
     /// `value` when trying to force `target`. Larger is hidden first.

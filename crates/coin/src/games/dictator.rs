@@ -1,6 +1,6 @@
 //! The dictator game.
 
-use crate::game::{CoinGame, Outcome, Value, Visible};
+use crate::game::{CoinGame, Outcome, Tracker, Value, Visible};
 
 /// Player 0's value decides the game; a hidden dictator counts as 0.
 ///
@@ -54,6 +54,11 @@ impl CoinGame for DictatorGame {
         }
     }
 
+    fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+        assert_eq!(seq.len(), self.n, "input length must equal n");
+        Box::new(Dictator(seq[0] == Visible::Value(1)))
+    }
+
     fn hide_preference(&self, value: Value, target: Outcome) -> i32 {
         // Value-based preference cannot single out player 0; hiding
         // 1-holders first at least reaches the dictator when it holds a 1.
@@ -65,6 +70,26 @@ impl CoinGame for DictatorGame {
 
     fn name(&self) -> &str {
         "dictator"
+    }
+}
+
+/// [`DictatorGame`]'s tracker: whether player 0 holds a visible 1. Edits
+/// to anyone else are no-ops.
+struct Dictator(bool);
+
+impl Tracker for Dictator {
+    fn outcome(&self) -> Outcome {
+        Outcome(usize::from(self.0))
+    }
+
+    fn set(&mut self, i: usize, v: Visible) {
+        if i == 0 {
+            self.0 = v == Visible::Value(1);
+        }
+    }
+
+    fn key(&self) -> Option<u64> {
+        Some(u64::from(self.0))
     }
 }
 

@@ -1,7 +1,7 @@
 //! 0-default majority voting.
 
-use crate::game::{CoinGame, Outcome, Value, Visible};
-use crate::games::visible_ones;
+use crate::game::{CoinGame, Outcome, Tracker, Value, Visible};
+use crate::games::{one, visible_ones, Tally};
 
 /// 0-1 majority voting where any missing value is counted as 0 — the
 /// paper's running example of a game that is biasable only *one* way.
@@ -51,6 +51,14 @@ impl CoinGame for MajorityGame {
     fn outcome(&self, inputs: &[Visible]) -> Outcome {
         assert_eq!(inputs.len(), self.n, "input length must equal n");
         Outcome(usize::from(visible_ones(inputs) * 2 > self.n))
+    }
+
+    fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+        assert_eq!(seq.len(), self.n, "input length must equal n");
+        let n = self.n as u64;
+        Box::new(Tally::new(seq, one, move |ones| {
+            Outcome(usize::from(ones * 2 > n))
+        }))
     }
 
     fn hide_preference(&self, value: Value, target: Outcome) -> i32 {

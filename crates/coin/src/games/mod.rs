@@ -32,7 +32,7 @@ pub use recursive_majority::RecursiveMajorityGame;
 pub use threshold::ThresholdGame;
 pub use tribes::TribesGame;
 
-use crate::game::Visible;
+use crate::game::{Outcome, Tracker, Visible};
 
 /// Counts visible inputs equal to `1` — hidden inputs count as 0, the
 /// paper's "any missing value is counted as 0" convention.
@@ -50,6 +50,54 @@ pub(crate) fn visible_zeros(inputs: &[Visible]) -> usize {
         .iter()
         .filter(|v| matches!(v, Visible::Value(0)))
         .count()
+}
+
+/// Tally weight of a visible `1`.
+pub(crate) fn one(v: Visible) -> u64 {
+    u64::from(v == Visible::Value(1))
+}
+
+/// Tally weight of a visible `0`.
+pub(crate) fn zero(v: Visible) -> u64 {
+    u64::from(v == Visible::Value(0))
+}
+
+/// The [`Tracker`] of a game whose outcome is a function `decide` of one
+/// tally `Σ_i weight(seq[i])`. An edit moves the tally by the difference of
+/// two weights, O(1), and the tally is the key: once the coordinates still
+/// to be edited agree, the outcome after further edits depends on nothing
+/// else.
+pub(crate) struct Tally<W, D> {
+    seq: Vec<Visible>,
+    tally: u64,
+    weight: W,
+    decide: D,
+}
+
+impl<W: Fn(Visible) -> u64, D: Fn(u64) -> Outcome> Tally<W, D> {
+    pub(crate) fn new(seq: &[Visible], weight: W, decide: D) -> Tally<W, D> {
+        Tally {
+            seq: seq.to_vec(),
+            tally: seq.iter().map(|&v| weight(v)).sum(),
+            weight,
+            decide,
+        }
+    }
+}
+
+impl<W: Fn(Visible) -> u64, D: Fn(u64) -> Outcome> Tracker for Tally<W, D> {
+    fn outcome(&self) -> Outcome {
+        (self.decide)(self.tally)
+    }
+
+    fn set(&mut self, i: usize, v: Visible) {
+        self.tally = self.tally + (self.weight)(v) - (self.weight)(self.seq[i]);
+        self.seq[i] = v;
+    }
+
+    fn key(&self) -> Option<u64> {
+        Some(self.tally)
+    }
 }
 
 #[cfg(test)]

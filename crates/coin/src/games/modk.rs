@@ -1,6 +1,7 @@
 //! A k-outcome game: sum of visible values modulo k.
 
-use crate::game::{CoinGame, Outcome, Value, Visible};
+use crate::game::{CoinGame, Outcome, Tracker, Value, Visible};
+use crate::games::Tally;
 use synran_sim::SimRng;
 
 /// Sum-mod-k: each player draws uniformly from `0..k`; the outcome is the
@@ -57,6 +58,15 @@ impl CoinGame for ModKGame {
         assert_eq!(inputs.len(), self.n, "input length must equal n");
         let sum: u64 = inputs.iter().filter_map(|v| v.value()).map(u64::from).sum();
         Outcome((sum % self.k as u64) as usize)
+    }
+
+    fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+        assert_eq!(seq.len(), self.n, "input length must equal n");
+        let k = self.k as u64;
+        let value = |v: Visible| v.value().map_or(0, u64::from);
+        Box::new(Tally::new(seq, value, move |sum| {
+            Outcome((sum % k) as usize)
+        }))
     }
 
     fn hide_preference(&self, value: Value, _target: Outcome) -> i32 {

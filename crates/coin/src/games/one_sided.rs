@@ -1,7 +1,7 @@
 //! The one-side-biased coin of the SynRan protocol.
 
-use crate::game::{CoinGame, Outcome, Value, Visible};
-use crate::games::visible_zeros;
+use crate::game::{CoinGame, Outcome, Tracker, Value, Visible};
+use crate::games::{visible_zeros, zero, Tally};
 
 /// The "no zero seen → 1" game: outcome 1 iff **no** visible input is 0.
 ///
@@ -51,6 +51,13 @@ impl CoinGame for OneSidedGame {
     fn outcome(&self, inputs: &[Visible]) -> Outcome {
         assert_eq!(inputs.len(), self.n, "input length must equal n");
         Outcome(usize::from(visible_zeros(inputs) == 0))
+    }
+
+    fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+        assert_eq!(seq.len(), self.n, "input length must equal n");
+        Box::new(Tally::new(seq, zero, |zeros| {
+            Outcome(usize::from(zeros == 0))
+        }))
     }
 
     fn hide_preference(&self, value: Value, target: Outcome) -> i32 {

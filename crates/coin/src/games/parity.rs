@@ -1,7 +1,7 @@
 //! The XOR game.
 
-use crate::game::{CoinGame, Outcome, Value, Visible};
-use crate::games::visible_ones;
+use crate::game::{CoinGame, Outcome, Tracker, Value, Visible};
+use crate::games::{one, visible_ones, Tally};
 
 /// Parity: outcome is the XOR of the visible inputs (hidden counts as 0).
 ///
@@ -49,6 +49,11 @@ impl CoinGame for ParityGame {
     fn outcome(&self, inputs: &[Visible]) -> Outcome {
         assert_eq!(inputs.len(), self.n, "input length must equal n");
         Outcome(visible_ones(inputs) % 2)
+    }
+
+    fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+        assert_eq!(seq.len(), self.n, "input length must equal n");
+        Box::new(Tally::new(seq, one, |ones| Outcome((ones % 2) as usize)))
     }
 
     fn hide_preference(&self, value: Value, _target: Outcome) -> i32 {

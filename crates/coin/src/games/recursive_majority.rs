@@ -1,6 +1,6 @@
 //! Recursive majority-of-three — the classic low-influence game.
 
-use crate::game::{CoinGame, Outcome, Value, Visible};
+use crate::game::{CoinGame, Outcome, Tracker, Value, Visible};
 
 /// Majority-of-three iterated `depth` times over `n = 3^depth` players,
 /// with hidden leaves counting as 0.
@@ -83,6 +83,22 @@ impl CoinGame for RecursiveMajorityGame {
         Outcome(usize::from(RecursiveMajorityGame::reduce(&leaves)))
     }
 
+    fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+        assert_eq!(seq.len(), self.players(), "input length must equal n");
+        let leaves: Vec<bool> = seq.iter().map(|&v| v == Visible::Value(1)).collect();
+        let mut gates: Vec<Vec<u8>> = Vec::with_capacity(self.depth as usize);
+        let mut below: Vec<bool> = leaves.clone();
+        while below.len() > 1 {
+            let counts: Vec<u8> = below
+                .chunks(3)
+                .map(|g| g.iter().map(|&b| u8::from(b)).sum())
+                .collect();
+            below = counts.iter().map(|&c| c >= 2).collect();
+            gates.push(counts);
+        }
+        Box::new(RecursiveMajority { leaves, gates })
+    }
+
     fn hide_preference(&self, value: Value, target: Outcome) -> i32 {
         match (target.0, value) {
             (0, 1) => 1,
@@ -92,6 +108,45 @@ impl CoinGame for RecursiveMajorityGame {
 
     fn name(&self) -> &str {
         "recursive-majority"
+    }
+}
+
+/// [`RecursiveMajorityGame`]'s tracker: the leaf bits and, per level, each
+/// gate's count of 1-children. An edit walks up from its leaf only while
+/// the gate it reaches flips, so it costs O(depth) at most.
+struct RecursiveMajority {
+    leaves: Vec<bool>,
+    /// `gates[l][g]`: the 1-children of gate `g` on level `l + 1`; the last
+    /// level is the root.
+    gates: Vec<Vec<u8>>,
+}
+
+impl Tracker for RecursiveMajority {
+    fn outcome(&self) -> Outcome {
+        Outcome(usize::from(self.gates[self.gates.len() - 1][0] >= 2))
+    }
+
+    fn set(&mut self, i: usize, v: Visible) {
+        let bit = v == Visible::Value(1);
+        if std::mem::replace(&mut self.leaves[i], bit) == bit {
+            return;
+        }
+        // A gate's output moves the way its child did, so `bit` is the
+        // direction all the way up.
+        let mut child = i;
+        for counts in &mut self.gates {
+            child /= 3;
+            let count = &mut counts[child];
+            let before = *count >= 2;
+            if bit {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+            if (*count >= 2) == before {
+                return;
+            }
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Generalised quota voting.
 
-use crate::game::{CoinGame, Outcome, Value, Visible};
-use crate::games::visible_ones;
+use crate::game::{CoinGame, Outcome, Tracker, Value, Visible};
+use crate::games::{one, visible_ones, Tally};
 
 /// Quota voting: outcome 1 iff at least `quota` visible 1s.
 ///
@@ -62,6 +62,14 @@ impl CoinGame for ThresholdGame {
     fn outcome(&self, inputs: &[Visible]) -> Outcome {
         assert_eq!(inputs.len(), self.n, "input length must equal n");
         Outcome(usize::from(visible_ones(inputs) >= self.quota))
+    }
+
+    fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+        assert_eq!(seq.len(), self.n, "input length must equal n");
+        let quota = self.quota as u64;
+        Box::new(Tally::new(seq, one, move |ones| {
+            Outcome(usize::from(ones >= quota))
+        }))
     }
 
     fn hide_preference(&self, value: Value, target: Outcome) -> i32 {

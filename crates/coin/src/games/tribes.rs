@@ -1,6 +1,7 @@
 //! The tribes (AND-of-ORs dual: OR-of-ANDs) game.
 
-use crate::game::{CoinGame, Outcome, Value, Visible};
+use crate::game::{CoinGame, Outcome, Tracker, Value, Visible};
+use crate::games::one;
 
 /// Tribes: players are split into blocks of equal width; outcome 1 iff some
 /// block consists entirely of visible 1s.
@@ -68,6 +69,20 @@ impl CoinGame for TribesGame {
         Outcome(usize::from(unanimous))
     }
 
+    fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+        assert_eq!(seq.len(), self.players(), "input length must equal n");
+        let ones: Vec<usize> = seq
+            .chunks(self.width)
+            .map(|block| block.iter().map(|&v| one(v) as usize).sum())
+            .collect();
+        Box::new(Tribes {
+            width: self.width,
+            seq: seq.to_vec(),
+            full: ones.iter().filter(|&&c| c == self.width).count(),
+            ones,
+        })
+    }
+
     fn hide_preference(&self, value: Value, target: Outcome) -> i32 {
         match (target.0, value) {
             (0, 1) => 1,
@@ -77,6 +92,34 @@ impl CoinGame for TribesGame {
 
     fn name(&self) -> &str {
         "tribes"
+    }
+}
+
+/// [`TribesGame`]'s tracker: the visible 1s in each tribe and the number
+/// of full (unanimous) tribes, both O(1) per edit.
+struct Tribes {
+    width: usize,
+    seq: Vec<Visible>,
+    ones: Vec<usize>,
+    full: usize,
+}
+
+impl Tracker for Tribes {
+    fn outcome(&self) -> Outcome {
+        Outcome(usize::from(self.full > 0))
+    }
+
+    fn set(&mut self, i: usize, v: Visible) {
+        let (was, is) = (one(self.seq[i]), one(v));
+        self.seq[i] = v;
+        let count = &mut self.ones[i / self.width];
+        if was > is {
+            self.full -= usize::from(*count == self.width);
+            *count -= 1;
+        } else if is > was {
+            *count += 1;
+            self.full += usize::from(*count == self.width);
+        }
     }
 }
 

@@ -17,7 +17,7 @@
 
 use synran_sim::SimRng;
 
-use crate::game::{all_visible, sample_inputs, CoinGame, Visible};
+use crate::game::{all_visible, sample_inputs, CoinGame, Tracker, Value, Visible};
 
 /// Per-player influences of a binary-input game.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,20 +72,14 @@ pub fn exact_influences<G: CoinGame + ?Sized>(game: &G) -> InfluenceProfile {
     );
     let mut flips = vec![0u64; n];
     let total = 1u64 << n;
-    let mut seq: Vec<Visible> = all_visible(&vec![0; n]);
+    let mut bits = vec![0; n];
+    let mut tracker = game.tracker(&all_visible(&bits));
     for point in 0..total {
-        for (i, slot) in seq.iter_mut().enumerate() {
-            *slot = Visible::Value(((point >> i) & 1) as u32);
+        for (i, bit) in bits.iter_mut().enumerate() {
+            *bit = ((point >> i) & 1) as u32;
+            tracker.set(i, Visible::Value(*bit));
         }
-        let base = game.outcome(&seq);
-        for i in 0..n {
-            let original = seq[i];
-            seq[i] = Visible::Value(((point >> i) & 1 ^ 1) as u32);
-            if game.outcome(&seq) != base {
-                flips[i] += 1;
-            }
-            seq[i] = original;
-        }
+        count_flips(tracker.as_mut(), &bits, &mut flips);
     }
     InfluenceProfile {
         influences: flips.iter().map(|&f| f as f64 / total as f64).collect(),
@@ -113,19 +107,28 @@ pub fn estimate_influences<G: CoinGame + ?Sized>(
     let mut flips = vec![0u64; n];
     for _ in 0..samples {
         let values = sample_inputs(game, rng);
-        let mut seq = all_visible(&values);
-        let base = game.outcome(&seq);
-        for i in 0..n {
-            let original = seq[i];
-            seq[i] = Visible::Value(values[i] ^ 1);
-            if game.outcome(&seq) != base {
-                flips[i] += 1;
-            }
-            seq[i] = original;
-        }
+        count_flips(
+            game.tracker(&all_visible(&values)).as_mut(),
+            &values,
+            &mut flips,
+        );
     }
     InfluenceProfile {
         influences: flips.iter().map(|&f| f as f64 / samples as f64).collect(),
+    }
+}
+
+/// Adds one to `flips[i]` for every player `i` whose flipped input changes
+/// the outcome of `tracker`, which holds `values`: set the coordinate,
+/// compare, set it back.
+fn count_flips(tracker: &mut dyn Tracker, values: &[Value], flips: &mut [u64]) {
+    let base = tracker.outcome();
+    for (i, &v) in values.iter().enumerate() {
+        tracker.set(i, Visible::Value(v ^ 1));
+        if tracker.outcome() != base {
+            flips[i] += 1;
+        }
+        tracker.set(i, Visible::Value(v));
     }
 }
 

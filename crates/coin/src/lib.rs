@@ -39,6 +39,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`CoinGame`], [`Visible`], [`Outcome`] | the game abstraction |
+//! | [`Tracker`] | a game's incremental evaluator: O(1) or O(depth) per edit, behind every search |
 //! | [`MajorityGame`], [`ParityGame`], [`OneSidedGame`], [`DictatorGame`], [`TribesGame`], [`ThresholdGame`], [`ModKGame`] | concrete games |
 //! | [`ExhaustiveHider`], [`GreedyHider`], [`CombinedHider`] | hide-set searchers |
 //! | [`exact_influences`], [`estimate_influences`] | Ben-Or–Linial influences ([BOL89]'s measure, which fail-stop hiding sidesteps) |
@@ -63,7 +64,9 @@ pub use blowup::{
 pub use control::{
     bias_radius, control_threshold, estimate_control, exact_uncontrollable, ControlEstimate,
 };
-pub use game::{all_visible, sample_inputs, with_hidden, CoinGame, Outcome, Value, Visible};
+pub use game::{
+    all_visible, sample_inputs, with_hidden, CoinGame, Outcome, Tracker, Value, Visible,
+};
 pub use games::{
     DictatorGame, MajorityGame, ModKGame, OneSidedGame, ParityGame, RecursiveMajorityGame,
     ThresholdGame, TribesGame,

@@ -28,13 +28,15 @@ echo "== tier1: end-to-end benchmark smoke (golden digests) =="
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
     --bin bench_e2e -- run --smoke --workload all
 
-echo "== tier1: E1 committed table =="
-# E1 at default settings must reproduce results/e1_coin_control.txt byte
-# for byte, including the exact Pr(U^v) rows at n = 16 (t = 16 among them,
-# which the benchmark leaves out). Both sides get the normalization
-# benchmark/suite.sh applies: drop cargo's Compiling/Finished/Running
-# lines, a closing `telemetry:` line, and trailing blank lines. Run from a
-# scratch dir so the binary's artifacts never touch the committed ones.
+echo "== tier1: committed experiment tables =="
+# E1-E10 at default settings must reproduce results/<bin>.txt byte for
+# byte, E1's exact Pr(U^v) rows at n = 16 (t = 16 among them, which the
+# benchmark leaves out) included. Flags and normalization are those of
+# benchmark/suite.sh: `--telemetry off` for E3-E7, and on both sides drop
+# cargo's Compiling/Finished/Running lines, a closing `telemetry:` line,
+# and trailing blank lines. Every binary runs from a scratch dir: several
+# write results/<bin>.telemetry.jsonl relative to the working directory
+# even with telemetry off, which must never touch the committed artifacts.
 normalize() {
     grep -Ev '^ *(Compiling|Finished|Running) ' "$1" \
         | awk '{ lines[NR] = $0 } END {
@@ -44,13 +46,20 @@ normalize() {
                  for (i = 1; i <= n; i++) print lines[i]
                }'
 }
-e1_dir="$(mktemp -d /tmp/synran-e1.XXXXXX)"
-trap 'rm -rf "$e1_dir"' EXIT
-(cd "$e1_dir" && "$OLDPWD/target/release/e1_coin_control" > e1.txt)
-diff <(normalize results/e1_coin_control.txt) <(normalize "$e1_dir/e1.txt") \
-    || { echo "E1 stdout diverged from results/e1_coin_control.txt"; exit 1; }
-rm -rf "$e1_dir"
-echo "E1 OK: stdout matches results/e1_coin_control.txt"
+tables_dir="$(mktemp -d /tmp/synran-tables.XXXXXX)"
+trap 'rm -rf "$tables_dir"' EXIT
+for bin in e1_coin_control e2_blowup e3_lower_bound e4_synran_upper e5_protocol_comparison \
+    e6_large_deviation e7_t_sweep e8_budget_ablation e9_adaptivity e10_threshold_ablation; do
+    flags=()
+    case "$bin" in
+        e3_*|e4_*|e5_*|e6_*|e7_*) flags=(--telemetry off) ;;
+    esac
+    (cd "$tables_dir" && "$OLDPWD/target/release/$bin" "${flags[@]}" > "$bin.txt")
+    diff <(normalize "results/$bin.txt") <(normalize "$tables_dir/$bin.txt") \
+        || { echo "$bin stdout diverged from results/$bin.txt"; exit 1; }
+done
+rm -rf "$tables_dir"
+echo "tables OK: E1-E10 stdout matches results/e*.txt"
 
 echo "== tier1: telemetry smoke test =="
 # A spans-mode CLI run must produce a parseable JSONL file containing at
