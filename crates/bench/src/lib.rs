@@ -1,10 +1,8 @@
-//! # synran-bench — experiment harnesses and performance benches
+//! # synran-bench — experiment harnesses
 //!
 //! One binary per experiment in DESIGN.md's index (E1–E10), each printing
-//! the table EXPERIMENTS.md records, plus the in-tree performance benches
-//! in `benches/perf.rs` guarding the simulator's speed. This library holds
-//! the tiny bits they share: a no-dependency `--key value` argument parser,
-//! output helpers, and the [`harness`] timing loop the benches run on.
+//! the table EXPERIMENTS.md records. This library holds the tiny bits they
+//! share: a no-dependency `--key value` argument parser and output helpers.
 //! The telemetry-artifact helpers live in [`synran_lab::artifact`] (the
 //! campaign presets need them below this crate) and are re-exported here
 //! so the binaries keep one import path.
@@ -26,9 +24,6 @@
 use std::collections::HashMap;
 
 pub use synran_lab::artifact::{results_telemetry_path, write_telemetry_jsonl};
-
-pub mod gate;
-pub mod harness;
 
 /// A minimal `--key value` command-line parser (plus bare `--flag`s).
 ///
@@ -111,38 +106,6 @@ impl Args {
             .unwrap_or(default)
     }
 
-    /// An `i64` knob with a default (negative values welcome: `--bias -2`).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a clear message if the value does not parse.
-    #[must_use]
-    pub fn get_i64(&self, key: &str, default: i64) -> i64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
-    }
-
-    /// An `f64` knob with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a clear message if the value does not parse.
-    #[must_use]
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
-    }
-
     /// The raw string value of a knob, if present.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&str> {
@@ -153,18 +116,6 @@ impl Args {
     #[must_use]
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
-    }
-
-    /// The `--threads` knob, resolved through the simulator's clamp:
-    /// `0` (or absent) means "all available cores", and explicit requests
-    /// are capped at the machine's available parallelism (floor 2), so
-    /// `--threads 100000` oversubscription cannot start more workers than
-    /// the machine can run.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        synran_sim::parallel::resolve_threads(
-            self.get_usize("threads", synran_sim::parallel::AUTO_THREADS),
-        )
     }
 }
 
@@ -199,8 +150,6 @@ mod tests {
     fn defaults_apply() {
         let a = Args::parse(std::iter::empty());
         assert_eq!(a.get_usize("n", 42), 42);
-        assert_eq!(a.get_f64("x", 1.5), 1.5);
-        assert_eq!(a.get_i64("bias", -7), -7);
         assert_eq!(a.get("anything"), None);
     }
 
@@ -214,8 +163,8 @@ mod tests {
     #[test]
     fn negative_values_are_values_not_flags() {
         let a = Args::parse(["--bias", "-3", "--scale", "-0.5", "--fast"].map(String::from));
-        assert_eq!(a.get_i64("bias", 0), -3);
-        assert!((a.get_f64("scale", 0.0) - -0.5).abs() < f64::EPSILON);
+        assert_eq!(a.get("bias"), Some("-3"));
+        assert_eq!(a.get("scale"), Some("-0.5"));
         assert!(a.flag("fast"));
         assert!(!a.flag("bias"), "-3 consumed as a value, not a flag");
     }
@@ -245,41 +194,5 @@ mod tests {
     fn bad_integer_panics() {
         let a = Args::parse(["--n", "abc"].map(String::from));
         let _ = a.get_usize("n", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "expects an integer")]
-    fn bad_i64_panics() {
-        let a = Args::parse(["--bias", "1.5"].map(String::from));
-        let _ = a.get_i64("bias", 0);
-    }
-
-    #[test]
-    fn threads_zero_resolves_to_available_parallelism() {
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let a = Args::parse(["--threads", "0"].map(String::from));
-        assert_eq!(a.threads(), available, "--threads 0 means auto");
-        let absent = Args::parse(std::iter::empty());
-        assert_eq!(absent.threads(), available, "absent knob means auto too");
-    }
-
-    #[test]
-    fn threads_oversubscription_is_clamped_to_the_machine() {
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let a = Args::parse(["--threads", "100000"].map(String::from));
-        assert_eq!(
-            a.threads(),
-            available.max(2),
-            "oversubscription clamps to available cores (floor 2)"
-        );
-        assert!(a.threads() <= available.max(2));
-    }
-
-    #[test]
-    fn small_explicit_thread_requests_pass_through() {
-        let one = Args::parse(["--threads", "1"].map(String::from));
-        assert_eq!(one.threads(), 1, "serial stays serial");
-        let two = Args::parse(["--threads", "2"].map(String::from));
-        assert_eq!(two.threads(), 2, "within the clamp floor");
     }
 }

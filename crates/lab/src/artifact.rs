@@ -1,11 +1,9 @@
 //! Shared experiment-artifact emission: the `results/<bin>.telemetry.jsonl`
 //! convention.
 //!
-//! Previously each instrumented harness (`e3_lower_bound`,
-//! `e8_budget_ablation`, `bench_parallel`) carried its own copy of this
-//! plumbing; it now lives here so the campaign presets and the bench
-//! binaries emit identical artifacts through one code path
-//! (`synran_bench` re-exports these for the harnesses).
+//! It lives here so the campaign presets and the experiment binaries emit
+//! identical artifacts through one code path (`synran_bench` re-exports
+//! these for the harnesses).
 
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};

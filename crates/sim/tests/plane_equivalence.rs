@@ -138,32 +138,43 @@ fn kill_script() -> Scripted {
 #[test]
 fn world_runs_identically_on_plane_and_scalar_paths_under_every_filter_kind() {
     use synran_sim::telemetry::{Telemetry, TelemetryMode};
-    for n in [9, 40, 70] {
-        let cfg = SimConfig::new(n).seed(0xD1FF).faults(6).trace(true);
-        let plane_hub = Telemetry::new(TelemetryMode::Counters);
-        let plain = {
-            let mut w = World::new(cfg.clone(), |_| CountDown::new(8, Bit::One)).unwrap();
-            w.set_telemetry(plane_hub.clone());
-            w.run(&mut kill_script()).unwrap()
-        };
-        let scalar = {
-            let mut w = World::new(cfg, |_| Scalarized(CountDown::new(8, Bit::One))).unwrap();
-            w.run(&mut kill_script()).unwrap()
-        };
-        assert_eq!(
-            format!("{plain:?}"),
-            format!("{scalar:?}"),
-            "n={n}: plane vs scalar report bytes diverge"
-        );
-        // Rounds with only All/None/Prefix/To-free broadcasts stay on the
-        // fast path; the To/Prefix kills above don't evict it (they are
-        // delivery filters, not send patterns).
-        let snap = plane_hub.snapshot();
-        assert_eq!(snap.counter("round.deliver.scalar"), None, "n={n}");
-        assert!(
-            snap.counter("round.deliver.plane").unwrap_or(0) >= 8,
-            "n={n}"
-        );
+    // The plane path must not care about the worker budget either.
+    for threads in [1, 2, 8] {
+        for n in [9, 40, 70] {
+            let cfg = SimConfig::new(n)
+                .seed(0xD1FF)
+                .faults(6)
+                .trace(true)
+                .threads(threads);
+            let plane_hub = Telemetry::new(TelemetryMode::Counters);
+            let plain = {
+                let mut w = World::new(cfg.clone(), |_| CountDown::new(8, Bit::One)).unwrap();
+                w.set_telemetry(plane_hub.clone());
+                w.run(&mut kill_script()).unwrap()
+            };
+            let scalar = {
+                let mut w = World::new(cfg, |_| Scalarized(CountDown::new(8, Bit::One))).unwrap();
+                w.run(&mut kill_script()).unwrap()
+            };
+            assert_eq!(
+                format!("{plain:?}"),
+                format!("{scalar:?}"),
+                "threads={threads} n={n}: plane vs scalar report bytes diverge"
+            );
+            // Rounds with only All/None/Prefix/To-free broadcasts stay on the
+            // fast path; the To/Prefix kills above don't evict it (they are
+            // delivery filters, not send patterns).
+            let snap = plane_hub.snapshot();
+            assert_eq!(
+                snap.counter("round.deliver.scalar"),
+                None,
+                "threads={threads} n={n}"
+            );
+            assert!(
+                snap.counter("round.deliver.plane").unwrap_or(0) >= 8,
+                "threads={threads} n={n}"
+            );
+        }
     }
 }
 

@@ -8,6 +8,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One scratch dir for every step's temp files, removed on any exit.
+scratch="$(mktemp -d /tmp/synran-tier1.XXXXXX)"
+trap 'rm -rf "$scratch"' EXIT
+
 echo "== tier1: cargo build --release =="
 cargo build --release --workspace
 
@@ -46,8 +50,8 @@ normalize() {
                  for (i = 1; i <= n; i++) print lines[i]
                }'
 }
-tables_dir="$(mktemp -d /tmp/synran-tables.XXXXXX)"
-trap 'rm -rf "$tables_dir"' EXIT
+tables_dir="$scratch/tables"
+mkdir "$tables_dir"
 for bin in e1_coin_control e2_blowup e3_lower_bound e4_synran_upper e5_protocol_comparison \
     e6_large_deviation e7_t_sweep e8_budget_ablation e9_adaptivity e10_threshold_ablation; do
     flags=()
@@ -58,14 +62,12 @@ for bin in e1_coin_control e2_blowup e3_lower_bound e4_synran_upper e5_protocol_
     diff <(normalize "results/$bin.txt") <(normalize "$tables_dir/$bin.txt") \
         || { echo "$bin stdout diverged from results/$bin.txt"; exit 1; }
 done
-rm -rf "$tables_dir"
 echo "tables OK: E1-E10 stdout matches results/e*.txt"
 
 echo "== tier1: telemetry smoke test =="
 # A spans-mode CLI run must produce a parseable JSONL file containing at
 # least one span and one counter event (the layer's end-to-end contract).
-telemetry_out="$(mktemp /tmp/synran-telemetry.XXXXXX.jsonl)"
-trap 'rm -f "$telemetry_out"' EXIT
+telemetry_out="$scratch/telemetry.jsonl"
 ./target/release/synran run --protocol synran --n 16 --seed 7 \
     --telemetry spans --telemetry-out "$telemetry_out" >/dev/null
 if command -v python3 >/dev/null 2>&1; then
@@ -95,52 +97,16 @@ folded_lines="$(./target/release/synran report --format folded "$telemetry_out" 
 head -c -20 "$telemetry_out" > "$telemetry_out.cut"
 if ./target/release/synran report --check "$telemetry_out.cut" >/dev/null 2>&1; then
     echo "report --check accepted a truncated artifact"
-    rm -f "$telemetry_out.cut"
     exit 1
 fi
-rm -f "$telemetry_out.cut"
 echo "report smoke OK: healthy artifact passes --check ($folded_lines folded stacks), truncated copy rejected"
-
-echo "== tier1: bench gate smoke test =="
-# The perf-regression gate must pass every committed BENCH_*.json baseline
-# against itself and detect a synthetic 1.5x slowdown (see
-# scripts/bench_gate.sh for the full fresh-run mode).
-./scripts/bench_gate.sh --smoke
-
-echo "== tier1: bit-plane delivery smoke test =="
-# The plane fast path must beat the scalar pair path and stay
-# byte-identical to the scalarized oracle at threads 1, 2, and 8 (the
-# binary asserts both and exits non-zero on divergence).
-plane_out="$(mktemp /tmp/synran-bench-plane.XXXXXX.json)"
-trap 'rm -f "$telemetry_out" "$plane_out"' EXIT
-./target/release/bench_plane --smoke --out "$plane_out" >/dev/null
-grep -q '"identical": true' "$plane_out" \
-    || { echo "plane/scalar differential failed"; exit 1; }
-echo "bit-plane smoke OK: plane path identical to scalar oracle"
-
-echo "== tier1: worker-pool parallel smoke test =="
-# The persistent-pool fan-out must stay byte-identical to serial at
-# threads 1, 2, and 8 on every row (valency estimation, seed batches,
-# tiny batches), and the pool must re-use helpers rather than spawn per
-# call (the binary asserts both and exits non-zero on violation). Run in
-# a scratch dir so the smoke artifacts never clobber the repo baselines.
-pool_dir="$(mktemp -d /tmp/synran-bench-parallel.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir"' EXIT
-(cd "$pool_dir" && "$OLDPWD/target/release/bench_parallel" --smoke --out pool.json >/dev/null)
-rows="$(grep -c '"group"' "$pool_dir/pool.json")"
-matches="$(grep -c '"identical": true' "$pool_dir/pool.json")"
-[ "$rows" -gt 0 ] && [ "$rows" -eq "$matches" ] \
-    || { echo "worker-pool differential failed: $matches/$rows rows identical"; exit 1; }
-grep -q '"reused_gt_spawned": true' "$pool_dir/pool.json" \
-    || { echo "pool did not re-use threads across batches"; exit 1; }
-echo "worker-pool smoke OK: $rows/$rows rows identical at threads {1,2,8}, pool re-used"
 
 echo "== tier1: campaign smoke test =="
 # End-to-end contract of the campaign engine: run a small grid campaign,
 # simulate a crash by truncating the journal mid-file, resume at a
 # different thread count, and require byte-identical rendered output.
-campaign_dir="$(mktemp -d /tmp/synran-campaign.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir"' EXIT
+campaign_dir="$scratch/campaign"
+mkdir "$campaign_dir"
 cat > "$campaign_dir/smoke.campaign" <<'EOF'
 campaign  = smoke
 adversary = balancer
