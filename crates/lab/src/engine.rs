@@ -26,7 +26,15 @@
 //! Cells already present in the cache — from this campaign's journal, or
 //! imported from another's — are skipped and their recorded results
 //! spliced into the fold.
+//!
+//! The bookkeeping around the waves is linear in the cell count. One
+//! hash-map pass groups the un-cached cells by content hash: the first
+//! index of each hash is its *leader*, which executes once and is
+//! journaled, and the later indices are its duplicates. When a wave lands,
+//! only its own leaders' slots and their duplicates' slots are filled, and
+//! the completed count is kept as a running total.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::path::Path;
 use std::time::Instant;
 
@@ -89,14 +97,33 @@ impl CellRunner for Engine {
     }
 }
 
-/// First index per distinct un-cached hash, in cell order — the canonical
-/// execution (and journal) order. Duplicates within the list run once and
-/// share the result.
-fn pending_order(hashes: &[String], results: &[Option<CellResult>]) -> Vec<usize> {
-    let mut pending: Vec<usize> = Vec::new();
+/// One distinct un-cached cell: its first index in the list (the
+/// *leader*, which executes and is journaled) and the later indices with
+/// the same hash, which share the leader's result.
+struct Pending {
+    leader: usize,
+    duplicates: Vec<usize>,
+}
+
+/// The leaders in cell order — the canonical execution (and journal)
+/// order — each with its in-list duplicates. One hash-map pass, so the
+/// cost is linear in the list length.
+fn pending_order(hashes: &[String], results: &[Option<CellResult>]) -> Vec<Pending> {
+    let mut slot_of: HashMap<&str, usize> = HashMap::new();
+    let mut pending: Vec<Pending> = Vec::new();
     for (i, result) in results.iter().enumerate() {
-        if result.is_none() && !pending.iter().any(|&p| hashes[p] == hashes[i]) {
-            pending.push(i);
+        if result.is_some() {
+            continue;
+        }
+        match slot_of.entry(hashes[i].as_str()) {
+            Entry::Occupied(slot) => pending[*slot.get()].duplicates.push(i),
+            Entry::Vacant(slot) => {
+                slot.insert(pending.len());
+                pending.push(Pending {
+                    leader: i,
+                    duplicates: Vec::new(),
+                });
+            }
         }
     }
     pending
@@ -187,7 +214,8 @@ impl Engine {
     ///
     /// Cached cells are skipped; fresh cells execute on the worker pool in
     /// waves and are journaled (in cell order) as each wave completes.
-    /// Duplicate cells within the list execute once.
+    /// Duplicate cells within the list execute once, at their first index,
+    /// and count as done when that index's wave lands.
     ///
     /// # Errors
     ///
@@ -205,24 +233,24 @@ impl Engine {
         let pending = pending_order(&hashes, &results);
 
         let mut run_executed = 0usize;
+        let mut done = warm;
         let mut last_beat = 0usize;
         self.emit_heartbeat(warm, cells.len(), 0, warm, start);
 
         let workers = parallel::resolve_threads(self.threads).max(1);
         for wave in pending.chunks(workers * 4) {
-            let wave_cells: Vec<&Cell> = wave.iter().map(|&i| &cells[i]).collect();
+            let wave_cells: Vec<&Cell> = wave.iter().map(|p| &cells[p.leader]).collect();
             let outs = run_cells_flat(&wave_cells, self.threads, &self.telemetry)?;
-            for (&i, result) in wave.iter().zip(outs) {
-                self.record(&cells[i], &hashes[i], result)?;
-                run_executed += 1;
-            }
-            // Splice the wave (and any in-list duplicates) from the cache.
-            for (i, slot) in results.iter_mut().enumerate() {
-                if slot.is_none() {
-                    *slot = self.cache.get(&hashes[i]).cloned();
+            // Fill only this wave's slots: each leader's and its duplicates'.
+            for (p, result) in wave.iter().zip(outs) {
+                for &i in &p.duplicates {
+                    results[i] = Some(result.clone());
                 }
+                results[p.leader] = Some(result.clone());
+                self.record(&cells[p.leader], &hashes[p.leader], result)?;
+                run_executed += 1;
+                done += 1 + p.duplicates.len();
             }
-            let done = results.iter().filter(|r| r.is_some()).count();
             if let Some(progress) = &self.progress {
                 if done - last_beat >= progress.every || done == cells.len() {
                     last_beat = done;
@@ -304,8 +332,11 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::scan_journal;
+    use crate::progress::MemoryProgress;
     use crate::registry::run_cell;
     use std::path::PathBuf;
+    use synran_sim::SimRng;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -350,6 +381,135 @@ mod tests {
                 cell
             })
             .collect()
+    }
+
+    /// A progress sink we can inspect after the engine is done: it
+    /// forwards into a shared buffer.
+    #[derive(Debug, Default, Clone)]
+    struct Shared(std::sync::Arc<std::sync::Mutex<MemoryProgress>>);
+    impl ProgressSink for Shared {
+        fn heartbeat(&mut self, beat: &Heartbeat) {
+            self.0.lock().unwrap().heartbeat(beat);
+        }
+    }
+
+    /// The quadratic reference for [`pending_order`]: first index per
+    /// distinct un-cached hash, in cell order.
+    fn pending_order_reference(hashes: &[String], results: &[Option<CellResult>]) -> Vec<usize> {
+        let mut pending: Vec<usize> = Vec::new();
+        for (i, result) in results.iter().enumerate() {
+            if result.is_none() && !pending.iter().any(|&p| hashes[p] == hashes[i]) {
+                pending.push(i);
+            }
+        }
+        pending
+    }
+
+    #[test]
+    fn pending_order_matches_the_quadratic_reference() {
+        for (seed, len) in [(1u64, 300usize), (2, 1_000), (3, 4_000), (4, 10_000)] {
+            let mut rng = SimRng::new(seed);
+            // About four copies of each hash, and a fifth of the slots
+            // pre-cached.
+            let distinct = (len / 4) as u64;
+            let hashes: Vec<String> = (0..len)
+                .map(|_| format!("h{}", rng.below(distinct)))
+                .collect();
+            let results: Vec<Option<CellResult>> = (0..len)
+                .map(|_| rng.chance(0.2).then(CellResult::default))
+                .collect();
+
+            let pending = pending_order(&hashes, &results);
+            let leaders: Vec<usize> = pending.iter().map(|p| p.leader).collect();
+            assert_eq!(
+                leaders,
+                pending_order_reference(&hashes, &results),
+                "seed {seed}"
+            );
+
+            // Every un-cached index is a leader or exactly one leader's
+            // duplicate; each duplicate is later than its leader, shares
+            // its hash, and the duplicates are listed in cell order.
+            let mut owner: Vec<Option<usize>> = vec![None; len];
+            for p in &pending {
+                assert!(owner[p.leader].replace(p.leader).is_none());
+                let mut previous = p.leader;
+                for &i in &p.duplicates {
+                    assert!(i > previous, "seed {seed}: duplicates in cell order");
+                    assert_eq!(hashes[i], hashes[p.leader], "seed {seed}");
+                    assert!(owner[i].replace(p.leader).is_none(), "seed {seed}");
+                    previous = i;
+                }
+            }
+            for (i, result) in results.iter().enumerate() {
+                assert_eq!(
+                    owner[i].is_some(),
+                    result.is_none(),
+                    "seed {seed}, slot {i}"
+                );
+            }
+        }
+    }
+
+    /// Cheap passive cells with distinct seeds.
+    fn cheap(count: usize) -> Vec<Cell> {
+        (0..count)
+            .map(|k| {
+                let mut cell = Cell::new("synran", "passive", 8);
+                cell.runs = 1;
+                cell.seed = 100 + k as u64;
+                cell
+            })
+            .collect()
+    }
+
+    #[test]
+    fn duplicates_across_waves_and_the_cache_resolve_once() {
+        let dir = tmpdir("dups");
+        for threads in [1usize, 2, 8] {
+            // Longer than two waves of `threads × 4` at every thread count.
+            let mut cells = cheap(2 * 8 * 4 + 6);
+            let cached = cells[5].clone();
+            cells.push(cached.clone()); // a second copy of a cached cell
+            cells.push(cells[0].clone()); // in-list duplicate, last wave
+            let per_cell: Vec<CellResult> = cells
+                .iter()
+                .map(|cell| run_cell(cell, &Telemetry::off()).unwrap())
+                .collect();
+
+            let path = dir.join(format!("t{threads}.journal.jsonl"));
+            let _ = std::fs::remove_file(&path);
+            let (journal, cache) = Journal::open(&path).unwrap();
+            let sink = Shared::default();
+            let mut engine = Engine::new(threads, Telemetry::off())
+                .with_journal(journal, cache)
+                .with_progress(1, Box::new(sink.clone()));
+            engine.run_cells(std::slice::from_ref(&cached)).unwrap();
+            assert_eq!(engine.executed(), 1);
+            let beats_before = sink.0.lock().unwrap().beats.len();
+
+            let results = engine.run_cells(&cells).unwrap();
+            assert_eq!(results, per_cell, "threads = {threads}");
+            // Distinct un-cached: all but the two copies of the cached
+            // cell and the duplicate of cell 0.
+            let fresh = cells.len() - 3;
+            assert_eq!(engine.executed(), 1 + fresh, "threads = {threads}");
+            assert_eq!(engine.cache_hits(), 2, "threads = {threads}");
+            drop(engine);
+
+            let scan = scan_journal(&path).unwrap();
+            assert_eq!(scan.lines, 1 + fresh, "threads = {threads}");
+            assert_eq!(scan.entries, scan.lines, "threads = {threads}");
+            assert_eq!(scan.rows.len(), scan.entries, "one line per cell");
+
+            let beats = sink.0.lock().unwrap().beats[beats_before..].to_vec();
+            assert!(
+                beats.windows(2).all(|w| w[0].done <= w[1].done),
+                "threads = {threads}: done never decreases"
+            );
+            assert_eq!(beats[0].done, 2, "threads = {threads}");
+            assert_eq!(beats.last().unwrap().done, cells.len());
+        }
     }
 
     #[test]
@@ -446,8 +606,6 @@ mod tests {
 
     #[test]
     fn progress_is_observe_only() {
-        use crate::progress::MemoryProgress;
-
         let cells = grid();
         let dir = tmpdir("progress");
 
@@ -478,18 +636,6 @@ mod tests {
 
     #[test]
     fn heartbeats_track_completion() {
-        use crate::progress::{MemoryProgress, ProgressSink};
-
-        // A sink we can inspect after the engine is done: forward into a
-        // shared buffer.
-        #[derive(Debug, Default, Clone)]
-        struct Shared(std::sync::Arc<std::sync::Mutex<MemoryProgress>>);
-        impl ProgressSink for Shared {
-            fn heartbeat(&mut self, beat: &crate::progress::Heartbeat) {
-                self.0.lock().unwrap().heartbeat(beat);
-            }
-        }
-
         let cells = grid();
         let sink = Shared::default();
         let mut engine = Engine::new(1, Telemetry::off()).with_progress(2, Box::new(sink.clone()));

@@ -12,6 +12,12 @@
 # if any run exits nonzero (a golden digest or check failure), or if any
 # end-to-end metric's HEAD median is worse than the base median by more
 # than that metric's `bound`. Values come from each run's final JSON line.
+#
+# Each row also shows both sides' quartiles and in how many pairs HEAD read
+# better. A row within its bound reads `unresolved` instead of `ok` when the
+# base side's quartile spread is wider than the bound and HEAD did not win
+# every pair: the runs are too noisy to say the metric held. `unresolved`
+# is a report only; it never fails the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -93,7 +99,7 @@ for pair in $(seq 1 "$pairs"); do
     done
 done
 
-echo "== nightly: medians over $pairs runs per side =="
+echo "== nightly: medians and quartiles over $pairs runs per side =="
 awk -v pairs="$pairs" '
     NR == FNR { better[$1] = $2; bound[$1] = $3; next }
     {
@@ -101,15 +107,20 @@ awk -v pairs="$pairs" '
         if (!(key in seen)) { seen[key] = 1; order[++keys] = key }
         vals[$1, key, ++count[$1, key]] = $4
     }
-    function median(side, key,    n, i, j, t, a) {
+    # quantile(side, key, p): the p-quantile of one side, interpolated
+    # between order statistics.
+    function quantile(side, key, p,    n, i, j, t, a, r, lo) {
         n = count[side, key]
         for (i = 1; i <= n; i++) a[i] = vals[side, key, i] + 0
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-        return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+        r = 1 + (n - 1) * p
+        lo = int(r)
+        return lo < n ? a[lo] + (r - lo) * (a[lo + 1] - a[lo]) : a[n]
     }
     END {
-        printf "%-14s %-12s %12s %12s %8s %6s  %s\n", "workload", "metric", "base", "head", "change", "bound", "verdict"
+        printf "%-14s %-12s %12s %-25s %12s %-25s %8s %6s %5s  %s\n", "workload", "metric", "base", "(quartiles)",
+            "head", "(quartiles)", "change", "bound", "wins", "verdict"
         for (k = 1; k <= keys; k++) {
             split(order[k], parts, " ")
             metric = parts[2]
@@ -118,11 +129,27 @@ awk -v pairs="$pairs" '
                 failed = 1
                 continue
             }
-            b = median("base", order[k]); h = median("head", order[k])
+            b = quantile("base", order[k], 0.5); h = quantile("head", order[k], 0.5)
+            bq1 = quantile("base", order[k], 0.25); bq3 = quantile("base", order[k], 0.75)
+            hq1 = quantile("head", order[k], 0.25); hq3 = quantile("head", order[k], 0.75)
+            # Pairs in which HEAD read better than the base run beside it.
+            wins = 0
+            for (i = 1; i <= pairs; i++) {
+                bv = vals["base", order[k], i] + 0; hv = vals["head", order[k], i] + 0
+                if (better[metric] == "higher" ? hv > bv : hv < bv) wins++
+            }
             worse = better[metric] == "higher" ? h < b * (1 - bound[metric]) : h > b * (1 + bound[metric])
-            if (worse) failed = 1
-            printf "%-14s %-12s %12.6g %12.6g %+7.1f%% %5.0f%%  %s\n", parts[1], metric, b, h,
-                (b > 0 ? 100 * (h - b) / b : 0), 100 * bound[metric], (worse ? "WORSE" : "ok")
+            if (worse) {
+                failed = 1
+                verdict = "WORSE"
+            } else if (bq3 - bq1 > bound[metric] * b && wins < pairs) {
+                verdict = "unresolved"
+            } else {
+                verdict = "ok"
+            }
+            printf "%-14s %-12s %12.6g %-25s %12.6g %-25s %+7.1f%% %5.0f%% %2d/%-2d  %s\n", parts[1], metric,
+                b, sprintf("(%.6g-%.6g)", bq1, bq3), h, sprintf("(%.6g-%.6g)", hq1, hq3),
+                (b > 0 ? 100 * (h - b) / b : 0), 100 * bound[metric], wins, pairs, verdict
         }
         exit failed
     }

@@ -1,8 +1,8 @@
 //! End-to-end contract of `synran campaign`: stdout and the journal are
 //! byte-identical at every `--threads` value, a campaign whose journal
-//! was cut mid-append resumes to the serial run's output, and an option
-//! a subcommand does not accept fails the command instead of being
-//! silently dropped.
+//! was cut mid-append resumes to the serial run's output, a cell listed
+//! twice runs once and renders twice, and an option a subcommand does not
+//! accept fails the command instead of being silently dropped.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -68,6 +68,54 @@ fn threads_1_2_4_are_byte_identical() {
             "--threads {threads} journal"
         );
     }
+}
+
+/// A 20-cell grid whose last seed repeats the first: at `--threads 1`
+/// (waves of four cells) each size's copy of seed 5 sits two waves after
+/// its original.
+const DUPLICATE_SPEC: &str = "\
+campaign  = dups
+protocol  = synran
+adversary = balancer
+runs      = 2
+sweep n   = 16,32
+sweep seed = 5,6,7,8,9,10,11,12,13,5
+";
+
+#[test]
+fn duplicate_cells_run_once_and_render_like_their_original() {
+    let dir = tmpdir("duplicates");
+    let spec = dir.join("dups.campaign");
+    std::fs::write(&spec, DUPLICATE_SPEC).unwrap();
+    let mut outputs = Vec::new();
+    for threads in ["1", "2", "4"] {
+        let results = dir.join(format!("t{threads}"));
+        let out = campaign("run", &spec, &results, &["--threads", threads]);
+        assert!(out.status.success(), "--threads {threads}: {out:?}");
+        let journal = std::fs::read_to_string(results.join("dups.journal.jsonl")).unwrap();
+        let cell_lines = journal
+            .lines()
+            .filter(|line| line.contains("\"type\":\"cell\""))
+            .count();
+        assert_eq!(
+            cell_lines, 18,
+            "--threads {threads}: one line per distinct cell"
+        );
+        outputs.push(out.stdout);
+    }
+    assert_eq!(outputs[1], outputs[0], "--threads 2 stdout");
+    assert_eq!(outputs[2], outputs[0], "--threads 4 stdout");
+
+    // The table's rows follow the cell list: n = 16 then n = 32, ten
+    // seeds each, the tenth repeating the first.
+    let stdout = String::from_utf8(outputs.swap_remove(0)).unwrap();
+    let rows: Vec<&str> = stdout
+        .lines()
+        .filter(|line| line.starts_with("synran "))
+        .collect();
+    assert_eq!(rows.len(), 20, "{stdout}");
+    assert_eq!(rows[9], rows[0], "n = 16 duplicate row");
+    assert_eq!(rows[19], rows[10], "n = 32 duplicate row");
 }
 
 #[test]
