@@ -10,6 +10,8 @@
 
 use std::fmt::Write as _;
 
+use synran_sim::json::{Escaped, FlatObject};
+
 /// The cell-encoding version baked into every content hash. Bump it when
 /// the meaning of any cell field (or the execution semantics behind it)
 /// changes, so stale journal entries stop matching.
@@ -176,22 +178,13 @@ impl CellResult {
 #[must_use]
 pub fn to_jsonl(cell: &Cell, result: &CellResult) -> String {
     format!(
-        "{{\"type\":\"cell\",\"hash\":\"{}\",{},{}}}",
-        cell.content_hash(),
-        cell_fields_json(cell),
-        result_fields_json(result),
-    )
-}
-
-/// The cell fields as a comma-joined flat-JSON fragment in declaration
-/// order (no surrounding braces).
-fn cell_fields_json(cell: &Cell) -> String {
-    format!(
-        "\"protocol\":\"{}\",\"adversary\":\"{}\",\
+        "{{\"type\":\"cell\",\"hash\":\"{}\",\"protocol\":\"{}\",\"adversary\":\"{}\",\
          \"n\":{},\"t\":{},\"ones\":{},\"runs\":{},\"seed\":{},\"max_rounds\":{},\
-         \"cap\":{},\"samples\":{},\"horizon\":{},\"rate\":{}",
-        cell.protocol,
-        cell.adversary,
+         \"cap\":{},\"samples\":{},\"horizon\":{},\"rate\":{},\
+         \"rounds\":{},\"kills\":{},\"timeouts\":{},\"violations\":{}}}",
+        cell.content_hash(),
+        Escaped(&cell.protocol),
+        Escaped(&cell.adversary),
         cell.n,
         cell.t,
         cell.ones,
@@ -202,70 +195,19 @@ fn cell_fields_json(cell: &Cell) -> String {
         cell.samples,
         cell.horizon,
         cell.rate,
-    )
-}
-
-/// The result fields as a comma-joined flat-JSON fragment (no surrounding
-/// braces), the dual of [`cell_fields_json`].
-fn result_fields_json(result: &CellResult) -> String {
-    format!(
-        "\"rounds\":{},\"kills\":{},\"timeouts\":{},\"violations\":{}",
-        u64_array_json(&self_rounds(result)),
-        u64_array_json(&result.kills),
+        u64_array_json(result.rounds.iter().map(|&r| u64::from(r))),
+        u64_array_json(result.kills.iter().copied()),
         result.timeouts,
         result.violations,
     )
 }
 
-/// Decodes the cell fields out of a flat JSON object that embeds the
-/// [`cell_fields_json`] fragment.
-fn cell_from_flat_json(line: &str) -> Option<Cell> {
-    Some(Cell {
-        protocol: json_str_field(line, "protocol")?.to_string(),
-        adversary: json_str_field(line, "adversary")?.to_string(),
-        n: usize::try_from(json_u64_field(line, "n")?).ok()?,
-        t: usize::try_from(json_u64_field(line, "t")?).ok()?,
-        ones: usize::try_from(json_u64_field(line, "ones")?).ok()?,
-        runs: usize::try_from(json_u64_field(line, "runs")?).ok()?,
-        seed: json_u64_field(line, "seed")?,
-        max_rounds: u32::try_from(json_u64_field(line, "max_rounds")?).ok()?,
-        cap: usize::try_from(json_u64_field(line, "cap")?).ok()?,
-        samples: usize::try_from(json_u64_field(line, "samples")?).ok()?,
-        horizon: u32::try_from(json_u64_field(line, "horizon")?).ok()?,
-        rate: usize::try_from(json_u64_field(line, "rate")?).ok()?,
-    })
-}
-
-/// Decodes the result fields out of a flat JSON object that embeds the
-/// [`result_fields_json`] fragment.
-fn result_from_flat_json(line: &str) -> Option<CellResult> {
-    let rounds_u64 = json_u64_array_field(line, "rounds")?;
-    Some(CellResult {
-        rounds: rounds_u64
-            .iter()
-            .map(|&r| u32::try_from(r).ok())
-            .collect::<Option<Vec<u32>>>()?,
-        kills: json_u64_array_field(line, "kills")?,
-        timeouts: u32::try_from(json_u64_field(line, "timeouts")?).ok()?,
-        violations: u32::try_from(json_u64_field(line, "violations")?).ok()?,
-    })
-}
-
-fn self_rounds(result: &CellResult) -> Vec<u64> {
-    result.rounds.iter().map(|&r| u64::from(r)).collect()
-}
-
-fn u64_array_json(values: &[u64]) -> String {
-    let mut s = String::with_capacity(2 + values.len() * 4);
-    s.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{v}");
+fn u64_array_json(values: impl Iterator<Item = u64>) -> String {
+    let mut s = String::from("[");
+    for (i, v) in values.enumerate() {
+        let _ = write!(s, "{}{v}", if i == 0 { "" } else { "," });
     }
-    s.push(']');
-    s
+    s + "]"
 }
 
 /// Decodes a journal line produced by [`to_jsonl`].
@@ -276,45 +218,42 @@ fn u64_array_json(values: &[u64]) -> String {
 /// don't understand rather than failing the stream.
 #[must_use]
 pub fn from_jsonl(line: &str) -> Option<(String, Cell, CellResult)> {
-    let line = line.trim();
-    if !line.ends_with('}') {
-        return None; // Truncated tail of a killed writer.
-    }
-    if json_str_field(line, "type")? != "cell" {
+    from_object(&FlatObject::parse(line)?)
+}
+
+/// Decodes an already-parsed journal line; `None` unless it is a
+/// complete `"type":"cell"` line.
+pub(crate) fn from_object(obj: &FlatObject<'_>) -> Option<(String, Cell, CellResult)> {
+    if obj.str("type")? != "cell" {
         return None;
     }
-    let hash = json_str_field(line, "hash")?.to_string();
-    let cell = cell_from_flat_json(line)?;
-    let result = result_from_flat_json(line)?;
-    Some((hash, cell, result))
-}
-
-/// Extracts the string value of `"key":"..."` from a flat JSON object.
-pub(crate) fn json_str_field<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let start = s.find(&needle)? + needle.len();
-    let end = s[start..].find('"')?;
-    Some(&s[start..start + end])
-}
-
-/// Extracts the numeric value of `"key":<digits>` from a flat JSON object.
-pub(crate) fn json_u64_field(s: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = s.find(&needle)? + needle.len();
-    let digits: &str = &s[start..start + s[start..].find(|c: char| !c.is_ascii_digit())?];
-    digits.parse().ok()
-}
-
-/// Extracts `"key":[1,2,3]` as a vector (empty for `[]`).
-fn json_u64_array_field(s: &str, key: &str) -> Option<Vec<u64>> {
-    let needle = format!("\"{key}\":[");
-    let start = s.find(&needle)? + needle.len();
-    let end = s[start..].find(']')?;
-    let body = &s[start..start + end];
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|v| v.trim().parse().ok()).collect()
+    let usize_field = |key| usize::try_from(obj.u64(key)?).ok();
+    let u32_field = |key| u32::try_from(obj.u64(key)?).ok();
+    let cell = Cell {
+        protocol: obj.str("protocol")?.to_string(),
+        adversary: obj.str("adversary")?.to_string(),
+        n: usize_field("n")?,
+        t: usize_field("t")?,
+        ones: usize_field("ones")?,
+        runs: usize_field("runs")?,
+        seed: obj.u64("seed")?,
+        max_rounds: u32_field("max_rounds")?,
+        cap: usize_field("cap")?,
+        samples: usize_field("samples")?,
+        horizon: u32_field("horizon")?,
+        rate: usize_field("rate")?,
+    };
+    let result = CellResult {
+        rounds: obj
+            .u64_array("rounds")?
+            .into_iter()
+            .map(|r| u32::try_from(r).ok())
+            .collect::<Option<Vec<u32>>>()?,
+        kills: obj.u64_array("kills")?,
+        timeouts: u32_field("timeouts")?,
+        violations: u32_field("violations")?,
+    };
+    Some((obj.str("hash")?.to_string(), cell, result))
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::cell::{from_jsonl, json_str_field, json_u64_field, to_jsonl, Cell, CellResult};
+use synran_sim::json::{Escaped, FlatObject};
+
+use crate::cell::{from_object, to_jsonl, Cell, CellResult};
 
 /// A content-keyed map of completed cells: hash → result.
 pub type CellCache = BTreeMap<String, CellResult>;
@@ -78,11 +80,14 @@ pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
     for line in BufReader::new(file).lines() {
         let line = line?;
         scan.lines += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
-        if let Some((hash, cell, result)) = from_jsonl(trimmed) {
+        let Some(obj) = FlatObject::parse(&line) else {
+            scan.skipped += 1;
+            continue;
+        };
+        if let Some((hash, cell, result)) = from_object(&obj) {
             match row_of.get(&hash) {
                 Some(&p) => scan.rows[p] = (cell, result.clone()),
                 None => {
@@ -94,13 +99,10 @@ pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
             scan.entries += 1;
             continue;
         }
-        let well_formed = trimmed.starts_with('{') && trimmed.ends_with('}');
-        if well_formed && json_str_field(trimmed, "type") == Some("campaign") {
-            if let (Some(name), Some(cells), Some(spec_hash)) = (
-                json_str_field(trimmed, "name"),
-                json_u64_field(trimmed, "cells"),
-                json_str_field(trimmed, "spec_hash"),
-            ) {
+        if obj.str("type") == Some("campaign") {
+            if let (Some(name), Some(cells), Some(spec_hash)) =
+                (obj.str("name"), obj.u64("cells"), obj.str("spec_hash"))
+            {
                 scan.header = Some(JournalHeader {
                     name: name.to_string(),
                     cells: usize::try_from(cells).unwrap_or(usize::MAX),
@@ -194,7 +196,9 @@ impl Journal {
     ) -> std::io::Result<()> {
         writeln!(
             self.out,
-            "{{\"type\":\"campaign\",\"name\":\"{campaign}\",\"cells\":{cells},\"spec_hash\":\"{spec_hash}\"}}"
+            "{{\"type\":\"campaign\",\"name\":\"{}\",\"cells\":{cells},\"spec_hash\":\"{}\"}}",
+            Escaped(campaign),
+            Escaped(spec_hash)
         )?;
         self.out.flush()
     }
@@ -277,8 +281,9 @@ mod tests {
     fn scan_accounts_for_every_line() {
         let path = tmpdir("scan").join("demo.journal.jsonl");
         let mut text = String::new();
+        // An escaped quote in the name is unescaped, not cut at.
         text.push_str(
-            "{\"type\":\"campaign\",\"name\":\"demo\",\"cells\":3,\"spec_hash\":\"x\"}\n",
+            "{\"type\":\"campaign\",\"name\":\"de\\\"mo\",\"cells\":3,\"spec_hash\":\"x\"}\n",
         );
         text.push_str(&to_jsonl(&cell(1), &result(4)));
         text.push('\n');
@@ -295,7 +300,7 @@ mod tests {
         assert_eq!(
             scan.header,
             Some(JournalHeader {
-                name: "demo".to_string(),
+                name: "de\"mo".to_string(),
                 cells: 3,
                 spec_hash: "x".to_string(),
             })

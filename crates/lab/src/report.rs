@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use synran_analysis::{fmt_f64, Table};
+use synran_sim::json::Escaped;
 use synran_sim::telemetry::aggregate::{worker_busy_ns, TelemetryStream};
 use synran_sim::telemetry::per_round_kill_cap;
 use synran_sim::{OwnedSpan, PhaseStat, SpanNode, SpanTree};
@@ -437,77 +438,61 @@ impl Report {
     }
 
     fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"phases\":[");
-        for (i, (name, stat)) in self.merged_phases().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"phase\":\"{name}\",\"count\":{},\"total_ns\":{},\"self_ns\":{},\"child_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                stat.count, stat.total_ns, stat.self_ns, stat.child_ns(), stat.min_ns, stat.max_ns
-            ));
-        }
-        out.push_str("],\"round_kills\":[");
-        let mut first = true;
-        for (_, stream) in &self.telemetry {
-            for r in &stream.round_kills {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
+        let phases: Vec<String> = self.merged_phases().iter().map(|(name, stat)| format!(
+            "{{\"phase\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{},\"child_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
+            Escaped(name), stat.count, stat.total_ns, stat.self_ns, stat.child_ns(), stat.min_ns, stat.max_ns
+        )).collect();
+        let round_kills: Vec<String> = self
+            .telemetry
+            .iter()
+            .flat_map(|(_, stream)| &stream.round_kills)
+            .map(|r| {
+                format!(
                     "{{\"round\":{},\"kills\":{},\"cap\":{},\"over_cap\":{}}}",
                     r.round, r.kills, r.cap, r.over_cap
-                ));
-            }
-        }
-        out.push_str("],\"counters\":{");
+                )
+            })
+            .collect();
         let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
         for (_, stream) in &self.telemetry {
             for (name, value) in &stream.counters {
                 *counters.entry(name).or_insert(0) += value;
             }
         }
-        for (i, (name, value)) in counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{value}"));
-        }
-        out.push_str("},\"journals\":[");
-        for (i, (name, scan)) in self.journals.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"path\":\"{name}\",\"cells\":{},\"dropped\":{},\"rows\":[",
-                scan.entries, scan.skipped
-            ));
-            for (j, (cell, result)) in scan.rows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"protocol\":\"{}\",\"adversary\":\"{}\",\"n\":{},\"t\":{},\"runs\":{},\"seed\":{},\"mean_rounds\":{},\"max_rounds\":{},\"mean_kills\":{},\"timeouts\":{},\"violations\":{}}}",
-                    cell.protocol,
-                    cell.adversary,
-                    cell.n,
-                    cell.t,
-                    cell.runs,
-                    cell.seed,
-                    fmt_f64(result.mean_rounds(), 2),
-                    result.max_rounds().unwrap_or(0),
-                    fmt_f64(result.mean_kills(), 2),
-                    result.timeouts,
-                    result.violations
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out.push('\n');
-        out
+        let counters: Vec<String> = counters
+            .iter()
+            .map(|(name, value)| format!("\"{}\":{value}", Escaped(name)))
+            .collect();
+        let journals: Vec<String> = self.journals.iter().map(|(name, scan)| {
+            let rows: Vec<String> = scan.rows.iter().map(|(cell, result)| format!(
+                "{{\"protocol\":\"{}\",\"adversary\":\"{}\",\"n\":{},\"t\":{},\"runs\":{},\"seed\":{},\"mean_rounds\":{},\"max_rounds\":{},\"mean_kills\":{},\"timeouts\":{},\"violations\":{}}}",
+                Escaped(&cell.protocol),
+                Escaped(&cell.adversary),
+                cell.n,
+                cell.t,
+                cell.runs,
+                cell.seed,
+                fmt_f64(result.mean_rounds(), 2),
+                result.max_rounds().unwrap_or(0),
+                fmt_f64(result.mean_kills(), 2),
+                result.timeouts,
+                result.violations
+            )).collect();
+            format!(
+                "{{\"path\":\"{}\",\"cells\":{},\"dropped\":{},\"rows\":[{}]}}",
+                Escaped(name),
+                scan.entries,
+                scan.skipped,
+                rows.join(",")
+            )
+        }).collect();
+        format!(
+            "{{\"phases\":[{}],\"round_kills\":[{}],\"counters\":{{{}}},\"journals\":[{}]}}\n",
+            phases.join(","),
+            round_kills.join(","),
+            counters.join(","),
+            journals.join(",")
+        )
     }
 
     fn render_folded(&self) -> String {
@@ -522,6 +507,7 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synran_sim::json::FlatObject;
 
     fn spans_stream() -> TelemetryStream {
         TelemetryStream::parse(
@@ -573,11 +559,13 @@ mod tests {
     }
 
     #[test]
-    fn json_is_flat_and_parseable_by_our_own_reader() {
+    fn json_is_one_valid_object_with_every_section() {
         let mut report = Report::new();
         report.add_telemetry("demo.telemetry.jsonl", spans_stream());
         let json = report.render(ReportFormat::Json);
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
+        assert!(json.ends_with("}\n"));
+        // The codec validates the nested sections it does not keep.
+        assert!(FlatObject::parse(&json).is_some(), "{json}");
         assert!(json.contains("\"phases\":["));
         assert!(json.contains("\"round\":1"));
         assert!(json.contains("\"pool.reused\":7"));

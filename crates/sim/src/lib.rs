@@ -52,6 +52,7 @@
 //! | [`plane`] | word-packed bit-plane rows behind the broadcast fast path |
 //! | [`Trace`], [`Metrics`], [`RunReport`] | observability |
 //! | [`telemetry`] | spans, counters/histograms, JSONL sinks |
+//! | [`json`] | the flat JSONL line codec every artifact reader and writer shares |
 //! | [`testing`] | trivial processes for tests and docs |
 
 #![warn(missing_docs)]
@@ -69,6 +70,7 @@ mod budget;
 mod config;
 mod error;
 mod id;
+pub mod json;
 mod message;
 mod metrics;
 pub mod parallel;

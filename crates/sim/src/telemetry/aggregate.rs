@@ -41,6 +41,7 @@ use std::fmt::Write as _;
 use std::io::BufRead;
 
 use super::{Histogram, SpanRecord, TelemetryEvent};
+use crate::json::FlatObject;
 
 /// A span with an owned name — what a parsed stream yields (in-process
 /// [`SpanRecord`]s carry `&'static str` names).
@@ -384,11 +385,12 @@ pub fn wall_ns(spans: &[OwnedSpan]) -> u64 {
 pub enum LineKind {
     /// A recognized telemetry event.
     Event(TelemetryEvent),
-    /// Well-formed JSON object of an unknown `"type"` (a newer writer);
-    /// skipped under the forward-compatibility contract.
+    /// One JSON object whose `"type"` this reader does not decode (a
+    /// newer writer's event kind); skipped under the forward-compatibility
+    /// contract.
     Unknown,
-    /// Not a complete JSON object line: the truncated tail of a killed
-    /// writer, or garbage.
+    /// Not exactly one JSON object — the truncated tail of a killed
+    /// writer, or garbage — or an object without a string `"type"`.
     Malformed,
     /// Empty or whitespace-only.
     Blank,
@@ -397,23 +399,18 @@ pub enum LineKind {
 /// Classifies one line of a telemetry JSONL stream.
 #[must_use]
 pub fn classify_line(line: &str) -> LineKind {
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
+    if line.trim().is_empty() {
         return LineKind::Blank;
     }
-    if let Some(event) = TelemetryEvent::from_jsonl(trimmed) {
-        return LineKind::Event(event);
+    let Some(obj) = FlatObject::parse(line) else {
+        return LineKind::Malformed;
+    };
+    match TelemetryEvent::from_object(&obj) {
+        Some(event) => LineKind::Event(event),
+        // A complete object we don't understand: a newer writer's line.
+        None if obj.str("type").is_some() => LineKind::Unknown,
+        None => LineKind::Malformed,
     }
-    // Distinguish "complete object we don't understand" from "truncated /
-    // malformed": a well-formed unknown line still has the object shape
-    // and a type field.
-    if trimmed.starts_with('{')
-        && trimmed.ends_with('}')
-        && super::json_str_field(trimmed, "type").is_some()
-    {
-        return LineKind::Unknown;
-    }
-    LineKind::Malformed
 }
 
 /// One `round_kills` accounting row: the adversary's spend in one round
@@ -751,6 +748,10 @@ mod tests {
         ));
         assert_eq!(
             classify_line("{\"type\":\"from_the_future\",\"x\":1}"),
+            LineKind::Unknown
+        );
+        assert_eq!(
+            classify_line(r#"{"type":"from_the_future","x":{"y":[1,"}"]}}"#),
             LineKind::Unknown
         );
         assert_eq!(

@@ -47,10 +47,11 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use crate::json::{Escaped, FlatObject};
 
 pub mod aggregate;
 
@@ -567,25 +568,6 @@ pub enum TelemetryEvent {
     },
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl TelemetryEvent {
     /// Encodes the event as one JSON line (no trailing newline), with the
     /// stable field order the schema tests pin.
@@ -594,12 +576,12 @@ impl TelemetryEvent {
         match self {
             TelemetryEvent::Meta { key, value } => format!(
                 "{{\"type\":\"meta\",\"key\":\"{}\",\"value\":\"{}\"}}",
-                json_escape(key),
-                json_escape(value)
+                Escaped(key),
+                Escaped(value)
             ),
             TelemetryEvent::Counter { name, value } => format!(
                 "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                json_escape(name)
+                Escaped(name)
             ),
             TelemetryEvent::Histogram {
                 name,
@@ -609,7 +591,7 @@ impl TelemetryEvent {
                 max,
             } => format!(
                 "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{count},\"sum\":{sum},\"min\":{min},\"max\":{max}}}",
-                json_escape(name)
+                Escaped(name)
             ),
             TelemetryEvent::Span {
                 name,
@@ -620,7 +602,7 @@ impl TelemetryEvent {
                 let worker = worker.map_or_else(|| "null".to_string(), |w| w.to_string());
                 format!(
                     "{{\"type\":\"span\",\"name\":\"{}\",\"worker\":{worker},\"start_ns\":{start_ns},\"elapsed_ns\":{elapsed_ns}}}",
-                    json_escape(name)
+                    Escaped(name)
                 )
             }
             TelemetryEvent::RoundKills {
@@ -644,105 +626,47 @@ impl TelemetryEvent {
     /// matters (it does for `synran report --check`).
     #[must_use]
     pub fn from_jsonl(line: &str) -> Option<TelemetryEvent> {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return None; // Truncated tail of a killed writer.
-        }
-        match json_str_field(line, "type")? {
+        TelemetryEvent::from_object(&FlatObject::parse(line)?)
+    }
+
+    /// Decodes an already-parsed line; `None` for an unknown `"type"` or
+    /// a missing or mistyped field.
+    pub(crate) fn from_object(obj: &FlatObject<'_>) -> Option<TelemetryEvent> {
+        let name = || obj.str("name").map(str::to_string);
+        match obj.str("type")? {
             "meta" => Some(TelemetryEvent::Meta {
-                key: json_unescape(json_str_field(line, "key")?),
-                value: json_unescape(json_str_field(line, "value")?),
+                key: obj.str("key")?.to_string(),
+                value: obj.str("value")?.to_string(),
             }),
             "counter" => Some(TelemetryEvent::Counter {
-                name: json_unescape(json_str_field(line, "name")?),
-                value: json_u64_field(line, "value")?,
+                name: name()?,
+                value: obj.u64("value")?,
             }),
             "histogram" => Some(TelemetryEvent::Histogram {
-                name: json_unescape(json_str_field(line, "name")?),
-                count: json_u64_field(line, "count")?,
-                sum: json_u64_field(line, "sum")?,
-                min: json_u64_field(line, "min")?,
-                max: json_u64_field(line, "max")?,
+                name: name()?,
+                count: obj.u64("count")?,
+                sum: obj.u64("sum")?,
+                min: obj.u64("min")?,
+                max: obj.u64("max")?,
             }),
             "span" => Some(TelemetryEvent::Span {
-                name: json_unescape(json_str_field(line, "name")?),
-                worker: match json_raw_field(line, "worker")? {
-                    "null" => None,
-                    digits => Some(digits.parse().ok()?),
+                name: name()?,
+                worker: match obj.u64_or_null("worker")? {
+                    None => None,
+                    Some(w) => Some(u32::try_from(w).ok()?),
                 },
-                start_ns: json_u64_field(line, "start_ns")?,
-                elapsed_ns: json_u64_field(line, "elapsed_ns")?,
+                start_ns: obj.u64("start_ns")?,
+                elapsed_ns: obj.u64("elapsed_ns")?,
             }),
             "round_kills" => Some(TelemetryEvent::RoundKills {
-                round: u32::try_from(json_u64_field(line, "round")?).ok()?,
-                kills: json_u64_field(line, "kills")?,
-                cap: json_u64_field(line, "cap")?,
-                over_cap: match json_raw_field(line, "over_cap")? {
-                    "true" => true,
-                    "false" => false,
-                    _ => return None,
-                },
+                round: u32::try_from(obj.u64("round")?).ok()?,
+                kills: obj.u64("kills")?,
+                cap: obj.u64("cap")?,
+                over_cap: obj.bool("over_cap")?,
             }),
             _ => None,
         }
     }
-}
-
-/// Extracts the raw (still-escaped) string value of `"key":"..."`.
-fn json_str_field<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let start = s.find(&needle)? + needle.len();
-    let mut end = start;
-    let bytes = s.as_bytes();
-    while end < s.len() {
-        match bytes[end] {
-            b'"' => return Some(&s[start..end]),
-            b'\\' => end += 2,
-            _ => end += 1,
-        }
-    }
-    None
-}
-
-/// Extracts the raw token of an unquoted `"key":<token>` value (digits,
-/// `null`, `true`, `false`), up to the next `,` or `}`.
-fn json_raw_field<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = s.find(&needle)? + needle.len();
-    let end = s[start..].find([',', '}'])?;
-    Some(s[start..start + end].trim())
-}
-
-/// Extracts the numeric value of `"key":<digits>`.
-fn json_u64_field(s: &str, key: &str) -> Option<u64> {
-    json_raw_field(s, key)?.parse().ok()
-}
-
-/// Reverses [`json_escape`] for the escape set it emits.
-fn json_unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                match u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    Some(c) => out.push(c),
-                    None => out.push_str(&hex),
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
 }
 
 /// Where telemetry events go when a registry is exported.

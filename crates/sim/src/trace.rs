@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::json::FlatObject;
 use crate::{Bit, ProcessId, Round};
 
 /// One observable event in an execution.
@@ -96,57 +97,37 @@ impl Event {
     /// skip event kinds they don't know rather than failing the stream.
     #[must_use]
     pub fn from_json(s: &str) -> Option<Event> {
-        let s = s.trim();
-        let kind = json_str_field(s, "type")?;
-        let round = || {
-            json_u64_field(s, "round")
-                .and_then(|r| u32::try_from(r).ok())
-                .map(Round::new)
-        };
-        match kind {
+        let obj = FlatObject::parse(s)?;
+        let usize_field = |key| usize::try_from(obj.u64(key)?).ok();
+        let round = || u32::try_from(obj.u64("round")?).ok().map(Round::new);
+        match obj.str("type")? {
             "round_started" => Some(Event::RoundStarted(round()?)),
             "killed" => Some(Event::Killed {
-                victim: ProcessId::new(usize::try_from(json_u64_field(s, "victim")?).ok()?),
+                victim: ProcessId::new(usize_field("victim")?),
                 round: round()?,
-                delivered: usize::try_from(json_u64_field(s, "delivered")?).ok()?,
-                suppressed: usize::try_from(json_u64_field(s, "suppressed")?).ok()?,
+                delivered: usize_field("delivered")?,
+                suppressed: usize_field("suppressed")?,
             }),
             "decided" => Some(Event::Decided {
-                pid: ProcessId::new(usize::try_from(json_u64_field(s, "pid")?).ok()?),
+                pid: ProcessId::new(usize_field("pid")?),
                 round: round()?,
-                value: match json_u64_field(s, "value")? {
+                value: match obj.u64("value")? {
                     0 => Bit::Zero,
                     1 => Bit::One,
                     _ => return None,
                 },
             }),
             "halted" => Some(Event::Halted {
-                pid: ProcessId::new(usize::try_from(json_u64_field(s, "pid")?).ok()?),
+                pid: ProcessId::new(usize_field("pid")?),
                 round: round()?,
             }),
             "round_completed" => Some(Event::RoundCompleted {
                 round: round()?,
-                messages_delivered: json_u64_field(s, "messages_delivered")?,
+                messages_delivered: obj.u64("messages_delivered")?,
             }),
             _ => None,
         }
     }
-}
-
-/// Extracts the string value of `"key":"..."` from a flat JSON object.
-fn json_str_field<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let start = s.find(&needle)? + needle.len();
-    let end = s[start..].find('"')?;
-    Some(&s[start..start + end])
-}
-
-/// Extracts the numeric value of `"key":<digits>` from a flat JSON object.
-fn json_u64_field(s: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = s.find(&needle)? + needle.len();
-    let digits: &str = &s[start..start + s[start..].find(|c: char| !c.is_ascii_digit())?];
-    digits.parse().ok()
 }
 
 impl fmt::Display for Event {

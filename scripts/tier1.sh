@@ -100,6 +100,39 @@ if ./target/release/synran report --check "$telemetry_out.cut" >/dev/null 2>&1; 
     exit 1
 fi
 echo "report smoke OK: healthy artifact passes --check ($folded_lines folded stacks), truncated copy rejected"
+# Every committed artifact must still pass --check (a line counts only if
+# it parses as one JSON object) and render as valid JSON, and so must a
+# fixture whose directory, counter, phase and protocol names all need
+# escaping.
+./target/release/synran report --check results/*.jsonl >/dev/null \
+    || { echo "report --check rejected a committed artifact"; exit 1; }
+escaped_dir="$scratch/we\"ird\\dir"
+mkdir "$escaped_dir"
+printf '%s\n' '{"type":"counter","name":"a\"b\\c","value":3}' \
+    '{"type":"span","name":"odd\"phase","worker":null,"start_ns":0,"elapsed_ns":5}' \
+    > "$escaped_dir/names.telemetry.jsonl"
+printf '%s\n' '{"type":"cell","hash":"0","protocol":"syn\"ran","adversary":"passive","n":4,"t":3,"ones":2,"runs":1,"seed":1,"max_rounds":10,"cap":0,"samples":0,"horizon":0,"rate":0,"rounds":[2],"kills":[0],"timeouts":0,"violations":0}' \
+    > "$escaped_dir/names.journal.jsonl"
+./target/release/synran report --check "$escaped_dir"/*.jsonl >/dev/null \
+    || { echo "report --check rejected the escaped-name fixture"; exit 1; }
+./target/release/synran report --format json results/*.jsonl > "$scratch/committed.json"
+./target/release/synran report --format json "$escaped_dir"/*.jsonl > "$scratch/escaped.json"
+grep -qF '"a\"b\\c":3' "$scratch/escaped.json" \
+    || { echo "report --format json did not escape a counter name"; exit 1; }
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$scratch/committed.json" "$scratch/escaped.json" <<'EOF'
+import json, sys
+committed = json.load(open(sys.argv[1]))
+escaped = json.load(open(sys.argv[2]))
+assert committed["journals"], "no committed journal rendered"
+assert escaped["counters"] == {'a"b\\c': 3}, escaped["counters"]
+assert escaped["phases"][0]["phase"] == 'odd"phase', escaped["phases"]
+journal = escaped["journals"][0]
+assert journal["path"].endswith('we"ird\\dir/names.journal.jsonl'), journal["path"]
+assert journal["rows"][0]["protocol"] == 'syn"ran', journal["rows"]
+print("report JSON OK: committed artifacts and escaped names parse with json.loads")
+EOF
+fi
 
 echo "== tier1: campaign smoke test =="
 # End-to-end contract of the campaign engine: run a small grid campaign,

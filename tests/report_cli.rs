@@ -150,6 +150,65 @@ fn check_accepts_healthy_and_rejects_broken_artifacts() {
 }
 
 #[test]
+fn json_escapes_paths_phases_counters_and_cell_names() {
+    use synran::lab::cell::to_jsonl;
+    use synran::lab::{Cell, CellResult};
+    use synran::sim::json::FlatObject;
+    use synran::sim::TelemetryEvent;
+
+    let dir = tmpdir("escapes").join("we\"ird\\dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let telemetry = dir.join("names.telemetry.jsonl");
+    let events = [
+        TelemetryEvent::Counter {
+            name: "a\"b\\c".into(),
+            value: 3,
+        },
+        TelemetryEvent::Span {
+            name: "odd\"phase".into(),
+            worker: None,
+            start_ns: 0,
+            elapsed_ns: 5,
+        },
+    ];
+    let lines: Vec<String> = events.iter().map(TelemetryEvent::to_jsonl).collect();
+    std::fs::write(&telemetry, lines.join("\n") + "\n").unwrap();
+    let journal = dir.join("names.journal.jsonl");
+    let cell = Cell::new("syn\"ran", "line\nbreak", 4);
+    let result = CellResult {
+        rounds: vec![2],
+        kills: vec![0],
+        timeouts: 0,
+        violations: 0,
+    };
+    std::fs::write(&journal, to_jsonl(&cell, &result) + "\n").unwrap();
+    let (telemetry, journal) = (
+        telemetry.to_string_lossy().into_owned(),
+        journal.to_string_lossy().into_owned(),
+    );
+
+    let out = synran(&["report", "--format", "json", &telemetry, &journal]);
+    assert!(out.status.success(), "{out:?}");
+    let json = String::from_utf8(out.stdout).unwrap();
+    for needle in [
+        r#""a\"b\\c":3"#,
+        r#"{"phase":"odd\"phase","#,
+        r#"{"protocol":"syn\"ran","adversary":"line\nbreak","#,
+        r#"we\"ird\\dir/names.journal.jsonl","cells":1,"dropped":0,"#,
+    ] {
+        assert!(json.contains(needle), "missing {needle:?} in:\n{json}");
+    }
+    assert!(FlatObject::parse(&json).is_some(), "invalid JSON:\n{json}");
+
+    let out = synran(&["report", &telemetry, &journal]);
+    assert!(out.status.success(), "{out:?}");
+    let table = String::from_utf8(out.stdout).unwrap();
+    assert!(table.contains("syn\"ran"), "{table}");
+    let check = synran(&["report", "--check", &telemetry, &journal]);
+    assert!(check.status.success(), "{check:?}");
+}
+
+#[test]
 fn report_without_inputs_is_an_error() {
     let out = synran(&["report"]);
     assert!(!out.status.success());
