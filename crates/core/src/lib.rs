@@ -56,7 +56,9 @@ pub use math::{
     deterministic_stage_rounds, deterministic_threshold, ln_clamped, per_round_kill_budget,
 };
 pub use protocol::ConsensusProtocol;
-pub use runner::{run_batch, run_batch_with, run_step, BatchOutcome, InputAssignment, RunRecord};
+pub use runner::{
+    run_batch, run_batch_with, run_verdict, BatchOutcome, InputAssignment, RunRecord,
+};
 pub use synran::{
     CoinRule, PredictedStep, StageKind, SynRan, SynRanMsg, SynRanProcess, Thresholds,
 };

@@ -7,7 +7,7 @@
 
 use synran_sim::{parallel, Adversary, Bit, SimConfig, SimError, SimRng, Telemetry};
 
-use crate::checker::check_consensus_with;
+use crate::checker::{check_consensus_with, ConsensusVerdict};
 use crate::ConsensusProtocol;
 
 /// How inputs are assigned across processes in a batch.
@@ -158,8 +158,8 @@ where
 /// `batch.runs` / `batch.timeouts` / `batch.violations` counters, and
 /// `batch.rounds` / `batch.kills` histograms.
 ///
-/// This is [`run_step`] mapped over `0..runs` on the worker pool, then
-/// folded: callers that schedule runs of several batches in one dispatch
+/// This is [`run_verdict`], classified by [`RunRecord::classify`], mapped
+/// over `0..runs` on the worker pool, then folded: callers that schedule runs of several batches in one dispatch
 /// (the campaign engine) use the same two pieces.
 ///
 /// Telemetry is observe-only: the outcome is byte-identical to
@@ -182,7 +182,7 @@ where
     A: Adversary<P::Proc>,
 {
     let results = parallel::try_par_map_in(telemetry, base_cfg.threads_value(), runs, |i| {
-        run_step(
+        RunRecord::classify(run_verdict(
             protocol,
             assignment,
             base_cfg,
@@ -190,7 +190,7 @@ where
             i,
             telemetry,
             &make_adversary,
-        )
+        ))
     })?;
     Ok(BatchOutcome::fold(results, telemetry))
 }
@@ -205,26 +205,52 @@ pub struct RunRecord {
     violations: Vec<String>,
 }
 
+impl RunRecord {
+    /// What a batch keeps of a [`run_verdict`] result: `Ok(None)` for a
+    /// round-limit timeout, the record of a completed run otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine errors other than [`SimError::MaxRoundsExceeded`].
+    pub fn classify(
+        run: Result<(u64, ConsensusVerdict), SimError>,
+    ) -> Result<Option<RunRecord>, SimError> {
+        match run {
+            Ok((seed, verdict)) => Ok(Some(RunRecord {
+                seed,
+                rounds: verdict.rounds(),
+                kills: verdict.report().metrics().total_kills(),
+                violations: verdict.violations().to_vec(),
+            })),
+            Err(SimError::MaxRoundsExceeded { .. }) => Ok(None),
+            Err(other) => Err(other),
+        }
+    }
+}
+
 /// Run `index` of a batch: derives the run's seed from
 /// `(base_seed, index)`, materialises its inputs, and checks one execution
-/// under a fresh adversary from `make_adversary(seed)`.
+/// under a fresh adversary from `make_adversary(seed)`. Returns the seed
+/// and the full verdict, report and trace included.
 ///
-/// Returns `Ok(None)` for a run aborted by the round limit (a timeout, not
-/// an error). A pure function of its arguments, so runs can execute in any
-/// order on any thread.
+/// A pure function of its arguments, so runs can execute in any order on
+/// any thread; only the configuration's observe-only knobs (tracing,
+/// thread count) may differ from the batch's without changing the
+/// execution.
 ///
 /// # Errors
 ///
-/// Propagates engine errors other than [`SimError::MaxRoundsExceeded`].
-pub fn run_step<P, A>(
+/// Propagates every engine error, [`SimError::MaxRoundsExceeded`]
+/// included.
+pub fn run_verdict<P, A>(
     protocol: &P,
     assignment: InputAssignment,
     base_cfg: &SimConfig,
     base_seed: u64,
     index: usize,
     telemetry: &Telemetry,
-    make_adversary: impl Fn(u64) -> A,
-) -> Result<Option<RunRecord>, SimError>
+    make_adversary: impl FnOnce(u64) -> A,
+) -> Result<(u64, ConsensusVerdict), SimError>
 where
     P: ConsensusProtocol,
     A: Adversary<P::Proc>,
@@ -234,16 +260,8 @@ where
     let inputs = assignment.materialize(base_cfg.n(), &mut input_rng);
     let cfg = base_cfg.clone().seed(seed);
     let mut adversary = make_adversary(seed);
-    match check_consensus_with(protocol, &inputs, cfg, &mut adversary, telemetry) {
-        Ok(verdict) => Ok(Some(RunRecord {
-            seed,
-            rounds: verdict.rounds(),
-            kills: verdict.report().metrics().total_kills(),
-            violations: verdict.violations().to_vec(),
-        })),
-        Err(SimError::MaxRoundsExceeded { .. }) => Ok(None),
-        Err(other) => Err(other),
-    }
+    let verdict = check_consensus_with(protocol, &inputs, cfg, &mut adversary, telemetry)?;
+    Ok((seed, verdict))
 }
 
 impl BatchOutcome {

@@ -20,11 +20,9 @@ pub const CELL_SCHEMA_VERSION: u32 = 1;
 /// One fully-resolved grid point of a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
-    /// Protocol name (`synran`, `symmetric`, `flooding`, `leader`).
+    /// Protocol name, from [`PROTOCOLS`](crate::registry::PROTOCOLS).
     pub protocol: String,
-    /// Adversary name (the CLI's vocabulary: `passive`, `random`, `storm`,
-    /// `oblivious`, `kill-ones`, `kill-zeros`, `balancer`, `lower-bound`,
-    /// `walker`, `hunter`).
+    /// Adversary name, from [`ADVERSARIES`](crate::registry::ADVERSARIES).
     pub adversary: String,
     /// System size.
     pub n: usize,

@@ -242,7 +242,7 @@ impl Engine {
             let wave_cells: Vec<&Cell> = wave.iter().map(|p| &cells[p.leader]).collect();
             let outs = run_cells_flat(&wave_cells, self.threads, &self.telemetry)?;
             // Fill only this wave's slots: each leader's and its duplicates'.
-            for (p, result) in wave.iter().zip(outs) {
+            for (p, result) in wave.iter().zip(outs.iter().map(CellResult::from)) {
                 for &i in &p.duplicates {
                     results[i] = Some(result.clone());
                 }

@@ -16,10 +16,10 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use synran_sim::json::{Escaped, FlatObject};
+use synran_sim::json::{lossy_lines, Escaped, FlatObject};
 
 use crate::cell::{from_object, to_jsonl, Cell, CellResult};
 
@@ -64,7 +64,8 @@ pub struct JournalScan {
 }
 
 /// Reads a journal file line by line, classifying every line. A missing
-/// file scans as empty.
+/// file scans as empty; a line that is not valid UTF-8 (a multi-byte
+/// character torn by a crash mid-append) counts as skipped.
 ///
 /// # Errors
 ///
@@ -77,7 +78,7 @@ pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
         Err(e) => return Err(e),
     };
     let mut row_of: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-    for line in BufReader::new(file).lines() {
+    for line in lossy_lines(BufReader::new(file)) {
         let line = line?;
         scan.lines += 1;
         if line.trim().is_empty() {

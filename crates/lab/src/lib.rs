@@ -54,7 +54,7 @@ pub use cell::{fnv1a64, Cell, CellResult, CELL_SCHEMA_VERSION};
 pub use engine::{CellRunner, Engine};
 pub use journal::{load_cache, scan_journal, CellCache, Journal, JournalHeader, JournalScan};
 pub use progress::{Heartbeat, MemoryProgress, ProgressSink, StderrProgress};
-pub use registry::{run_cell, validate_cell};
+pub use registry::{run_cell, run_cell_batch, run_cell_once, validate_cell};
 pub use report::{Report, ReportFormat};
 pub use spec::CampaignSpec;
 

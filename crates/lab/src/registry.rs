@@ -1,14 +1,14 @@
-//! The name registry: how a [`Cell`]'s protocol and adversary strings
-//! become an executable batch.
+//! The name registry: the one table of protocol and adversary names, and
+//! how a [`Cell`]'s names become an executable batch.
 //!
-//! The vocabulary mirrors the `synran` CLI (`synran list`): protocols
-//! `synran | symmetric | flooding | leader`, adversaries `passive |
-//! random | storm | oblivious | kill-ones | kill-zeros | balancer |
-//! lower-bound | walker | hunter`, with the same compatibility matrix —
-//! the SynRan-specific attacks only target the SynRan family, `hunter`
-//! only targets `leader`.
+//! [`PROTOCOLS`] and [`ADVERSARIES`] are the whole vocabulary — of
+//! campaign specs, presets, and the `synran` CLI, whose `synran list`
+//! prints them. The compatibility matrix is data: each adversary attacks
+//! either every protocol or the ones it lists (the SynRan-specific attacks
+//! only the SynRan family, `hunter` only `leader`), and [`resolve`] is the
+//! only place a name becomes a constructor.
 //!
-//! Execution goes through [`synran_core::run_step`] and
+//! Execution goes through [`synran_core::run_verdict`] and
 //! [`BatchOutcome::fold`] — the two halves of
 //! [`synran_core::run_batch_with`] — with the cell's base seed, so a cell
 //! reproduces exactly what a hand-rolled experiment loop with the same
@@ -20,56 +20,112 @@ use synran_adversary::{
     RandomKiller, Storm,
 };
 use synran_core::{
-    run_step, BatchOutcome, ConsensusProtocol, FloodingConsensus, InputAssignment, LeaderConsensus,
-    LeaderProcess, RunRecord, SynRan, SynRanProcess,
+    run_verdict, BatchOutcome, ConsensusProtocol, ConsensusVerdict, FloodingConsensus,
+    InputAssignment, LeaderConsensus, LeaderProcess, RunRecord, SynRan, SynRanProcess,
 };
 use synran_sim::{parallel, Adversary, Bit, Passive, Process, SimConfig, SimError, Telemetry};
 
 use crate::cell::{Cell, CellResult};
 use crate::LabError;
 
+/// One protocol of the name table.
+#[derive(Debug)]
+pub struct ProtocolName {
+    /// The name cells, specs and `--protocol` use.
+    pub name: &'static str,
+    /// One line for `synran list`.
+    pub about: &'static str,
+}
+
+/// One adversary of the name table.
+#[derive(Debug)]
+pub struct AdversaryName {
+    /// The name cells, specs and `--adversary` use.
+    pub name: &'static str,
+    /// The protocols it can attack; empty when it attacks every protocol.
+    pub attacks: &'static [&'static str],
+    /// One line for `synran list`.
+    pub about: &'static str,
+}
+
+/// The SynRan family: the protocols whose processes SynRan-specific
+/// adversaries inspect.
+const SYNRAN_FAMILY: &[&str] = &["synran", "symmetric"];
+
+/// Every protocol name, in `synran list` order.
+#[rustfmt::skip]
+pub const PROTOCOLS: &[ProtocolName] = &[
+    ProtocolName { name: "synran", about: "the paper's §4 protocol, any t < n" },
+    ProtocolName { name: "symmetric", about: "SynRan minus the one-sided coin rule — E5's ablation" },
+    ProtocolName { name: "flooding", about: "deterministic t+1-round baseline" },
+    ProtocolName { name: "leader", about: "CMS-style random leader, t < n/2 — E9" },
+];
+
+/// Every adversary name, in `synran list` order.
+#[rustfmt::skip]
+pub const ADVERSARIES: &[AdversaryName] = &[
+    AdversaryName { name: "passive", attacks: &[], about: "kills no one" },
+    AdversaryName { name: "random", attacks: &[], about: "kills `rate` random processes a round" },
+    AdversaryName { name: "storm", attacks: &[], about: "kills in seeded bursts" },
+    AdversaryName { name: "oblivious", attacks: &[], about: "a pre-committed kill schedule" },
+    AdversaryName { name: "kill-ones", attacks: SYNRAN_FAMILY, about: "kills processes that prefer 1" },
+    AdversaryName { name: "kill-zeros", attacks: SYNRAN_FAMILY, about: "kills processes that prefer 0" },
+    AdversaryName { name: "balancer", attacks: SYNRAN_FAMILY, about: "Lemma 4.6 stalling" },
+    AdversaryName { name: "lower-bound", attacks: SYNRAN_FAMILY, about: "Theorem 1, valency-guided" },
+    AdversaryName { name: "walker", attacks: SYNRAN_FAMILY, about: "§3.4 message walk" },
+    AdversaryName { name: "hunter", attacks: &["leader"], about: "kills each round's leader — E9" },
+];
+
+impl AdversaryName {
+    /// `true` when this adversary can attack protocol `name`.
+    #[must_use]
+    pub fn can_attack(&self, name: &str) -> bool {
+        self.attacks.is_empty() || self.attacks.contains(&name)
+    }
+
+    /// The protocols it attacks, as `synran list` prints them.
+    #[must_use]
+    pub fn targets(&self) -> String {
+        if self.attacks.is_empty() {
+            "any protocol".into()
+        } else {
+            self.attacks.join(", ")
+        }
+    }
+}
+
 /// A per-run adversary factory (the batch runner calls it once per seed).
 type Factory<P> = Box<dyn Fn(u64) -> Box<dyn Adversary<P> + Send> + Sync>;
 
-/// `⌈√n⌉` — the default kill rate for rate-based adversaries, matching
-/// the CLI.
-fn default_rate(n: usize) -> usize {
+/// The kill rate for rate-based adversaries: `cell.rate`, or `⌈√n⌉`.
+fn kill_rate(cell: &Cell) -> usize {
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let r = (n as f64).sqrt().ceil() as usize;
-    r
+    let sqrt_n = (cell.n as f64).sqrt().ceil() as usize;
+    match cell.rate {
+        0 => sqrt_n,
+        rate => rate,
+    }
 }
 
-fn unknown(adversary: &str, protocol: &str) -> LabError {
-    LabError::Unknown(format!(
-        "adversary {adversary:?} cannot attack protocol {protocol:?}"
-    ))
+fn unknown(kind: &str, name: &str) -> LabError {
+    LabError::Unknown(format!("unknown {kind} {name:?} (see `synran list`)"))
 }
 
 /// Adversaries that understand any process type.
 fn generic_factory<P: Process>(cell: &Cell) -> Result<Factory<P>, LabError> {
-    let n = cell.n;
-    let rate = if cell.rate == 0 {
-        default_rate(n)
-    } else {
-        cell.rate
-    };
+    let (n, rate) = (cell.n, kill_rate(cell));
     Ok(match cell.adversary.as_str() {
         "passive" => Box::new(|_| Box::new(Passive)),
         "random" => Box::new(move |s| Box::new(RandomKiller::new(rate, s))),
         "storm" => Box::new(|s| Box::new(Storm::new(s))),
         "oblivious" => Box::new(move |s| Box::new(Oblivious::new(n, rate, 500, s))),
-        _ => return Err(unknown(&cell.adversary, &cell.protocol)),
+        other => return Err(unknown("adversary", other)),
     })
 }
 
 /// Adversaries attacking the SynRan family, plus all generic ones.
 fn synran_factory(cell: &Cell) -> Result<Factory<SynRanProcess>, LabError> {
-    let n = cell.n;
-    let rate = if cell.rate == 0 {
-        default_rate(n)
-    } else {
-        cell.rate
-    };
+    let (n, rate) = (cell.n, kill_rate(cell));
     let (cap, samples, horizon) = (cell.cap, cell.samples, cell.horizon);
     Ok(match cell.adversary.as_str() {
         "kill-ones" => Box::new(move |_| Box::new(PreferenceKiller::new(Bit::One, rate))),
@@ -81,12 +137,11 @@ fn synran_factory(cell: &Cell) -> Result<Factory<SynRanProcess>, LabError> {
                 Box::new(move |_| Box::new(Balancer::with_cap(cap)))
             }
         }
+        // `validate_cell` admits all three knobs or none.
         "lower-bound" => {
-            if cap == 0 && samples == 0 && horizon == 0 {
+            if cap == 0 {
                 Box::new(move |s| Box::new(LowerBoundAdversary::for_system(n, s)))
             } else {
-                let samples = samples.max(1);
-                let horizon = horizon.max(1);
                 Box::new(move |s| {
                     Box::new(LowerBoundAdversary::with_params(cap, samples, horizon, s))
                 })
@@ -117,70 +172,75 @@ fn leader_factory(cell: &Cell) -> Result<Factory<LeaderProcess>, LabError> {
     generic_factory(cell)
 }
 
-/// One run of a resolved cell: `(run index, telemetry) → record`, or
-/// `None` for a round-limit timeout.
-type RunFn<'a> = Box<dyn Fn(usize, &Telemetry) -> Result<Option<RunRecord>, SimError> + Sync + 'a>;
+/// One run of a resolved cell: `(config, run index, telemetry) → (seed,
+/// verdict)`, exactly [`run_verdict`] with the cell's names resolved.
+type RunFn<'a> = Box<
+    dyn Fn(&SimConfig, usize, &Telemetry) -> Result<(u64, ConsensusVerdict), SimError> + Sync + 'a,
+>;
 
-/// A cell whose protocol and adversary factory are resolved once, so its
-/// runs can be scheduled individually across the pool.
-struct CellPlan<'a> {
-    runs: usize,
-    step: RunFn<'a>,
-}
+/// A resolved cell: the protocol's own [`ConsensusProtocol::name`] (what
+/// reports print, `synran-sym` for `symmetric`) and its per-run step.
+type Plan<'a> = (String, RunFn<'a>);
 
-impl<'a> CellPlan<'a> {
-    /// Resolves `cell`'s names into a per-run step, or returns the
-    /// [`validate_cell`] error for an invalid cell.
-    fn new(cell: &'a Cell) -> Result<CellPlan<'a>, LabError> {
-        validate_cell(cell)?;
-        let step = match cell.protocol.as_str() {
-            "synran" => plan_step(SynRan::new(), cell, synran_factory(cell)?),
-            "symmetric" => plan_step(SynRan::symmetric(), cell, synran_factory(cell)?),
-            "flooding" => plan_step(
-                FloodingConsensus::for_faults(cell.t),
-                cell,
-                generic_factory(cell)?,
-            ),
-            "leader" => plan_step(
-                LeaderConsensus::for_faults(cell.t),
-                cell,
-                leader_factory(cell)?,
-            ),
-            other => {
-                return Err(LabError::Unknown(format!(
-                    "unknown protocol {other:?} (see `synran list`)"
-                )))
-            }
-        };
-        Ok(CellPlan {
-            runs: cell.runs,
-            step,
-        })
-    }
-}
-
-fn plan_step<'a, P>(protocol: P, cell: &'a Cell, factory: Factory<P::Proc>) -> RunFn<'a>
+fn plan<'a, P>(protocol: P, cell: &'a Cell, factory: Factory<P::Proc>) -> Plan<'a>
 where
     P: ConsensusProtocol + Sync + 'a,
 {
-    // The engine parallelises across runs, so each run's own fan-outs
-    // (valency estimation) stay on its thread.
-    let cfg = SimConfig::new(cell.n)
+    let assignment = InputAssignment::Split { ones: cell.ones };
+    let name = protocol.name().to_string();
+    let step: RunFn<'a> = Box::new(move |cfg, index, telemetry| {
+        run_verdict(
+            &protocol, assignment, cfg, cell.seed, index, telemetry, &factory,
+        )
+    });
+    (name, step)
+}
+
+/// Validates `cell` and resolves its names into a [`Plan`] — the one place
+/// a name becomes a constructor.
+fn resolve(cell: &Cell) -> Result<Plan<'_>, LabError> {
+    validate_cell(cell)?;
+    Ok(match cell.protocol.as_str() {
+        "synran" => plan(SynRan::new(), cell, synran_factory(cell)?),
+        "symmetric" => plan(SynRan::symmetric(), cell, synran_factory(cell)?),
+        "flooding" => plan(
+            FloodingConsensus::for_faults(cell.t),
+            cell,
+            generic_factory(cell)?,
+        ),
+        "leader" => plan(
+            LeaderConsensus::for_faults(cell.t),
+            cell,
+            leader_factory(cell)?,
+        ),
+        other => return Err(unknown("protocol", other)),
+    })
+}
+
+/// A cell's execution parameters; the engine parallelises across runs, so
+/// each run's own fan-outs (valency estimation) stay on its thread.
+fn base_config(cell: &Cell) -> SimConfig {
+    SimConfig::new(cell.n)
         .faults(cell.t)
         .max_rounds(cell.max_rounds)
-        .threads(1);
-    let assignment = InputAssignment::Split { ones: cell.ones };
-    Box::new(move |index, telemetry| {
-        run_step(
-            &protocol, assignment, &cfg, cell.seed, index, telemetry, &factory,
-        )
-    })
+        .threads(1)
+}
+
+impl From<&BatchOutcome> for CellResult {
+    fn from(outcome: &BatchOutcome) -> CellResult {
+        CellResult {
+            rounds: outcome.rounds().to_vec(),
+            kills: outcome.kills().iter().map(|&k| k as u64).collect(),
+            timeouts: u32::try_from(outcome.timeouts()).unwrap_or(u32::MAX),
+            violations: u32::try_from(outcome.incorrect().len()).unwrap_or(u32::MAX),
+        }
+    }
 }
 
 /// Executes `cells` with their runs spread over `threads` pool workers in
 /// **one** dispatch over the flat `(cell, run)` index space, then folds
-/// each cell's runs in run order. Results are identical to executing the
-/// cells one by one, serially, at every thread count.
+/// each cell's runs in run order. Results are identical to executing the cells one by one, serially, at
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -190,12 +250,12 @@ pub(crate) fn run_cells_flat(
     cells: &[&Cell],
     threads: usize,
     telemetry: &Telemetry,
-) -> Result<Vec<CellResult>, LabError> {
+) -> Result<Vec<BatchOutcome>, LabError> {
     let mut plans = Vec::with_capacity(cells.len());
     let mut invalid = None;
-    for cell in cells {
-        match CellPlan::new(cell) {
-            Ok(plan) => plans.push(plan),
+    for &cell in cells {
+        match resolve(cell) {
+            Ok((_, step)) => plans.push((cell.runs, base_config(cell), step)),
             // Cells after an invalid one cannot change which error wins.
             Err(e) => {
                 invalid = Some(e);
@@ -206,29 +266,24 @@ pub(crate) fn run_cells_flat(
     // `starts[c]` is cell c's first flat index; the last entry is the total.
     let mut starts = Vec::with_capacity(plans.len() + 1);
     starts.push(0usize);
-    for plan in &plans {
-        starts.push(starts[starts.len() - 1] + plan.runs);
+    for (runs, _, _) in &plans {
+        starts.push(starts[starts.len() - 1] + runs);
     }
     let total = starts[plans.len()];
     let records = parallel::par_map_in(telemetry, threads, total, |k| {
         let c = starts.partition_point(|&s| s <= k) - 1;
-        (plans[c].step)(k - starts[c], telemetry)
+        let (_, cfg, step) = &plans[c];
+        RunRecord::classify(step(cfg, k - starts[c], telemetry))
     });
-    // Fold each cell's runs in run order straight into its result.
+    // Fold each cell's runs in run order.
     let mut records = records.into_iter();
     let mut results = Vec::with_capacity(plans.len());
-    for plan in &plans {
+    for (runs, _, _) in &plans {
         let cell_records = records
             .by_ref()
-            .take(plan.runs)
+            .take(*runs)
             .collect::<Result<Vec<_>, SimError>>()?;
-        let outcome = BatchOutcome::fold(cell_records, telemetry);
-        results.push(CellResult {
-            rounds: outcome.rounds().to_vec(),
-            kills: outcome.kills().iter().map(|&k| k as u64).collect(),
-            timeouts: u32::try_from(outcome.timeouts()).unwrap_or(u32::MAX),
-            violations: u32::try_from(outcome.incorrect().len()).unwrap_or(u32::MAX),
-        });
+        results.push(BatchOutcome::fold(cell_records, telemetry));
     }
     match invalid {
         Some(e) => Err(e),
@@ -236,15 +291,17 @@ pub(crate) fn run_cells_flat(
     }
 }
 
-/// Validates a cell's names without executing anything — `status` and
-/// spec linting use this.
+/// Validates a cell without executing anything — `status` and spec
+/// linting use this.
 ///
 /// # Errors
 ///
-/// Returns [`LabError::Unknown`] for an unknown protocol, an unknown
-/// adversary, or an incompatible pairing; [`LabError::Spec`] for a
-/// degenerate geometry (`n = 0`, `ones > n`, `t ≥ n` is allowed by the
-/// simulator and therefore allowed here).
+/// Returns [`LabError::Unknown`] for a name missing from [`PROTOCOLS`] or
+/// [`ADVERSARIES`], or an incompatible pairing; [`LabError::Spec`] for a
+/// degenerate geometry (`n = 0`, `ones > n`, `runs = 0`; `t ≥ n` is
+/// allowed by the simulator and therefore allowed here), or a
+/// `lower-bound` cell that sets some but not all of `cap`, `samples` and
+/// `horizon` (it would silently play its defaults).
 pub fn validate_cell(cell: &Cell) -> Result<(), LabError> {
     if cell.n == 0 {
         return Err(LabError::Spec("n must be at least 1".into()));
@@ -258,14 +315,35 @@ pub fn validate_cell(cell: &Cell) -> Result<(), LabError> {
     if cell.runs == 0 {
         return Err(LabError::Spec("runs must be at least 1".into()));
     }
-    match cell.protocol.as_str() {
-        "synran" | "symmetric" => synran_factory(cell).map(|_| ()),
-        "flooding" => generic_factory::<synran_core::FloodingProcess>(cell).map(|_| ()),
-        "leader" => leader_factory(cell).map(|_| ()),
-        other => Err(LabError::Unknown(format!(
-            "unknown protocol {other:?} (see `synran list`)"
-        ))),
+    if !PROTOCOLS.iter().any(|p| p.name == cell.protocol) {
+        return Err(unknown("protocol", &cell.protocol));
     }
+    let a = ADVERSARIES
+        .iter()
+        .find(|a| a.name == cell.adversary)
+        .ok_or_else(|| unknown("adversary", &cell.adversary))?;
+    if !a.can_attack(&cell.protocol) {
+        return Err(LabError::Unknown(format!(
+            "adversary {:?} cannot attack protocol {:?}: it attacks {} (see `synran list`)",
+            a.name,
+            cell.protocol,
+            a.targets()
+        )));
+    }
+    let knobs = [
+        ("cap", cell.cap == 0),
+        ("samples", cell.samples == 0),
+        ("horizon", cell.horizon == 0),
+    ];
+    let unset = knobs.iter().filter(|k| k.1).count();
+    if a.name == "lower-bound" && unset > 0 && unset < knobs.len() {
+        let unset: Vec<&str> = knobs.iter().filter(|k| k.1).map(|k| k.0).collect();
+        return Err(LabError::Spec(format!(
+            "lower-bound takes cap, samples and horizon together or not at all; unset: {}",
+            unset.join(", ")
+        )));
+    }
+    Ok(())
 }
 
 /// Executes one cell: a seeded batch of `cell.runs` runs, aggregated in
@@ -278,8 +356,47 @@ pub fn validate_cell(cell: &Cell) -> Result<(), LabError> {
 /// for engine errors other than round-limit overruns (tallied as
 /// [`CellResult::timeouts`]).
 pub fn run_cell(cell: &Cell, telemetry: &Telemetry) -> Result<CellResult, LabError> {
-    let mut results = run_cells_flat(&[cell], 1, telemetry)?;
-    Ok(results.pop().expect("one result per cell"))
+    let outcomes = run_cells_flat(&[cell], 1, telemetry)?;
+    Ok(CellResult::from(&outcomes[0]))
+}
+
+/// [`run_cell`] on `threads` pool workers, returning the protocol's own
+/// name and the folded batch itself, which also names each violating
+/// run's seed.
+///
+/// # Errors
+///
+/// As [`run_cell`].
+pub fn run_cell_batch(
+    cell: &Cell,
+    threads: usize,
+    telemetry: &Telemetry,
+) -> Result<(String, BatchOutcome), LabError> {
+    let (name, _) = resolve(cell)?;
+    let mut outcomes = run_cells_flat(&[cell], threads, telemetry)?;
+    Ok((name, outcomes.pop().expect("one outcome per cell")))
+}
+
+/// Executes run `index` of `cell` alone — the execution its batch counts
+/// at that index — on `threads` workers and with its event trace recorded
+/// on request (both observe-only), and returns the protocol's own name
+/// and the run's verdict.
+///
+/// # Errors
+///
+/// Returns [`validate_cell`]'s errors, and [`LabError::Sim`] for every
+/// engine error, a round-limit overrun included.
+pub fn run_cell_once(
+    cell: &Cell,
+    index: usize,
+    threads: usize,
+    trace: bool,
+    telemetry: &Telemetry,
+) -> Result<(String, ConsensusVerdict), LabError> {
+    let (name, step) = resolve(cell)?;
+    let cfg = base_config(cell).threads(threads).trace(trace);
+    let (_, verdict) = step(&cfg, index, telemetry)?;
+    Ok((name, verdict))
 }
 
 #[cfg(test)]
@@ -347,19 +464,119 @@ mod tests {
 
     #[test]
     fn compatibility_matrix_is_enforced() {
-        assert!(matches!(
-            validate_cell(&Cell::new("flooding", "balancer", 8)),
-            Err(LabError::Unknown(_))
-        ));
-        assert!(matches!(
-            validate_cell(&Cell::new("synran", "hunter", 8)),
-            Err(LabError::Unknown(_))
-        ));
-        assert!(matches!(
-            validate_cell(&Cell::new("quantum", "passive", 8)),
-            Err(LabError::Unknown(_))
-        ));
-        assert!(validate_cell(&Cell::new("synran", "lower-bound", 8)).is_ok());
+        for (protocol, adversary) in [
+            ("flooding", "balancer"),
+            ("synran", "hunter"),
+            ("leader", "walker"),
+            ("quantum", "passive"),
+            ("synran", "quantum"),
+        ] {
+            assert!(
+                matches!(
+                    validate_cell(&Cell::new(protocol, adversary, 8)),
+                    Err(LabError::Unknown(_))
+                ),
+                "{protocol}/{adversary}"
+            );
+        }
+        for (protocol, adversary) in [
+            ("synran", "lower-bound"),
+            ("synran", "balancer"),
+            ("leader", "hunter"),
+        ] {
+            assert!(validate_cell(&Cell::new(protocol, adversary, 8)).is_ok());
+        }
+    }
+
+    #[test]
+    fn name_table_matches_the_constructors() {
+        let mut compatible = 0;
+        for p in PROTOCOLS {
+            for a in ADVERSARIES {
+                let cell = Cell::new(p.name, a.name, 8);
+                assert_eq!(
+                    validate_cell(&cell).is_ok(),
+                    a.can_attack(p.name),
+                    "{}/{}",
+                    p.name,
+                    a.name
+                );
+                if a.can_attack(p.name) {
+                    compatible += 1;
+                    assert!(resolve(&cell).is_ok(), "{}/{}", p.name, a.name);
+                }
+            }
+        }
+        assert_eq!(compatible, 27);
+    }
+
+    #[test]
+    fn lower_bound_knobs_are_all_or_nothing() {
+        let mut cell = Cell::new("synran", "lower-bound", 8);
+        cell.samples = 3;
+        let Err(LabError::Spec(err)) = validate_cell(&cell) else {
+            panic!("samples alone must be rejected");
+        };
+        assert!(err.contains("unset: cap, horizon"), "{err}");
+        cell.cap = 4;
+        let Err(LabError::Spec(err)) = validate_cell(&cell) else {
+            panic!("cap and samples without horizon must be rejected");
+        };
+        assert!(err.contains("unset: horizon"), "{err}");
+        cell.horizon = 10;
+        assert!(validate_cell(&cell).is_ok());
+        // Other adversaries take their knobs one at a time.
+        let mut balancer = Cell::new("synran", "balancer", 8);
+        balancer.cap = 2;
+        assert!(validate_cell(&balancer).is_ok());
+    }
+
+    #[test]
+    fn a_single_run_is_the_batch_run_at_its_index() {
+        let mut cell = Cell::new("synran", "walker", 12);
+        cell.runs = 3;
+        cell.seed = 9;
+        let batch = run_cell(&cell, &Telemetry::off()).unwrap();
+        for index in 0..3 {
+            for trace in [true, false] {
+                let (name, verdict) =
+                    run_cell_once(&cell, index, 2, trace, &Telemetry::off()).unwrap();
+                assert_eq!(name, "synran");
+                assert_eq!(verdict.rounds(), batch.rounds[index]);
+                let kills = verdict.report().metrics().total_kills() as u64;
+                assert_eq!(kills, batch.kills[index]);
+                let events = verdict.report().trace().events();
+                assert_eq!(!events.is_empty(), trace, "trace = {trace}");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_see_the_cells_inputs_and_protocol_name() {
+        // Unanimous inputs force the decision (validity), so `ones`
+        // reaches every run's input assignment.
+        for (protocol, ones, decision) in [
+            ("synran", 0, Bit::Zero),
+            ("symmetric", 7, Bit::One),
+            ("leader", 7, Bit::One),
+        ] {
+            let mut cell = Cell::new(protocol, "passive", 7);
+            (cell.ones, cell.t) = (ones, 3);
+            let (name, verdict) = run_cell_once(&cell, 0, 1, false, &Telemetry::off()).unwrap();
+            assert_eq!(verdict.report().unanimous_decision(), Some(decision));
+            let (batch_name, outcome) = run_cell_batch(&cell, 1, &Telemetry::off()).unwrap();
+            assert_eq!(name, batch_name);
+            assert_eq!(outcome.rounds().len(), cell.runs);
+        }
+        let names = PROTOCOLS.iter().map(|p| {
+            let mut cell = Cell::new(p.name, "passive", 4);
+            cell.t = 1;
+            run_cell_once(&cell, 0, 1, false, &Telemetry::off())
+                .unwrap()
+                .0
+        });
+        let names: Vec<String> = names.collect();
+        assert_eq!(names, ["synran", "synran-sym", "flooding", "leader"]);
     }
 
     #[test]

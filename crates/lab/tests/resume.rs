@@ -107,6 +107,40 @@ fn resume_after_mid_line_truncation_is_byte_identical() {
 }
 
 #[test]
+fn resume_after_a_cut_inside_a_multibyte_character_is_byte_identical() {
+    let dir = tmpdir("multibyte");
+    let full = dir.join("full.journal.jsonl");
+    let baseline = render(1, Some(&full));
+    let text = fs::read_to_string(&full).unwrap();
+    // Keep three cells, then a fourth cell line whose protocol holds a
+    // `\u{20ac}`, torn after the character's first byte.
+    let kept: Vec<&str> = text.lines().take(3).collect();
+    let torn = text
+        .lines()
+        .nth(3)
+        .unwrap()
+        .replacen("synran", "synran\u{20ac}", 1);
+    let mut bytes = format!("{}\n", kept.join("\n")).into_bytes();
+    bytes.extend_from_slice(&torn.as_bytes()[..torn.find('\u{20ac}').unwrap() + 1]);
+    assert!(
+        String::from_utf8(bytes.clone()).is_err(),
+        "the cut must tear the character"
+    );
+
+    for threads in [1usize, 2] {
+        let journal = dir.join(format!("t{threads}.journal.jsonl"));
+        fs::write(&journal, &bytes).unwrap();
+        let scan = synran_lab::scan_journal(&journal).unwrap();
+        assert_eq!((scan.entries, scan.skipped), (3, 1), "threads = {threads}");
+        assert_eq!(
+            render(threads, Some(&journal)),
+            baseline,
+            "threads = {threads}"
+        );
+    }
+}
+
+#[test]
 fn imported_journal_short_circuits_a_sibling_campaign() {
     let dir = tmpdir("import");
     let donor = dir.join("donor.journal.jsonl");

@@ -12,6 +12,10 @@
 //! readers can tell *unknown* from *malformed*. When a key repeats, its
 //! first occurrence wins.
 //!
+//! [`lossy_lines`] splits a stream into lines without ever failing on
+//! their bytes, so a line torn inside a multi-byte character reaches
+//! `parse` (and fails it) instead of stopping the read.
+//!
 //! ```
 //! use synran_sim::json::{Escaped, FlatObject};
 //!
@@ -24,6 +28,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::io::BufRead;
 
 /// Containers nested deeper than this fail the parse, not the stack.
 const MAX_DEPTH: usize = 64;
@@ -310,6 +315,27 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The lines of `reader`, as [`BufRead::lines`] yields them (without the
+/// `\n` or `\r\n` ending), except that invalid UTF-8 is decoded lossily
+/// instead of being an error.
+pub fn lossy_lines(mut reader: impl BufRead) -> impl Iterator<Item = std::io::Result<String>> {
+    let mut buf = Vec::new();
+    std::iter::from_fn(move || {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) => None,
+            Ok(_) => {
+                let line = match buf.strip_suffix(b"\n") {
+                    Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                    None => &buf,
+                };
+                Some(Ok(String::from_utf8_lossy(line).into_owned()))
+            }
+            Err(e) => Some(Err(e)),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,5 +455,20 @@ mod tests {
         ] {
             assert_eq!(FlatObject::parse(bad), None, "{bad:?}");
         }
+    }
+
+    #[test]
+    fn lossy_lines_split_like_lines_and_never_fail_on_bytes() {
+        let text = b"a\r\nb\n\nc\r";
+        let lossy: Vec<String> = lossy_lines(&text[..]).map(Result::unwrap).collect();
+        let strict: Vec<String> = text.lines().map(Result::unwrap).collect();
+        assert_eq!(lossy, strict);
+        // A `\u{20ac}` torn after its first byte, then a healthy line.
+        let torn = b"{\"p\":\"\xe2\x82\n{\"p\":1}\n";
+        assert!(torn.lines().any(|line| line.is_err()));
+        let lossy: Vec<String> = lossy_lines(&torn[..]).map(Result::unwrap).collect();
+        assert_eq!(lossy.len(), 2);
+        assert!(FlatObject::parse(&lossy[0]).is_none());
+        assert_eq!(FlatObject::parse(&lossy[1]).unwrap().u64("p"), Some(1));
     }
 }

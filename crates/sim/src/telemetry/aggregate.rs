@@ -41,7 +41,7 @@ use std::fmt::Write as _;
 use std::io::BufRead;
 
 use super::{Histogram, SpanRecord, TelemetryEvent};
-use crate::json::FlatObject;
+use crate::json::{lossy_lines, FlatObject};
 
 /// A span with an owned name — what a parsed stream yields (in-process
 /// [`SpanRecord`]s carry `&'static str` names).
@@ -467,12 +467,13 @@ impl TelemetryStream {
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error from the reader (parse problems are
-    /// never errors — they land in [`malformed`](TelemetryStream::malformed)
-    /// / [`unknown`](TelemetryStream::unknown)).
+    /// Returns the first I/O error from the reader (parse problems, invalid
+    /// UTF-8 included, are never errors — they land in
+    /// [`malformed`](TelemetryStream::malformed) /
+    /// [`unknown`](TelemetryStream::unknown)).
     pub fn read(reader: impl BufRead) -> std::io::Result<TelemetryStream> {
         let mut stream = TelemetryStream::default();
-        for line in reader.lines() {
+        for line in lossy_lines(reader) {
             stream.push_line(&line?);
         }
         Ok(stream)
@@ -804,5 +805,15 @@ mod tests {
         let blank = TelemetryStream::parse("\n\n");
         assert_eq!(blank.lines, 2);
         assert_eq!(blank.malformed, 0);
+    }
+
+    #[test]
+    fn a_line_torn_inside_a_multibyte_character_is_malformed() {
+        let mut bytes = b"{\"type\":\"counter\",\"name\":\"a\",\"value\":1}\n".to_vec();
+        let torn = "{\"type\":\"meta\",\"key\":\"unit\",\"value\":\"\u{20ac}\"}\n";
+        bytes.extend_from_slice(&torn.as_bytes()[..torn.find('\u{20ac}').unwrap() + 1]);
+        let stream = TelemetryStream::read(&bytes[..]).unwrap();
+        assert_eq!(stream.counters.get("a"), Some(&1));
+        assert_eq!((stream.lines, stream.malformed), (2, 1));
     }
 }

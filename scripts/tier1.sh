@@ -100,6 +100,17 @@ if ./target/release/synran report --check "$telemetry_out.cut" >/dev/null 2>&1; 
     exit 1
 fi
 echo "report smoke OK: healthy artifact passes --check ($folded_lines folded stacks), truncated copy rejected"
+# `synran batch` records through the campaign engine's pool; its artifact
+# must pass --check too. An option batch does not take must fail it.
+batch_telemetry="$scratch/batch.telemetry.jsonl"
+./target/release/synran batch --n 16 --runs 4 --telemetry-out "$batch_telemetry" >/dev/null
+./target/release/synran report --check "$batch_telemetry" >/dev/null \
+    || { echo "report --check rejected the batch artifact"; exit 1; }
+if ./target/release/synran batch --bogus 1 >/dev/null 2>&1; then
+    echo "synran batch accepted an unknown option"
+    exit 1
+fi
+echo "batch smoke OK: batch artifact passes --check, unknown option rejected"
 # Every committed artifact must still pass --check (a line counts only if
 # it parses as one JSON object) and render as valid JSON, and so must a
 # fixture whose directory, counter, phase and protocol names all need

@@ -7,27 +7,23 @@
 //! synran campaign run campaigns/e3.campaign
 //! synran list
 //! ```
+//!
+//! `run` and `batch` turn their flags into one campaign [`Cell`] and
+//! execute it through the name registry (`synran::lab::registry`), the
+//! same path campaigns take.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use synran::adversary::{
-    Balancer, LeaderHunter, LowerBoundAdversary, MessageWalker, Oblivious, PreferenceKiller,
-    RandomKiller, Storm,
-};
-use synran::core::{
-    check_consensus_with, run_batch_with, ConsensusProtocol, FloodingConsensus, InputAssignment,
-    LeaderConsensus, SynRan,
-};
+use synran::lab::registry::{ADVERSARIES, PROTOCOLS};
 use synran::lab::{
-    load_cache, presets, scan_journal, CampaignSpec, CellCache, Engine, Journal, Report,
-    ReportFormat, StderrProgress,
+    load_cache, presets, run_cell_batch, run_cell_once, scan_journal, write_telemetry_jsonl,
+    CampaignSpec, Cell, CellCache, CellResult, Engine, Journal, Report, ReportFormat,
+    StderrProgress,
 };
-use synran::sim::{
-    Adversary, Bit, JsonlSink, Passive, Process, SimConfig, SimRng, Telemetry, TelemetryEvent,
-    TelemetryMode, TelemetrySink,
-};
+use synran::sim::{Telemetry, TelemetryMode};
 
 const USAGE: &str = "\
 synran — randomized synchronous consensus vs adaptive fail-stop adversaries
@@ -57,8 +53,8 @@ CAMPAIGN OPTIONS:
                        (observe-only; results identical with it on or off)
   --dir <dir>          directory scanned by campaign list    (default campaigns)
   status takes only --results-dir; list takes --dir and --results-dir.
-  Any other option is an error. Each completed wave of cells is journalled
-  before the next starts, so even a kill -9 loses at most one wave.
+  Each completed wave of cells is journalled before the next starts, so
+  even a kill -9 loses at most one wave.
 
 REPORT OPTIONS:
   --format table | json | folded   rendering                 (default table)
@@ -66,20 +62,22 @@ REPORT OPTIONS:
                  tooling (spans-mode telemetry only)
   --check        verify stream integrity instead of rendering: exit nonzero
                  on malformed or truncated lines
+  --threads <int> accepted and ignored: rendering is single-threaded
   Files ending in .journal.jsonl parse as campaign journals; everything
   else parses as telemetry JSONL. Output is a pure function of the input
   bytes — byte-identical on every re-run at any thread count.
 
-OPTIONS:
-  --protocol  synran | symmetric | flooding | leader        (default synran)
-  --adversary passive | random | storm | oblivious | kill-ones | kill-zeros
-              | balancer | lower-bound | walker | hunter    (default passive)
+OPTIONS (run and batch):
+  --protocol  <name>  protocol                              (default synran)
+  --adversary <name>  adversary; `synran list` shows the names and which
+                 protocols each adversary attacks           (default passive)
   --n    <int>   system size                                (default 32)
   --t    <int>   fault budget                               (default n-1; leader: (n-1)/2)
   --ones <int>   processes with input 1                     (default n/2)
-  --seed <int>   master seed                                (default 1)
+  --seed <int>   master seed; `run --seed S` executes the first run that
+                 `batch --seed S` counts                    (default 1)
   --runs <int>   batch size (batch only)                    (default 20)
-  --threads <int> worker threads for batches (0 = all cores, 1 = serial;
+  --threads <int> worker threads (0 = all cores, 1 = serial;
                  results are identical for every value)     (default 0)
   --trace        print the event trace (run only)
   --telemetry off | counters | spans                        (default off;
@@ -88,8 +86,7 @@ OPTIONS:
                  line). Telemetry is observe-only: results are identical
                  with it on or off.
 
-Adversary/protocol compatibility: balancer, lower-bound, walker, kill-*
-attack the SynRan family; hunter attacks leader; the rest attack anything.";
+Every command rejects an option it does not take.";
 
 type Parsed = (Vec<String>, HashMap<String, String>, Vec<String>);
 
@@ -115,308 +112,132 @@ fn parse(args: &[String]) -> Parsed {
     (positionals, values, flags)
 }
 
-#[derive(Debug)]
-struct Opts {
-    protocol: String,
-    adversary: String,
-    n: usize,
-    t: usize,
-    ones: usize,
-    seed: u64,
-    runs: usize,
-    threads: usize,
-    trace: bool,
-    telemetry: TelemetryMode,
-    telemetry_out: Option<String>,
-}
-
-impl Opts {
-    fn from(values: &HashMap<String, String>, flags: &[String]) -> Result<Opts, String> {
-        let get_usize = |k: &str, d: usize| -> Result<usize, String> {
-            values.get(k).map_or(Ok(d), |v| {
-                v.parse().map_err(|_| format!("--{k}: not an integer: {v}"))
-            })
-        };
-        let protocol = values
-            .get("protocol")
-            .cloned()
-            .unwrap_or_else(|| "synran".into());
-        let n = get_usize("n", 32)?;
-        let telemetry_out = values.get("telemetry-out").cloned();
-        // An output path without an explicit mode means "record counters".
-        let default_mode = if telemetry_out.is_some() {
-            TelemetryMode::Counters
-        } else {
-            TelemetryMode::Off
-        };
-        let telemetry = values.get("telemetry").map_or(Ok(default_mode), |v| {
-            v.parse().map_err(|e| format!("--telemetry: {e}"))
-        })?;
-        let default_t = if protocol == "leader" {
-            (n.saturating_sub(1)) / 2
-        } else {
-            n.saturating_sub(1)
-        };
-        Ok(Opts {
-            adversary: values
-                .get("adversary")
-                .cloned()
-                .unwrap_or_else(|| "passive".into()),
-            t: get_usize("t", default_t)?,
-            ones: get_usize("ones", n / 2)?,
-            seed: values.get("seed").map_or(Ok(1), |v| {
-                v.parse()
-                    .map_err(|_| format!("--seed: not an integer: {v}"))
-            })?,
-            runs: get_usize("runs", 20)?,
-            threads: get_usize("threads", 0)?,
-            trace: flags.iter().any(|f| f == "trace"),
-            telemetry,
-            telemetry_out,
-            protocol,
-            n,
-        })
-    }
-
-    fn inputs(&self) -> Vec<Bit> {
-        (0..self.n).map(|i| Bit::from(i < self.ones)).collect()
-    }
-
-    fn config(&self) -> SimConfig {
-        SimConfig::new(self.n)
-            .faults(self.t)
-            .seed(self.seed)
-            .max_rounds(500_000)
-            .trace(self.trace)
-            .threads(self.threads)
-    }
-}
-
-/// A boxed adversary that can be built on batch worker threads.
-type BoxedAdv<P> = Box<dyn Adversary<P> + Send>;
-
-/// Builds the adversary for a SynRan-family run.
-fn synran_adversary(
-    name: &str,
-    opts: &Opts,
-    seed: u64,
-) -> Result<BoxedAdv<synran::core::SynRanProcess>, String> {
-    let rate = (opts.n as f64).sqrt().ceil() as usize;
-    Ok(match name {
-        "passive" => Box::new(Passive),
-        "random" => Box::new(RandomKiller::new(rate, seed)),
-        "storm" => Box::new(Storm::new(seed)),
-        "oblivious" => Box::new(Oblivious::new(opts.n, rate, 500, seed)),
-        "kill-ones" => Box::new(PreferenceKiller::new(Bit::One, rate)),
-        "kill-zeros" => Box::new(PreferenceKiller::new(Bit::Zero, rate)),
-        "balancer" => Box::new(Balancer::unbounded()),
-        "lower-bound" => Box::new(LowerBoundAdversary::for_system(opts.n, seed)),
-        "walker" => Box::new(MessageWalker::new(rate.max(2), 3, 30, seed)),
-        other => return Err(format!("adversary {other:?} cannot attack this protocol")),
+/// The integer option `--key`, or `default` when it is absent.
+fn number<T: FromStr>(
+    values: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    values.get(key).map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|_| format!("--{key}: not an integer: {v}"))
     })
 }
 
-/// Builds the adversary for a protocol whose process type only generic
-/// adversaries understand.
-fn generic_adversary<P: Process>(
-    name: &str,
-    opts: &Opts,
-    seed: u64,
-) -> Result<BoxedAdv<P>, String> {
-    let rate = (opts.n as f64).sqrt().ceil() as usize;
-    Ok(match name {
-        "passive" => Box::new(Passive),
-        "random" => Box::new(RandomKiller::new(rate, seed)),
-        "storm" => Box::new(Storm::new(seed)),
-        "oblivious" => Box::new(Oblivious::new(opts.n, rate, 500, seed)),
-        other => return Err(format!("adversary {other:?} cannot attack this protocol")),
-    })
-}
-
-fn leader_adversary(
-    name: &str,
-    opts: &Opts,
-    seed: u64,
-) -> Result<BoxedAdv<synran::core::LeaderProcess>, String> {
-    if name == "hunter" {
-        return Ok(Box::new(LeaderHunter::new()));
+/// The one cell `run` and `batch` execute: their flags over the CLI's
+/// defaults (n = 32, t = n − 1, ones = n/2, seed 1, 20 runs, 500 000
+/// rounds, adversary knobs at their defaults).
+fn cli_cell(values: &HashMap<String, String>) -> Result<Cell, String> {
+    let protocol = values.get("protocol").map_or("synran", String::as_str);
+    let adversary = values.get("adversary").map_or("passive", String::as_str);
+    let mut cell = Cell::new(protocol, adversary, number(values, "n", 32)?);
+    if protocol == "leader" {
+        cell.t /= 2; // the leader protocol tolerates only t < n/2
     }
-    generic_adversary(name, opts, seed)
+    cell.t = number(values, "t", cell.t)?;
+    cell.ones = number(values, "ones", cell.ones)?;
+    cell.runs = number(values, "runs", 20)?;
+    cell.seed = number(values, "seed", 1)?;
+    cell.max_rounds = 500_000;
+    Ok(cell)
 }
 
-fn run_once<P>(
-    protocol: &P,
-    opts: &Opts,
-    telemetry: &Telemetry,
-    mut adversary: BoxedAdv<P::Proc>,
-) -> Result<(), String>
-where
-    P: ConsensusProtocol,
-{
-    let verdict = check_consensus_with(
-        protocol,
-        &opts.inputs(),
-        opts.config(),
-        &mut adversary,
-        telemetry,
-    )
-    .map_err(|e| e.to_string())?;
-    println!("protocol    : {}", protocol.name());
-    println!("adversary   : {}", opts.adversary);
-    println!("n / t / ones: {} / {} / {}", opts.n, opts.t, opts.ones);
-    println!("rounds      : {}", verdict.rounds());
-    println!("kills       : {}", verdict.report().metrics().total_kills());
-    println!("decision    : {:?}", verdict.report().unanimous_decision());
-    println!(
-        "correct     : {} (agreement {}, validity {}, termination {})",
-        verdict.is_correct(),
-        verdict.agreement(),
-        verdict.validity(),
-        verdict.termination()
-    );
-    if !verdict.violations().is_empty() {
+/// `--telemetry` and `--telemetry-out`; an output path without an
+/// explicit mode means "record counters".
+fn telemetry_options(
+    values: &HashMap<String, String>,
+) -> Result<(TelemetryMode, Option<&String>), String> {
+    let out = values.get("telemetry-out");
+    let mode = match values.get("telemetry") {
+        Some(v) => v.parse().map_err(|e| format!("--telemetry: {e}"))?,
+        None if out.is_some() => TelemetryMode::Counters,
+        None => TelemetryMode::Off,
+    };
+    Ok((mode, out))
+}
+
+/// `synran run` (run 0 of the cell, the first execution its batch counts)
+/// and `synran batch` (the cell's whole batch, unjournalled, on the
+/// campaign engine's path).
+fn cell_cmd(cmd: &str, values: &HashMap<String, String>, flags: &[String]) -> Result<(), String> {
+    // The cell's options, plus `trace` for `run` and `runs` for `batch`.
+    let common = [
+        "protocol",
+        "adversary",
+        "n",
+        "t",
+        "ones",
+        "seed",
+        "threads",
+        "telemetry",
+        "telemetry-out",
+    ];
+    let own = if cmd == "run" { "trace" } else { "runs" };
+    reject_unknown_options(cmd, &[&common[..], &[own]].concat(), values, flags)?;
+    let cell = cli_cell(values)?;
+    let threads = number(values, "threads", 0)?;
+    let (mode, telemetry_out) = telemetry_options(values)?;
+    let telemetry = Telemetry::new(mode);
+    if cmd == "run" {
+        let trace = flags.iter().any(|f| f == "trace");
+        let (name, verdict) =
+            run_cell_once(&cell, 0, threads, trace, &telemetry).map_err(|e| e.to_string())?;
+        println!("protocol    : {name}");
+        println!("adversary   : {}", cell.adversary);
+        println!("n / t / ones: {} / {} / {}", cell.n, cell.t, cell.ones);
+        println!("rounds      : {}", verdict.rounds());
+        println!("kills       : {}", verdict.report().metrics().total_kills());
+        println!("decision    : {:?}", verdict.report().unanimous_decision());
+        println!(
+            "correct     : {} (agreement {}, validity {}, termination {})",
+            verdict.is_correct(),
+            verdict.agreement(),
+            verdict.validity(),
+            verdict.termination()
+        );
         for v in verdict.violations() {
             println!("violation   : {v}");
         }
-    }
-    if opts.trace {
-        println!("\ntrace:");
-        for e in verdict.report().trace().events() {
-            println!("  {e}");
+        if trace {
+            println!("\ntrace:");
+            for e in verdict.report().trace().events() {
+                println!("  {e}");
+            }
+        }
+    } else {
+        let (name, outcome) =
+            run_cell_batch(&cell, threads, &telemetry).map_err(|e| e.to_string())?;
+        let summary = CellResult::from(&outcome);
+        println!("protocol  : {name}");
+        println!("adversary : {}", cell.adversary);
+        println!("n / t     : {} / {}", cell.n, cell.t);
+        println!("runs      : {}", cell.runs);
+        println!(
+            "rounds    : mean {:.1}, max {:?}",
+            summary.mean_rounds(),
+            summary.max_rounds()
+        );
+        println!("kills     : mean {:.1}", summary.mean_kills());
+        let correct = cell.runs - outcome.incorrect().len() - outcome.timeouts();
+        println!("correct   : {correct}/{} runs", cell.runs);
+        for (seed, violations) in outcome.incorrect() {
+            println!("  seed {seed}: {violations:?}");
         }
     }
-    Ok(())
-}
-
-fn run_batch_cmd<P, F>(
-    protocol: &P,
-    opts: &Opts,
-    telemetry: &Telemetry,
-    make: F,
-) -> Result<(), String>
-where
-    P: ConsensusProtocol + Sync,
-    F: Fn(u64) -> Result<BoxedAdv<P::Proc>, String> + Sync,
-{
-    // Pre-validate the adversary name once.
-    make(0)?;
-    let assignment = InputAssignment::Split { ones: opts.ones };
-    let outcome = run_batch_with(
-        protocol,
-        assignment,
-        &opts.config(),
-        opts.runs,
-        opts.seed,
-        telemetry,
-        |s| make(s).expect("validated above"),
-    )
-    .map_err(|e| e.to_string())?;
-    let mean = outcome.mean_rounds();
-    let kills: f64 =
-        outcome.kills().iter().map(|&k| k as f64).sum::<f64>() / outcome.kills().len() as f64;
-    println!("protocol  : {}", protocol.name());
-    println!("adversary : {}", opts.adversary);
-    println!("n / t     : {} / {}", opts.n, opts.t);
-    println!("runs      : {}", opts.runs);
-    println!(
-        "rounds    : mean {:.1}, max {:?}",
-        mean,
-        outcome.max_rounds()
-    );
-    println!("kills     : mean {kills:.1}");
-    println!(
-        "correct   : {}/{} runs",
-        opts.runs - outcome.incorrect().len() - outcome.timeouts(),
-        opts.runs
-    );
-    for (seed, violations) in outcome.incorrect() {
-        println!("  seed {seed}: {violations:?}");
+    if let Some(path) = telemetry_out {
+        let meta = [
+            ("command", cmd.to_string()),
+            ("protocol", cell.protocol.clone()),
+            ("adversary", cell.adversary.clone()),
+            ("n", cell.n.to_string()),
+            ("t", cell.t.to_string()),
+            ("seed", cell.seed.to_string()),
+            ("mode", mode.to_string()),
+        ];
+        write_telemetry_jsonl(Path::new(path), &meta, &telemetry, &[], cell.n)
+            .map_err(|e| format!("--telemetry-out {path}: {e}"))?;
+        println!("telemetry   : {path} ({mode})");
     }
-    Ok(())
-}
-
-fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
-    let seed0 = SimRng::new(opts.seed).next_u64();
-    let telemetry = Telemetry::new(opts.telemetry);
-    match (cmd, opts.protocol.as_str()) {
-        ("run", "synran") => run_once(
-            &SynRan::new(),
-            opts,
-            &telemetry,
-            synran_adversary(&opts.adversary, opts, seed0)?,
-        ),
-        ("run", "symmetric") => run_once(
-            &SynRan::symmetric(),
-            opts,
-            &telemetry,
-            synran_adversary(&opts.adversary, opts, seed0)?,
-        ),
-        ("run", "flooding") => run_once(
-            &FloodingConsensus::for_faults(opts.t),
-            opts,
-            &telemetry,
-            generic_adversary(&opts.adversary, opts, seed0)?,
-        ),
-        ("run", "leader") => run_once(
-            &LeaderConsensus::for_faults(opts.t),
-            opts,
-            &telemetry,
-            leader_adversary(&opts.adversary, opts, seed0)?,
-        ),
-        ("batch", "synran") => run_batch_cmd(&SynRan::new(), opts, &telemetry, |s| {
-            synran_adversary(&opts.adversary, opts, s)
-        }),
-        ("batch", "symmetric") => run_batch_cmd(&SynRan::symmetric(), opts, &telemetry, |s| {
-            synran_adversary(&opts.adversary, opts, s)
-        }),
-        ("batch", "flooding") => run_batch_cmd(
-            &FloodingConsensus::for_faults(opts.t),
-            opts,
-            &telemetry,
-            |s| generic_adversary(&opts.adversary, opts, s),
-        ),
-        ("batch", "leader") => run_batch_cmd(
-            &LeaderConsensus::for_faults(opts.t),
-            opts,
-            &telemetry,
-            |s| leader_adversary(&opts.adversary, opts, s),
-        ),
-        (_, p) => return Err(format!("unknown protocol {p:?} (see `synran list`)")),
-    }?;
-    if let Some(path) = &opts.telemetry_out {
-        write_telemetry(path, cmd, opts, &telemetry)?;
-        println!("telemetry   : {} ({})", path, opts.telemetry);
-    }
-    Ok(())
-}
-
-/// Writes the run's telemetry as JSONL: meta attribution lines first, then
-/// the exported registry (counters, histograms, spans).
-fn write_telemetry(
-    path: &str,
-    cmd: &str,
-    opts: &Opts,
-    telemetry: &Telemetry,
-) -> Result<(), String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("--telemetry-out {path}: {e}"))?;
-    let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
-    for (key, value) in [
-        ("command", cmd.to_string()),
-        ("protocol", opts.protocol.clone()),
-        ("adversary", opts.adversary.clone()),
-        ("n", opts.n.to_string()),
-        ("t", opts.t.to_string()),
-        ("seed", opts.seed.to_string()),
-        ("mode", opts.telemetry.to_string()),
-    ] {
-        sink.emit(&TelemetryEvent::Meta {
-            key: key.to_string(),
-            value,
-        });
-    }
-    telemetry.export(&mut sink);
-    sink.finish()
-        .map_err(|e| format!("--telemetry-out {path}: {e}"))?;
     Ok(())
 }
 
@@ -445,7 +266,7 @@ fn campaign_cmd(
             ))
         }
     };
-    reject_unknown_options(sub, accepted, values, flags)?;
+    reject_unknown_options(&format!("campaign {sub}"), accepted, values, flags)?;
     match sub {
         "status" => campaign_status(spec_path, values),
         "list" => campaign_list(values),
@@ -453,10 +274,10 @@ fn campaign_cmd(
     }
 }
 
-/// Fails on the first option, in name order, that `campaign <sub>` does
-/// not accept — a typo or a stale option must never be silently dropped.
+/// Fails on the first option, in name order, that `command` does not
+/// accept — a typo or a stale option must never be silently dropped.
 fn reject_unknown_options(
-    sub: &str,
+    command: &str,
     accepted: &[&str],
     values: &HashMap<String, String>,
     flags: &[String],
@@ -464,7 +285,7 @@ fn reject_unknown_options(
     let mut given: Vec<&str> = values.keys().chain(flags).map(String::as_str).collect();
     given.sort_unstable();
     match given.into_iter().find(|key| !accepted.contains(key)) {
-        Some(key) => Err(format!("unknown option --{key} for `campaign {sub}`")),
+        Some(key) => Err(format!("unknown option --{key} for `{command}`")),
         None => Ok(()),
     }
 }
@@ -497,10 +318,7 @@ fn campaign_run(
     journal
         .append_header(spec.name(), cells.len(), &spec.content_hash())
         .map_err(|e| e.to_string())?;
-    let threads = values.get("threads").map_or(Ok(0), |v| {
-        v.parse()
-            .map_err(|_| format!("--threads: not an integer: {v}"))
-    })?;
+    let threads = number(values, "threads", 0)?;
     let telemetry = Telemetry::new(spec.telemetry_mode().map_err(|e| e.to_string())?);
     let warm = cache.len();
     let mut engine = Engine::new(threads, telemetry).with_journal(journal, cache);
@@ -508,10 +326,7 @@ fn campaign_run(
     // for every 25 cells). Observe-only: stdout and the journal are
     // byte-identical with this on or off.
     let progress_every = match values.get("progress") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("--progress: not an integer: {v}"))?,
-        ),
+        Some(_) => Some(number(values, "progress", 25)?),
         None => flags.iter().any(|f| f == "progress").then_some(25),
     };
     if let Some(every) = progress_every {
@@ -618,6 +433,7 @@ fn report_cmd(
     values: &HashMap<String, String>,
     flags: &[String],
 ) -> Result<(), String> {
+    reject_unknown_options("report", &["format", "check", "threads"], values, flags)?;
     // The `--key value` parser is greedy, so in `report --check a.jsonl`
     // the first path lands as the flag's value — reclaim it.
     let mut paths: Vec<&String> = paths.iter().collect();
@@ -701,67 +517,46 @@ fn campaign_list(values: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// `synran list`: the registry's name table, then the experiments.
 fn list() {
-    println!("protocols : synran (the paper's §4 protocol, any t < n)");
-    println!("            symmetric (SynRan minus the one-sided coin rule — E5's ablation)");
-    println!("            flooding (deterministic t+1-round baseline)");
-    println!("            leader (CMS-style random leader, t < n/2 — E9)");
+    println!("protocols:");
+    for p in PROTOCOLS {
+        println!("  {:<12} {}", p.name, p.about);
+    }
     println!();
-    println!("adversaries: passive, random, storm, oblivious (pre-committed schedule),");
-    println!("            kill-ones, kill-zeros, balancer (Lemma 4.6 stalling),");
-    println!("            lower-bound (Theorem 1, valency-guided), walker (§3.4 message walk),");
-    println!("            hunter (leader-killing, E9)");
+    println!("adversaries:   attacks");
+    for a in ADVERSARIES {
+        println!("  {:<12} {:<18} {}", a.name, a.targets(), a.about);
+    }
     println!();
     println!("experiments (in crates/bench): e1_coin_control e2_blowup e3_lower_bound");
     println!("            e4_synran_upper e5_protocol_comparison e6_large_deviation");
     println!("            e7_t_sweep e8_budget_ablation e9_adaptivity e10_threshold_ablation");
     println!("            → cargo run --release -p synran-bench --bin <name>");
     println!();
-    println!("campaigns : declarative sweeps under campaigns/ (E3, E4, E7 shipped)");
+    println!("campaigns : declarative sweeps under campaigns/ (E3, E4, E6, E7 shipped)");
     println!("            → synran campaign run campaigns/e3.campaign");
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (positionals, values, flags) = parse(&args);
-    let Some(cmd) = positionals.first().cloned() else {
+    let Some(cmd) = positionals.first().map(String::as_str) else {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     };
-    if cmd == "list" {
-        list();
-        return ExitCode::SUCCESS;
-    }
-    if cmd == "campaign" {
-        return match campaign_cmd(&positionals[1..], &values, &flags) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "report" {
-        return match report_cmd(&positionals[1..], &values, &flags) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd != "run" && cmd != "batch" {
-        eprintln!("unknown command {cmd:?}\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    let opts = match Opts::from(&values, &flags) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+    let rest = &positionals[1..];
+    let result = match cmd {
+        "list" => reject_unknown_options("list", &[], &values, &flags).map(|()| list()),
+        "campaign" => campaign_cmd(rest, &values, &flags),
+        "report" => report_cmd(rest, &values, &flags),
+        "run" | "batch" => cell_cmd(cmd, &values, &flags),
+        _ => {
+            eprintln!("unknown command {cmd:?}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    match dispatch(&cmd, &opts) {
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -774,19 +569,19 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn opts_from(args: &[&str]) -> Result<Opts, String> {
-        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        let (_, values, flags) = parse(&owned);
-        Opts::from(&values, &flags)
+    fn owned(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn cell_from(args: &[&str]) -> Result<Cell, String> {
+        let (_, values, _) = parse(&owned(args));
+        cli_cell(&values)
     }
 
     #[test]
     fn parse_splits_command_values_and_flags() {
-        let args: Vec<String> = ["run", "--n", "16", "--trace", "--seed", "9"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (positionals, values, flags) = parse(&args);
+        let (positionals, values, flags) =
+            parse(&owned(&["run", "--n", "16", "--trace", "--seed", "9"]));
         assert_eq!(positionals, vec!["run".to_string()]);
         assert_eq!(values.get("n").map(String::as_str), Some("16"));
         assert_eq!(values.get("seed").map(String::as_str), Some("9"));
@@ -795,10 +590,7 @@ mod tests {
 
     #[test]
     fn parse_keeps_every_positional_in_order() {
-        let args: Vec<String> = ["campaign", "run", "campaigns/e3.campaign", "--threads", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args = owned(&["campaign", "run", "campaigns/e3.campaign", "--threads", "2"]);
         let (positionals, values, _) = parse(&args);
         assert_eq!(
             positionals,
@@ -809,65 +601,65 @@ mod tests {
 
     #[test]
     fn defaults_depend_on_protocol() {
-        let o = opts_from(&["--n", "32"]).unwrap();
-        assert_eq!(o.protocol, "synran");
-        assert_eq!(o.t, 31, "default t = n − 1");
-        assert_eq!(o.ones, 16);
-        let o = opts_from(&["--protocol", "leader", "--n", "33"]).unwrap();
-        assert_eq!(o.t, 16, "leader defaults to t = (n−1)/2");
+        let c = cell_from(&["--n", "32"]).unwrap();
+        assert_eq!(
+            (c.protocol.as_str(), c.adversary.as_str()),
+            ("synran", "passive")
+        );
+        assert_eq!(c.t, 31, "default t = n − 1");
+        assert_eq!((c.ones, c.seed, c.runs, c.max_rounds), (16, 1, 20, 500_000));
+        assert_eq!((c.cap, c.samples, c.horizon, c.rate), (0, 0, 0, 0));
+        let c = cell_from(&["--protocol", "leader", "--n", "33"]).unwrap();
+        assert_eq!(c.t, 16, "leader defaults to t = (n−1)/2");
     }
 
     #[test]
     fn bad_numbers_are_reported() {
-        let err = opts_from(&["--n", "many"]).unwrap_err();
+        let err = cell_from(&["--n", "many"]).unwrap_err();
         assert!(err.contains("--n"), "{err}");
-        let err = opts_from(&["--seed", "x"]).unwrap_err();
+        let err = cell_from(&["--seed", "x"]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
     }
 
     #[test]
     fn inputs_and_config_reflect_options() {
-        let o = opts_from(&["--n", "6", "--ones", "2", "--t", "3", "--trace"]).unwrap();
-        let inputs = o.inputs();
-        assert_eq!(inputs.iter().filter(|b| b.is_one()).count(), 2);
-        assert_eq!(inputs.len(), 6);
-        let cfg = o.config();
-        assert_eq!(cfg.n(), 6);
-        assert_eq!(cfg.t(), 3);
-        assert!(cfg.trace_enabled());
+        let c = cell_from(&["--n", "6", "--ones", "2", "--t", "3", "--runs", "4"]).unwrap();
+        assert_eq!((c.n, c.ones, c.t, c.runs), (6, 2, 3, 4));
     }
 
     #[test]
     fn telemetry_options_parse() {
-        let o = opts_from(&["--n", "8"]).unwrap();
-        assert_eq!(o.telemetry, TelemetryMode::Off);
-        assert!(o.telemetry_out.is_none());
-        let o = opts_from(&["--telemetry", "spans"]).unwrap();
-        assert_eq!(o.telemetry, TelemetryMode::Spans);
+        let values = |args: &[&str]| parse(&owned(args)).1;
+        let v = values(&["--n", "8"]);
+        assert_eq!(telemetry_options(&v).unwrap(), (TelemetryMode::Off, None));
+        let (mode, _) = telemetry_options(&values(&["--telemetry", "spans"])).unwrap();
+        assert_eq!(mode, TelemetryMode::Spans);
         // An output path alone implies counters.
-        let o = opts_from(&["--telemetry-out", "/tmp/t.jsonl"]).unwrap();
-        assert_eq!(o.telemetry, TelemetryMode::Counters);
-        assert_eq!(o.telemetry_out.as_deref(), Some("/tmp/t.jsonl"));
+        let v = values(&["--telemetry-out", "t.jsonl"]);
+        let (mode, out) = telemetry_options(&v).unwrap();
+        assert_eq!(mode, TelemetryMode::Counters);
+        assert_eq!(out.map(String::as_str), Some("t.jsonl"));
         // An explicit mode wins over the implied default.
-        let o = opts_from(&["--telemetry", "off", "--telemetry-out", "x.jsonl"]).unwrap();
-        assert_eq!(o.telemetry, TelemetryMode::Off);
-        let err = opts_from(&["--telemetry", "verbose"]).unwrap_err();
+        let v = values(&["--telemetry", "off", "--telemetry-out", "x.jsonl"]);
+        assert_eq!(telemetry_options(&v).unwrap().0, TelemetryMode::Off);
+        let err = telemetry_options(&values(&["--telemetry", "verbose"])).unwrap_err();
         assert!(err.contains("--telemetry"), "{err}");
     }
 
     #[test]
     fn adversary_protocol_compatibility_is_enforced() {
-        let o = opts_from(&["--adversary", "balancer"]).unwrap();
-        assert!(synran_adversary_builds(&o));
-        assert!(
-            generic_adversary::<synran::core::LeaderProcess>("balancer", &o, 1).is_err(),
-            "balancer must not attack generic protocols"
-        );
-        assert!(leader_adversary("hunter", &o, 1).is_ok());
-        assert!(leader_adversary("walker", &o, 1).is_err());
-    }
-
-    fn synran_adversary_builds(o: &Opts) -> bool {
-        synran_adversary(&o.adversary, o, 1).is_ok()
+        // The CLI's cells go through the registry's compatibility matrix.
+        for (args, ok) in [
+            (&["--adversary", "balancer"][..], true),
+            (
+                &["--protocol", "flooding", "--adversary", "balancer"],
+                false,
+            ),
+            (&["--protocol", "leader", "--adversary", "hunter"], true),
+            (&["--protocol", "leader", "--adversary", "walker"], false),
+        ] {
+            let cell = cell_from(args).unwrap();
+            assert_eq!(synran::lab::validate_cell(&cell).is_ok(), ok, "{args:?}");
+        }
     }
 }

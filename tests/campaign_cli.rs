@@ -2,7 +2,8 @@
 //! byte-identical at every `--threads` value, a campaign whose journal
 //! was cut mid-append resumes to the serial run's output, a cell listed
 //! twice runs once and renders twice, and an option a subcommand does not
-//! accept fails the command instead of being silently dropped.
+//! accept — or a `lower-bound` grid setting only some of its knobs —
+//! fails the command instead of being silently dropped.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -183,4 +184,32 @@ fn unknown_options_are_rejected() {
     let status = campaign("status", &spec, &results, &[]);
     assert!(status.status.success(), "{status:?}");
     assert!(String::from_utf8_lossy(&status.stdout).contains("0 pending"));
+}
+
+/// A `lower-bound` grid that sets only `samples` used to run with cap 0
+/// and silently play its defaults; now the spec fails, naming the unset
+/// knobs.
+#[test]
+fn partial_lower_bound_knobs_are_rejected() {
+    let dir = tmpdir("knobs");
+    let spec = dir.join("knobs.campaign");
+    std::fs::write(
+        &spec,
+        "campaign = knobs\nadversary = lower-bound\nruns = 1\nsamples = 3\nsweep n = 8,10\n",
+    )
+    .unwrap();
+    let out = campaign("run", &spec, &dir.join("results"), &[]);
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unset: cap, horizon"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a rejected grid must not render");
+
+    std::fs::write(
+        &spec,
+        "campaign = knobs\nadversary = lower-bound\nruns = 1\ncap = 2\nsamples = 2\n\
+         horizon = 8\nsweep n = 8,10\n",
+    )
+    .unwrap();
+    let out = campaign("run", &spec, &dir.join("results"), &["--fresh"]);
+    assert!(out.status.success(), "all three knobs set: {out:?}");
 }
