@@ -18,43 +18,40 @@
 use synran_adversary::{Balancer, BoundaryAttack};
 use synran_analysis::{fmt_f64, Summary, Table};
 use synran_bench::{banner, section, Args};
-use synran_core::{check_consensus, run_batch, InputAssignment, SynRan, Thresholds};
-use synran_sim::{Bit, SimConfig, SimRng};
+use synran_core::{run_batch, InputAssignment, SynRan, Thresholds};
+use synran_sim::{Bit, SimConfig};
 
+/// Agreement violations and mean rounds of `runs` boundary-attack runs
+/// against the `name` variant, from its ideal split for `target`.
 fn violation_rate(
+    name: &str,
     thresholds: Thresholds,
     target: Bit,
     n: usize,
     runs: usize,
     base_seed: u64,
 ) -> (usize, f64) {
-    let protocol = SynRan::with_thresholds(thresholds);
-    let ones = BoundaryAttack::ideal_ones(n, thresholds, target);
-    let inputs: Vec<Bit> = (0..n).map(|i| Bit::from(i < ones)).collect();
-    let mut violations = 0usize;
-    let mut rounds = Vec::new();
-    for r in 0..runs {
-        let seed = SimRng::new(base_seed).derive(r as u64).next_u64();
-        let verdict = check_consensus(
-            &protocol,
-            &inputs,
-            SimConfig::new(n)
-                .faults(n - 1)
-                .seed(seed)
-                .max_rounds(100_000),
-            &mut BoundaryAttack::targeting(target),
-        )
-        .expect("engine error");
-        if !verdict.is_correct() {
-            violations += 1;
-        }
-        rounds.push(verdict.rounds());
-    }
-    (violations, Summary::of_u32(&rounds).mean())
+    let outcome = run_batch(
+        &SynRan::with_thresholds(thresholds),
+        InputAssignment::Split {
+            ones: BoundaryAttack::ideal_ones(n, thresholds, target),
+        },
+        &SimConfig::new(n).faults(n - 1).max_rounds(100_000),
+        runs,
+        base_seed,
+        |_| BoundaryAttack::targeting(target),
+    )
+    .expect("engine error");
+    // A timeout would drop a run from both counts below.
+    assert_eq!(outcome.timeouts(), 0, "{name}: a run hit the round limit");
+    (
+        outcome.incorrect().len(),
+        Summary::of_u32(outcome.rounds()).mean(),
+    )
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["n", "runs", "seed"]);
     let runs = args.get_usize("runs", 40);
     let n = args.get_usize("n", 40);
     let seed = args.get_u64("seed", 10);
@@ -85,8 +82,8 @@ fn main() {
         "mean rounds",
     ]);
     for (name, th) in &variants {
-        let (v1, mean_rounds) = violation_rate(*th, Bit::One, n, runs, seed);
-        let (v0, _) = violation_rate(*th, Bit::Zero, n, runs, seed ^ 0xF0);
+        let (v1, mean_rounds) = violation_rate(name, *th, Bit::One, n, runs, seed);
+        let (v0, _) = violation_rate(name, *th, Bit::Zero, n, runs, seed ^ 0xF0);
         table.row([
             (*name).to_string(),
             if th.respects_lemma_4_2() { "yes" } else { "NO" }.to_string(),

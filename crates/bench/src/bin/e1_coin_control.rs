@@ -40,7 +40,7 @@ fn run_game<G: CoinGame>(game: &G, n: usize, samples: usize, seed: u64, table: &
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["fast", "samples", "seed"]);
     let samples = args.get_usize("samples", 300);
     let seed = args.get_u64("seed", 1);
     let sizes: Vec<usize> = if args.flag("fast") {

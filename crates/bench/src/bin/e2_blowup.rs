@@ -13,7 +13,7 @@ use synran_coin::{bias_radius, schechtman_bound, schechtman_l0, HypercubeSet};
 use synran_sim::SimRng;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["max-dim", "seed"]);
     let seed = args.get_u64("seed", 2);
     let max_dim = args.get_usize("max-dim", 16).min(20) as u32;
 

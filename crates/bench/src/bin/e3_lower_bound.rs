@@ -17,7 +17,7 @@ use synran_lab::Engine;
 use synran_sim::{Telemetry, TelemetryMode};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["fast", "runs", "samples", "seed", "telemetry", "threads"]);
     let mode: TelemetryMode = args
         .get("telemetry")
         .unwrap_or("spans")

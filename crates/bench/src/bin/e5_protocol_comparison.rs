@@ -12,14 +12,14 @@
 //!   back into coin-flipping), while SynRan's `Z = 0 → 1` rule makes
 //!   trimming a unanimous-1 population worthless.
 
-use synran_adversary::{Balancer, RandomKiller};
 use synran_analysis::{deterministic_rounds, fmt_f64, tight_bound_rounds, Table};
-use synran_bench::{banner, results_telemetry_path, section, write_telemetry_jsonl, Args};
-use synran_core::{run_batch_with, ConsensusProtocol, FloodingConsensus, InputAssignment, SynRan};
-use synran_sim::{Passive, SimConfig, Telemetry, TelemetryMode, World};
+use synran_bench::{banner, section, Args};
+use synran_core::{ConsensusProtocol, FloodingConsensus, SynRan};
+use synran_lab::{run_cell_batch, write_run_artifact, Cell};
+use synran_sim::{Telemetry, TelemetryMode};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["n", "runs", "seed", "telemetry"]);
     let runs = args.get_usize("runs", 30);
     let seed = args.get_u64("seed", 5);
     let n = args.get_usize("n", 64);
@@ -41,6 +41,17 @@ fn main() {
 
     let sqrt_n = (n as f64).sqrt().round() as usize;
     let t_values = [2, sqrt_n, n / 4, n / 2, n - 1];
+    // Every batch is one registry cell: even-split inputs unless `ones`
+    // says otherwise, `random` killing round(√n) a round.
+    let cell = |protocol: &str, adversary: &str, t: usize, base_seed: u64| {
+        let mut cell = Cell::new(protocol, adversary, n);
+        (cell.t, cell.runs, cell.seed, cell.rate) = (t, runs, base_seed, sqrt_n);
+        cell
+    };
+    let batch = |cell: &Cell| {
+        let (_, outcome) = run_cell_batch(cell, 0, &hub).expect("engine error");
+        outcome
+    };
 
     section("rounds to agreement under a passive adversary");
     let mut table = Table::new([
@@ -51,37 +62,8 @@ fn main() {
         "bound t/√(n·ln(2+t/√n))",
     ]);
     for &t in &t_values {
-        let cfg = SimConfig::new(n).faults(t).max_rounds(200_000);
-        let flooding = run_batch_with(
-            &FloodingConsensus::for_faults(t),
-            InputAssignment::even_split(n),
-            &cfg,
-            runs,
-            seed,
-            &hub,
-            |_| Passive,
-        )
-        .expect("engine error");
-        let synran = run_batch_with(
-            &SynRan::new(),
-            InputAssignment::even_split(n),
-            &cfg,
-            runs,
-            seed,
-            &hub,
-            |_| Passive,
-        )
-        .expect("engine error");
-        let sym = run_batch_with(
-            &SynRan::symmetric(),
-            InputAssignment::even_split(n),
-            &cfg,
-            runs,
-            seed,
-            &hub,
-            |_| Passive,
-        )
-        .expect("engine error");
+        let [flooding, synran, sym] =
+            ["flooding", "synran", "symmetric"].map(|p| batch(&cell(p, "passive", t, seed)));
         for o in [&flooding, &synran, &sym] {
             assert!(o.all_correct(), "violations: {:?}", o.incorrect());
         }
@@ -103,68 +85,20 @@ fn main() {
 
     section("rounds to agreement under adaptive attack (t = n − 1)");
     let t = n - 1;
-    let cfg = SimConfig::new(n).faults(t).max_rounds(200_000);
     let mut attack_table = Table::new(["adversary", "flooding", "synran", "synran-sym"]);
-    // Random killer.
-    let rate = sqrt_n;
-    let flooding_r = run_batch_with(
-        &FloodingConsensus::for_faults(t),
-        InputAssignment::even_split(n),
-        &cfg,
-        runs,
-        seed ^ 2,
-        &hub,
-        |s| RandomKiller::new(rate, s),
-    )
-    .expect("engine error");
-    let synran_r = run_batch_with(
-        &SynRan::new(),
-        InputAssignment::even_split(n),
-        &cfg,
-        runs,
-        seed ^ 2,
-        &hub,
-        |s| RandomKiller::new(rate, s),
-    )
-    .expect("engine error");
-    let sym_r = run_batch_with(
-        &SynRan::symmetric(),
-        InputAssignment::even_split(n),
-        &cfg,
-        runs,
-        seed ^ 2,
-        &hub,
-        |s| RandomKiller::new(rate, s),
-    )
-    .expect("engine error");
+    let [flooding_r, synran_r, sym_r] =
+        ["flooding", "synran", "symmetric"].map(|p| batch(&cell(p, "random", t, seed ^ 2)));
     attack_table.row([
-        format!("random(√n = {rate})"),
+        format!("random(√n = {sqrt_n})"),
         fmt_f64(flooding_r.mean_rounds(), 1),
         fmt_f64(synran_r.mean_rounds(), 1),
         fmt_f64(sym_r.mean_rounds(), 1),
     ]);
     // Balancer (SynRan-family only; flooding is oblivious to it, so rerun
     // random there for a fair row).
-    let synran_b = run_batch_with(
-        &SynRan::new(),
-        InputAssignment::even_split(n),
-        &cfg,
-        runs,
-        seed ^ 3,
-        &hub,
-        |_| Balancer::unbounded(),
-    )
-    .expect("engine error");
-    let sym_b = run_batch_with(
-        &SynRan::symmetric(),
-        InputAssignment::even_split(n),
-        &cfg,
-        runs,
-        seed ^ 3,
-        &hub,
-        |_| Balancer::unbounded(),
-    )
-    .expect("engine error");
+    let balancer = cell("synran", "balancer", t, seed ^ 3);
+    let synran_b = batch(&balancer);
+    let sym_b = batch(&cell("symmetric", "balancer", t, seed ^ 3));
     for o in [&flooding_r, &synran_r, &sym_r, &synran_b, &sym_b] {
         assert!(o.all_correct(), "violations: {:?}", o.incorrect());
     }
@@ -183,27 +117,11 @@ fn main() {
     // Validity. SynRan's `Z = 0 → 1` rule is immune: no visible 0 means
     // propose 1, whatever the counts. (This is why plain Ben-Or needs
     // t < n/2 while SynRan tolerates any t < n.)
-    let unanimous = InputAssignment::Unanimous(synran_sim::Bit::One);
-    let syn_u = run_batch_with(
-        &SynRan::new(),
-        unanimous,
-        &cfg,
-        runs,
-        seed ^ 4,
-        &hub,
-        |_| Balancer::unbounded(),
-    )
-    .expect("engine error");
-    let sym_u = run_batch_with(
-        &SynRan::symmetric(),
-        unanimous,
-        &cfg,
-        runs,
-        seed ^ 4,
-        &hub,
-        |_| Balancer::unbounded(),
-    )
-    .expect("engine error");
+    let [syn_u, sym_u] = ["synran", "symmetric"].map(|p| {
+        let mut unanimous = cell(p, "balancer", t, seed ^ 4);
+        unanimous.ones = n;
+        batch(&unanimous)
+    });
     let mut validity_table = Table::new(["protocol", "runs", "validity violations"]);
     validity_table.row([
         "synran".to_string(),
@@ -239,33 +157,14 @@ fn main() {
     );
 
     if mode != TelemetryMode::Off {
-        // One representative adaptive run (the attack configuration) for
-        // the per-round kill accounting, then the hub's aggregate of every
-        // batch above.
-        let protocol = SynRan::new();
-        let mut world = World::new(
-            SimConfig::new(n)
-                .faults(n - 1)
-                .seed(seed ^ 3)
-                .max_rounds(200_000),
-            |pid| protocol.spawn(pid, n, synran_sim::Bit::from(pid.index() < n / 2)),
-        )
-        .expect("valid config");
-        world.set_telemetry(hub.clone());
-        let report = world.run(&mut Balancer::unbounded()).expect("engine error");
-        let path = results_telemetry_path("e5_protocol_comparison");
-        write_telemetry_jsonl(
-            &path,
-            &[
-                ("experiment", "e5_protocol_comparison".to_string()),
-                ("adversary", "balancer".to_string()),
-                ("n", n.to_string()),
-                ("t", (n - 1).to_string()),
-                ("seed", seed.to_string()),
-            ],
+        // One representative adaptive run (run 0 of the attack section's
+        // SynRan × balancer cell) for the per-round kill accounting, then
+        // the hub's aggregate of every batch above.
+        let path = write_run_artifact(
+            "e5_protocol_comparison",
+            &balancer,
+            &[("seed", seed.to_string())],
             &hub,
-            report.metrics().kills_per_round(),
-            n,
         )
         .expect("write telemetry jsonl");
         println!("\nwrote {}", path.display());

@@ -20,7 +20,7 @@ use synran_lab::Engine;
 use synran_sim::{Telemetry, TelemetryMode};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["seed", "telemetry", "threads", "trials"]);
     let mode: TelemetryMode = args
         .get("telemetry")
         .unwrap_or("counters")

@@ -1,42 +1,24 @@
 //! E8 — Lemma 4.6 / Theorem 2 accounting: stalling SynRan costs the
 //! adversary ~`√(p·log p)/16` kills per 3-round block.
 //!
-//! The harness runs SynRan against the coin-band balancer with tracing on,
-//! reconstructs the alive-population timeline from the kill log, groups
+//! The harness runs SynRan against the coin-band balancer, reconstructs
+//! the alive-population timeline from each run's kills per round, groups
 //! rounds into blocks of three (the unit of Lemma 4.6's argument), and
 //! compares the adversary's spend per block with the `√(p·ln p)` law as
 //! the population halves — plus an ablation of the balancer's per-round
 //! cap, which should reduce both spend *and* stalling power together.
 
-use synran_adversary::Balancer;
 use synran_analysis::{fmt_f64, Accumulator, Table};
-use synran_bench::{banner, results_telemetry_path, section, write_telemetry_jsonl, Args};
-use synran_core::{check_consensus_with, ln_clamped, SynRan};
-use synran_sim::{Bit, SimConfig, SimRng, Telemetry, TelemetryMode};
+use synran_bench::{banner, section, Args};
+use synran_core::ln_clamped;
+use synran_lab::{run_cell_once, write_run_artifact, Cell};
+use synran_sim::{parallel, Telemetry, TelemetryMode};
 
-/// Per-block observations: population at block start, kills in the block.
-fn blocks_of_one_run(
-    n: usize,
-    seed: u64,
-    cap: Option<usize>,
-    telemetry: &Telemetry,
-) -> (Vec<(usize, usize)>, u32) {
-    let inputs: Vec<Bit> = (0..n).map(|i| Bit::from(i < n / 2)).collect();
-    let mut adversary = match cap {
-        Some(c) => Balancer::with_cap(c),
-        None => Balancer::unbounded(),
-    };
-    let verdict = check_consensus_with(
-        &SynRan::new(),
-        &inputs,
-        SimConfig::new(n)
-            .faults(n - 1)
-            .seed(seed)
-            .max_rounds(200_000),
-        &mut adversary,
-        telemetry,
-    )
-    .expect("engine error");
+/// Per-block observations of run `index` of `cell`: population at block
+/// start, kills in the block.
+fn blocks_of_run(cell: &Cell, index: usize, telemetry: &Telemetry) -> (Vec<(usize, usize)>, u32) {
+    let (_, verdict) =
+        run_cell_once(cell, index, parallel::AUTO_THREADS, false, telemetry).expect("engine error");
     assert!(verdict.is_correct(), "{:?}", verdict.violations());
     let rounds = verdict.rounds();
     // kills per round, dense.
@@ -45,7 +27,7 @@ fn blocks_of_one_run(
         per_round[round.index() as usize - 1] += k;
     }
     let mut blocks = Vec::new();
-    let mut population = n;
+    let mut population = cell.n;
     let mut i = 0usize;
     while i < per_round.len() {
         let kills: usize = per_round[i..(i + 3).min(per_round.len())].iter().sum();
@@ -61,7 +43,7 @@ fn law(p: usize) -> f64 {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["n", "runs", "seed"]);
     let runs = args.get_usize("runs", 25);
     let n = args.get_usize("n", 128);
     let seed = args.get_u64("seed", 8);
@@ -75,6 +57,14 @@ fn main() {
     // results/e8_budget_ablation.telemetry.jsonl at the end. Observe-only:
     // the tables are identical with or without it.
     let telemetry = Telemetry::new(TelemetryMode::Counters);
+    // SynRan × balancer at t = n − 1 from an even split; `cap` 0 is the
+    // unbounded balancer.
+    let balancer = |base_seed: u64, cap: usize| {
+        let mut cell = Cell::new("synran", "balancer", n);
+        (cell.runs, cell.seed, cell.cap) = (runs, base_seed, cap);
+        cell
+    };
+    let unbounded = balancer(seed, 0);
 
     section("spend per 3-round block vs √(p·ln p), by population band");
     // Aggregate block spends into population bands [n/2^k, n/2^{k+1}).
@@ -83,8 +73,7 @@ fn main() {
     let mut total_rounds = Accumulator::new();
     let mut total_kills = Accumulator::new();
     for r in 0..runs {
-        let run_seed = SimRng::new(seed).derive(r as u64).next_u64();
-        let (blocks, rounds) = blocks_of_one_run(n, run_seed, None, &telemetry);
+        let (blocks, rounds) = blocks_of_run(&unbounded, r, &telemetry);
         total_rounds.push(f64::from(rounds));
         total_kills.push(blocks.iter().map(|&(_, k)| k as f64).sum());
         for (p, kills) in blocks {
@@ -132,22 +121,21 @@ fn main() {
 
     section("ablation: capping the balancer's per-round spend");
     let mut ablation = Table::new(["per-round cap", "mean rounds", "mean kills"]);
-    for cap in [
-        None,
-        Some(law(n).ceil() as usize),
-        Some((law(n) / 4.0).ceil() as usize),
-        Some(1),
-    ] {
+    for cap in [0, law(n).ceil() as usize, (law(n) / 4.0).ceil() as usize, 1] {
+        let capped = balancer(seed ^ 0xAB, cap);
         let mut rounds_acc = Accumulator::new();
         let mut kills_acc = Accumulator::new();
         for r in 0..runs {
-            let run_seed = SimRng::new(seed ^ 0xAB).derive(r as u64).next_u64();
-            let (blocks, rounds) = blocks_of_one_run(n, run_seed, cap, &telemetry);
+            let (blocks, rounds) = blocks_of_run(&capped, r, &telemetry);
             rounds_acc.push(f64::from(rounds));
             kills_acc.push(blocks.iter().map(|&(_, k)| k as f64).sum());
         }
         ablation.row([
-            cap.map_or("unbounded".to_string(), |c| c.to_string()),
+            if cap == 0 {
+                "unbounded".to_string()
+            } else {
+                cap.to_string()
+            },
             fmt_f64(rounds_acc.mean(), 1),
             fmt_f64(kills_acc.mean(), 0),
         ]);
@@ -157,34 +145,13 @@ fn main() {
     println!("the same threshold the paper's lower-bound adversary needs per round.");
 
     // Telemetry artifact: the experiment-wide counters plus per-round
-    // kill-budget accounting from one representative unbounded run.
-    let rep_seed = SimRng::new(seed).derive(0).next_u64();
-    let rep_inputs: Vec<Bit> = (0..n).map(|i| Bit::from(i < n / 2)).collect();
-    let rep_verdict = check_consensus_with(
-        &SynRan::new(),
-        &rep_inputs,
-        SimConfig::new(n)
-            .faults(n - 1)
-            .seed(rep_seed)
-            .max_rounds(200_000),
-        &mut Balancer::unbounded(),
+    // kill-budget accounting from one representative unbounded run (run 0
+    // of the first section's cell).
+    let path = write_run_artifact(
+        "e8_budget_ablation",
+        &unbounded,
+        &[("seed", seed.to_string()), ("runs", runs.to_string())],
         &telemetry,
-    )
-    .expect("engine error");
-    let path = results_telemetry_path("e8_budget_ablation");
-    write_telemetry_jsonl(
-        &path,
-        &[
-            ("experiment", "e8_budget_ablation".to_string()),
-            ("adversary", "balancer".to_string()),
-            ("n", n.to_string()),
-            ("t", (n - 1).to_string()),
-            ("seed", seed.to_string()),
-            ("runs", runs.to_string()),
-        ],
-        &telemetry,
-        rep_verdict.report().metrics().kills_per_round(),
-        n,
     )
     .expect("write telemetry jsonl");
     println!("\ntelemetry: {}", path.display());

@@ -61,7 +61,7 @@ where
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["fast", "runs", "seed"]);
     let runs = args.get_usize("runs", 25);
     let seed = args.get_u64("seed", 9);
     let sizes: Vec<usize> = if args.flag("fast") {

@@ -2,14 +2,19 @@
 //! convention.
 //!
 //! It lives here so the campaign presets and the experiment binaries emit
-//! identical artifacts through one code path (`synran_bench` re-exports
-//! these for the harnesses).
+//! identical artifacts through one code path: [`write_run_artifact`]
+//! replays a cell's representative run through the registry and writes
+//! the artifact around it.
 
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 use synran_sim::telemetry::per_round_kill_cap;
-use synran_sim::{JsonlSink, Round, Telemetry, TelemetryEvent, TelemetrySink};
+use synran_sim::{parallel, JsonlSink, Round, Telemetry, TelemetryEvent, TelemetrySink};
+
+use crate::cell::Cell;
+use crate::registry::run_cell_once;
+use crate::LabError;
 
 /// The conventional telemetry JSONL path for an experiment binary:
 /// `results/<bin>.telemetry.jsonl` (next to the experiment's `.txt`
@@ -69,9 +74,47 @@ pub fn write_telemetry_jsonl(
     sink.finish()?.flush()
 }
 
+/// Writes `results/<bin>.telemetry.jsonl` around `cell`'s representative
+/// run: run 0 of the cell, replayed through [`run_cell_once`] on
+/// [`parallel::AUTO_THREADS`] workers into `telemetry`. The `meta` lines
+/// are `experiment` (= `bin`), `adversary`, `n` and `t` from the cell,
+/// then `extra_meta` in order; the `round_kills` lines are the run's
+/// [`kills_per_round`](synran_sim::Metrics::kills_per_round). Returns the
+/// path written.
+///
+/// # Errors
+///
+/// Returns [`run_cell_once`]'s errors (a round-limit overrun included)
+/// before any file is created, and [`LabError::Io`] for write failures.
+pub fn write_run_artifact(
+    bin: &str,
+    cell: &Cell,
+    extra_meta: &[(&str, String)],
+    telemetry: &Telemetry,
+) -> Result<PathBuf, LabError> {
+    let (_, verdict) = run_cell_once(cell, 0, parallel::AUTO_THREADS, false, telemetry)?;
+    let mut meta = vec![
+        ("experiment", bin.to_string()),
+        ("adversary", cell.adversary.clone()),
+        ("n", cell.n.to_string()),
+        ("t", cell.t.to_string()),
+    ];
+    meta.extend_from_slice(extra_meta);
+    let path = results_telemetry_path(bin);
+    write_telemetry_jsonl(
+        &path,
+        &meta,
+        telemetry,
+        verdict.report().metrics().kills_per_round(),
+        cell.n,
+    )?;
+    Ok(path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synran_sim::json::FlatObject;
     use synran_sim::TelemetryMode;
 
     #[test]
@@ -108,5 +151,63 @@ mod tests {
                 "missing {key} gauge"
             );
         }
+    }
+
+    #[test]
+    fn run_artifact_replays_run_zero_of_the_cell() {
+        let bin = format!("artifact-test-{}", std::process::id());
+        let path = results_telemetry_path(&bin);
+        let mut cell = Cell::new("synran", "balancer", 24);
+        (cell.runs, cell.seed) = (3, 1);
+
+        // A run 0 past its round limit is an error, and no file appears.
+        let mut stalled = cell.clone();
+        stalled.max_rounds = 1;
+        let err = write_run_artifact(&bin, &stalled, &[], &Telemetry::off()).unwrap_err();
+        assert!(matches!(err, LabError::Sim(_)), "{err}");
+        assert!(!path.exists(), "{} written on error", path.display());
+
+        let telemetry = Telemetry::new(TelemetryMode::Counters);
+        let extras = [("seed", "1".to_string()), ("runs", "3".to_string())];
+        let written = write_run_artifact(&bin, &cell, &extras, &telemetry).unwrap();
+        assert_eq!(written, path);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir("results");
+        let lines: Vec<FlatObject<'_>> = text
+            .lines()
+            .map(|l| FlatObject::parse(l).unwrap())
+            .collect();
+
+        let meta: Vec<(&str, &str)> = lines
+            .iter()
+            .filter(|o| o.str("type") == Some("meta"))
+            .map(|o| (o.str("key").unwrap(), o.str("value").unwrap()))
+            .collect();
+        let expected = [
+            ("experiment", bin.as_str()),
+            ("adversary", "balancer"),
+            ("n", "24"),
+            ("t", "23"),
+            ("seed", "1"),
+            ("runs", "3"),
+        ];
+        assert_eq!(meta, expected);
+
+        let kills_of_run = |index| {
+            let (_, verdict) = run_cell_once(&cell, index, 1, false, &Telemetry::off()).unwrap();
+            let kills = verdict.report().metrics().kills_per_round().iter();
+            kills
+                .map(|&(round, kills)| (u64::from(round.index()), kills as u64))
+                .collect::<Vec<(u64, u64)>>()
+        };
+        let want = kills_of_run(0);
+        assert_ne!(want, kills_of_run(1), "run 0 must be told apart from run 1");
+        let got: Vec<(u64, u64)> = lines
+            .iter()
+            .filter(|o| o.str("type") == Some("round_kills"))
+            .map(|o| (o.u64("round").unwrap(), o.u64("kills").unwrap()))
+            .collect();
+        assert_eq!(got, want);
     }
 }

@@ -49,7 +49,7 @@ pub mod registry;
 pub mod report;
 pub mod spec;
 
-pub use artifact::{results_telemetry_path, write_telemetry_jsonl};
+pub use artifact::{write_run_artifact, write_telemetry_jsonl};
 pub use cell::{fnv1a64, Cell, CellResult, CELL_SCHEMA_VERSION};
 pub use engine::{CellRunner, Engine};
 pub use journal::{load_cache, scan_journal, CellCache, Journal, JournalHeader, JournalScan};

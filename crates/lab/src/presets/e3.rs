@@ -8,12 +8,12 @@
 
 use std::io::Write;
 
-use synran_adversary::{find_adversarial_input, LowerBoundAdversary};
+use synran_adversary::find_adversarial_input;
 use synran_analysis::{fmt_f64, lower_bound_rounds, ShapeFit, Summary, Table};
-use synran_core::{check_consensus_with, per_round_kill_budget, SynRan};
-use synran_sim::{SimConfig, SimRng};
+use synran_core::{per_round_kill_budget, SynRan};
+use synran_sim::SimConfig;
 
-use crate::artifact::{results_telemetry_path, write_telemetry_jsonl};
+use crate::artifact::write_run_artifact;
 use crate::cell::{Cell, CellResult};
 use crate::engine::CellRunner;
 use crate::presets::{banner, section};
@@ -249,41 +249,19 @@ pub fn run(
     )?;
 
     // Telemetry artifact: the experiment-wide counters plus per-round
-    // kill-budget accounting from one representative forced run.
+    // kill-budget accounting from one representative forced run — run 0
+    // of the table's last forced cell (largest size, t = n − 1).
     let rep_n = *sizes.last().expect("sizes nonempty");
-    let rep_t = rep_n - 1;
     let rep_cap = paper_cap(rep_n);
-    let rep_seed = SimRng::new(seed).derive(0).next_u64();
-    let rep_inputs: Vec<synran_sim::Bit> = (0..rep_n)
-        .map(|i| synran_sim::Bit::from(i < rep_n / 2))
-        .collect();
-    let mut rep_adv =
-        LowerBoundAdversary::with_params(rep_cap, samples, probe_horizon(rep_n), rep_seed);
-    let rep_verdict = check_consensus_with(
-        &SynRan::new(),
-        &rep_inputs,
-        SimConfig::new(rep_n)
-            .faults(rep_t)
-            .seed(rep_seed)
-            .max_rounds(100_000),
-        &mut rep_adv,
-        runner.telemetry(),
-    )?;
-    let path = results_telemetry_path("e3_lower_bound");
-    write_telemetry_jsonl(
-        &path,
+    let path = write_run_artifact(
+        "e3_lower_bound",
+        &params.forced_cell(rep_n, rep_n - 1, rep_cap, seed),
         &[
-            ("experiment", "e3_lower_bound".to_string()),
-            ("adversary", "lower-bound".to_string()),
-            ("n", rep_n.to_string()),
-            ("t", rep_t.to_string()),
             ("cap_per_round", rep_cap.to_string()),
             ("seed", seed.to_string()),
             ("runs", runs.to_string()),
         ],
         runner.telemetry(),
-        rep_verdict.report().metrics().kills_per_round(),
-        rep_n,
     )?;
     writeln!(out, "\ntelemetry: {}", path.display())?;
     Ok(())

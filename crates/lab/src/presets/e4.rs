@@ -8,12 +8,9 @@
 
 use std::io::Write;
 
-use synran_adversary::Balancer;
 use synran_analysis::{fmt_f64, tight_bound_rounds, ShapeFit, Table};
-use synran_core::{check_consensus_with, SynRan};
-use synran_sim::{SimConfig, SimRng};
 
-use crate::artifact::{results_telemetry_path, write_telemetry_jsonl};
+use crate::artifact::write_run_artifact;
 use crate::cell::{Cell, CellResult};
 use crate::engine::CellRunner;
 use crate::presets::{banner, section};
@@ -154,40 +151,17 @@ pub fn run(
     )?;
 
     // Telemetry artifact: experiment-wide counters plus per-round
-    // kill accounting from one representative run — the balancer (the
-    // suite's historically worst adversary) at the largest size, the
-    // same shape E3 writes.
-    let rep_n = *params.sizes.last().expect("sizes nonempty");
-    let rep_t = rep_n - 1;
-    let rep_seed = SimRng::new(params.seed ^ rep_n as u64).derive(0).next_u64();
-    let rep_inputs: Vec<synran_sim::Bit> = (0..rep_n)
-        .map(|i| synran_sim::Bit::from(i < rep_n / 2))
-        .collect();
-    let mut rep_adv = Balancer::unbounded();
-    let rep_verdict = check_consensus_with(
-        &SynRan::new(),
-        &rep_inputs,
-        SimConfig::new(rep_n)
-            .faults(rep_t)
-            .seed(rep_seed)
-            .max_rounds(200_000),
-        &mut rep_adv,
-        runner.telemetry(),
-    )?;
-    let path = results_telemetry_path("e4_synran_upper");
-    write_telemetry_jsonl(
-        &path,
+    // kill accounting from one representative run — run 0 of the last
+    // cell, the balancer (the suite's historically worst adversary) at
+    // the largest size, the same shape E3 writes.
+    let path = write_run_artifact(
+        "e4_synran_upper",
+        cells.last().expect("sizes nonempty"),
         &[
-            ("experiment", "e4_synran_upper".to_string()),
-            ("adversary", "balancer".to_string()),
-            ("n", rep_n.to_string()),
-            ("t", rep_t.to_string()),
             ("seed", params.seed.to_string()),
             ("runs", runs.to_string()),
         ],
         runner.telemetry(),
-        rep_verdict.report().metrics().kills_per_round(),
-        rep_n,
     )?;
     writeln!(out, "\ntelemetry: {}", path.display())?;
     Ok(())

@@ -27,7 +27,7 @@ pub mod e6;
 pub mod e7;
 
 /// Writes an experiment banner with its DESIGN.md id and the claim under
-/// test (the `synran_bench::banner` format).
+/// test (`synran_bench::banner` prints this to stdout).
 ///
 /// # Errors
 ///
@@ -38,7 +38,8 @@ pub fn banner(out: &mut dyn Write, id: &str, claim: &str) -> std::io::Result<()>
     writeln!(out)
 }
 
-/// Writes a named section divider (the `synran_bench::section` format).
+/// Writes a named section divider (`synran_bench::section` prints this
+/// to stdout).
 ///
 /// # Errors
 ///

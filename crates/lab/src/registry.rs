@@ -12,8 +12,11 @@
 //! [`BatchOutcome::fold`] — the two halves of
 //! [`synran_core::run_batch_with`] — with the cell's base seed, so a cell
 //! reproduces exactly what a hand-rolled experiment loop with the same
-//! seed derivation produces. That equivalence is what lets the E3/E4/E7
-//! binaries delegate to the engine byte-for-byte.
+//! seed derivation produces. That equivalence is what lets the E3/E4/E6/E7
+//! binaries delegate to the engine, the E5 and E8 binaries run their
+//! batches as cells, and [`write_run_artifact`](crate::write_run_artifact)
+//! replay a cell's run 0 as an experiment's representative run, all
+//! byte-for-byte.
 
 use synran_adversary::{
     Balancer, LeaderHunter, LowerBoundAdversary, MessageWalker, Oblivious, PreferenceKiller,

@@ -63,6 +63,12 @@ for bin in e1_coin_control e2_blowup e3_lower_bound e4_synran_upper e5_protocol_
         || { echo "$bin stdout diverged from results/$bin.txt"; exit 1; }
 done
 echo "tables OK: E1-E10 stdout matches results/e*.txt"
+# An option a binary does not take must fail it, not run the defaults.
+if (cd "$tables_dir" && "$OLDPWD/target/release/e4_synran_upper" --bogus 1 >/dev/null 2>&1); then
+    echo "e4_synran_upper accepted an unknown option"
+    exit 1
+fi
+echo "options OK: e4_synran_upper --bogus 1 rejected"
 
 echo "== tier1: telemetry smoke test =="
 # A spans-mode CLI run must produce a parseable JSONL file containing at
