@@ -28,8 +28,9 @@ use std::collections::HashMap;
 ///
 /// The experiment binaries take a handful of numeric knobs; this avoids a
 /// CLI dependency. Values may be negative (`--bias -1`): anything that is
-/// not itself a `--key` counts as the preceding key's value. A key given
-/// twice keeps the last value. Each binary names the options it takes; any
+/// not itself a `--key` counts as the preceding key's value, so reading a
+/// flag that was given one (`--fast 1`) panics. A key given twice keeps
+/// the last value. Each binary names the options it takes; any
 /// other option, or a stray argument, is an error, so a typo such as
 /// `--run 5` never silently runs the defaults.
 ///
@@ -133,8 +134,16 @@ impl Args {
     }
 
     /// Whether a bare `--flag` was passed.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a clear message if `key` was given a value
+    /// (`--fast 1`), which would otherwise read as "flag absent".
     #[must_use]
     pub fn flag(&self, key: &str) -> bool {
+        if let Some(v) = self.values.get(key) {
+            panic!("--{key} takes no value, got {v:?}");
+        }
         self.flags.iter().any(|f| f == key)
     }
 }
@@ -199,7 +208,10 @@ mod tests {
         assert_eq!(a.get("bias"), Some("-3"));
         assert_eq!(a.get("scale"), Some("-0.5"));
         assert!(a.flag("fast"));
-        assert!(!a.flag("bias"), "-3 consumed as a value, not a flag");
+        assert!(
+            std::panic::catch_unwind(|| a.flag("bias")).is_err(),
+            "-3 consumed as a value, not a flag"
+        );
     }
 
     #[test]
@@ -227,6 +239,13 @@ mod tests {
     fn bad_integer_panics() {
         let a = parse(&["--n", "abc"]);
         let _ = a.get_usize("n", 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "--fast takes no value, got \"1\"")]
+    fn flag_given_a_value_panics() {
+        let a = parse(&["--fast", "1"]);
+        let _ = a.flag("fast");
     }
 
     #[test]

@@ -339,9 +339,15 @@ pub struct SynRanProcess {
     b: Bit,
     decided: bool,
     decision: Option<Bit>,
-    /// `n_hist[j]` is `N^{j−1}`: message counts with the paper's
-    /// `N^{−1} = N^{0} = n` convention at indices 0 and 1.
-    n_hist: Vec<usize>,
+    /// `⌈√(n/ln n)⌉`: for an integer count `N^r`, `N^r < √(n/ln n)` holds
+    /// exactly when `N^r < handover`.
+    handover: usize,
+    /// `[N^{r−3}, N^{r−2}, N^{r−1}]` for the next probabilistic round `r`
+    /// — all the history the thresholds and the stability rule read. It
+    /// starts at `[n, n, n]`: the paper's `N^{−1} = N^{0} = n`, with
+    /// earlier rounds clamped to `n`. Fixed size, so a process holds no
+    /// heap data and a world fork copies it as plain memory.
+    window: [usize; 3],
     stage: Stage,
 }
 
@@ -377,7 +383,8 @@ impl SynRanProcess {
             b: input,
             decided: false,
             decision: None,
-            n_hist: vec![n, n],
+            handover: deterministic_threshold(n).ceil() as usize,
+            window: [n; 3],
             stage: Stage::Probabilistic,
         }
     }
@@ -423,17 +430,7 @@ impl SynRanProcess {
     /// first round completes).
     #[must_use]
     pub fn last_n(&self) -> usize {
-        *self.n_hist.last().expect("history starts non-empty")
-    }
-
-    /// `N^j` with the convention `N^{−1} = N^{0} = n`; values before
-    /// round −1 are clamped to `n`.
-    fn n_at(&self, j: i64) -> usize {
-        if j < -1 {
-            self.n
-        } else {
-            self.n_hist[(j + 1) as usize]
-        }
+        self.window[2]
     }
 
     /// Predicts what this process will do when it receives a
@@ -453,21 +450,20 @@ impl SynRanProcess {
         if !matches!(self.stage, Stage::Probabilistic) {
             return None;
         }
-        // The history as it will look once n_r is pushed.
-        let r = self.n_hist.len() as i64 - 1;
-        if (n_r as f64) < deterministic_threshold(self.n) {
+        if n_r < self.handover {
             return Some(PredictedStep::Handover);
         }
         let th = &self.thresholds;
+        let [n_r3, n_r2, n_r1] = self.window;
         if self.decided {
-            let diff = self.n_at(r - 3).saturating_sub(n_r);
+            let diff = n_r3.saturating_sub(n_r);
             // The paper's 10·diff ≤ N^{r−2}, generalised to the margin
             // constant: 20·diff ≤ stability·N^{r−2}.
-            if 20 * diff as u64 <= u64::from(th.stability) * self.n_at(r - 2) as u64 {
+            if 20 * diff as u64 <= u64::from(th.stability) * n_r2 as u64 {
                 return Some(PredictedStep::Stop(self.b));
             }
         }
-        let base = self.n_at(r - 1) as u64;
+        let base = n_r1 as u64;
         let o = 20 * o_r as u64;
         // The propose-1 branch and the one-sided Z = 0 branch produce the
         // same step by design — they are distinct lines of the paper's
@@ -508,15 +504,15 @@ impl SynRanProcess {
     fn probabilistic_step(&mut self, ctx: &mut Context<'_>, inbox: &Inbox<SynRanMsg>) {
         let n_r = inbox.len();
         // Pref(b) packs to b, so the round tally is exactly (Z^r, O^r):
-        // on a plane-backed inbox both are popcounts. Known messages mean
-        // their senders already reached the deterministic stage; they
+        // a plane-backed inbox counted both when it was built. Known
+        // messages mean their senders reached the deterministic stage; they
         // count toward N (they are messages) but carry no single
         // preference — and they never pack, so the tally skips them.
         let (z_r, o_r) = inbox.tally();
         let step = self
             .predict(n_r, o_r, z_r)
             .expect("probabilistic_step runs only in the probabilistic stage");
-        self.n_hist.push(n_r);
+        self.window = [self.window[1], self.window[2], n_r];
         match step {
             PredictedStep::Handover => self.stage = Stage::Delay,
             PredictedStep::Stop(value) => self.decision = Some(value),
@@ -808,5 +804,195 @@ mod tests {
     fn single_process_system_decides_own_input() {
         let report = run_synran(SynRan::new(), 1, 0, |_| Bit::One, &mut Passive, 0).unwrap();
         assert_eq!(report.unanimous_decision(), Some(Bit::One));
+    }
+
+    /// The history the fixed window replaced: every round's count in a
+    /// growing `Vec` (`n_hist[j] = N^{j−1}`, starting `[n, n]`), read back
+    /// through `n_at`. Kept as the reference the window is checked against.
+    struct HistoryReference {
+        n: usize,
+        n_hist: Vec<usize>,
+    }
+
+    impl HistoryReference {
+        fn new(n: usize) -> HistoryReference {
+            HistoryReference {
+                n,
+                n_hist: vec![n, n],
+            }
+        }
+
+        /// `N^j`, with rounds before −1 clamped to `n`.
+        fn n_at(&self, j: i64) -> usize {
+            if j < -1 {
+                self.n
+            } else {
+                self.n_hist[(j + 1) as usize]
+            }
+        }
+
+        /// `N^{r−3}, N^{r−2}, N^{r−1}` for the next round `r`.
+        fn last_three(&self) -> [usize; 3] {
+            let r = self.n_hist.len() as i64 - 1;
+            [self.n_at(r - 3), self.n_at(r - 2), self.n_at(r - 1)]
+        }
+
+        /// `predict` as it read the full history, with `p`'s flags and
+        /// constants.
+        #[allow(clippy::if_same_then_else)]
+        fn predict(&self, p: &SynRanProcess, n_r: usize, o_r: usize, z_r: usize) -> PredictedStep {
+            if (n_r as f64) < deterministic_threshold(self.n) {
+                return PredictedStep::Handover;
+            }
+            let [n_r3, n_r2, n_r1] = self.last_three();
+            let th = &p.thresholds;
+            if p.decided {
+                let diff = n_r3.saturating_sub(n_r);
+                if 20 * diff as u64 <= u64::from(th.stability) * n_r2 as u64 {
+                    return PredictedStep::Stop(p.b);
+                }
+            }
+            let base = n_r1 as u64;
+            let o = 20 * o_r as u64;
+            let (value, decided) = if o > u64::from(th.decide_one) * base {
+                (Bit::One, true)
+            } else if o > u64::from(th.propose_one) * base {
+                (Bit::One, false)
+            } else if p.rule == CoinRule::OneSided && z_r == 0 {
+                (Bit::One, false)
+            } else if o < u64::from(th.decide_zero) * base {
+                (Bit::Zero, true)
+            } else if o < u64::from(th.propose_zero) * base {
+                (Bit::Zero, false)
+            } else {
+                return PredictedStep::FlipCoin;
+            };
+            PredictedStep::Propose { value, decided }
+        }
+    }
+
+    /// Counts worth probing next to `base`: it and its two neighbours.
+    fn around(base: usize) -> [usize; 3] {
+        [base.saturating_sub(1), base, base + 1]
+    }
+
+    #[test]
+    fn window_predicts_exactly_what_the_full_history_predicted() {
+        // The paper's constants and every variant E10 ablates.
+        let variants = [
+            Thresholds::paper(),
+            Thresholds::new(15, 12, 10, 7, 2),
+            Thresholds::new(13, 12, 10, 8, 2),
+            Thresholds::new(12, 12, 10, 8, 2),
+            Thresholds::new(14, 12, 10, 9, 2),
+            Thresholds::new(15, 12, 9, 6, 3),
+        ];
+        // What the probes reached: the step kinds handover, stop, decide,
+        // propose and coin, then a decided process on the exact stability
+        // boundary.
+        let mut reached = [false; 6];
+        for n in [1usize, 2, 3, 16, 64, 1000, 4096] {
+            let floor = deterministic_threshold(n) as usize;
+            for rule in [CoinRule::OneSided, CoinRule::Symmetric] {
+                for th in variants {
+                    let mut rng = synran_sim::SimRng::new(n as u64 ^ u64::from(th.decide_one));
+                    let mut p = SynRanProcess::with_thresholds(n, Bit::One, rule, th);
+                    let mut reference = HistoryReference::new(n);
+                    for step in 0..60 {
+                        let [n_r3, n_r2, n_r1] = reference.last_three();
+                        // N^r where 20·(N^{r−3} − N^r) = stability·N^{r−2}.
+                        let stable_edge = n_r3.saturating_sub(th.stability as usize * n_r2 / 20);
+                        let mut counts = vec![rng.index(n + 1)];
+                        counts.extend(around(floor));
+                        counts.extend(around(floor + 1));
+                        counts.extend(around(stable_edge));
+                        for &n_r in counts.iter().filter(|&&c| c <= n) {
+                            reached[5] |= p.decided
+                                && n_r <= n_r3
+                                && 20 * (n_r3 - n_r) == th.stability as usize * n_r2;
+                            let mut ones = vec![0, n_r, rng.index(n_r + 1)];
+                            for k in [
+                                th.decide_one,
+                                th.propose_one,
+                                th.propose_zero,
+                                th.decide_zero,
+                            ] {
+                                ones.extend(around(k as usize * n_r1 / 20));
+                            }
+                            for &o_r in ones.iter().filter(|&&o| o <= n_r) {
+                                let rest = n_r - o_r;
+                                for z_r in [rest, rest - rng.index(rest + 1), 0] {
+                                    let want = reference.predict(&p, n_r, o_r, z_r);
+                                    assert_eq!(
+                                        p.predict(n_r, o_r, z_r),
+                                        Some(want),
+                                        "n {n}, {rule:?}, {th:?}, step {step}, \
+                                         counts ({n_r}, {o_r}, {z_r})"
+                                    );
+                                    reached[match want {
+                                        PredictedStep::Handover => 0,
+                                        PredictedStep::Stop(_) => 1,
+                                        PredictedStep::Propose { decided: true, .. } => 2,
+                                        PredictedStep::Propose { decided: false, .. } => 3,
+                                        PredictedStep::FlipCoin => 4,
+                                    }] = true;
+                                }
+                            }
+                        }
+                        // Advance both by one received round: mostly a few
+                        // deaths, sometimes the stability edge or any count;
+                        // all ones half the time, so `decided` gets set. A
+                        // handover leaves the probabilistic stage: restart.
+                        let n_r = match rng.index(4) {
+                            0 => rng.index(n + 1),
+                            1 => stable_edge.min(n),
+                            _ => n_r1 - rng.index(n_r1 / 8 + 1),
+                        };
+                        let o_r = if rng.bit().is_one() {
+                            n_r
+                        } else {
+                            rng.index(n_r + 1)
+                        };
+                        let next = p.predict(n_r, o_r, n_r - o_r);
+                        if next == Some(PredictedStep::Handover) {
+                            p = SynRanProcess::with_thresholds(n, rng.bit(), rule, th);
+                            reference = HistoryReference::new(n);
+                            continue;
+                        }
+                        let inbox: Inbox<SynRanMsg> = ProcessId::all(n_r)
+                            .map(|pid| (pid, SynRanMsg::Pref(Bit::from(pid.index() < o_r))))
+                            .collect();
+                        let mut coins = synran_sim::SimRng::new(step);
+                        let mut ctx = Context::new(
+                            ProcessId::new(0),
+                            n,
+                            synran_sim::Round::FIRST,
+                            &mut coins,
+                        );
+                        p.receive(&mut ctx, &inbox);
+                        reference.n_hist.push(n_r);
+                        assert_eq!(p.last_n(), n_r);
+                    }
+                }
+            }
+        }
+        assert_eq!(reached, [true; 6], "every case was probed");
+    }
+
+    #[test]
+    fn integer_handover_bound_matches_the_float_threshold() {
+        for n in 1..=10_000 {
+            let p = SynRanProcess::new(n, Bit::Zero, CoinRule::OneSided);
+            let th = deterministic_threshold(n);
+            for n_r in p.handover.saturating_sub(2)..=p.handover + 2 {
+                assert_eq!((n_r as f64) < th, n_r < p.handover, "n {n}, N^r {n_r}");
+            }
+        }
+    }
+
+    #[test]
+    fn process_state_is_heap_free() {
+        // A heap field would put an allocation back into every world fork.
+        assert!(!std::mem::needs_drop::<SynRanProcess>());
     }
 }

@@ -72,7 +72,7 @@ impl<M> Default for SendPattern<M> {
 /// ascending sender order. `Plane` is the bit-plane layout used by the
 /// round engine's broadcast fast path: a sent mask plus a value mask, two
 /// `u64` words per 64 senders, from which messages are decoded on demand
-/// via [`PlaneMsg::unpack`].
+/// via [`PlaneMsg::unpack`], and both masks' popcounts, taken once.
 #[derive(Debug, Clone)]
 enum Repr<M> {
     Pairs(Vec<(ProcessId, M)>),
@@ -82,6 +82,9 @@ enum Repr<M> {
         /// Bit `s` set iff that message packed to [`Bit::One`].
         /// Invariant: subset of `sent`.
         ones: BitPlane,
+        /// Popcounts of `sent` and `ones`: a round's receivers share one inbox.
+        len: usize,
+        one_count: usize,
     },
 }
 
@@ -168,26 +171,29 @@ impl<M> Inbox<M> {
             "value mask must be a subset of the sent mask"
         );
         Inbox {
-            repr: Repr::Plane { sent, ones },
+            repr: Repr::Plane {
+                len: sent.count_ones(),
+                one_count: ones.count_ones(),
+                sent,
+                ones,
+            },
         }
     }
 
     /// Number of messages received this round — the paper's `N_i^r`.
+    /// O(1): a plane-backed inbox counted its senders when it was built.
     #[must_use]
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Pairs(msgs) => msgs.len(),
-            Repr::Plane { sent, .. } => sent.count_ones(),
+            Repr::Plane { len, .. } => *len,
         }
     }
 
     /// Returns `true` if nothing was received.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        match &self.repr {
-            Repr::Pairs(msgs) => msgs.is_empty(),
-            Repr::Plane { sent, .. } => sent.is_empty(),
-        }
+        self.len() == 0
     }
 
     /// The backing planes `(sent, ones)` when this inbox is plane-backed.
@@ -195,7 +201,7 @@ impl<M> Inbox<M> {
     pub fn planes(&self) -> Option<(&BitPlane, &BitPlane)> {
         match &self.repr {
             Repr::Pairs(_) => None,
-            Repr::Plane { sent, ones } => Some((sent, ones)),
+            Repr::Plane { sent, ones, .. } => Some((sent, ones)),
         }
     }
 
@@ -208,7 +214,7 @@ impl<M> Inbox<M> {
     pub fn into_planes(self) -> Option<(BitPlane, BitPlane)> {
         match self.repr {
             Repr::Pairs(_) => None,
-            Repr::Plane { sent, ones } => Some((sent, ones)),
+            Repr::Plane { sent, ones, .. } => Some((sent, ones)),
         }
     }
 
@@ -252,7 +258,7 @@ impl<M: PlaneMsg + Clone> Inbox<M> {
                 .binary_search_by_key(&sender, |(s, _)| *s)
                 .ok()
                 .map(|i| msgs[i].1.clone()),
-            Repr::Plane { sent, ones } => {
+            Repr::Plane { sent, ones, .. } => {
                 let i = sender.index();
                 if i < sent.width() && sent.get(i) {
                     Some(decode::<M>(Bit::from(ones.get(i))))
@@ -272,7 +278,7 @@ impl<M: PlaneMsg + Clone> Inbox<M> {
         InboxIter {
             inner: match &self.repr {
                 Repr::Pairs(msgs) => IterRepr::Pairs(msgs.iter()),
-                Repr::Plane { sent, ones } => IterRepr::Plane {
+                Repr::Plane { sent, ones, .. } => IterRepr::Plane {
                     sent: sent.ones(),
                     ones,
                 },
@@ -298,8 +304,8 @@ impl<M: PlaneMsg + Clone> Inbox<M> {
     /// This is the round tally behind SynRan's threshold rules (`Z^r`,
     /// `O^r`): messages that do not pack — structured payloads like
     /// `Known(S)` — count toward [`len`](Inbox::len) but toward neither
-    /// side of the tally. On a plane-backed inbox both counts are
-    /// popcounts; no messages are decoded.
+    /// side of the tally. A plane-backed inbox took both counts when it
+    /// was built, so this is O(1) there and decodes no message.
     #[must_use]
     pub fn tally(&self) -> (usize, usize) {
         match &self.repr {
@@ -315,10 +321,7 @@ impl<M: PlaneMsg + Clone> Inbox<M> {
                 }
                 (zeros, ones)
             }
-            Repr::Plane { sent, ones } => {
-                let one_count = ones.count_ones();
-                (sent.count_ones() - one_count, one_count)
-            }
+            Repr::Plane { len, one_count, .. } => (len - one_count, *one_count),
         }
     }
 
@@ -569,6 +572,35 @@ mod tests {
         assert_eq!(s.count_ones(), 3);
         assert_eq!(o.count_ones(), 1);
         assert!(pairs.into_planes().is_none());
+    }
+
+    #[test]
+    fn plane_counts_taken_at_construction_equal_pair_counts() {
+        let mut rng = crate::SimRng::new(0x00C0_FFEE);
+        for width in [1usize, 63, 64, 65, 4096] {
+            // Density 0 builds the empty plane, 1 the full one.
+            for density in [0.0, 0.1, 0.5, 0.9, 1.0] {
+                let mut sent = BitPlane::new(width);
+                let mut ones = BitPlane::new(width);
+                let mut pairs = Vec::new();
+                for s in 0..width {
+                    if rng.chance(density) {
+                        let bit = rng.bit();
+                        sent.set(s);
+                        if bit.is_one() {
+                            ones.set(s);
+                        }
+                        pairs.push((pid(s), bit));
+                    }
+                }
+                let plane: Inbox<Bit> = Inbox::from_plane(sent, ones);
+                let pairs = Inbox::from_messages(pairs);
+                let case = format!("width {width}, density {density}");
+                assert_eq!(plane.len(), pairs.len(), "{case}");
+                assert_eq!(plane.is_empty(), pairs.is_empty(), "{case}");
+                assert_eq!(plane.tally(), pairs.tally(), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 #
 # Checks BASE_REF out in a temporary git worktree and runs BENCHMARK.json's
 # `command` there and in this checkout (HEAD, with any uncommitted changes)
-# for three alternating pairs: base first on odd pairs, HEAD first on even
+# for five alternating pairs: base first on odd pairs, HEAD first on even
 # ones. A run is every workload BENCHMARK.json lists, each in its own
 # process (peak RSS is per process) for its `run_seconds`. A smoke run of
 # all workloads in each tree first builds `bench_e2e` there. The gate fails
@@ -22,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 base_ref="${1:-HEAD~1}"
-pairs=3
+pairs=5
 
 # spec ARRAY KEY...: for each one-line object of BENCHMARK.json's top-level
 # ARRAY, the values of KEY... on one line.

@@ -69,6 +69,12 @@ if (cd "$tables_dir" && "$OLDPWD/target/release/e4_synran_upper" --bogus 1 >/dev
     exit 1
 fi
 echo "options OK: e4_synran_upper --bogus 1 rejected"
+# A bare flag given a value must fail too, not read as "flag absent".
+if (cd "$tables_dir" && "$OLDPWD/target/release/e4_synran_upper" --fast 1 >/dev/null 2>&1); then
+    echo "e4_synran_upper accepted a value for the flag --fast"
+    exit 1
+fi
+echo "options OK: e4_synran_upper --fast 1 rejected"
 
 echo "== tier1: telemetry smoke test =="
 # A spans-mode CLI run must produce a parseable JSONL file containing at
