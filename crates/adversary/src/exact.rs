@@ -197,7 +197,7 @@ impl ExactEvaluator {
             return Ok((0.0, 1.0));
         }
 
-        let mut staged = world.clone();
+        let mut staged = world.fork(world.seed());
         staged.phase_a()?;
 
         let mut best_min = f64::INFINITY;

@@ -255,8 +255,9 @@ pub fn classify_with(estimate: &ValencyEstimate, lo: f64, hi: f64) -> Valence {
 ///
 /// The `(probe, sample)` grid is evaluated on
 /// [`world.config().threads_value()`](synran_sim::SimConfig::threads)
-/// worker threads in one dispatch: one shared snapshot, and each fork
-/// driven to completion by [`World::drive`](synran_sim::World::drive).
+/// worker threads in one dispatch: one bounded base fork of `world`, forked
+/// again per unit and driven to completion by
+/// [`World::drive`](synran_sim::World::drive).
 /// Fork seeds are derived from the `(probe, sample)` index, never from
 /// execution order, so the estimate is **bit-for-bit identical for every
 /// thread count** (including the serial `threads = 1` path). Committed
@@ -330,9 +331,9 @@ where
     // One work unit per (probe, sample) pair, indexed probe-major as in
     // the serial nested loop. Seeds depend only on the pair's indices.
     let fork_seeds = derive_seed_grid(seed, probes.len(), samples);
-    let snapshot = world.snapshot_bounded(horizon);
+    let base = world.fork_bounded(seed, horizon);
     let eval = |unit: usize| -> Result<(f64, bool), SimError> {
-        let mut fork = snapshot.fork(fork_seeds[unit]);
+        let mut fork = base.fork(fork_seeds[unit]);
         let factory = &probes.factories[unit / samples].1;
         let mut adversary = factory(fork_seeds[unit]);
         match fork.drive(&mut adversary) {
@@ -346,7 +347,7 @@ where
             }
             Err(SimError::MaxRoundsExceeded { .. }) => {
                 // Horizon hit: the fork is abandoned, but its warmed
-                // scratch goes back to the snapshot pool for the next
+                // scratch goes back to the shared pool for the next
                 // sample to re-use.
                 fork.retire();
                 Ok((0.5, true))

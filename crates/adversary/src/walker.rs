@@ -18,8 +18,8 @@
 //!
 //! This adversary is the finest-grained (and most expensive) realisation
 //! of the lower bound in the workspace: every step of the walk costs a
-//! valency estimate ([`estimate_valency`], one shared snapshot forked per
-//! `(probe, sample)` pair). Use
+//! valency estimate ([`estimate_valency`], one bounded base fork forked
+//! again per `(probe, sample)` pair). Use
 //! [`LowerBoundAdversary`](crate::LowerBoundAdversary)
 //! for experiments at scale; use this to *watch the proof work* at small
 //! `n` (see `examples/message_walk.rs`).

@@ -42,7 +42,7 @@ impl InfluenceProfile {
         &self.influences
     }
 
-    /// The largest individual influence — [BOL89]'s design target.
+    /// The largest individual influence — \[BOL89\]'s design target.
     #[must_use]
     pub fn max(&self) -> f64 {
         self.influences.iter().copied().fold(0.0, f64::max)

@@ -42,7 +42,7 @@
 //! | [`Tracker`] | a game's incremental evaluator: O(1) or O(depth) per edit, behind every search |
 //! | [`MajorityGame`], [`ParityGame`], [`OneSidedGame`], [`DictatorGame`], [`TribesGame`], [`ThresholdGame`], [`ModKGame`] | concrete games |
 //! | [`ExhaustiveHider`], [`GreedyHider`], [`CombinedHider`] | hide-set searchers |
-//! | [`exact_influences`], [`estimate_influences`] | Ben-Or–Linial influences ([BOL89]'s measure, which fail-stop hiding sidesteps) |
+//! | [`exact_influences`], [`estimate_influences`] | Ben-Or–Linial influences (\[BOL89\]'s measure, which fail-stop hiding sidesteps) |
 //! | [`estimate_control`], [`bias_radius`], [`control_threshold`] | Lemma 2.1 / Corollary 2.2 machinery |
 //! | [`HypercubeSet`], [`schechtman_bound`] | isoperimetric blow-up, exact and closed-form |
 

@@ -31,7 +31,7 @@ pub fn results_telemetry_path(bin: &str) -> PathBuf {
 ///
 /// The global worker pool's cumulative stats are folded in as
 /// fill-if-absent gauges first
-/// ([`parallel::export_pool_stats`](synran_sim::parallel::export_pool_stats)),
+/// ([`synran_sim::parallel::export_pool_stats`]),
 /// so the dump carries `pool.*` counters even for runs whose batches
 /// never dispatched on this handle.
 ///

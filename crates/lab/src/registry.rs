@@ -5,8 +5,8 @@
 //! campaign specs, presets, and the `synran` CLI, whose `synran list`
 //! prints them. The compatibility matrix is data: each adversary attacks
 //! either every protocol or the ones it lists (the SynRan-specific attacks
-//! only the SynRan family, `hunter` only `leader`), and [`resolve`] is the
-//! only place a name becomes a constructor.
+//! only the SynRan family, `hunter` only `leader`), and the private
+//! `resolve` is the only place a name becomes a constructor.
 //!
 //! Execution goes through [`synran_core::run_verdict`] and
 //! [`BatchOutcome::fold`] — the two halves of

@@ -173,20 +173,7 @@ impl Report {
         let mut merged: BTreeMap<String, PhaseStat> = BTreeMap::new();
         for (_, tree) in self.trees() {
             for (name, stat) in tree.phases() {
-                let entry = merged.entry(name).or_default();
-                let mut sum = *entry;
-                // `PhaseStat::merge` is private to the sim crate; fold by
-                // hand with the same semantics.
-                if sum.count == 0 {
-                    sum = stat;
-                } else {
-                    sum.count += stat.count;
-                    sum.total_ns += stat.total_ns;
-                    sum.self_ns += stat.self_ns;
-                    sum.min_ns = sum.min_ns.min(stat.min_ns);
-                    sum.max_ns = sum.max_ns.max(stat.max_ns);
-                }
-                *entry = sum;
+                merged.entry(name).or_default().merge(&stat);
             }
         }
         merged.into_iter().collect()

@@ -102,4 +102,4 @@ pub use telemetry::{
     JsonlSink, MemorySink, Telemetry, TelemetryEvent, TelemetryMode, TelemetrySink,
 };
 pub use trace::{Event, Trace};
-pub use world::{ProcessStatus, World, WorldSnapshot};
+pub use world::{ProcessStatus, World};

@@ -52,7 +52,7 @@ impl Metrics {
     ///
     /// Invariant: sorted by round, with exactly one entry per round —
     /// repeated recordings for the same round merge into a single entry
-    /// ([`on_kills`](Metrics::on_kills) guarantees this), so consumers can
+    /// (the engine's kill recording guarantees this), so consumers can
     /// binary-search and reconstruct dense per-round arrays without
     /// de-duplicating.
     #[must_use]

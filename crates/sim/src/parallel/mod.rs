@@ -968,15 +968,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_forks_are_thread_count_invariant() {
+    fn base_forks_are_thread_count_invariant() {
         let world = World::new(SimConfig::new(6).seed(11), |pid| {
             Echo::new(Bit::from(pid.index() % 2 == 0))
         })
         .unwrap();
-        let snapshot = world.snapshot_bounded(50);
+        let base = world.fork_bounded(0, 50);
         let run = |threads: usize| -> Vec<Vec<Option<Bit>>> {
             try_par_map(threads, 13, |i| {
-                let mut fork = snapshot.fork(1000 + i as u64);
+                let mut fork = base.fork(1000 + i as u64);
                 fork.drive(&mut Passive)?;
                 Ok::<_, SimError>(fork.into_report().decisions().to_vec())
             })
@@ -993,10 +993,10 @@ mod tests {
         // Bounded forks of a never-halting world stop at the horizon with
         // `MaxRoundsExceeded`, whatever the thread count.
         let world = World::new(SimConfig::new(4).seed(3).max_rounds(1_000), |_| Forever).unwrap();
-        let snapshot = world.snapshot_bounded(5);
+        let base = world.fork_bounded(0, 5);
         for threads in [1usize, 2, 8] {
             let outcomes = par_map(threads, 5, |i| {
-                let mut fork = snapshot.fork(7 + i as u64);
+                let mut fork = base.fork(7 + i as u64);
                 let outcome = fork.drive(&mut Passive);
                 fork.retire();
                 outcome

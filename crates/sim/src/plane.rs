@@ -22,7 +22,7 @@
 //! holds ids 0–63, word 1 holds 64–127, …). The last word is only
 //! partially used unless `n` is a multiple of 64; the unused **tail bits
 //! are always zero**. Every constructor and mutating operation maintains
-//! this invariant — [`BitPlane::fill`] masks the tail explicitly, and the
+//! this invariant — [`BitPlane::full`] masks the tail explicitly, and the
 //! bitwise ops cannot set a tail bit because neither operand has one set —
 //! so popcounts never need a trailing mask and whole-word equality is
 //! value equality.

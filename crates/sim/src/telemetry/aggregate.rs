@@ -110,7 +110,9 @@ impl PhaseStat {
         self.total_ns += elapsed_ns;
     }
 
-    fn merge(&mut self, other: &PhaseStat) {
+    /// Folds `other`'s spans into this stat: counts and totals add, the
+    /// extremes widen, and an empty side leaves the other unchanged.
+    pub fn merge(&mut self, other: &PhaseStat) {
         if other.count == 0 {
             return;
         }

@@ -96,7 +96,8 @@ struct PartialKill {
 /// `kill_stats` and `partials` are empty, the round planes (`sent_base`,
 /// `ones_base`, `adj_mark`) are all-zeros, and every `filter_of` entry is
 /// [`NO_KILL`] — so a freshly constructed scratch is interchangeable with a
-/// used one, which is what lets [`Clone`] hand forks an empty pool.
+/// used one, which is what lets [`World::fork`] hand a fork whichever
+/// scratch the shared pool has spare.
 #[derive(Debug)]
 pub(crate) struct RoundScratch<M> {
     /// Per-recipient message buffers (scalar path), recycled through
@@ -140,8 +141,8 @@ impl<M> RoundScratch<M> {
     }
 }
 
-/// Retired [`RoundScratch`] buffers queued for re-use by future forks of
-/// one [`WorldSnapshot`].
+/// Retired [`RoundScratch`] buffers queued for re-use by future forks, one
+/// pool per [`World::new`] root, shared by all its forks.
 ///
 /// The scratch invariant (clean between `deliver` calls) is what makes
 /// recycling sound: a warmed-up scratch and a fresh one are observationally
@@ -153,7 +154,7 @@ struct ScratchPool<M> {
     pool: Mutex<Vec<RoundScratch<M>>>,
 }
 
-/// Retired scratches kept per snapshot. Bounds memory when far more forks
+/// Retired scratches kept per pool. Bounds memory when far more forks
 /// retire than run concurrently; beyond the cap, scratches just drop.
 const SCRATCH_POOL_CAP: usize = 64;
 
@@ -190,9 +191,9 @@ impl<M> ScratchPool<M> {
 /// every alive process consumes its inbox). [`World::run`] drives both
 /// phases to completion under a given adversary.
 ///
-/// Worlds are `Clone` when the process type is, and [`World::fork`] produces
-/// an identical copy with fresh future randomness — the primitive the
-/// valency-estimating adversaries of `synran-adversary` are built on.
+/// [`World::fork`] is the one way to copy a world: an identical copy with
+/// fresh future randomness, the primitive the valency-estimating
+/// adversaries of `synran-adversary` are built on.
 ///
 /// # Examples
 ///
@@ -208,8 +209,8 @@ impl<M> ScratchPool<M> {
 /// ```
 #[derive(Debug)]
 pub struct World<P: Process> {
-    /// Shared, not owned: forks and snapshots of this world bump the `Arc`
-    /// instead of cloning the config (copy-on-write — the only mutation,
+    /// Shared, not owned: forks of this world bump the `Arc` instead of
+    /// cloning the config (copy-on-write — the only mutation,
     /// [`World::fork_bounded`] tightening `max_rounds`, makes a new `Arc`).
     cfg: Arc<SimConfig>,
     round: Round,
@@ -226,37 +227,11 @@ pub struct World<P: Process> {
     /// candidate-mask algebra) are popcounts instead of status scans.
     alive: BitPlane,
     scratch: RoundScratch<P::Msg>,
-    /// Where `scratch` returns when this world retires (snapshot forks
-    /// only): [`World::into_report`] and [`World::retire`] push it back so
-    /// the next fork inherits warmed-up buffers.
-    scratch_home: Option<Arc<ScratchPool<P::Msg>>>,
-}
-
-impl<P> Clone for World<P>
-where
-    P: Process + Clone,
-{
-    /// Clones the observable execution state. The clone gets a fresh (empty)
-    /// scratch pool rather than a copy of the parent's warmed-up buffers:
-    /// scratch is empty between rounds by invariant, so this changes nothing
-    /// observable, and it keeps mid-estimation forks cheap.
-    fn clone(&self) -> World<P> {
-        World {
-            cfg: Arc::clone(&self.cfg),
-            round: self.round,
-            phase: self.phase,
-            slots: self.slots.clone(),
-            outboxes: self.outboxes.clone(),
-            budget: self.budget,
-            metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
-            telemetry: self.telemetry.clone(),
-            seed: self.seed,
-            alive: self.alive.clone(),
-            scratch: RoundScratch::new(self.cfg.n()),
-            scratch_home: None,
-        }
-    }
+    /// Retired scratch, shared by every world forked (transitively) from
+    /// the same [`World::new`] root: [`World::fork`] takes its scratch
+    /// here, and [`World::into_report`] and [`World::retire`] give it
+    /// back, so the next fork inherits warmed-up buffers.
+    spares: Arc<ScratchPool<P::Msg>>,
 }
 
 impl<P: Process> World<P> {
@@ -296,7 +271,7 @@ impl<P: Process> World<P> {
             slots,
             alive: BitPlane::full(n),
             scratch: RoundScratch::new(n),
-            scratch_home: None,
+            spares: Arc::new(ScratchPool::empty()),
             cfg: Arc::new(cfg),
         })
     }
@@ -935,8 +910,8 @@ impl<P: Process> World<P> {
     /// world is not needed afterwards — on traced runs this skips copying
     /// the entire event log.
     #[must_use]
-    pub fn into_report(mut self) -> RunReport {
-        self.recycle_scratch();
+    pub fn into_report(self) -> RunReport {
+        self.spares.put(self.scratch);
         RunReport::new(
             self.slots.iter().map(|s| s.proc.decision()).collect(),
             self.slots.iter().map(|s| s.status).collect(),
@@ -945,23 +920,15 @@ impl<P: Process> World<P> {
         )
     }
 
-    /// Discards this world, returning its scratch buffers to the snapshot
-    /// pool they came from (if any).
+    /// Discards this world, returning its scratch buffers to the pool its
+    /// forks share.
     ///
-    /// Call this instead of plain `drop` on error paths that abandon a
-    /// snapshot fork without [`into_report`](World::into_report) — e.g. a
-    /// valency probe that hit its horizon — so the next fork from the same
-    /// snapshot inherits the warmed-up buffers.
-    pub fn retire(mut self) {
-        self.recycle_scratch();
-    }
-
-    /// Pushes the (clean, by invariant) scratch back to its home pool,
-    /// leaving a zero-width placeholder behind.
-    fn recycle_scratch(&mut self) {
-        if let Some(home) = self.scratch_home.take() {
-            home.put(std::mem::replace(&mut self.scratch, RoundScratch::new(0)));
-        }
+    /// Call this instead of plain `drop` on paths that abandon a fork
+    /// without [`into_report`](World::into_report) — e.g. a valency probe
+    /// that hit its horizon — so the next fork inherits the warmed-up
+    /// buffers.
+    pub fn retire(self) {
+        self.spares.put(self.scratch);
     }
 
     fn note_decision(&mut self, pid: ProcessId) {
@@ -988,7 +955,16 @@ where
     /// between forks with different seeds. This is the primitive behind
     /// Monte-Carlo valency estimation: fork the paused world many times,
     /// resume each under a reference adversary, and observe the empirical
-    /// distribution of decisions.
+    /// distribution of decisions. `fork(self.seed())` replays this world's
+    /// own future exactly.
+    ///
+    /// The copy takes its round scratch from the pool this world shares
+    /// with its root and every other fork of it; [`into_report`] and
+    /// [`retire`] return it there. Scratch is clean between rounds, so a
+    /// recycled scratch differs from a fresh one only in capacity.
+    ///
+    /// [`into_report`]: World::into_report
+    /// [`retire`]: World::retire
     #[must_use]
     pub fn fork(&self, seed: u64) -> World<P> {
         World {
@@ -1007,8 +983,8 @@ where
             telemetry: Telemetry::off(),
             seed,
             alive: self.alive.clone(),
-            scratch: RoundScratch::new(self.cfg.n()),
-            scratch_home: None,
+            scratch: self.spares.take(self.cfg.n()),
+            spares: Arc::clone(&self.spares),
         }
     }
 
@@ -1025,44 +1001,6 @@ where
         copy.cfg = bounded_cfg(&self.cfg, self.round, horizon);
         copy
     }
-
-    /// Condenses the paused world into a copy-on-write [`WorldSnapshot`]
-    /// that many forks can be cut from cheaply.
-    ///
-    /// Equivalent to calling [`fork`](World::fork) per seed — forks from
-    /// the snapshot and forks from the world are byte-identical — but the
-    /// immutable bulk (config, process baseline, queued outboxes, metrics,
-    /// liveness plane) is captured once behind an `Arc` and shared by
-    /// every fork, and retired forks recycle their warmed-up round-scratch
-    /// buffers through the snapshot instead of each fork growing its own.
-    #[must_use]
-    pub fn snapshot(&self) -> WorldSnapshot<P> {
-        self.snapshot_with(Arc::clone(&self.cfg))
-    }
-
-    /// [`snapshot`](World::snapshot) with the fork round limit capped at
-    /// `horizon` rounds past the current round, mirroring
-    /// [`fork_bounded`](World::fork_bounded).
-    #[must_use]
-    pub fn snapshot_bounded(&self, horizon: u32) -> WorldSnapshot<P> {
-        self.snapshot_with(bounded_cfg(&self.cfg, self.round, horizon))
-    }
-
-    fn snapshot_with(&self, cfg: Arc<SimConfig>) -> WorldSnapshot<P> {
-        WorldSnapshot {
-            inner: Arc::new(SnapshotInner {
-                cfg,
-                round: self.round,
-                phase: self.phase,
-                slots: self.slots.clone(),
-                outboxes: self.outboxes.clone(),
-                budget: self.budget,
-                metrics: self.metrics.clone(),
-                alive: self.alive.clone(),
-                scratch: Arc::new(ScratchPool::empty()),
-            }),
-        }
-    }
 }
 
 /// The fork config for a `horizon`-bounded exploration from `round`:
@@ -1078,121 +1016,6 @@ fn bounded_cfg(cfg: &Arc<SimConfig>, round: Round, horizon: u32) -> Arc<SimConfi
         Arc::clone(cfg)
     } else {
         Arc::new(cfg.as_ref().clone().max_rounds(limit))
-    }
-}
-
-/// The shared, immutable bulk of a paused [`World`], captured once per
-/// [`World::snapshot`] call and referenced by every fork cut from it.
-#[derive(Debug)]
-struct SnapshotInner<P: Process> {
-    cfg: Arc<SimConfig>,
-    round: Round,
-    phase: Phase,
-    slots: Vec<Slot<P>>,
-    outboxes: Vec<Option<SendPattern<P::Msg>>>,
-    budget: FaultBudget,
-    metrics: Metrics,
-    alive: BitPlane,
-    /// Scratch buffers retired forks leave behind for future forks.
-    scratch: Arc<ScratchPool<P::Msg>>,
-}
-
-/// A copy-on-write capture of a paused [`World`], built by
-/// [`World::snapshot`] / [`World::snapshot_bounded`].
-///
-/// The snapshot owns one immutable copy of the world's bulk state behind
-/// an `Arc`; [`WorldSnapshot::fork`] cuts a mutable [`World`] from it by
-/// cloning only the per-fork delta (process slots and queued outboxes —
-/// the state a resumed execution mutates) and borrowing a pooled round
-/// scratch. Cloning the snapshot itself is an `Arc` bump, so one snapshot
-/// can be shared across the worker pool for a whole `probes × samples`
-/// estimation pass.
-///
-/// # Equivalence invariant
-///
-/// `snapshot().fork(s)` is observationally identical to `fork(s)` on the
-/// world the snapshot was taken from: same processes, statuses, outboxes,
-/// budget, metrics, round position, and — because future coins depend only
-/// on `(seed, round, phase)` — the same execution under any adversary.
-/// Recycled scratch preserves this because scratch is clean between
-/// rounds by invariant; a warmed buffer differs from a fresh one only in
-/// capacity.
-pub struct WorldSnapshot<P: Process> {
-    inner: Arc<SnapshotInner<P>>,
-}
-
-impl<P: Process> std::fmt::Debug for WorldSnapshot<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorldSnapshot")
-            .field("n", &self.inner.cfg.n())
-            .field("round", &self.inner.round)
-            .field("phase", &self.inner.phase.name())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P: Process> Clone for WorldSnapshot<P> {
-    fn clone(&self) -> WorldSnapshot<P> {
-        WorldSnapshot {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<P> WorldSnapshot<P>
-where
-    P: Process + Clone,
-    P::Msg: Clone,
-{
-    /// Cuts a runnable fork from the snapshot, rebasing all *future*
-    /// randomness on `seed` — the copy-on-write equivalent of
-    /// [`World::fork`] on the snapshotted world.
-    ///
-    /// The fork is detached (no trace, no telemetry) like any fork. When
-    /// it retires through [`World::into_report`] or [`World::retire`], its
-    /// round-scratch buffers return to this snapshot's pool for the next
-    /// fork to re-use.
-    #[must_use]
-    pub fn fork(&self, seed: u64) -> World<P> {
-        let inner = &*self.inner;
-        World {
-            cfg: Arc::clone(&inner.cfg),
-            round: inner.round,
-            phase: inner.phase,
-            slots: inner.slots.clone(),
-            outboxes: inner.outboxes.clone(),
-            budget: inner.budget,
-            metrics: inner.metrics.clone(),
-            trace: Trace::disabled(),
-            telemetry: Telemetry::off(),
-            seed,
-            alive: inner.alive.clone(),
-            scratch: inner.scratch.take(inner.cfg.n()),
-            scratch_home: Some(Arc::clone(&inner.scratch)),
-        }
-    }
-
-    /// System size `n` of the snapshotted world.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.inner.cfg.n()
-    }
-
-    /// The round the snapshotted world was paused at.
-    #[must_use]
-    pub fn round(&self) -> Round {
-        self.inner.round
-    }
-
-    /// Scratch buffers currently parked in the snapshot's recycling pool.
-    #[must_use]
-    pub fn pooled_scratches(&self) -> usize {
-        self.inner
-            .scratch
-            .pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
     }
 }
 
@@ -1223,7 +1046,7 @@ fn validate_pattern<M>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{CountDown, Echo};
+    use crate::testing::{CoinCaller, CountDown, Echo, Scalarized};
     use crate::Passive;
 
     fn echo_world(n: usize, seed: u64) -> World<Echo> {
@@ -1373,6 +1196,100 @@ mod tests {
         // exactly for equal seeds.
         assert_eq!(r1.decisions(), r2.decisions());
         assert_eq!(r1.rounds(), r3.rounds());
+    }
+
+    #[test]
+    fn fork_with_own_seed_replays_the_parent() {
+        let mut w = World::new(SimConfig::new(6).seed(7), |_| CoinCaller::new(5)).unwrap();
+        w.phase_a().unwrap();
+        w.deliver(Intervention::none()).unwrap();
+        let mut twin = w.fork(w.seed());
+        let mut other = w.fork(w.seed() ^ 1);
+        let coins = |w: &World<CoinCaller>| -> Vec<Vec<Bit>> {
+            w.processes()
+                .map(|(_, p, _)| p.history().to_vec())
+                .collect()
+        };
+        let report = w.run(&mut Passive).unwrap();
+        let twin_report = twin.run(&mut Passive).unwrap();
+        other.run(&mut Passive).unwrap();
+        assert_eq!(coins(&twin), coins(&w), "same seed, same coins");
+        assert_eq!(twin_report.decisions(), report.decisions());
+        assert_eq!(twin_report.metrics(), report.metrics());
+        assert_ne!(coins(&other), coins(&w), "a new seed flips new coins");
+    }
+
+    /// Scratch buffers parked in `world`'s shared pool.
+    fn spares<P: Process>(world: &World<P>) -> usize {
+        world.spares.pool.lock().unwrap().len()
+    }
+
+    /// A world of `n` processes built by `factory` (one fault allowed),
+    /// paused after Phase A of round 3 so its metrics carry history.
+    fn paused_world<P: Process>(n: usize, seed: u64, factory: impl Fn() -> P) -> World<P> {
+        let mut w = World::new(SimConfig::new(n).faults(1).seed(seed), |_| factory()).unwrap();
+        for _ in 0..2 {
+            w.phase_a().unwrap();
+            w.deliver(Intervention::none()).unwrap();
+        }
+        w.phase_a().unwrap();
+        w
+    }
+
+    /// Warms `world`'s pool with a fork that partially kills a sender,
+    /// then checks that the next fork, which takes the recycled scratch,
+    /// reports exactly what a fork with a fresh scratch reported.
+    fn assert_recycled_fork_matches_fresh<P>(world: &World<P>)
+    where
+        P: Process + Clone,
+        P::Msg: Clone,
+    {
+        let fresh = world.fork(31337).run(&mut Passive).unwrap();
+        assert_eq!(spares(world), 0, "run keeps its scratch");
+
+        let mut warm = world.fork(999);
+        let partial = DeliveryFilter::To(vec![ProcessId::new(2)]);
+        warm.deliver(Intervention::new().kill(ProcessId::new(0), partial))
+            .unwrap();
+        warm.drive(&mut Passive).unwrap();
+        let _ = warm.into_report();
+        assert_eq!(spares(world), 1, "into_report returns the scratch");
+
+        let mut recycled = world.fork(31337);
+        assert_eq!(spares(world), 0, "the fork took the pooled scratch");
+        let report = recycled.run(&mut Passive).unwrap();
+        assert_eq!(format!("{report:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn recycled_scratch_forks_stay_equivalent() {
+        // Plain countdowns ride the bit planes, so the partial kill dirties
+        // the adjusted-inbox planes and the mask pool; scalarized ones take
+        // the pair path and dirty the per-recipient inbox buffers.
+        assert_recycled_fork_matches_fresh(&paused_world(12, 5, || CountDown::new(6, Bit::One)));
+        assert_recycled_fork_matches_fresh(&paused_world(12, 5, || {
+            Scalarized(CountDown::new(6, Bit::One))
+        }));
+    }
+
+    #[test]
+    fn retire_recycles_scratch_without_a_report() {
+        let w = paused_world(8, 21, || CountDown::new(6, Bit::Zero));
+        w.fork(7).retire();
+        assert_eq!(spares(&w), 1);
+        // The next fork re-uses those buffers: the pool does not grow
+        // beyond what runs concurrently.
+        let fork = w.fork(8);
+        assert_eq!(spares(&w), 0);
+        fork.retire();
+        assert_eq!(spares(&w), 1);
+        // A fork of a fork draws from and returns to the root's one pool.
+        let child = w.fork_bounded(9, 5);
+        let grandchild = child.fork(10);
+        assert_eq!(spares(&w), 0);
+        grandchild.retire();
+        child.retire();
+        assert_eq!(spares(&w), 2);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 #
 #   ./scripts/tier1.sh
 #
-# Runs the release build, the full test suite, clippy with warnings
-# denied, and the formatting check, stopping at the first failure.
+# Runs the release build, the full test suite, clippy and rustdoc with
+# warnings denied, and the formatting check, stopping at the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +20,11 @@ cargo test -q --workspace
 
 echo "== tier1: cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== tier1: cargo doc (-D warnings) =="
+# Every intra-doc link must resolve: a doc comment naming a deleted or
+# private item fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== tier1: cargo fmt --check =="
 cargo fmt --all -- --check

@@ -90,6 +90,10 @@ Every command rejects an option it does not take.";
 
 type Parsed = (Vec<String>, HashMap<String, String>, Vec<String>);
 
+/// The options that never take a value: the word after `--trace`,
+/// `--fresh` or `--check` is a positional (or stray), never theirs.
+const BARE_FLAGS: [&str; 3] = ["trace", "fresh", "check"];
+
 /// Splits an argument list into positionals (command words, spec paths),
 /// `--key value` pairs, and bare `--flag`s.
 fn parse(args: &[String]) -> Parsed {
@@ -100,7 +104,7 @@ fn parse(args: &[String]) -> Parsed {
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
             match it.peek() {
-                Some(v) if !v.starts_with("--") => {
+                Some(v) if !v.starts_with("--") && !BARE_FLAGS.contains(&key) => {
                     values.insert(key.to_string(), it.next().expect("peeked").clone());
                 }
                 _ => flags.push(key.to_string()),
@@ -274,6 +278,14 @@ fn campaign_cmd(
     }
 }
 
+/// Fails on the first positional word after `command`, which takes none.
+fn reject_stray_words(command: &str, rest: &[String]) -> Result<(), String> {
+    match rest.first() {
+        Some(word) => Err(format!("unexpected argument {word:?} for `{command}`")),
+        None => Ok(()),
+    }
+}
+
 /// Fails on the first option, in name order, that `command` does not
 /// accept — a typo or a stale option must never be silently dropped.
 fn reject_unknown_options(
@@ -434,14 +446,6 @@ fn report_cmd(
     flags: &[String],
 ) -> Result<(), String> {
     reject_unknown_options("report", &["format", "check", "threads"], values, flags)?;
-    // The `--key value` parser is greedy, so in `report --check a.jsonl`
-    // the first path lands as the flag's value — reclaim it.
-    let mut paths: Vec<&String> = paths.iter().collect();
-    let mut check = flags.iter().any(|f| f == "check");
-    if let Some(v) = values.get("check") {
-        check = true;
-        paths.insert(0, v);
-    }
     if paths.is_empty() {
         return Err(
             "report expects at least one JSONL artifact (results/*.telemetry.jsonl or \
@@ -450,12 +454,12 @@ fn report_cmd(
         );
     }
     let mut report = Report::new();
-    for path in &paths {
+    for path in paths {
         report
-            .load(Path::new(path.as_str()))
+            .load(Path::new(path))
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    if check {
+    if flags.iter().any(|f| f == "check") {
         return match report.check() {
             Ok(text) => {
                 print!("{text}");
@@ -547,10 +551,14 @@ fn main() -> ExitCode {
     };
     let rest = &positionals[1..];
     let result = match cmd {
-        "list" => reject_unknown_options("list", &[], &values, &flags).map(|()| list()),
+        "list" => reject_stray_words(cmd, rest)
+            .and_then(|()| reject_unknown_options(cmd, &[], &values, &flags))
+            .map(|()| list()),
         "campaign" => campaign_cmd(rest, &values, &flags),
         "report" => report_cmd(rest, &values, &flags),
-        "run" | "batch" => cell_cmd(cmd, &values, &flags),
+        "run" | "batch" => {
+            reject_stray_words(cmd, rest).and_then(|()| cell_cmd(cmd, &values, &flags))
+        }
         _ => {
             eprintln!("unknown command {cmd:?}\n\n{USAGE}");
             return ExitCode::FAILURE;
@@ -597,6 +605,23 @@ mod tests {
             vec!["campaign", "run", "campaigns/e3.campaign"]
         );
         assert_eq!(values.get("threads").map(String::as_str), Some("2"));
+    }
+
+    #[test]
+    fn bare_flags_never_take_a_value() {
+        let args = owned(&[
+            "campaign",
+            "run",
+            "--fresh",
+            "e4.campaign",
+            "--progress",
+            "5",
+        ]);
+        let (positionals, values, flags) = parse(&args);
+        assert_eq!(positionals, vec!["campaign", "run", "e4.campaign"]);
+        assert_eq!(flags, vec!["fresh"]);
+        // `--progress` keeps its optional value.
+        assert_eq!(values.get("progress").map(String::as_str), Some("5"));
     }
 
     #[test]

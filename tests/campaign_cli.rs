@@ -186,6 +186,34 @@ fn unknown_options_are_rejected() {
     assert!(String::from_utf8_lossy(&status.stdout).contains("0 pending"));
 }
 
+/// `--fresh` never takes a value: given before the spec path, the path is
+/// still the spec, and the run truncates and re-executes every cell.
+#[test]
+fn fresh_before_the_spec_path_leaves_it_the_spec() {
+    let dir = tmpdir("fresh");
+    let spec = write_spec(&dir);
+    let results = dir.join("results");
+    let first = campaign("run", &spec, &results, &["--threads", "1"]);
+    assert!(first.status.success(), "{first:?}");
+    let journal = std::fs::read(journal_path(&results)).unwrap();
+    let fresh = Command::new(env!("CARGO_BIN_EXE_synran"))
+        .args(["campaign", "run", "--fresh"])
+        .arg(&spec)
+        .arg("--results-dir")
+        .arg(&results)
+        .args(["--threads", "1"])
+        .output()
+        .expect("spawn synran");
+    assert!(fresh.status.success(), "{fresh:?}");
+    assert_eq!(fresh.stdout, first.stdout);
+    assert_eq!(std::fs::read(journal_path(&results)).unwrap(), journal);
+    let stderr = String::from_utf8_lossy(&fresh.stderr);
+    assert!(
+        !stderr.contains("resuming"),
+        "--fresh re-ran cached cells: {stderr}"
+    );
+}
+
 /// A `lower-bound` grid that sets only `samples` used to run with cap 0
 /// and silently play its defaults; now the spec fails, naming the unset
 /// knobs.

@@ -2,9 +2,10 @@
 //! (`synran::lab::registry`): `batch` prints what it printed when the CLI
 //! kept its own name table (a committed golden transcript), `run --seed S`
 //! is the first execution `batch --seed S` counts, `run --trace` prints
-//! that execution's event trace, bad cells and unknown options fail with
-//! an `error:` line instead of a panic, and `synran list` is generated
-//! from the table.
+//! that execution's event trace, bad cells, unknown options and stray
+//! words fail with an `error:` line instead of a panic, a bare flag never
+//! takes the next word as its value, and `synran list` is generated from
+//! the table.
 
 use std::process::{Command, Output};
 
@@ -134,6 +135,42 @@ fn bad_cells_and_unknown_options_are_errors_not_panics() {
         );
         assert!(out.stdout.is_empty(), "synran {args:?} printed");
     }
+}
+
+/// `--trace` and `--check` never take a value, so the next word is a
+/// positional: `run` and `list` reject it by name, and `report` reads it
+/// as its first file.
+#[test]
+fn bare_flags_never_swallow_the_next_word() {
+    let traced = stdout(&["run", "--n", "4", "--trace"]);
+    assert_eq!(stdout(&["run", "--trace", "--n", "4"]), traced);
+    assert!(traced.contains("\ntrace:\n"), "{traced}");
+    for (args, word) in [
+        (&["run", "--n", "4", "--trace", "1"][..], "1"),
+        (&["run", "--n", "4", "stray"], "stray"),
+        (&["batch", "--n", "4", "stray"], "stray"),
+        (&["list", "stray"], "stray"),
+    ] {
+        let out = synran(args);
+        assert_eq!(out.status.code(), Some(1), "synran {args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let needle = format!("unexpected argument \"{word}\" for `{}`", args[0]);
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(&needle),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "synran {args:?} printed");
+    }
+    let journals = [
+        concat!(env!("CARGO_MANIFEST_DIR"), "/results/e3.journal.jsonl"),
+        concat!(env!("CARGO_MANIFEST_DIR"), "/results/e4.journal.jsonl"),
+    ];
+    let check = stdout(&["report", "--check", journals[0], journals[1]]);
+    assert_eq!(
+        stdout(&["report", journals[0], "--check", journals[1]]),
+        check
+    );
+    assert!(check.ends_with("check: ok\n"), "{check}");
 }
 
 #[test]
