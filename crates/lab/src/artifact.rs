@@ -6,11 +6,11 @@
 //! replays a cell's representative run through the registry and writes
 //! the artifact around it.
 
-use std::io::{BufWriter, Write as _};
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use synran_sim::telemetry::per_round_kill_cap;
-use synran_sim::{parallel, JsonlSink, Round, Telemetry, TelemetryEvent, TelemetrySink};
+use synran_sim::{parallel, Round, RoundKillRow, Telemetry};
 
 use crate::cell::Cell;
 use crate::registry::run_cell_once;
@@ -24,10 +24,12 @@ pub fn results_telemetry_path(bin: &str) -> PathBuf {
     Path::new("results").join(format!("{bin}.telemetry.jsonl"))
 }
 
-/// Writes an experiment's telemetry as JSONL: `meta` attribution lines,
-/// the exported registry (counters → histograms → spans), then one
-/// `round_kills` line per entry of `kills_per_round` scored against the
-/// paper's `4√(n·ln n)+1` per-round cap for system size `n`.
+/// Writes an experiment's telemetry as JSONL: the registry's
+/// [snapshot](Telemetry::snapshot) with `meta` attribution lines and one
+/// `round_kills` row per entry of `kills_per_round`, scored against the
+/// paper's `4√(n·ln n)+1` per-round cap for system size `n`, in the
+/// record's file order
+/// ([`TelemetryStream::events`](synran_sim::TelemetryStream::events)).
 ///
 /// The global worker pool's cumulative stats are folded in as
 /// fill-if-absent gauges first
@@ -53,25 +55,25 @@ pub fn write_telemetry_jsonl(
         std::fs::create_dir_all(dir)?;
     }
     synran_sim::parallel::export_pool_stats(telemetry);
-    let mut sink = JsonlSink::new(BufWriter::new(std::fs::File::create(path)?));
-    for (key, value) in meta {
-        sink.emit(&TelemetryEvent::Meta {
-            key: (*key).to_string(),
-            value: value.clone(),
-        });
-    }
-    telemetry.export(&mut sink);
+    let mut record = telemetry.snapshot();
+    record.meta = meta
+        .iter()
+        .map(|(key, value)| ((*key).to_string(), value.clone()))
+        .collect();
     let cap = per_round_kill_cap(n);
-    for &(round, kills) in kills_per_round {
-        let kills = kills as u64;
-        sink.emit(&TelemetryEvent::RoundKills {
-            round: round.index(),
-            kills,
-            cap,
-            over_cap: kills > cap,
-        });
-    }
-    sink.finish()?.flush()
+    record.round_kills = kills_per_round
+        .iter()
+        .map(|&(round, kills)| {
+            let kills = kills as u64;
+            RoundKillRow {
+                round: round.index(),
+                kills,
+                cap,
+                over_cap: kills > cap,
+            }
+        })
+        .collect();
+    record.write_jsonl(BufWriter::new(std::fs::File::create(path)?))
 }
 
 /// Writes `results/<bin>.telemetry.jsonl` around `cell`'s representative

@@ -212,8 +212,8 @@ fn u64_array_json(values: impl Iterator<Item = u64>) -> String {
 ///
 /// Returns `None` for malformed or truncated lines *and* for well-formed
 /// objects of an unknown `"type"` — the same forward-compatibility
-/// contract as [`synran_sim::Event::from_json`]: readers skip what they
-/// don't understand rather than failing the stream.
+/// contract as [`synran_sim::TelemetryEvent::from_jsonl`]: readers skip
+/// what they don't understand rather than failing the stream.
 #[must_use]
 pub fn from_jsonl(line: &str) -> Option<(String, Cell, CellResult)> {
     from_object(&FlatObject::parse(line)?)

@@ -24,7 +24,7 @@ use synran_analysis::{fmt_f64, Table};
 use synran_sim::json::Escaped;
 use synran_sim::telemetry::aggregate::{worker_busy_ns, TelemetryStream};
 use synran_sim::telemetry::per_round_kill_cap;
-use synran_sim::{OwnedSpan, PhaseStat, SpanNode, SpanTree};
+use synran_sim::{OwnedSpan, PhaseStat, SpanTree};
 
 use crate::journal::{scan_journal, JournalScan};
 use crate::LabError;
@@ -121,7 +121,7 @@ impl Report {
         let mut out = String::new();
         let mut ok = true;
         for (name, stream) in &self.telemetry {
-            let events = stream.events();
+            let events = stream.events().count();
             let bad = stream.malformed > 0 || events == 0;
             ok &= !bad;
             out.push_str(&format!(
@@ -177,28 +177,6 @@ impl Report {
             }
         }
         merged.into_iter().collect()
-    }
-
-    /// Folded stacks summed across files, in lexicographic stack order.
-    fn folded_stacks(&self) -> BTreeMap<String, u64> {
-        fn walk(nodes: &[SpanNode], prefix: &str, into: &mut BTreeMap<String, u64>) {
-            for node in nodes {
-                let stack = if prefix.is_empty() {
-                    node.name.clone()
-                } else {
-                    format!("{prefix};{}", node.name)
-                };
-                if node.stat.self_ns > 0 || node.children.is_empty() {
-                    *into.entry(stack.clone()).or_insert(0) += node.stat.self_ns;
-                }
-                walk(&node.children, &stack, into);
-            }
-        }
-        let mut stacks = BTreeMap::new();
-        for (_, tree) in self.trees() {
-            walk(&tree.roots, "", &mut stacks);
-        }
-        stacks
     }
 
     /// A counter summed across every telemetry file.
@@ -482,9 +460,16 @@ impl Report {
         )
     }
 
+    /// Folded stacks summed across files, in lexicographic stack order.
     fn render_folded(&self) -> String {
+        let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
+        for (_, tree) in self.trees() {
+            for (stack, self_ns) in tree.folded() {
+                *stacks.entry(stack).or_insert(0) += self_ns;
+            }
+        }
         let mut out = String::new();
-        for (stack, self_ns) in self.folded_stacks() {
+        for (stack, self_ns) in stacks {
             out.push_str(&format!("{stack} {self_ns}\n"));
         }
         out

@@ -51,7 +51,7 @@
 //! | [`SimRng`] | deterministic splittable randomness |
 //! | [`plane`] | word-packed bit-plane rows behind the broadcast fast path |
 //! | [`Trace`], [`Metrics`], [`RunReport`] | observability |
-//! | [`telemetry`] | spans, counters/histograms, JSONL sinks |
+//! | [`telemetry`] | spans, counters/histograms, the JSONL record |
 //! | [`json`] | the flat JSONL line codec every artifact reader and writer shares |
 //! | [`testing`] | trivial processes for tests and docs |
 
@@ -98,8 +98,6 @@ pub use rng::{SimRng, StreamPhase};
 pub use telemetry::aggregate::{
     LineKind, OwnedSpan, PhaseStat, RoundKillRow, SpanNode, SpanTree, TelemetryStream,
 };
-pub use telemetry::{
-    JsonlSink, MemorySink, Telemetry, TelemetryEvent, TelemetryMode, TelemetrySink,
-};
+pub use telemetry::{MemorySink, Telemetry, TelemetryEvent, TelemetryMode};
 pub use trace::{Event, Trace};
 pub use world::{ProcessStatus, World};

@@ -1,12 +1,16 @@
-//! Folding raw telemetry streams back into answers.
+//! The telemetry record and the folds that turn it into answers.
 //!
-//! The sinks in the parent module write telemetry *out* — one JSONL event
-//! per line, stable field order. This module is the read side: it parses
-//! those streams ([`TelemetryStream`]), folds flat [`SpanRecord`]s into a
+//! [`TelemetryStream`] is the one in-memory shape of telemetry: the hub's
+//! [snapshot](super::Telemetry::snapshot) and a parsed JSONL file are both
+//! one, and [`TelemetryStream::events`] is the one place the file order
+//! (meta → counters → histograms → spans → round_kills) is written down.
+//! Writing a record and reading it back gives an equal record, and a
+//! canonical file read and written back gives the same bytes.
+//!
+//! On top of the record, this module folds flat [`OwnedSpan`]s into a
 //! hierarchical **span tree** ([`SpanTree`]) with per-phase self/child
-//! time, and exports the tree in the folded-stack text format standard
-//! flamegraph tooling consumes. `synran report` is a thin renderer over
-//! these types.
+//! time and [folded stacks](SpanTree::folded) for flamegraph tooling.
+//! `synran report` is a thin renderer over these types.
 //!
 //! # Parent inference
 //!
@@ -31,20 +35,17 @@
 //!
 //! Everything here is a pure function of the input records: building a
 //! tree from the same multiset of spans — in any record order — yields
-//! byte-identical [`folded`](SpanTree::folded) and
-//! [`render_text`](SpanTree::render_text) output. Nothing in this module
+//! identical [`folded`](SpanTree::folded) stacks. Nothing in this module
 //! reads clocks, thread ids, or global state, and nothing feeds back into
 //! simulation results (the observe-only contract of the parent module).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 
-use super::{Histogram, SpanRecord, TelemetryEvent};
+use super::{Histogram, TelemetryEvent};
 use crate::json::{lossy_lines, FlatObject};
 
-/// A span with an owned name — what a parsed stream yields (in-process
-/// [`SpanRecord`]s carry `&'static str` names).
+/// One completed span: a named, timed section of an execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OwnedSpan {
     /// Span name, e.g. `"round.phase_a"`.
@@ -62,17 +63,6 @@ impl OwnedSpan {
     #[must_use]
     pub fn end_ns(&self) -> u64 {
         self.start_ns.saturating_add(self.elapsed_ns)
-    }
-}
-
-impl From<&SpanRecord> for OwnedSpan {
-    fn from(s: &SpanRecord) -> OwnedSpan {
-        OwnedSpan {
-            name: s.name.to_string(),
-            worker: s.worker,
-            start_ns: s.start_ns,
-            elapsed_ns: s.elapsed_ns,
-        }
     }
 }
 
@@ -282,14 +272,14 @@ impl SpanTree {
         by_name.into_iter().collect()
     }
 
-    /// The tree in folded-stack text: one `a;b;c <self_ns>` line per
-    /// distinct stack, sorted lexicographically — the input format of
-    /// standard flamegraph tooling (the "sample count" column carries
-    /// self-nanoseconds). Zero-self stacks with children are omitted, as
-    /// flamegraph conventions expect.
+    /// The tree's folded stacks: `a;b;c → self_ns` per distinct stack, in
+    /// lexicographic order — a flamegraph's input, one `stack self_ns` line
+    /// each (the "sample count" column carries self-nanoseconds).
+    /// Zero-self stacks with children are omitted, as flamegraph
+    /// conventions expect; stacks that spell the same text add up.
     #[must_use]
-    pub fn folded(&self) -> String {
-        fn walk(nodes: &[SpanNode], prefix: &str, out: &mut String) {
+    pub fn folded(&self) -> BTreeMap<String, u64> {
+        fn walk(nodes: &[SpanNode], prefix: &str, into: &mut BTreeMap<String, u64>) {
             for node in nodes {
                 let stack = if prefix.is_empty() {
                     node.name.clone()
@@ -297,41 +287,14 @@ impl SpanTree {
                     format!("{prefix};{}", node.name)
                 };
                 if node.stat.self_ns > 0 || node.children.is_empty() {
-                    let _ = writeln!(out, "{stack} {}", node.stat.self_ns);
+                    *into.entry(stack.clone()).or_insert(0) += node.stat.self_ns;
                 }
-                walk(&node.children, &stack, out);
+                walk(&node.children, &stack, into);
             }
         }
-        let mut out = String::new();
-        walk(&self.roots, "", &mut out);
-        out
-    }
-
-    /// The tree as indented text: `name  count  total  self  min..max`
-    /// per line, two spaces of indent per depth — the `synran report`
-    /// tree rendering.
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        fn walk(nodes: &[SpanNode], depth: usize, out: &mut String) {
-            for node in nodes {
-                let _ = writeln!(
-                    out,
-                    "{:indent$}{} count={} total={}ns self={}ns range=[{}..{}]ns",
-                    "",
-                    node.name,
-                    node.stat.count,
-                    node.stat.total_ns,
-                    node.stat.self_ns,
-                    node.stat.min_ns,
-                    node.stat.max_ns,
-                    indent = depth * 2
-                );
-                walk(&node.children, depth + 1, out);
-            }
-        }
-        let mut out = String::new();
-        walk(&self.roots, 0, &mut out);
-        out
+        let mut stacks = BTreeMap::new();
+        walk(&self.roots, "", &mut stacks);
+        stacks
     }
 }
 
@@ -367,18 +330,6 @@ pub fn worker_busy_ns(spans: &[OwnedSpan]) -> BTreeMap<u32, u64> {
             (w, busy)
         })
         .collect()
-}
-
-/// Wall-clock extent of a span set: `max(end) − min(start)` (0 when
-/// empty) — the denominator of a utilization figure.
-#[must_use]
-pub fn wall_ns(spans: &[OwnedSpan]) -> u64 {
-    let start = spans.iter().map(|s| s.start_ns).min();
-    let end = spans.iter().map(OwnedSpan::end_ns).max();
-    match (start, end) {
-        (Some(start), Some(end)) => end.saturating_sub(start),
-        _ => 0,
-    }
 }
 
 /// How one stream line classified during a read — the accounting behind
@@ -429,12 +380,14 @@ pub struct RoundKillRow {
     pub over_cap: bool,
 }
 
-/// A parsed telemetry JSONL stream, with per-line accounting.
+/// The in-memory telemetry record: a hub's
+/// [snapshot](super::Telemetry::snapshot) or a parsed JSONL stream, with
+/// per-line accounting for the latter.
 ///
 /// Counters and histograms keep **last-write-wins** semantics (an
 /// exported registry writes each name once; a stream concatenating
 /// several exports reads as the final snapshot).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryStream {
     /// `meta` attribution lines, in stream order.
     pub meta: Vec<(String, String)>,
@@ -533,14 +486,72 @@ impl TelemetryStream {
         }
     }
 
-    /// Recognized events parsed from the stream.
+    /// The record's events in file order: meta, counters (name order),
+    /// histograms (name order), spans, round_kills — the order every
+    /// telemetry JSONL file is written in.
+    pub fn events(&self) -> impl Iterator<Item = TelemetryEvent> + '_ {
+        let meta = self.meta.iter().map(|(key, value)| TelemetryEvent::Meta {
+            key: key.clone(),
+            value: value.clone(),
+        });
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, &value)| TelemetryEvent::Counter {
+                name: name.clone(),
+                value,
+            });
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|(name, h)| TelemetryEvent::Histogram {
+                name: name.clone(),
+                count: h.count,
+                sum: h.sum,
+                min: h.min,
+                max: h.max,
+            });
+        let spans = self.spans.iter().map(|s| TelemetryEvent::Span {
+            name: s.name.clone(),
+            worker: s.worker,
+            start_ns: s.start_ns,
+            elapsed_ns: s.elapsed_ns,
+        });
+        let round_kills = self.round_kills.iter().map(|r| TelemetryEvent::RoundKills {
+            round: r.round,
+            kills: r.kills,
+            cap: r.cap,
+            over_cap: r.over_cap,
+        });
+        meta.chain(counters)
+            .chain(histograms)
+            .chain(spans)
+            .chain(round_kills)
+    }
+
+    /// Writes the record as JSONL, one [`events`](TelemetryStream::events)
+    /// line each, and flushes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error from writing or flushing.
+    pub fn write_jsonl(&self, mut out: impl Write) -> std::io::Result<()> {
+        for event in self.events() {
+            writeln!(out, "{}", event.to_jsonl())?;
+        }
+        out.flush()
+    }
+
+    /// The value of counter `name`, if recorded.
     #[must_use]
-    pub fn events(&self) -> usize {
-        self.meta.len()
-            + self.counters.len()
-            + self.histograms.len()
-            + self.spans.len()
-            + self.round_kills.len()
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters.get(name).copied()
+    }
+
+    /// The histogram `name`, if recorded.
+    #[must_use]
+    pub fn histogram(&self, name: &str) -> Option<Histogram> {
+        self.histograms.get(name).copied()
     }
 
     /// The span tree of this stream's spans.
@@ -607,14 +618,12 @@ mod tests {
         let spans = serial_profile();
         let baseline = SpanTree::build(&spans);
         let folded = baseline.folded();
-        let text = baseline.render_text();
         let mut rotated = spans;
         for _ in 0..rotated.len() {
             rotated.rotate_left(1);
             let tree = SpanTree::build(&rotated);
             assert_eq!(tree, baseline);
             assert_eq!(tree.folded(), folded);
-            assert_eq!(tree.render_text(), text);
         }
         // Reversed, too (drop order is reverse completion order).
         let mut reversed = serial_profile();
@@ -625,21 +634,14 @@ mod tests {
     #[test]
     fn folded_output_is_sorted_and_self_weighted() {
         let folded = SpanTree::build(&serial_profile()).folded();
-        let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(
-            lines,
+            folded.into_iter().collect::<Vec<_>>(),
             vec![
-                "world.drive 75",
-                "world.drive;round.deliver 50",
-                "world.drive;round.phase_a 25",
+                ("world.drive".to_string(), 75),
+                ("world.drive;round.deliver".to_string(), 50),
+                ("world.drive;round.phase_a".to_string(), 25),
             ]
         );
-        // Valid folded-stack: every line is `stack<space><number>`.
-        for line in &lines {
-            let (stack, n) = line.rsplit_once(' ').unwrap();
-            assert!(!stack.is_empty());
-            n.parse::<u64>().unwrap();
-        }
     }
 
     #[test]
@@ -674,16 +676,19 @@ mod tests {
         ];
         let folded = SpanTree::build(&spans).folded();
         // The dispatch's own self time saturates at 0 (its children ran
-        // concurrently), so its line is omitted.
+        // concurrently), so its stack is omitted.
+        let stacks: Vec<(&str, u64)> = folded.iter().map(|(s, &ns)| (s.as_str(), ns)).collect();
         assert_eq!(
-            folded.lines().collect::<Vec<_>>(),
+            stacks,
             vec![
-                "batch.run_batch 20",
-                "parallel.par_map;parallel.worker 700",
-                "parallel.par_map;parallel.worker;world.drive 200",
-                "parallel.par_map;parallel.worker;world.drive;round.adversary 900",
-            ],
-            "{folded}"
+                ("batch.run_batch", 20),
+                ("parallel.par_map;parallel.worker", 700),
+                ("parallel.par_map;parallel.worker;world.drive", 200),
+                (
+                    "parallel.par_map;parallel.worker;world.drive;round.adversary",
+                    900
+                ),
+            ]
         );
         let phases: BTreeMap<String, PhaseStat> =
             SpanTree::build(&spans).phases().into_iter().collect();
@@ -739,8 +744,6 @@ mod tests {
         );
         assert_eq!(busy.get(&1), Some(&65));
         assert_eq!(busy.len(), 2, "unattributed spans don't count");
-        assert_eq!(wall_ns(&spans), 105);
-        assert_eq!(wall_ns(&[]), 0);
     }
 
     #[test]
@@ -794,7 +797,7 @@ mod tests {
         );
         assert_eq!(stream.unknown, 1);
         assert_eq!(stream.malformed, 1);
-        assert_eq!(stream.events(), 6);
+        assert_eq!(stream.events().count(), 6);
         let tree = stream.span_tree();
         assert_eq!(tree.roots[0].children[0].name, "round.deliver");
     }
@@ -802,7 +805,7 @@ mod tests {
     #[test]
     fn empty_and_blank_streams() {
         let stream = TelemetryStream::parse("");
-        assert_eq!(stream.events(), 0);
+        assert_eq!(stream.events().count(), 0);
         assert!(stream.span_tree().is_empty());
         let blank = TelemetryStream::parse("\n\n");
         assert_eq!(blank.lines, 2);

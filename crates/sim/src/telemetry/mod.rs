@@ -1,5 +1,5 @@
 //! Zero-dependency telemetry: phase spans, a counter/histogram registry,
-//! and pluggable sinks.
+//! and one in-memory record of both.
 //!
 //! The experiment harnesses certify *shapes* — round counts scaling as
 //! `Θ(t/√(n·log n))`, kill budgets of `4√(n·log n)+1` per round — so every
@@ -15,19 +15,22 @@
 //! * the **registry** holds named [counters](Telemetry::incr) and
 //!   [histograms](Telemetry::observe) (messages/round, kills/round against
 //!   the paper's per-round cap, valency-probe outcomes, decision rounds);
-//! * **sinks** receive the registry as a stream of [`TelemetryEvent`]s:
-//!   [`JsonlSink`] writes one event per line with a stable field order, and
-//!   [`MemorySink`] collects events for tests.
+//! * the **record** ([`TelemetryStream`]) is what [`Telemetry::snapshot`]
+//!   returns and what the JSONL reader builds: it yields its
+//!   [`TelemetryEvent`]s in file order and
+//!   [writes](TelemetryStream::write_jsonl) them one per line with a
+//!   stable field order; [`MemorySink`] collects the events for tests.
 //!
 //! # Determinism contract
 //!
 //! Telemetry is **observe-only**: attaching a hub at any
 //! [`TelemetryMode`], at any worker-thread count, never changes a
-//! simulation result. Wall-clock quantities exist only in sink output,
-//! never in [`RunReport`](crate::RunReport); all registry *values* that
-//! feed assertions are integers whose accumulation commutes, so counter
-//! totals are identical however worker threads interleave. The contract is
-//! enforced by `tests/telemetry_determinism.rs` at the workspace root.
+//! simulation result. Wall-clock quantities exist only in the exported
+//! record, never in [`RunReport`](crate::RunReport); all registry *values*
+//! that feed assertions are integers whose accumulation commutes, so
+//! counter totals are identical however worker threads interleave. The
+//! contract is enforced by `tests/telemetry_determinism.rs` at the
+//! workspace root.
 //!
 //! # Example
 //!
@@ -47,13 +50,14 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::{Escaped, FlatObject};
 
 pub mod aggregate;
+
+use aggregate::{OwnedSpan, TelemetryStream};
 
 thread_local! {
     /// The worker lane of the outermost live worker span on this thread.
@@ -120,17 +124,15 @@ pub fn per_round_kill_cap(n: usize) -> u64 {
     cap + 1
 }
 
-/// One completed span: a named, timed section of an execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Span name, e.g. `"round.phase_a"`.
-    pub name: &'static str,
-    /// Worker-thread index for spans recorded inside the parallel engine.
-    pub worker: Option<u32>,
-    /// Start time in nanoseconds since the hub was created.
-    pub start_ns: u64,
-    /// Wall-clock duration in nanoseconds.
-    pub elapsed_ns: u64,
+/// One completed span as the hub holds it: a `&'static` name, so dropping
+/// a span guard allocates nothing ([`OwnedSpan`] is its snapshot form).
+#[derive(Debug)]
+struct SpanRecord {
+    name: &'static str,
+    worker: Option<u32>,
+    /// Nanoseconds since the hub was created.
+    start_ns: u64,
+    elapsed_ns: u64,
 }
 
 /// Integer-valued histogram summary: count, sum, min, max.
@@ -371,14 +373,16 @@ impl Telemetry {
         self.observe("decision.round", u64::from(round_index));
     }
 
-    /// A point-in-time copy of the registry.
+    /// A point-in-time copy of the registry: counters and histograms by
+    /// name, spans in the order they finished; no `meta` or `round_kills`
+    /// entries and zero line accounting.
     #[must_use]
-    pub fn snapshot(&self) -> TelemetrySnapshot {
+    pub fn snapshot(&self) -> TelemetryStream {
         let Some(hub) = &self.hub else {
-            return TelemetrySnapshot::default();
+            return TelemetryStream::default();
         };
         let state = hub.state.lock().expect("telemetry lock");
-        TelemetrySnapshot {
+        TelemetryStream {
             counters: state
                 .counters
                 .iter()
@@ -389,14 +393,24 @@ impl Telemetry {
                 .iter()
                 .map(|(&k, &v)| (k.to_string(), v))
                 .collect(),
-            spans: state.spans.clone(),
+            spans: state
+                .spans
+                .iter()
+                .map(|s| OwnedSpan {
+                    name: s.name.to_string(),
+                    worker: s.worker,
+                    start_ns: s.start_ns,
+                    elapsed_ns: s.elapsed_ns,
+                })
+                .collect(),
+            ..TelemetryStream::default()
         }
     }
 
-    /// Streams the registry into `sink`: counters first (name order), then
-    /// histograms (name order), then spans (record order).
-    pub fn export(&self, sink: &mut dyn TelemetrySink) {
-        self.snapshot().export(sink);
+    /// Appends the registry's events to `sink` in file order (see
+    /// [`TelemetryStream::events`]).
+    pub fn export(&self, sink: &mut MemorySink) {
+        sink.events.extend(self.snapshot().events());
     }
 }
 
@@ -434,85 +448,11 @@ impl Drop for Span {
     }
 }
 
-/// A point-in-time copy of a hub's registry.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetrySnapshot {
-    /// `(name, value)` counters in name order.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, summary)` histograms in name order.
-    pub histograms: Vec<(String, Histogram)>,
-    /// Completed spans in the order they finished.
-    pub spans: Vec<SpanRecord>,
-}
-
-impl TelemetrySnapshot {
-    /// Streams this snapshot into `sink` (counters, then histograms, then
-    /// spans).
-    pub fn export(&self, sink: &mut dyn TelemetrySink) {
-        for (name, value) in &self.counters {
-            sink.emit(&TelemetryEvent::Counter {
-                name: name.clone(),
-                value: *value,
-            });
-        }
-        for (name, h) in &self.histograms {
-            sink.emit(&TelemetryEvent::Histogram {
-                name: name.clone(),
-                count: h.count,
-                sum: h.sum,
-                min: h.min,
-                max: h.max,
-            });
-        }
-        for s in &self.spans {
-            sink.emit(&TelemetryEvent::Span {
-                name: s.name.to_string(),
-                worker: s.worker,
-                start_ns: s.start_ns,
-                elapsed_ns: s.elapsed_ns,
-            });
-        }
-    }
-
-    /// The value of counter `name`, if recorded.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// The histogram `name`, if recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, h)| h)
-    }
-
-    /// Spans aggregated by name: `(name, count, total_ns)` in name order.
-    #[must_use]
-    pub fn span_totals(&self) -> Vec<(String, u64, u64)> {
-        let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for s in &self.spans {
-            let e = totals.entry(s.name).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s.elapsed_ns;
-        }
-        totals
-            .into_iter()
-            .map(|(name, (count, total))| (name.to_string(), count, total))
-            .collect()
-    }
-}
-
-/// One telemetry datum as it flows to a sink.
+/// One telemetry datum: one line of a JSONL stream.
 ///
 /// The JSONL encoding ([`TelemetryEvent::to_jsonl`]) has a **stable field
 /// order** — `"type"` first, then the fields in declaration order — pinned
-/// by the sink fixture tests in `crates/sim/tests/telemetry_sink.rs`.
+/// by the fixture tests in `crates/sim/tests/telemetry_sink.rs`.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum TelemetryEvent {
@@ -669,55 +609,8 @@ impl TelemetryEvent {
     }
 }
 
-/// Where telemetry events go when a registry is exported.
-pub trait TelemetrySink {
-    /// Receives one event.
-    fn emit(&mut self, event: &TelemetryEvent);
-}
-
-/// A sink writing one JSON object per line to any [`Write`]r.
-///
-/// Field order within a line is stable (see [`TelemetryEvent::to_jsonl`]).
-/// Write errors are sticky: the first failure is kept and returned by
-/// [`JsonlSink::finish`].
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    out: W,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink { out, error: None }
-    }
-
-    /// Flushes and returns the writer, or the first write error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O error hit while emitting or flushing.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-impl<W: Write> TelemetrySink for JsonlSink<W> {
-    fn emit(&mut self, event: &TelemetryEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = writeln!(self.out, "{}", event.to_jsonl()) {
-            self.error = Some(e);
-        }
-    }
-}
-
-/// A sink collecting events in memory, for tests.
+/// Telemetry events collected in memory ([`Telemetry::export`]), for
+/// tests and benchmarks.
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     events: Vec<TelemetryEvent>,
@@ -734,12 +627,6 @@ impl MemorySink {
     #[must_use]
     pub fn events(&self) -> &[TelemetryEvent] {
         &self.events
-    }
-}
-
-impl TelemetrySink for MemorySink {
-    fn emit(&mut self, event: &TelemetryEvent) {
-        self.events.push(event.clone());
     }
 }
 
@@ -803,10 +690,6 @@ mod tests {
         assert_eq!(snap.spans[0].worker, Some(3));
         assert_eq!(snap.spans[1].name, "outer");
         assert_eq!(snap.spans[1].worker, None);
-        let totals = snap.span_totals();
-        assert_eq!(totals.len(), 2);
-        assert_eq!(totals[0].0, "inner");
-        assert_eq!(totals[0].1, 1);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use crate::json::FlatObject;
 use crate::{Bit, ProcessId, Round};
 
 /// One observable event in an execution.
@@ -45,89 +44,6 @@ pub enum Event {
         /// Messages delivered during the round.
         messages_delivered: u64,
     },
-}
-
-impl Event {
-    /// Encodes the event as one JSON object with a stable field order
-    /// (`"type"` first, then the fields in declaration order), matching the
-    /// telemetry JSONL sink conventions.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        match self {
-            Event::RoundStarted(r) => {
-                format!("{{\"type\":\"round_started\",\"round\":{}}}", r.index())
-            }
-            Event::Killed {
-                victim,
-                round,
-                delivered,
-                suppressed,
-            } => format!(
-                "{{\"type\":\"killed\",\"victim\":{},\"round\":{},\"delivered\":{delivered},\"suppressed\":{suppressed}}}",
-                victim.index(),
-                round.index()
-            ),
-            Event::Decided { pid, round, value } => format!(
-                "{{\"type\":\"decided\",\"pid\":{},\"round\":{},\"value\":{}}}",
-                pid.index(),
-                round.index(),
-                value.as_u8()
-            ),
-            Event::Halted { pid, round } => format!(
-                "{{\"type\":\"halted\",\"pid\":{},\"round\":{}}}",
-                pid.index(),
-                round.index()
-            ),
-            Event::RoundCompleted {
-                round,
-                messages_delivered,
-            } => format!(
-                "{{\"type\":\"round_completed\",\"round\":{},\"messages_delivered\":{messages_delivered}}}",
-                round.index()
-            ),
-        }
-    }
-
-    /// Decodes an event from the JSON produced by
-    /// [`to_json`](Event::to_json).
-    ///
-    /// Returns `None` for malformed input *and* for well-formed objects
-    /// with an unknown `"type"` — the forward-compatibility contract for
-    /// this `#[non_exhaustive]` enum: readers built against an older schema
-    /// skip event kinds they don't know rather than failing the stream.
-    #[must_use]
-    pub fn from_json(s: &str) -> Option<Event> {
-        let obj = FlatObject::parse(s)?;
-        let usize_field = |key| usize::try_from(obj.u64(key)?).ok();
-        let round = || u32::try_from(obj.u64("round")?).ok().map(Round::new);
-        match obj.str("type")? {
-            "round_started" => Some(Event::RoundStarted(round()?)),
-            "killed" => Some(Event::Killed {
-                victim: ProcessId::new(usize_field("victim")?),
-                round: round()?,
-                delivered: usize_field("delivered")?,
-                suppressed: usize_field("suppressed")?,
-            }),
-            "decided" => Some(Event::Decided {
-                pid: ProcessId::new(usize_field("pid")?),
-                round: round()?,
-                value: match obj.u64("value")? {
-                    0 => Bit::Zero,
-                    1 => Bit::One,
-                    _ => return None,
-                },
-            }),
-            "halted" => Some(Event::Halted {
-                pid: ProcessId::new(usize_field("pid")?),
-                round: round()?,
-            }),
-            "round_completed" => Some(Event::RoundCompleted {
-                round: round()?,
-                messages_delivered: obj.u64("messages_delivered")?,
-            }),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Event {
@@ -299,86 +215,6 @@ mod tests {
         assert_eq!(t.in_round(Round::new(2)).count(), 3);
         assert_eq!(t.in_round(Round::new(3)).count(), 0);
         assert_eq!(t.kills().count(), 1);
-    }
-
-    #[test]
-    fn every_variant_round_trips_through_json() {
-        // `sample_events` covers all five variants; keep them in sync with
-        // the enum (the match in `to_json` is exhaustive, so a new variant
-        // fails compilation before it can fail this test).
-        for e in sample_events() {
-            let json = e.to_json();
-            assert_eq!(
-                Event::from_json(&json),
-                Some(e.clone()),
-                "round-trip failed for {json}"
-            );
-        }
-    }
-
-    #[test]
-    fn json_schema_is_pinned() {
-        // Field order and names are a published schema; sinks and external
-        // consumers depend on these exact bytes.
-        assert_eq!(
-            Event::RoundStarted(Round::new(7)).to_json(),
-            r#"{"type":"round_started","round":7}"#
-        );
-        assert_eq!(
-            Event::Killed {
-                victim: ProcessId::new(2),
-                round: Round::new(1),
-                delivered: 3,
-                suppressed: 5,
-            }
-            .to_json(),
-            r#"{"type":"killed","victim":2,"round":1,"delivered":3,"suppressed":5}"#
-        );
-        assert_eq!(
-            Event::Decided {
-                pid: ProcessId::new(0),
-                round: Round::new(2),
-                value: Bit::One,
-            }
-            .to_json(),
-            r#"{"type":"decided","pid":0,"round":2,"value":1}"#
-        );
-        assert_eq!(
-            Event::Halted {
-                pid: ProcessId::new(4),
-                round: Round::new(9),
-            }
-            .to_json(),
-            r#"{"type":"halted","pid":4,"round":9}"#
-        );
-        assert_eq!(
-            Event::RoundCompleted {
-                round: Round::new(1),
-                messages_delivered: 40,
-            }
-            .to_json(),
-            r#"{"type":"round_completed","round":1,"messages_delivered":40}"#
-        );
-    }
-
-    #[test]
-    fn unknown_event_types_are_skipped_not_errors() {
-        // Forward compatibility for the #[non_exhaustive] enum: a newer
-        // writer's event kind decodes to None, not a panic or a mangled
-        // variant.
-        assert_eq!(
-            Event::from_json(r#"{"type":"leader_elected","round":3,"pid":1}"#),
-            None
-        );
-        // Malformed input is also None.
-        assert_eq!(Event::from_json(""), None);
-        assert_eq!(Event::from_json(r#"{"round":3}"#), None);
-        assert_eq!(Event::from_json(r#"{"type":"decided","pid":0}"#), None);
-        assert_eq!(
-            Event::from_json(r#"{"type":"decided","pid":0,"round":1,"value":7}"#),
-            None,
-            "a bit can only be 0 or 1"
-        );
     }
 
     #[test]

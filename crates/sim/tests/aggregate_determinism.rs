@@ -1,8 +1,8 @@
 //! Determinism contract of the span-aggregation layer.
 //!
 //! Aggregation is a pure function of the span **multiset**: building a
-//! tree from the same records in any order yields byte-identical folded
-//! and rendered output; the JSONL write→read round trip loses nothing;
+//! tree from the same records in any order yields identical folded
+//! stacks; the JSONL write→read round trip loses nothing;
 //! and the structural quantities (counter values, per-item span counts)
 //! agree across worker thread counts {1, 2, 8} on a fixed-seed workload.
 //! Raw nanosecond *durations* are of course wall-clock and differ run to
@@ -10,8 +10,8 @@
 //! bit-stable re-aggregation of any one artifact.
 
 use synran_sim::parallel::par_map_in;
-use synran_sim::telemetry::aggregate::{wall_ns, worker_busy_ns};
-use synran_sim::{JsonlSink, OwnedSpan, SpanTree, Telemetry, TelemetryMode, TelemetryStream};
+use synran_sim::telemetry::aggregate::worker_busy_ns;
+use synran_sim::{OwnedSpan, SpanTree, Telemetry, TelemetryMode, TelemetryStream};
 
 /// A deterministic instrumented workload: every item records one
 /// `cell.work` span with a nested `cell.inner` span, fanned out over
@@ -30,12 +30,7 @@ fn run_workload(threads: usize) -> Telemetry {
 }
 
 fn spans_of(telemetry: &Telemetry) -> Vec<OwnedSpan> {
-    telemetry
-        .snapshot()
-        .spans
-        .iter()
-        .map(OwnedSpan::from)
-        .collect()
+    telemetry.snapshot().spans
 }
 
 #[test]
@@ -44,7 +39,6 @@ fn aggregation_is_record_order_independent() {
         let spans = spans_of(&run_workload(threads));
         let baseline = SpanTree::build(&spans);
         let folded = baseline.folded();
-        let rendered = baseline.render_text();
 
         let mut rotated = spans.clone();
         for _ in 0..5 {
@@ -52,7 +46,6 @@ fn aggregation_is_record_order_independent() {
             let tree = SpanTree::build(&rotated);
             assert_eq!(tree, baseline, "threads = {threads}");
             assert_eq!(tree.folded(), folded, "threads = {threads}");
-            assert_eq!(tree.render_text(), rendered, "threads = {threads}");
         }
         let mut reversed = spans.clone();
         reversed.reverse();
@@ -68,9 +61,11 @@ fn jsonl_round_trip_preserves_the_tree_bit_for_bit() {
 
         // Write the registry as JSONL, read it back through the stream
         // parser, and re-aggregate.
-        let mut sink = JsonlSink::new(Vec::new());
-        telemetry.export(&mut sink);
-        let bytes = sink.finish().expect("in-memory write");
+        let mut bytes = Vec::new();
+        telemetry
+            .snapshot()
+            .write_jsonl(&mut bytes)
+            .expect("in-memory write");
         let text = String::from_utf8(bytes).expect("utf8 jsonl");
         let stream = TelemetryStream::parse(&text);
         assert_eq!(stream.malformed, 0, "threads = {threads}");
@@ -80,7 +75,6 @@ fn jsonl_round_trip_preserves_the_tree_bit_for_bit() {
         let round_tripped = stream.span_tree();
         assert_eq!(round_tripped, direct, "threads = {threads}");
         assert_eq!(round_tripped.folded(), direct.folded());
-        assert_eq!(round_tripped.render_text(), direct.render_text());
     }
 }
 
@@ -121,14 +115,11 @@ fn folded_output_is_well_formed() {
     let spans = spans_of(&run_workload(2));
     let folded = SpanTree::build(&spans).folded();
     assert!(!folded.is_empty());
-    for line in folded.lines() {
-        let (stack, value) = line.rsplit_once(' ').expect("stack<space>value");
+    for stack in folded.keys() {
         assert!(!stack.is_empty());
         assert!(!stack.contains(' '), "stack has no spaces: {stack}");
-        value.parse::<u64>().expect("self-ns value");
     }
-    // Utilization helpers see the worker-attributed scheduling spans.
+    // Worker busy time sees the worker-attributed scheduling spans.
     let busy = worker_busy_ns(&spans);
     assert!(!busy.is_empty());
-    assert!(wall_ns(&spans) > 0);
 }

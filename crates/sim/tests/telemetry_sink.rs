@@ -6,7 +6,7 @@
 //! contract. These fixtures fail if serialization drifts.
 
 use synran_sim::telemetry::Histogram;
-use synran_sim::{JsonlSink, MemorySink, Telemetry, TelemetryEvent, TelemetryMode};
+use synran_sim::{MemorySink, Telemetry, TelemetryEvent, TelemetryMode};
 
 /// Every event variant's exact line, field order included.
 #[test]
@@ -69,9 +69,9 @@ fn event_lines_are_pinned() {
     }
 }
 
-/// A registry export through `JsonlSink` produces exactly the expected
-/// bytes: counters first, then histograms, both in name order, one event
-/// per `\n`-terminated line.
+/// A snapshot written as JSONL produces exactly the expected bytes:
+/// counters first, then histograms, both in name order, one event per
+/// `\n`-terminated line.
 #[test]
 fn registry_export_fixture() {
     let telemetry = Telemetry::new(TelemetryMode::Counters);
@@ -80,9 +80,11 @@ fn registry_export_fixture() {
     telemetry.incr("alpha", 4);
     telemetry.observe("round.kills", 5);
     telemetry.observe("round.kills", 7);
-    let mut sink = JsonlSink::new(Vec::new());
-    telemetry.export(&mut sink);
-    let bytes = sink.finish().expect("no sink error");
+    let mut bytes = Vec::new();
+    telemetry
+        .snapshot()
+        .write_jsonl(&mut bytes)
+        .expect("in-memory write");
     let text = String::from_utf8(bytes).expect("utf8");
     assert_eq!(
         text,
@@ -147,7 +149,7 @@ fn spans_export_last_in_recording_order() {
     }
 }
 
-/// `Histogram` accessors used by consumers of `TelemetrySnapshot`.
+/// `Histogram` accessors used by consumers of a snapshot.
 #[test]
 fn histogram_summary_is_exact() {
     let telemetry = Telemetry::new(TelemetryMode::Counters);

@@ -259,18 +259,24 @@ fn campaign_cmd(
         .first()
         .map(String::as_str)
         .ok_or("campaign expects a command: run, resume, status, or list")?;
-    // The options (`--key value` or bare `--flag`) each command accepts.
-    let accepted: &[&str] = match sub {
-        "run" | "resume" => &["threads", "results-dir", "fresh", "import", "progress"],
-        "status" => &["results-dir"],
-        "list" => &["dir", "results-dir"],
+    // The options (`--key value` or bare `--flag`) each command accepts,
+    // and how many words it takes: the command, then a spec path.
+    let (accepted, words): (&[&str], usize) = match sub {
+        "run" | "resume" => (
+            &["threads", "results-dir", "fresh", "import", "progress"],
+            2,
+        ),
+        "status" => (&["results-dir"], 2),
+        "list" => (&["dir", "results-dir"], 1),
         other => {
             return Err(format!(
                 "unknown campaign command {other:?} (run, resume, status, list)"
             ))
         }
     };
-    reject_unknown_options(&format!("campaign {sub}"), accepted, values, flags)?;
+    let command = format!("campaign {sub}");
+    reject_unknown_options(&command, accepted, values, flags)?;
+    reject_stray_words(&command, rest.get(words..).unwrap_or_default())?;
     match sub {
         "status" => campaign_status(spec_path, values),
         "list" => campaign_list(values),

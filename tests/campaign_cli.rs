@@ -2,8 +2,9 @@
 //! byte-identical at every `--threads` value, a campaign whose journal
 //! was cut mid-append resumes to the serial run's output, a cell listed
 //! twice runs once and renders twice, and an option a subcommand does not
-//! accept — or a `lower-bound` grid setting only some of its knobs —
-//! fails the command instead of being silently dropped.
+//! accept, a word after the spec path, or a `lower-bound` grid setting
+//! only some of its knobs fails the command instead of being silently
+//! dropped.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -184,6 +185,39 @@ fn unknown_options_are_rejected() {
     let status = campaign("status", &spec, &results, &[]);
     assert!(status.status.success(), "{status:?}");
     assert!(String::from_utf8_lossy(&status.stdout).contains("0 pending"));
+}
+
+/// A word after the spec path (or any word after `list`) fails the
+/// subcommand with an `error:` line instead of being ignored.
+#[test]
+fn stray_words_are_rejected() {
+    let dir = tmpdir("stray");
+    let spec = write_spec(&dir);
+    let results = dir.join("results");
+    for sub in ["run", "resume", "status"] {
+        let out = campaign(sub, &spec, &results, &["extra"]);
+        assert!(!out.status.success(), "campaign {sub}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "unexpected argument \"extra\" for `campaign {sub}`"
+            )),
+            "campaign {sub}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "campaign {sub} rendered: {out:?}");
+    }
+    assert!(
+        !journal_path(&results).exists(),
+        "a rejected run wrote a journal"
+    );
+    let list = Command::new(env!("CARGO_BIN_EXE_synran"))
+        .args(["campaign", "list", "stray", "--dir"])
+        .arg(&dir)
+        .output()
+        .expect("spawn synran");
+    assert!(!list.status.success(), "{list:?}");
+    assert!(String::from_utf8_lossy(&list.stderr)
+        .contains("unexpected argument \"stray\" for `campaign list`"));
 }
 
 /// `--fresh` never takes a value: given before the spec path, the path is

@@ -7,7 +7,7 @@ use synran::lab::cell::{from_jsonl, to_jsonl};
 use synran::lab::{scan_journal, Cell, CellResult, Journal};
 use synran::sim::json::{Escaped, FlatObject};
 use synran::sim::telemetry::aggregate::{classify_line, LineKind};
-use synran::sim::{Event, ProcessId, Round, SimRng, TelemetryEvent};
+use synran::sim::{SimRng, TelemetryEvent};
 
 /// Pieces that stress an escaper and a reader: JSON syntax, escape
 /// look-alikes written literally, and multi-byte UTF-8.
@@ -104,13 +104,6 @@ fn arbitrary_strings_round_trip_through_every_string_field() {
 
 #[test]
 fn every_cut_of_a_line_decodes_to_nothing() {
-    let trace = Event::Killed {
-        victim: ProcessId::new(12),
-        round: Round::new(3),
-        delivered: 40,
-        suppressed: 7,
-    }
-    .to_json();
     let telemetry = TelemetryEvent::Meta {
         key: "ké\"y".into(),
         value: "v€\\\n😀".into(),
@@ -118,18 +111,16 @@ fn every_cut_of_a_line_decodes_to_nothing() {
     .to_jsonl();
     let (cell, result) = cell("syn\"ran€", "lower-bound");
     let journal = to_jsonl(&cell, &result);
-    assert!(Event::from_json(&trace).is_some());
     assert!(matches!(classify_line(&telemetry), LineKind::Event(_)));
     assert!(from_jsonl(&journal).is_some());
 
-    for line in [&trace, &telemetry, &journal] {
+    for line in [&telemetry, &journal] {
         let bytes = line.as_bytes();
         for k in 0..bytes.len() {
             // A cut inside a multi-byte character reads back with U+FFFD,
             // as a lossy line reader would hand it over.
             let cut = String::from_utf8_lossy(&bytes[..k]);
             assert_eq!(FlatObject::parse(&cut), None, "{cut}");
-            assert_eq!(Event::from_json(&cut), None, "{cut}");
             assert_eq!(TelemetryEvent::from_jsonl(&cut), None, "{cut}");
             assert_eq!(from_jsonl(&cut), None, "{cut}");
             let expected = if k == 0 {

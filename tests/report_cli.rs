@@ -2,8 +2,9 @@
 //! of the input file bytes (byte-identical across repeated invocations
 //! and any `--threads` value), the folded output is a valid flamegraph
 //! stack file, the table carries the self/child-time and
-//! kill-budget-vs-cap columns, and `--check` tells healthy artifacts
-//! from malformed or truncated ones with its exit code.
+//! kill-budget-vs-cap columns, `--check` tells healthy artifacts from
+//! malformed or truncated ones with its exit code, and every format
+//! renders the committed artifacts to the committed golden bytes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -206,6 +207,41 @@ fn json_escapes_paths_phases_counters_and_cell_names() {
     assert!(table.contains("syn\"ran"), "{table}");
     let check = synran(&["report", "--check", &telemetry, &journal]);
     assert!(check.status.success(), "{check:?}");
+}
+
+/// `synran report --format <format> results/*.jsonl` (in byte order of
+/// the file names), captured before telemetry moved to one record type.
+const GOLDENS: [(&str, &str); 3] = [
+    ("table", include_str!("golden/report_table.txt")),
+    ("json", include_str!("golden/report_json.txt")),
+    ("folded", include_str!("golden/report_folded.txt")),
+];
+
+#[test]
+fn committed_artifacts_render_to_the_golden_bytes() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut inputs: Vec<String> = std::fs::read_dir(Path::new(root).join("results"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".jsonl"))
+        .map(|name| format!("results/{name}"))
+        .collect();
+    inputs.sort_unstable();
+    assert_eq!(inputs.len(), 10, "{inputs:?}");
+    for (format, golden) in GOLDENS {
+        let out = Command::new(env!("CARGO_BIN_EXE_synran"))
+            .current_dir(root)
+            .args(["report", "--format", format])
+            .args(&inputs)
+            .output()
+            .expect("spawn synran");
+        assert!(out.status.success(), "{out:?}");
+        let rendered = String::from_utf8(out.stdout).unwrap();
+        for (got, want) in rendered.lines().zip(golden.lines()) {
+            assert_eq!(got, want, "--format {format} diverged from the golden");
+        }
+        assert_eq!(rendered, golden, "--format {format}");
+    }
 }
 
 #[test]
