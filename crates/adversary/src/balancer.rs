@@ -30,7 +30,7 @@
 //! detects the variant — it has full information — and saves its budget.
 
 use synran_core::{CoinRule, StageKind, SynRanProcess};
-use synran_sim::{Adversary, Bit, BitPlane, DeliveryFilter, Intervention, ProcessId, World};
+use synran_sim::{Adversary, Bit, BitPlane, Intervention, ProcessId, World};
 
 /// The coin-band stalling adversary for SynRan-family protocols.
 ///
@@ -182,13 +182,10 @@ impl Adversary<SynRanProcess> for Balancer {
             if survivors.count_ones() < 2 {
                 return Intervention::none();
             }
-            // Group B (every other survivor) keeps seeing the zeros.
+            // Group B (every other survivor) keeps seeing the zeros: one
+            // receiver set shared by every victim.
             let group_b: Vec<ProcessId> = survivors.ids().step_by(2).collect();
-            let mut iv = Intervention::new();
-            for victim in view.zeros.ids() {
-                iv = iv.kill(victim, DeliveryFilter::To(group_b.clone()));
-            }
-            return iv;
+            return Intervention::kill_all_to(view.zeros.ids(), group_b);
         }
 
         // Already in the band: every receiver coin-flips for free.

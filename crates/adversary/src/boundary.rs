@@ -23,7 +23,7 @@
 //! Experiment E10 reports both columns.
 
 use synran_core::{StageKind, SynRanProcess, Thresholds};
-use synran_sim::{Adversary, Bit, DeliveryFilter, Intervention, ProcessId, World};
+use synran_sim::{Adversary, Bit, Intervention, ProcessId, World};
 
 /// The Lemma 4.2 boundary attack for SynRan-family protocols.
 ///
@@ -88,11 +88,7 @@ impl BoundaryAttack {
                 if k1 == 0 || k1 > budget || k1 + 1 >= ones.len() {
                     return Intervention::none();
                 }
-                let mut iv = Intervention::new();
-                for &victim in ones.iter().rev().take(k1) {
-                    iv = iv.kill(victim, DeliveryFilter::To(vec![witness]));
-                }
-                iv
+                Intervention::kill_all_to(ones.iter().rev().take(k1).copied(), vec![witness])
             }
             Bit::Zero => {
                 // Witness loses k1 one-votes; everyone else sees them.
@@ -112,14 +108,8 @@ impl BoundaryAttack {
                 }
                 let everyone_else: Vec<ProcessId> =
                     world.alive_ids().filter(|&p| p != witness).collect();
-                let mut iv = Intervention::new();
-                for &victim in ones.iter().rev().take(k1) {
-                    if victim == witness {
-                        continue;
-                    }
-                    iv = iv.kill(victim, DeliveryFilter::To(everyone_else.clone()));
-                }
-                iv
+                let victims = ones.iter().rev().take(k1).copied();
+                Intervention::kill_all_to(victims.filter(|&v| v != witness), everyone_else)
             }
         }
     }

@@ -25,7 +25,7 @@
 //! paper's §1.2 landscape, measured.
 
 use synran_core::{LeaderMsg, LeaderProcess};
-use synran_sim::{Adversary, Bit, DeliveryFilter, Intervention, ProcessId, SendPattern, World};
+use synran_sim::{Adversary, Bit, BitPlane, Intervention, ProcessId, SendPattern, World};
 
 /// One sender's visible Phase-A state in an R2 round.
 #[derive(Debug, Clone, Copy)]
@@ -157,28 +157,22 @@ impl LeaderHunter {
             return Intervention::none(); // unanimity: nothing to split
         };
         let losing_top = top1.min(top0);
-        let mut victims: Vec<ProcessId> = voters
-            .iter()
-            .filter(|v| v.priority > losing_top)
-            .map(|v| v.pid)
-            .collect();
-        victims.sort();
-        if victims.is_empty() || victims.len() > cap {
+        let mut victims = BitPlane::new(n);
+        for voter in voters.iter().filter(|v| v.priority > losing_top) {
+            victims.set(voter.pid.index());
+        }
+        let victim_count = victims.count_ones();
+        if victim_count == 0 || victim_count > cap {
             return Intervention::none();
         }
-        let survivors: Vec<ProcessId> = world
-            .alive_ids()
-            .filter(|pid| !victims.contains(pid))
-            .collect();
-        if survivors.len() < 2 {
+        // Survivors = alive ∧ ¬victims, one and-not over the planes.
+        let mut survivors = world.alive_mask().clone();
+        survivors.subtract(&victims);
+        if survivors.count_ones() < 2 {
             return Intervention::none();
         }
-        let group_a: Vec<ProcessId> = survivors.iter().copied().step_by(2).collect();
-        let mut iv = Intervention::new();
-        for victim in victims {
-            iv = iv.kill(victim, DeliveryFilter::To(group_a.clone()));
-        }
-        iv
+        let group_a: Vec<ProcessId> = survivors.ids().step_by(2).collect();
+        Intervention::kill_all_to(victims.ids(), group_a)
     }
 }
 

@@ -9,6 +9,8 @@
 //! The `intervene` implementation never reads anything from the world
 //! except the round number (and liveness/budget, to stay legal).
 
+use std::sync::Arc;
+
 use synran_sim::{Adversary, DeliveryFilter, Intervention, Process, ProcessId, SimRng, World};
 
 /// One pre-committed kill.
@@ -64,7 +66,7 @@ impl Oblivious {
                     1 => DeliveryFilter::None,
                     _ => {
                         // Half the address space, fixed in advance.
-                        let half: Vec<ProcessId> = (0..n)
+                        let half: Arc<[ProcessId]> = (0..n)
                             .filter(|_| rng.bit().is_one())
                             .map(ProcessId::new)
                             .collect();

@@ -147,7 +147,7 @@ impl Adversary<SynRanProcess> for MessageWalker {
                     if keep.is_empty() {
                         DeliveryFilter::None
                     } else {
-                        DeliveryFilter::To(keep)
+                        DeliveryFilter::To(keep.into())
                     },
                 );
                 match self.estimate_after(world, &step) {

@@ -9,8 +9,7 @@
 //!
 //! * [`Accumulator`] / [`Summary`] — means, variances, confidence
 //!   intervals, quantiles;
-//! * [`Histogram`] / [`AsciiPlot`] — round-count distributions and terminal
-//!   series plots (the harnesses' "figures");
+//! * [`AsciiPlot`] — terminal series plots (the harnesses' "figures");
 //! * [`Binomial`], [`lemma_4_4_bound`], [`corollary_4_5`] — exact binomial
 //!   tails and the paper's large-deviation lower bound (Lemma 4.4);
 //! * [`lower_bound_rounds`], [`tight_bound_rounds`],
@@ -24,7 +23,6 @@
 
 mod binomial;
 mod bounds;
-mod histogram;
 mod plot;
 mod stats;
 mod table;
@@ -33,7 +31,6 @@ pub use binomial::{corollary_4_5, lemma_4_4_bound, Binomial};
 pub use bounds::{
     deterministic_rounds, lower_bound_rounds, sqrt_n_over_log_n, tight_bound_rounds, ShapeFit,
 };
-pub use histogram::Histogram;
 pub use plot::AsciiPlot;
 pub use stats::{Accumulator, Summary};
 pub use table::{fmt_f64, Table};

@@ -266,7 +266,7 @@ mod tests {
                     .filter(|&p| p != victim)
                     .nth(self.next_victim % world.alive_count().saturating_sub(1).max(1));
                 match confidant {
-                    Some(c) => Intervention::new().kill(victim, DeliveryFilter::To(vec![c])),
+                    Some(c) => Intervention::new().kill(victim, DeliveryFilter::To(vec![c].into())),
                     None => Intervention::none(),
                 }
             }

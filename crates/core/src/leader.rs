@@ -458,7 +458,7 @@ mod tests {
                 let half: Vec<_> = world.alive_ids().step_by(2).collect();
                 match world.alive_ids().last() {
                     Some(victim) if world.alive_count() > 1 => {
-                        Intervention::new().kill(victim, DeliveryFilter::To(half))
+                        Intervention::new().kill(victim, DeliveryFilter::To(half.into()))
                     }
                     _ => Intervention::none(),
                 }

@@ -19,6 +19,8 @@
 //! candidate interventions — the simulator equivalent of "knows the
 //! probability of every outcome". See `synran-adversary` for the estimators.
 
+use std::sync::Arc;
+
 use crate::{Process, ProcessId, World};
 
 /// A strategy for failing processes, consulted once per round between
@@ -48,7 +50,7 @@ pub trait Adversary<P: Process> {
 /// // Fail P3 outright and fail P5 while letting only P0 hear it.
 /// let iv = Intervention::new()
 ///     .kill(ProcessId::new(3), DeliveryFilter::None)
-///     .kill(ProcessId::new(5), DeliveryFilter::To(vec![ProcessId::new(0)]));
+///     .kill(ProcessId::new(5), DeliveryFilter::To(vec![ProcessId::new(0)].into()));
 /// assert_eq!(iv.kills().len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -86,6 +88,45 @@ impl Intervention {
                 .map(|victim| Kill {
                     victim,
                     delivered: DeliveryFilter::None,
+                })
+                .collect(),
+        }
+    }
+
+    /// Convenience: fail every listed victim, delivering each one's final
+    /// messages to the same `receivers`.
+    ///
+    /// Every kill shares one receiver set, so cloning the intervention
+    /// bumps a reference count instead of copying the set per victim, and
+    /// [`World::deliver`] resolves the set to one recipient mask however
+    /// many victims name it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use synran_sim::{DeliveryFilter, Intervention, ProcessId};
+    ///
+    /// let victims = [ProcessId::new(1), ProcessId::new(4)];
+    /// let iv = Intervention::kill_all_to(victims, vec![ProcessId::new(0)]);
+    /// let (DeliveryFilter::To(a), DeliveryFilter::To(b)) =
+    ///     (&iv.kills()[0].delivered, &iv.kills()[1].delivered)
+    /// else {
+    ///     unreachable!()
+    /// };
+    /// assert!(std::sync::Arc::ptr_eq(a, b));
+    /// ```
+    #[must_use]
+    pub fn kill_all_to<I: IntoIterator<Item = ProcessId>>(
+        victims: I,
+        receivers: impl Into<Arc<[ProcessId]>>,
+    ) -> Intervention {
+        let receivers = receivers.into();
+        Intervention {
+            kills: victims
+                .into_iter()
+                .map(|victim| Kill {
+                    victim,
+                    delivered: DeliveryFilter::To(Arc::clone(&receivers)),
                 })
                 .collect(),
         }
@@ -130,7 +171,12 @@ pub enum DeliveryFilter {
     /// No queued message is delivered.
     None,
     /// Only messages to the listed recipients are delivered.
-    To(Vec<ProcessId>),
+    ///
+    /// The list is shared: kills that hold clones of one `Arc` (see
+    /// [`Intervention::kill_all_to`]) are delivered as one group, which
+    /// costs a round one recipient mask per distinct list, not one per
+    /// victim.
+    To(Arc<[ProcessId]>),
     /// Only messages to the `k` lowest-id recipients are delivered — the
     /// process died `k` sends into its ordered broadcast.
     Prefix(usize),
@@ -229,10 +275,27 @@ mod tests {
     }
 
     #[test]
+    fn kill_all_to_shares_one_receiver_set() {
+        let iv = Intervention::kill_all_to([pid(0), pid(4), pid(2)], vec![pid(1), pid(3)]);
+        let victims: Vec<_> = iv.kills().iter().map(|k| k.victim).collect();
+        assert_eq!(victims, [pid(0), pid(4), pid(2)], "intervention order");
+        let sets: Vec<&Arc<[ProcessId]>> = iv
+            .kills()
+            .iter()
+            .map(|k| match &k.delivered {
+                DeliveryFilter::To(set) => set,
+                other => panic!("expected a To filter, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(sets[0][..], [pid(1), pid(3)]);
+        assert!(sets.iter().all(|set| Arc::ptr_eq(set, sets[0])));
+    }
+
+    #[test]
     fn filter_semantics() {
         assert!(DeliveryFilter::All.allows(pid(9)));
         assert!(!DeliveryFilter::None.allows(pid(9)));
-        let partial = DeliveryFilter::To(vec![pid(1), pid(3)]);
+        let partial = DeliveryFilter::To(vec![pid(1), pid(3)].into());
         assert!(partial.allows(pid(1)));
         assert!(partial.allows(pid(3)));
         assert!(!partial.allows(pid(2)));

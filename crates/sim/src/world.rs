@@ -68,6 +68,10 @@ struct Slot<P> {
 /// round.
 const NO_KILL: u32 = u32::MAX;
 
+/// Sentinel in [`KillStat::group`]: the kill's filter is `All` or `None`,
+/// which need no receiver set.
+const NO_GROUP: u32 = u32::MAX;
+
 /// Bookkeeping for one kill while a round's delivery is in flight.
 #[derive(Debug)]
 struct KillStat {
@@ -77,27 +81,56 @@ struct KillStat {
     /// Whether the victim had an outbox to filter (it always does after a
     /// normal Phase A; kept for robustness and trace parity).
     had_outbox: bool,
+    /// Index of the kill's receiver group in [`RoundScratch::groups`], or
+    /// [`NO_GROUP`].
+    group: u32,
 }
 
-/// A kill whose [`DeliveryFilter`] lets only *some* recipients hear the
-/// victim's broadcast, recorded for the plane fast path as the victim's
-/// sender bit, packed value, and allowed-recipient mask.
+/// The kills of one round that share a receiver set: one
+/// [`DeliveryFilter::To`] list (the same `Arc`, compared by pointer) or one
+/// [`DeliveryFilter::Prefix`] length.
+///
+/// The set is resolved to the `allowed` mask once, however many victims
+/// name it. Both paths test recipients against that mask; the plane path
+/// also gathers the victims' broadcasts into the group's own `sent` and
+/// `ones` planes, so an adjusted inbox ORs in whole groups instead of
+/// testing every victim.
 #[derive(Debug)]
-struct PartialKill {
-    sender: usize,
-    one: bool,
+struct SetGroup {
+    /// Index into the round's kill list of the first kill naming the set:
+    /// the key later kills are matched against.
+    first_kill: u32,
+    /// Bit `r` set iff recipient `r` hears this group's victims.
     allowed: BitPlane,
+    /// `allowed.count_ones()`: each victim's delivered count.
+    reach: usize,
+    /// Plane path: bit `s` set iff victim `s` of this group broadcast.
+    sent: BitPlane,
+    /// Plane path: bit `s` set iff that broadcast packed to [`Bit::One`].
+    ones: BitPlane,
+}
+
+impl SetGroup {
+    fn new(n: usize) -> SetGroup {
+        SetGroup {
+            first_kill: 0,
+            allowed: BitPlane::new(n),
+            reach: 0,
+            sent: BitPlane::new(n),
+            ones: BitPlane::new(n),
+        }
+    }
 }
 
 /// Reusable per-round buffers, pooled across rounds so [`World::deliver`]
 /// performs no per-round allocations once the inbox buffers have warmed up.
 ///
 /// Invariant: between [`World::deliver`] calls every inbox buffer is empty,
-/// `kill_stats` and `partials` are empty, the round planes (`sent_base`,
-/// `ones_base`, `adj_mark`) are all-zeros, and every `filter_of` entry is
-/// [`NO_KILL`] — so a freshly constructed scratch is interchangeable with a
-/// used one, which is what lets [`World::fork`] hand a fork whichever
-/// scratch the shared pool has spare.
+/// `kill_stats` and `groups` are empty, every pooled group and the round
+/// planes (`sent_base`, `ones_base`, `adj_mark`) are all-zeros, and every
+/// `filter_of` entry is [`NO_KILL`] — so a freshly constructed scratch is
+/// interchangeable with a used one, which is what lets [`World::fork`]
+/// hand a fork whichever scratch the shared pool has spare.
 #[derive(Debug)]
 pub(crate) struct RoundScratch<M> {
     /// Per-recipient message buffers (scalar path), recycled through
@@ -111,17 +144,17 @@ pub(crate) struct RoundScratch<M> {
     sent_base: BitPlane,
     /// Plane path: bit `s` set iff that broadcast packed to [`Bit::One`].
     ones_base: BitPlane,
-    /// Plane path: partially-filtered kills this round (rare).
-    partials: Vec<PartialKill>,
-    /// Union of the `partials` allowed masks: recipients needing an
-    /// adjusted inbox instead of the shared base planes.
+    /// This round's receiver groups, one per distinct `To`/`Prefix` set.
+    groups: Vec<SetGroup>,
+    /// Plane path: union of the groups' allowed masks — recipients needing
+    /// an adjusted inbox instead of the shared base planes.
     adj_mark: BitPlane,
-    /// Pooled planes the adjusted inboxes are rebuilt in.
+    /// Pooled planes the adjusted inboxes are built in.
     adj_sent: BitPlane,
     /// Pooled value plane paired with `adj_sent`.
     adj_ones: BitPlane,
-    /// Recycled allowed-mask planes for future `partials`.
-    mask_pool: Vec<BitPlane>,
+    /// Cleared groups recycled for future rounds.
+    group_pool: Vec<SetGroup>,
 }
 
 impl<M> RoundScratch<M> {
@@ -132,11 +165,61 @@ impl<M> RoundScratch<M> {
             kill_stats: Vec::new(),
             sent_base: BitPlane::new(n),
             ones_base: BitPlane::new(n),
-            partials: Vec::new(),
+            groups: Vec::new(),
             adj_mark: BitPlane::new(n),
             adj_sent: BitPlane::new(n),
             adj_ones: BitPlane::new(n),
-            mask_pool: Vec::new(),
+            group_pool: Vec::new(),
+        }
+    }
+
+    /// The receiver group of `kills[idx]`, a `To` or `Prefix` kill: the
+    /// group an earlier kill opened for the same set, or a new one whose
+    /// mask is built here, once. Kills sharing a set are usually adjacent
+    /// (see [`Intervention::kill_all_to`]), so the search starts at the
+    /// newest group.
+    fn group_for(&mut self, kills: &[Kill], idx: usize, n: usize) -> u32 {
+        let filter = &kills[idx].delivered;
+        let same_set =
+            |group: &SetGroup| match (filter, &kills[group.first_kill as usize].delivered) {
+                (DeliveryFilter::To(a), DeliveryFilter::To(b)) => Arc::ptr_eq(a, b),
+                (DeliveryFilter::Prefix(a), DeliveryFilter::Prefix(b)) => {
+                    (*a).min(n) == (*b).min(n)
+                }
+                _ => false,
+            };
+        if let Some(g) = self.groups.iter().rposition(same_set) {
+            return g as u32;
+        }
+        let mut group = self.group_pool.pop().unwrap_or_else(|| SetGroup::new(n));
+        match filter {
+            DeliveryFilter::To(list) => {
+                for to in list.iter().filter(|to| to.index() < n) {
+                    group.allowed.set(to.index());
+                }
+            }
+            DeliveryFilter::Prefix(k) => {
+                for r in 0..(*k).min(n) {
+                    group.allowed.set(r);
+                }
+            }
+            DeliveryFilter::All | DeliveryFilter::None => {
+                unreachable!("only To and Prefix kills have a receiver set")
+            }
+        }
+        group.first_kill = idx as u32;
+        group.reach = group.allowed.count_ones();
+        self.groups.push(group);
+        (self.groups.len() - 1) as u32
+    }
+
+    /// Clears this round's groups back into the pool.
+    fn recycle_groups(&mut self) {
+        for mut group in self.groups.drain(..) {
+            group.allowed.clear_all();
+            group.sent.clear_all();
+            group.ones.clear_all();
+            self.group_pool.push(group);
         }
     }
 }
@@ -477,40 +560,58 @@ impl<P: Process> World<P> {
         let round = self.round;
         let n = self.n();
 
-        // Validate the intervention fully before mutating anything.
+        // Validate the intervention fully before mutating anything. Each
+        // victim is marked in the pooled per-sender kill-index table as it
+        // passes, which is what finds a duplicate in O(1); a rejected
+        // intervention unmarks its prefix, so the world stays unchanged.
         let kills = intervention.kills();
         for (idx, kill) in kills.iter().enumerate() {
-            if kill.victim.index() >= n {
-                return Err(SimError::UnknownProcess {
+            let v = kill.victim.index();
+            let rejected = if v >= n {
+                Some(SimError::UnknownProcess {
                     pid: kill.victim,
                     n,
-                });
-            }
-            if !self.slots[kill.victim.index()].status.is_alive() {
-                return Err(SimError::NotAlive {
+                })
+            } else if !self.slots[v].status.is_alive() {
+                Some(SimError::NotAlive {
                     pid: kill.victim,
                     round,
-                });
+                })
+            } else if self.scratch.filter_of[v] != NO_KILL {
+                Some(SimError::DuplicateVictim { pid: kill.victim })
+            } else {
+                None
+            };
+            if let Some(err) = rejected {
+                self.unmark_victims(&kills[..idx]);
+                return Err(err);
             }
-            if kills[..idx].iter().any(|k| k.victim == kill.victim) {
-                return Err(SimError::DuplicateVictim { pid: kill.victim });
-            }
+            self.scratch.filter_of[v] = idx as u32;
         }
-        self.budget.try_spend(kills.len(), round)?;
+        if let Err(err) = self.budget.try_spend(kills.len(), round) {
+            self.unmark_victims(kills);
+            return Err(err);
+        }
 
-        // Apply the kills, marking each victim's slot in the pooled
-        // per-sender kill-index table (tracked during dispatch so the trace
-        // needs no rescan afterwards).
+        // Apply the kills, resolving each `To`/`Prefix` filter to its
+        // receiver group (the stats are tracked during dispatch so the
+        // trace needs no rescan afterwards).
         debug_assert!(self.scratch.kill_stats.is_empty());
         for (idx, kill) in kills.iter().enumerate() {
             self.slots[kill.victim.index()].status = ProcessStatus::Failed(round);
             self.alive.clear(kill.victim.index());
-            self.scratch.filter_of[kill.victim.index()] = idx as u32;
+            let group = match kill.delivered {
+                DeliveryFilter::To(_) | DeliveryFilter::Prefix(_) => {
+                    self.scratch.group_for(kills, idx, n)
+                }
+                DeliveryFilter::All | DeliveryFilter::None => NO_GROUP,
+            };
             self.scratch.kill_stats.push(KillStat {
                 victim: kill.victim,
                 delivered: 0,
                 suppressed: 0,
                 had_outbox: false,
+                group,
             });
         }
         self.metrics.on_kills(round, kills.len());
@@ -571,9 +672,7 @@ impl<P: Process> World<P> {
             }
         }
         // Restore the scratch invariant in O(kills), not O(n).
-        for stat in &self.scratch.kill_stats {
-            self.scratch.filter_of[stat.victim.index()] = NO_KILL;
-        }
+        self.unmark_victims(kills);
         self.scratch.kill_stats.clear();
 
         // Receives: every still-alive process consumes its inbox.
@@ -582,6 +681,7 @@ impl<P: Process> World<P> {
         } else {
             self.receive_scalar(round);
         }
+        self.scratch.recycle_groups();
 
         self.metrics.on_round_completed();
         let kill_count = kills.len() as u64;
@@ -624,12 +724,20 @@ impl<P: Process> World<P> {
             } else {
                 Some(&kills[kill_idx as usize].delivered)
             };
+            let groups = &scratch.groups;
+            let allows = |to: ProcessId| match filter {
+                None | Some(DeliveryFilter::All) => true,
+                Some(DeliveryFilter::None) => false,
+                Some(DeliveryFilter::To(_) | DeliveryFilter::Prefix(_)) => {
+                    let group = scratch.kill_stats[kill_idx as usize].group;
+                    groups[group as usize].allowed.get(to.index())
+                }
+            };
             let mut sent_here = 0usize;
             let mut cut_here = 0usize;
             let inboxes = &mut scratch.inboxes;
             let mut dispatch = |to: ProcessId, msg: P::Msg| {
-                let allowed = filter.is_none_or(|f| f.allows(to));
-                if allowed {
+                if allows(to) {
                     // Dead or halted recipients silently drop mail; the
                     // message still "arrived" per the reliable-links model.
                     if slots[to.index()].status.is_alive() {
@@ -666,9 +774,9 @@ impl<P: Process> World<P> {
     }
 
     /// Plane-path dispatch: every surviving broadcast becomes one bit in
-    /// the shared round planes; partially-filtered kills are recorded as
-    /// exception masks instead of per-pair work. Per-sender accounting
-    /// (delivered/suppressed, kill stats) matches
+    /// the shared round planes, and a `To`/`Prefix` victim's broadcast one
+    /// bit in its receiver group's planes, instead of per-pair work.
+    /// Per-sender accounting (delivered/suppressed, kill stats) matches
     /// [`dispatch_scalar`](Self::dispatch_scalar) exactly — including the
     /// reliable-links rule that a message to a dead recipient still counts
     /// as delivered.
@@ -677,7 +785,6 @@ impl<P: Process> World<P> {
         let mut delivered: u64 = 0;
         let mut suppressed: u64 = 0;
         let scratch = &mut self.scratch;
-        debug_assert!(scratch.partials.is_empty());
         for s in 0..n {
             let Some(pattern) = self.outboxes[s].take() else {
                 continue;
@@ -708,35 +815,14 @@ impl<P: Process> World<P> {
                             (n, 0)
                         }
                         Some(DeliveryFilter::None) => (0, n),
-                        Some(DeliveryFilter::To(list)) => {
-                            let mut allowed = take_mask(&mut scratch.mask_pool, n);
-                            for to in list {
-                                if to.index() < n {
-                                    allowed.set(to.index());
-                                }
+                        Some(DeliveryFilter::To(_) | DeliveryFilter::Prefix(_)) => {
+                            let group = scratch.kill_stats[kill_idx as usize].group;
+                            let group = &mut scratch.groups[group as usize];
+                            group.sent.set(s);
+                            if bit.is_one() {
+                                group.ones.set(s);
                             }
-                            let reach = allowed.count_ones();
-                            scratch.adj_mark.union_with(&allowed);
-                            scratch.partials.push(PartialKill {
-                                sender: s,
-                                one: bit.is_one(),
-                                allowed,
-                            });
-                            (reach, n - reach)
-                        }
-                        Some(DeliveryFilter::Prefix(k)) => {
-                            let reach = (*k).min(n);
-                            let mut allowed = take_mask(&mut scratch.mask_pool, n);
-                            for r in 0..reach {
-                                allowed.set(r);
-                            }
-                            scratch.adj_mark.union_with(&allowed);
-                            scratch.partials.push(PartialKill {
-                                sender: s,
-                                one: bit.is_one(),
-                                allowed,
-                            });
-                            (reach, n - reach)
+                            (group.reach, n - group.reach)
                         }
                     }
                 }
@@ -780,15 +866,28 @@ impl<P: Process> World<P> {
     }
 
     /// Plane-path receives: all alive processes share one plane-backed
-    /// inbox built from the round planes; recipients named by a partial
-    /// kill get a pooled adjusted copy with the extra sender bits set.
-    /// Visit order, RNG streams, and halt/decision bookkeeping match
+    /// inbox built from the round planes. A recipient some receiver group
+    /// reaches gets a pooled adjusted inbox instead: the base planes OR
+    /// the planes of every group that includes it. Consecutive adjusted
+    /// recipients with the same group membership share one build, so a
+    /// round costs O(groups · n/64) words per distinct membership, however
+    /// many victims the groups hold. Visit order, RNG streams, and
+    /// halt/decision bookkeeping match
     /// [`receive_scalar`](Self::receive_scalar) exactly.
     fn receive_plane(&mut self, round: Round) {
         let n = self.n();
         let sent = std::mem::take(&mut self.scratch.sent_base);
         let ones = std::mem::take(&mut self.scratch.ones_base);
         let base: Inbox<P::Msg> = Inbox::from_plane(sent, ones);
+        for group in &self.scratch.groups {
+            self.scratch.adj_mark.union_with(&group.allowed);
+        }
+        let mut adjusted: Inbox<P::Msg> = Inbox::from_plane(
+            std::mem::take(&mut self.scratch.adj_sent),
+            std::mem::take(&mut self.scratch.adj_ones),
+        );
+        // The recipient `adjusted` was last built for.
+        let mut built_for: Option<usize> = None;
         for i in 0..n {
             if !self.slots[i].status.is_alive() {
                 continue;
@@ -797,26 +896,24 @@ impl<P: Process> World<P> {
             let mut rng = SimRng::stream(self.seed, pid, round, StreamPhase::Receive);
             let mut ctx = Context::new(pid, n, round, &mut rng);
             if self.scratch.adj_mark.get(i) {
-                let mut adj_sent = std::mem::take(&mut self.scratch.adj_sent);
-                let mut adj_ones = std::mem::take(&mut self.scratch.adj_ones);
-                let (base_sent, base_ones) = base.planes().expect("base inbox is plane-backed");
-                adj_sent.copy_from(base_sent);
-                adj_ones.copy_from(base_ones);
-                for partial in &self.scratch.partials {
-                    if partial.allowed.get(i) {
-                        adj_sent.set(partial.sender);
-                        if partial.one {
-                            adj_ones.set(partial.sender);
-                        }
+                let groups = &self.scratch.groups;
+                let same_groups =
+                    |j: usize| groups.iter().all(|g| g.allowed.get(i) == g.allowed.get(j));
+                if !built_for.is_some_and(same_groups) {
+                    let (mut adj_sent, mut adj_ones) = adjusted
+                        .into_planes()
+                        .expect("adjusted inbox is plane-backed");
+                    let (base_sent, base_ones) = base.planes().expect("base inbox is plane-backed");
+                    adj_sent.copy_from(base_sent);
+                    adj_ones.copy_from(base_ones);
+                    for group in groups.iter().filter(|g| g.allowed.get(i)) {
+                        adj_sent.union_with(&group.sent);
+                        adj_ones.union_with(&group.ones);
                     }
+                    adjusted = Inbox::from_plane(adj_sent, adj_ones);
+                    built_for = Some(i);
                 }
-                let adjusted: Inbox<P::Msg> = Inbox::from_plane(adj_sent, adj_ones);
                 self.slots[i].proc.receive(&mut ctx, &adjusted);
-                let (s, o) = adjusted
-                    .into_planes()
-                    .expect("adjusted inbox is plane-backed");
-                self.scratch.adj_sent = s;
-                self.scratch.adj_ones = o;
             } else {
                 self.slots[i].proc.receive(&mut ctx, &base);
             }
@@ -828,17 +925,25 @@ impl<P: Process> World<P> {
             }
         }
         // Restore the scratch invariant: planes cleared and returned to the
-        // pool, exception masks recycled.
+        // pool (the groups are recycled by the caller).
         let (mut sent, mut ones) = base.into_planes().expect("base inbox is plane-backed");
         sent.clear_all();
         ones.clear_all();
         self.scratch.sent_base = sent;
         self.scratch.ones_base = ones;
+        let (adj_sent, adj_ones) = adjusted
+            .into_planes()
+            .expect("adjusted inbox is plane-backed");
+        self.scratch.adj_sent = adj_sent;
+        self.scratch.adj_ones = adj_ones;
         self.scratch.adj_mark.clear_all();
-        while let Some(partial) = self.scratch.partials.pop() {
-            let mut mask = partial.allowed;
-            mask.clear_all();
-            self.scratch.mask_pool.push(mask);
+    }
+
+    /// Resets the kill-index table entries of `kills`' victims to
+    /// [`NO_KILL`]: O(kills), not O(n).
+    fn unmark_victims(&mut self, kills: &[Kill]) {
+        for kill in kills {
+            self.scratch.filter_of[kill.victim.index()] = NO_KILL;
         }
     }
 
@@ -1019,11 +1124,6 @@ fn bounded_cfg(cfg: &Arc<SimConfig>, round: Round, horizon: u32) -> Arc<SimConfi
     }
 }
 
-/// Pops a cleared, width-`n` allowed-mask plane from the pool, or makes one.
-fn take_mask(pool: &mut Vec<BitPlane>, n: usize) -> BitPlane {
-    pool.pop().unwrap_or_else(|| BitPlane::new(n))
-}
-
 fn validate_pattern<M>(
     pattern: &SendPattern<M>,
     from: ProcessId,
@@ -1135,7 +1235,7 @@ mod tests {
         w.phase_a().unwrap();
         let iv = Intervention::new().kill(
             ProcessId::new(0),
-            DeliveryFilter::To(vec![ProcessId::new(2)]),
+            DeliveryFilter::To(vec![ProcessId::new(2)].into()),
         );
         w.deliver(iv).unwrap();
         let p1 = w.process(ProcessId::new(1));
@@ -1248,7 +1348,7 @@ mod tests {
         assert_eq!(spares(world), 0, "run keeps its scratch");
 
         let mut warm = world.fork(999);
-        let partial = DeliveryFilter::To(vec![ProcessId::new(2)]);
+        let partial = DeliveryFilter::To(vec![ProcessId::new(2)].into());
         warm.deliver(Intervention::new().kill(ProcessId::new(0), partial))
             .unwrap();
         warm.drive(&mut Passive).unwrap();
@@ -1270,6 +1370,40 @@ mod tests {
         assert_recycled_fork_matches_fresh(&paused_world(12, 5, || {
             Scalarized(CountDown::new(6, Bit::One))
         }));
+    }
+
+    #[test]
+    fn victims_sharing_one_set_resolve_to_one_mask() {
+        // However many victims share one receiver set, delivery builds one
+        // mask (one group) for it, so the work per adjusted receiver — its
+        // base copy plus one OR per group that reaches it — does not grow
+        // with k. A content-equal list in its own `Arc` is a second set.
+        let n = 130;
+        for k in [1, 8, 60] {
+            let receivers: Vec<ProcessId> = (k..n - 1).step_by(2).map(ProcessId::new).collect();
+            let copy = DeliveryFilter::To(receivers.clone().into());
+            let iv = Intervention::kill_all_to((0..k).map(ProcessId::new), receivers)
+                .kill(ProcessId::new(n - 1), copy);
+            let plane = {
+                let mut w = World::new(SimConfig::new(n).faults(n).seed(3), |_| {
+                    CountDown::new(4, Bit::One)
+                })
+                .unwrap();
+                w.phase_a().unwrap();
+                w.deliver(iv.clone()).unwrap();
+                w.scratch.group_pool.len()
+            };
+            let scalar = {
+                let mut w = World::new(SimConfig::new(n).faults(n).seed(3), |_| {
+                    Scalarized(CountDown::new(4, Bit::One))
+                })
+                .unwrap();
+                w.phase_a().unwrap();
+                w.deliver(iv).unwrap();
+                w.scratch.group_pool.len()
+            };
+            assert_eq!((plane, scalar), (2, 2), "k={k}: one mask per distinct set");
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use synran_sim::testing::{CountDown, Opaque};
-use synran_sim::{Bit, Context, Inbox, Intervention, Process, SendPattern, SimConfig, World};
+use synran_sim::{
+    Bit, Context, Inbox, Intervention, Process, ProcessId, SendPattern, SimConfig, World,
+};
 
 thread_local! {
     /// Allocations + reallocations made by *this* thread.
@@ -129,6 +131,48 @@ fn steady_state_scalar_rounds_allocate_nothing() {
     })
     .expect("config");
     assert_steady_state_alloc_free(&mut world, "scalar-path broadcast");
+}
+
+/// The split move: kill the lower half of the alive processes, delivering
+/// every dying broadcast to one shared set — every other survivor.
+fn split(world: &World<CountDown>) -> Intervention {
+    let alive: Vec<ProcessId> = world.alive_ids().collect();
+    let (victims, survivors) = alive.split_at(alive.len() / 2);
+    let receivers: Vec<ProcessId> = survivors.iter().copied().step_by(2).collect();
+    Intervention::kill_all_to(victims.iter().copied(), receivers)
+}
+
+#[test]
+fn shared_set_split_rounds_allocate_nothing() {
+    let n = 256;
+    let mut world = World::new(SimConfig::new(n).faults(n - 1).seed(11), |pid| {
+        CountDown::new(60, Bit::from(pid.index() % 3 == 0))
+    })
+    .expect("config");
+    // Warm-up: one split round grows the receiver-group pool and the
+    // adjusted-inbox planes, and gives the metrics' kill log its first
+    // buffer (room for several rounds).
+    world.phase_a().expect("phase A");
+    let warm_up = split(&world);
+    world.deliver(warm_up).expect("deliver");
+
+    world.phase_a().expect("phase A");
+    let template = split(&world);
+    assert_eq!(template.kills().len(), (n / 2) / 2);
+    let before = thread_allocs();
+    let replay = template.clone();
+    assert_eq!(
+        thread_allocs() - before,
+        1,
+        "a clone copies the kill list, not one receiver list per victim"
+    );
+    let before = thread_allocs();
+    world.deliver(replay).expect("deliver");
+    assert_eq!(
+        thread_allocs() - before,
+        0,
+        "expected zero allocations in a warm shared-set split round"
+    );
 }
 
 #[test]

@@ -8,10 +8,12 @@
 //! `n` not a multiple of 64, word boundaries) and with whole-world
 //! differential runs against [`Scalarized`] oracles.
 
+use std::sync::Arc;
+
 use synran_sim::testing::{CoinCaller, CountDown, Scalarized};
 use synran_sim::{
-    Adversary, Bit, BitPlane, DeliveryFilter, Inbox, Intervention, Passive, Process, ProcessId,
-    SimConfig, SimRng, World,
+    Adversary, Bit, BitPlane, Context, DeliveryFilter, Inbox, Intervention, Passive, Process,
+    ProcessId, SendPattern, SimConfig, SimRng, World,
 };
 
 /// Widths that exercise every word-edge case: sub-word, word boundary,
@@ -117,11 +119,9 @@ fn kill_script() -> Scripted {
                 3,
                 vec![(
                     1,
-                    DeliveryFilter::To(vec![
-                        ProcessId::new(0),
-                        ProcessId::new(2),
-                        ProcessId::new(6),
-                    ]),
+                    DeliveryFilter::To(
+                        vec![ProcessId::new(0), ProcessId::new(2), ProcessId::new(6)].into(),
+                    ),
                 )],
             ),
             (
@@ -202,4 +202,206 @@ fn coin_streams_are_unperturbed_by_the_delivery_representation() {
         };
         assert_eq!(run_plain, run_scalar, "n={n}");
     }
+}
+
+/// Flips a coin in each phase of every round, broadcasts the send-phase
+/// coin, and records every inbox as `(sender, bit)` pairs: its state pins
+/// exactly who heard whom, and every coin either phase drew.
+#[derive(Debug, Clone)]
+struct Listener {
+    rounds: usize,
+    heard: Vec<Vec<(usize, Bit)>>,
+    coins: Vec<Bit>,
+}
+
+impl Listener {
+    fn new(rounds: usize) -> Listener {
+        Listener {
+            rounds,
+            heard: Vec::new(),
+            coins: Vec::new(),
+        }
+    }
+}
+
+impl Process for Listener {
+    type Msg = Bit;
+
+    fn send(&mut self, ctx: &mut Context<'_>) -> SendPattern<Bit> {
+        let coin = ctx.rng().bit();
+        self.coins.push(coin);
+        SendPattern::Broadcast(coin)
+    }
+
+    fn receive(&mut self, ctx: &mut Context<'_>, inbox: &Inbox<Bit>) {
+        self.heard
+            .push(inbox.iter().map(|(s, b)| (s.index(), b)).collect());
+        self.coins.push(ctx.rng().bit());
+    }
+
+    fn decision(&self) -> Option<Bit> {
+        self.halted().then(|| self.coins[0])
+    }
+
+    fn halted(&self) -> bool {
+        self.heard.len() >= self.rounds
+    }
+}
+
+/// The round the mixed kills land in.
+const MIXED_ROUND: u32 = 2;
+/// The width of the mixed round: two words with a ragged tail.
+const MIXED_N: usize = 70;
+
+/// A receiver no kill of [`mixed_kills`] reaches: outside the shared set
+/// (ids ≡ 0 mod 4), the distinct list, and the prefix.
+const OUTSIDE: usize = 39;
+
+/// One round mixing every way kills can share a receiver set:
+/// * many victims (ids ≡ 1 mod 3) share one `Arc` — the ids ≡ 0 mod 4 —
+///   and are split around the others in the kill list;
+/// * one victim has a distinct list;
+/// * one has a list equal in content to the shared one, in its own `Arc`;
+/// * one died 37 sends into its ordered broadcast.
+fn mixed_kills() -> Vec<(usize, DeliveryFilter)> {
+    let shared: Arc<[ProcessId]> = (0..MIXED_N)
+        .filter(|i| i % 4 == 0)
+        .map(ProcessId::new)
+        .collect();
+    let distinct: Arc<[ProcessId]> = [6, 9, 11, 13, 50, 69].map(ProcessId::new).into();
+    let equal_copy: Arc<[ProcessId]> = shared.to_vec().into();
+    let sharers: Vec<usize> = (1..MIXED_N).step_by(3).filter(|&v| v != OUTSIDE).collect();
+    let (early, late) = sharers.split_at(sharers.len() / 2);
+    let mut kills: Vec<(usize, DeliveryFilter)> = early
+        .iter()
+        .map(|&v| (v, DeliveryFilter::To(Arc::clone(&shared))))
+        .collect();
+    kills.push((2, DeliveryFilter::To(distinct)));
+    kills.push((5, DeliveryFilter::To(equal_copy)));
+    kills.push((8, DeliveryFilter::Prefix(37)));
+    kills.extend(
+        late.iter()
+            .map(|&v| (v, DeliveryFilter::To(Arc::clone(&shared)))),
+    );
+    kills
+}
+
+/// `kills` with every `To` list copied into an `Arc` of its own, the shape
+/// the adversaries built before receiver sets were shared.
+fn private_copies(kills: &[(usize, DeliveryFilter)]) -> Vec<(usize, DeliveryFilter)> {
+    kills
+        .iter()
+        .map(|(v, filter)| match filter {
+            DeliveryFilter::To(set) => (*v, DeliveryFilter::To(set.to_vec().into())),
+            other => (*v, other.clone()),
+        })
+        .collect()
+}
+
+fn mixed_script(kills: Vec<(usize, DeliveryFilter)>) -> Scripted {
+    Scripted {
+        script: vec![(MIXED_ROUND, kills)],
+    }
+}
+
+fn mixed_cfg() -> SimConfig {
+    SimConfig::new(MIXED_N).seed(0x5E75).faults(40).trace(true)
+}
+
+/// Every observable of a finished world: its report (decisions, statuses,
+/// metrics with kill counts, the trace with each kill's delivered and
+/// suppressed counts) and each process's inboxes and coins.
+fn observe<P: Process>(world: &World<P>, listener: impl Fn(&P) -> &Listener) -> String {
+    let states: Vec<_> = world
+        .processes()
+        .map(|(_, p, _)| (&listener(p).heard, &listener(p).coins))
+        .collect();
+    format!("{:?}\n{states:?}", world.report())
+}
+
+fn run_plain(kills: Vec<(usize, DeliveryFilter)>) -> String {
+    let mut w = World::new(mixed_cfg(), |_| Listener::new(4)).unwrap();
+    w.run(&mut mixed_script(kills)).unwrap();
+    observe(&w, |p| p)
+}
+
+fn run_scalar(kills: Vec<(usize, DeliveryFilter)>) -> String {
+    let mut w = World::new(mixed_cfg(), |_| Scalarized(Listener::new(4))).unwrap();
+    w.run(&mut mixed_script(kills)).unwrap();
+    observe(&w, |p| &p.0)
+}
+
+#[test]
+fn shared_receiver_sets_deliver_exactly_what_each_filter_allows() {
+    let kills = mixed_kills();
+    assert!(kills.len() > 20, "many victims share the one set");
+    assert!(kills
+        .iter()
+        .all(|(v, f)| *v != OUTSIDE && !f.allows(ProcessId::new(OUTSIDE))));
+
+    // The reference: step the mixed round by hand and check every
+    // receiver's inbox against `DeliveryFilter::allows` on the queued
+    // broadcasts — list membership, independent of the engine's masks.
+    let mut w = World::new(mixed_cfg(), |_| Listener::new(4)).unwrap();
+    for _ in 1..MIXED_ROUND {
+        w.phase_a().unwrap();
+        w.deliver(Intervention::none()).unwrap();
+    }
+    w.phase_a().unwrap();
+    let filter_of = |s: usize| kills.iter().find(|(v, _)| *v == s).map(|(_, f)| f);
+    let expected: Vec<Vec<(usize, Bit)>> = (0..MIXED_N)
+        .map(|r| {
+            (0..MIXED_N)
+                .filter_map(|s| match w.outbox(ProcessId::new(s)) {
+                    Some(SendPattern::Broadcast(b)) => Some((s, *b)),
+                    _ => None,
+                })
+                .filter(|&(s, _)| filter_of(s).is_none_or(|f| f.allows(ProcessId::new(r))))
+                .collect()
+        })
+        .collect();
+    let mut iv = Intervention::new();
+    for (victim, filter) in &kills {
+        iv = iv.kill(ProcessId::new(*victim), filter.clone());
+    }
+    w.deliver(iv).unwrap();
+    let mut adjusted = 0;
+    for (pid, p, status) in w.processes() {
+        let r = pid.index();
+        if filter_of(r).is_some() {
+            assert!(status.is_failed(), "victim {r}");
+            continue;
+        }
+        assert_eq!(p.heard.last(), Some(&expected[r]), "receiver {r}");
+        if expected[r].len() > expected[OUTSIDE].len() {
+            adjusted += 1;
+        }
+    }
+    assert!(adjusted > 10, "the sets reach many receivers");
+    // The receiver outside every set was checked above and heard no victim.
+    assert!(w.status(ProcessId::new(OUTSIDE)).is_alive());
+    assert!(expected[OUTSIDE]
+        .iter()
+        .all(|&(s, _)| filter_of(s).is_none()));
+}
+
+#[test]
+fn shared_receiver_sets_run_identically_on_both_paths_and_as_private_copies() {
+    let kills = mixed_kills();
+    let plain = run_plain(kills.clone());
+    assert_eq!(
+        plain,
+        run_scalar(kills.clone()),
+        "plane vs scalar path diverge"
+    );
+    assert_eq!(
+        plain,
+        run_plain(private_copies(&kills)),
+        "shared sets vs per-victim copies diverge on the plane path"
+    );
+    assert_eq!(
+        plain,
+        run_scalar(private_copies(&kills)),
+        "shared sets vs per-victim copies diverge on the scalar path"
+    );
 }

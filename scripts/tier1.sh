@@ -37,6 +37,14 @@ echo "== tier1: end-to-end benchmark smoke (golden digests) =="
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
     --bin bench_e2e -- run --smoke --workload all
 
+echo "== tier1: full-size upper_bound pass (golden digest) =="
+# The smoke sizes (n = 64, 128) never reach the balancer's split rounds
+# with thousands of victims sharing one receiver set. One full pass of the
+# upper_bound workload (E7 at n = 1024 and 4096, well under a second) runs
+# them and checks its committed `full` render digest.
+cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
+    --bin bench_e2e -- run --workload upper_bound --seconds 1
+
 echo "== tier1: committed experiment tables =="
 # E1-E10 at default settings must reproduce results/<bin>.txt byte for
 # byte, E1's exact Pr(U^v) rows at n = 16 (t = 16 among them, which the

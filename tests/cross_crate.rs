@@ -189,8 +189,8 @@ fn handover_skew_cannot_break_agreement() {
                     }
                     let witnesses = vec![alive[0], alive[1]];
                     Intervention::new()
-                        .kill(alive[3], DeliveryFilter::To(witnesses.clone()))
-                        .kill(alive[4], DeliveryFilter::To(witnesses))
+                        .kill(alive[3], DeliveryFilter::To(witnesses.clone().into()))
+                        .kill(alive[4], DeliveryFilter::To(witnesses.into()))
                 }
                 _ => Intervention::none(),
             }
