@@ -23,20 +23,20 @@ use std::fmt;
 use std::sync::Arc;
 
 use synran_core::SynRanProcess;
-use synran_sim::{parallel, Adversary, Bit, Passive, Process, SimError, SimRng, Telemetry, World};
+use synran_sim::{Adversary, Bit, Passive, Process, SimError, SimRng, Telemetry, World};
 
 use crate::{Balancer, PreferenceKiller, RandomKiller};
 
 /// A boxed, dynamically-dispatched adversary.
 ///
-/// `Send` so that probe adversaries can be built and driven on the worker
-/// threads of the parallel fork-evaluation engine.
+/// `Send` so that an adversary holding probes can run on any worker
+/// thread of a batch.
 pub type BoxedAdversary<P> = Box<dyn Adversary<P> + Send>;
 
 /// A named factory producing fresh probe adversaries per fork seed.
 ///
-/// `Send + Sync` because the factories are shared by reference across the
-/// estimator's worker threads. Names are interned `Arc<str>`: estimates
+/// `Send + Sync` so that the adversary holding them is too. Names are
+/// interned `Arc<str>`: estimates
 /// carry a refcount bump per probe instead of cloning a `String` on the
 /// hottest path.
 type ProbeFactory<P> = (
@@ -253,22 +253,19 @@ pub fn classify_with(estimate: &ValencyEstimate, lo: f64, hi: f64) -> Valence {
 /// Forks that exceed the horizon count as undecided and contribute ½ —
 /// they genuinely are "still open" states.
 ///
-/// The `(probe, sample)` grid is evaluated on
-/// [`world.config().threads_value()`](synran_sim::SimConfig::threads)
-/// worker threads in one dispatch: one bounded base fork of `world`, forked
-/// again per unit and driven to completion by
-/// [`World::drive`](synran_sim::World::drive).
-/// Fork seeds are derived from the `(probe, sample)` index, never from
-/// execution order, so the estimate is **bit-for-bit identical for every
-/// thread count** (including the serial `threads = 1` path). Committed
-/// golden estimates (`crates/adversary/tests/valency_golden.rs`) pin the
-/// exact bits.
+/// The `(probe, sample)` grid is evaluated serially on the calling thread
+/// (parallelism lives one level up, across runs): one bounded base fork of
+/// `world`, forked again per unit and driven to completion by
+/// [`World::drive`](synran_sim::World::drive). Fork seeds are derived from
+/// the `(probe, sample)` index, so the estimate is **bit-for-bit identical
+/// whatever thread count `world` is configured with**. Committed golden
+/// estimates (`crates/adversary/tests/valency_golden.rs`) pin the exact
+/// bits.
 ///
 /// # Errors
 ///
-/// Propagates engine errors other than the horizon being reached; with
-/// several failing forks, the error of the lowest `(probe, sample)` index
-/// is returned regardless of thread count.
+/// Propagates engine errors other than the horizon being reached: the
+/// error of the lowest `(probe, sample)` index.
 ///
 /// # Panics
 ///
@@ -299,7 +296,7 @@ where
 /// so a cut estimate is one whose full score would have been `≤ floor`,
 /// and an estimate that completes is bit-identical to [`estimate_valency`]
 /// — same seeds, same fork outcomes, same [`reduce_outcomes`] fold. Without
-/// a floor the whole grid is one dispatch and nothing is cut.
+/// a floor the whole grid is one sweep and nothing is cut.
 ///
 /// # Errors
 ///
@@ -355,22 +352,16 @@ where
             Err(other) => Err(other),
         }
     };
-    // Sweeps of `width` samples across every probe: one sweep of the whole
-    // grid without a floor, one sample per sweep with one.
+    // Sweeps of `width` samples across every probe, probe-major: one sweep
+    // of the whole grid without a floor, one sample per sweep with one.
     let width = if floor.is_some() { 1 } else { samples };
     let mut outcomes = vec![(0.0, false); probes.len() * samples];
     let mut sums = vec![0.0; probes.len()];
     for first in (0..samples).step_by(width) {
-        let unit = |q: usize| (q / width) * samples + first + q % width;
-        let sweep = parallel::try_par_map_in(
-            telemetry,
-            world.config().threads_value(),
-            probes.len() * width,
-            |q| eval(unit(q)),
-        )?;
-        for (q, outcome) in sweep.into_iter().enumerate() {
-            outcomes[unit(q)] = outcome;
-            sums[q / width] += outcome.0;
+        for q in 0..probes.len() * width {
+            let unit = (q / width) * samples + first + q % width;
+            outcomes[unit] = eval(unit)?;
+            sums[q / width] += outcomes[unit].0;
         }
         if floor.is_some_and(|floor| uncertainty_bound(&sums, first + width, samples) <= floor) {
             return Ok(None);
@@ -419,8 +410,8 @@ fn derive_seed_grid(seed: u64, groups: usize, per_group: usize) -> Vec<u64> {
 /// Folds per-unit `(score, undecided)` outcomes into a [`ValencyEstimate`].
 ///
 /// Reduces in unit order: float addition is not associative, so the fold
-/// must not depend on completion order. Probe-outcome counters are also
-/// tallied here (not in the workers) so they accumulate deterministically.
+/// must follow one fixed order. Probe-outcome counters are also tallied
+/// here, once per estimate.
 fn reduce_outcomes<P: Process>(
     probes: &ProbeSet<P>,
     samples: usize,

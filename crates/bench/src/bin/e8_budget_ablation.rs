@@ -12,13 +12,12 @@ use synran_analysis::{fmt_f64, Accumulator, Table};
 use synran_bench::{banner, section, Args};
 use synran_core::ln_clamped;
 use synran_lab::{run_cell_once, write_run_artifact, Cell};
-use synran_sim::{parallel, Telemetry, TelemetryMode};
+use synran_sim::{Telemetry, TelemetryMode};
 
 /// Per-block observations of run `index` of `cell`: population at block
 /// start, kills in the block.
 fn blocks_of_run(cell: &Cell, index: usize, telemetry: &Telemetry) -> (Vec<(usize, usize)>, u32) {
-    let (_, verdict) =
-        run_cell_once(cell, index, parallel::AUTO_THREADS, false, telemetry).expect("engine error");
+    let (_, verdict) = run_cell_once(cell, index, false, telemetry).expect("engine error");
     assert!(verdict.is_correct(), "{:?}", verdict.violations());
     let rounds = verdict.rounds();
     // kills per round, dense.

@@ -117,10 +117,9 @@ impl BatchOutcome {
 /// `make_adversary` is called once per run with the run's seed so stateful
 /// adversaries start fresh; `base_cfg`'s seed is re-derived per run.
 ///
-/// Runs execute on [`base_cfg.threads()`](SimConfig::threads) workers
-/// from the persistent pool behind [`synran_sim::parallel`] (spawned once
-/// per process, re-used across batches — repeated batches pay no thread
-/// spawn cost). Every run's seed is a pure function of
+/// Runs execute on [`base_cfg.threads()`](SimConfig::threads) workers in
+/// one [`synran_sim::parallel`] call per batch, and each run stays on the
+/// thread that claimed it. Every run's seed is a pure function of
 /// `(base_seed, run_index)` and the outcome is folded in run order, so
 /// the batch is **bit-for-bit identical for every thread count**.
 ///
@@ -159,8 +158,9 @@ where
 /// `batch.rounds` / `batch.kills` histograms.
 ///
 /// This is [`run_verdict`], classified by [`RunRecord::classify`], mapped
-/// over `0..runs` on the worker pool, then folded: callers that schedule runs of several batches in one dispatch
-/// (the campaign engine) use the same two pieces.
+/// over `0..runs` on the workers, then folded: callers that schedule runs
+/// of several batches in one call (the campaign engine) use the same two
+/// pieces.
 ///
 /// Telemetry is observe-only: the outcome is byte-identical to
 /// [`run_batch`] for every handle and thread count.

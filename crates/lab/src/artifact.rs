@@ -10,7 +10,7 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use synran_sim::telemetry::per_round_kill_cap;
-use synran_sim::{parallel, Round, RoundKillRow, Telemetry};
+use synran_sim::{Round, RoundKillRow, Telemetry};
 
 use crate::cell::Cell;
 use crate::registry::run_cell_once;
@@ -31,12 +31,6 @@ pub fn results_telemetry_path(bin: &str) -> PathBuf {
 /// record's file order
 /// ([`TelemetryStream::events`](synran_sim::TelemetryStream::events)).
 ///
-/// The global worker pool's cumulative stats are folded in as
-/// fill-if-absent gauges first
-/// ([`synran_sim::parallel::export_pool_stats`]),
-/// so the dump carries `pool.*` counters even for runs whose batches
-/// never dispatched on this handle.
-///
 /// `kills_per_round` is [`synran_sim::Metrics::kills_per_round`] output
 /// from a representative run — sorted, one entry per round.
 ///
@@ -54,7 +48,6 @@ pub fn write_telemetry_jsonl(
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    synran_sim::parallel::export_pool_stats(telemetry);
     let mut record = telemetry.snapshot();
     record.meta = meta
         .iter()
@@ -77,8 +70,8 @@ pub fn write_telemetry_jsonl(
 }
 
 /// Writes `results/<bin>.telemetry.jsonl` around `cell`'s representative
-/// run: run 0 of the cell, replayed through [`run_cell_once`] on
-/// [`parallel::AUTO_THREADS`] workers into `telemetry`. The `meta` lines
+/// run: run 0 of the cell, replayed through [`run_cell_once`] into
+/// `telemetry`. The `meta` lines
 /// are `experiment` (= `bin`), `adversary`, `n` and `t` from the cell,
 /// then `extra_meta` in order; the `round_kills` lines are the run's
 /// [`kills_per_round`](synran_sim::Metrics::kills_per_round). Returns the
@@ -94,7 +87,7 @@ pub fn write_run_artifact(
     extra_meta: &[(&str, String)],
     telemetry: &Telemetry,
 ) -> Result<PathBuf, LabError> {
-    let (_, verdict) = run_cell_once(cell, 0, parallel::AUTO_THREADS, false, telemetry)?;
+    let (_, verdict) = run_cell_once(cell, 0, false, telemetry)?;
     let mut meta = vec![
         ("experiment", bin.to_string()),
         ("adversary", cell.adversary.clone()),
@@ -146,13 +139,6 @@ mod tests {
         assert!(text.starts_with("{\"type\":\"meta\",\"key\":\"experiment\""));
         assert!(text.contains("{\"type\":\"counter\",\"name\":\"sim.rounds\",\"value\":7}"));
         assert_eq!(text.matches("\"type\":\"round_kills\"").count(), 2);
-        // Pool gauges are filled in even though no batch ran on this handle.
-        for key in ["pool.spawned", "pool.reused", "pool.tasks", "pool.inline"] {
-            assert!(
-                text.contains(&format!("\"name\":\"{key}\"")),
-                "missing {key} gauge"
-            );
-        }
     }
 
     #[test]
@@ -197,7 +183,7 @@ mod tests {
         assert_eq!(meta, expected);
 
         let kills_of_run = |index| {
-            let (_, verdict) = run_cell_once(&cell, index, 1, false, &Telemetry::off()).unwrap();
+            let (_, verdict) = run_cell_once(&cell, index, false, &Telemetry::off()).unwrap();
             let kills = verdict.report().metrics().kills_per_round().iter();
             kills
                 .map(|&(round, kills)| (u64::from(round.index()), kills as u64))

@@ -1,38 +1,29 @@
 //! The sharded campaign scheduler.
 //!
 //! [`Engine::run_cells`] spreads a campaign's runs across worker threads
-//! via [`synran_sim::parallel`] and folds the results **in cell order**,
-//! so the merged output is byte-identical at every thread count — the
-//! same contract the fork-evaluation engine and the batch runner keep.
+//! and folds the results **in cell order**, so the merged output is
+//! byte-identical at every thread count — the same contract the batch
+//! runner keeps.
 //!
-//! Execution proceeds in *waves* of `threads × 4` cells: each wave is
-//! evaluated in parallel, then appended to the journal in cell order
-//! before the next wave starts. A killed campaign therefore loses at most
-//! one in-flight wave, and the journal's line order is itself a pure
-//! function of the cell list (never of scheduling).
-//!
-//! The unit of parallel work is one **run**, not one cell: a wave is one
-//! dispatch over its cells' flat `(cell, run)` index space, and pool
-//! participants claim runs one at a time, so a wave of a few expensive
-//! cells still keeps every worker busy until its last run. Each cell's
-//! runs are then folded in run order straight into its [`CellResult`].
-//!
-//! Waves dispatch onto the persistent worker pool in
-//! [`synran_sim::parallel`]: the helper threads are spawned by the first
-//! wave and re-used by every later wave (and by any nested fan-out a run
-//! performs — nested dispatches fall back inline, deterministically), so
-//! a thousand-wave campaign pays thread-spawn cost exactly once.
+//! The unit of parallel work is one **run**, not one cell: `run_cells`
+//! makes one [`par_each_in_order`](synran_sim::parallel::par_each_in_order)
+//! call over the flat `(cell, run)` index space of all its pending cells,
+//! and the participants claim runs one at a time, so a few expensive cells
+//! still keep every worker busy until their last run. No run starts more
+//! than `threads × 4` cells' worth of runs ahead of the fold. Each cell is
+//! folded, journaled (in cell order) and counted toward the heartbeat as
+//! its last run lands, so a killed campaign loses at most one window of
+//! cells in flight, and the journal's line order is a pure function of the
+//! cell list, never of scheduling.
 //!
 //! Cells already present in the cache — from this campaign's journal, or
 //! imported from another's — are skipped and their recorded results
 //! spliced into the fold.
 //!
-//! The bookkeeping around the waves is linear in the cell count. One
-//! hash-map pass groups the un-cached cells by content hash: the first
-//! index of each hash is its *leader*, which executes once and is
-//! journaled, and the later indices are its duplicates. When a wave lands,
-//! only its own leaders' slots and their duplicates' slots are filled, and
-//! the completed count is kept as a running total.
+//! The bookkeeping is linear in the cell count. One hash-map pass groups
+//! the un-cached cells by content hash: the first index of each hash is
+//! its *leader*, which executes once and is journaled, and the later
+//! indices are its duplicates, filled when their leader lands.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::path::Path;
@@ -43,7 +34,7 @@ use synran_sim::{parallel, Telemetry};
 use crate::cell::{Cell, CellResult};
 use crate::journal::{load_cache, CellCache, Journal};
 use crate::progress::{Heartbeat, ProgressSink};
-use crate::registry::run_cells_flat;
+use crate::registry::run_cells_in_order;
 use crate::LabError;
 
 /// An attached progress sink plus its emission cadence.
@@ -212,16 +203,17 @@ impl Engine {
 
     /// Runs a campaign's cell list and returns its results in cell order.
     ///
-    /// Cached cells are skipped; fresh cells execute on the worker pool in
-    /// waves and are journaled (in cell order) as each wave completes.
+    /// Cached cells are skipped; fresh cells execute on the worker threads
+    /// and are journaled, in cell order, each as its last run lands.
     /// Duplicate cells within the list execute once, at their first index,
-    /// and count as done when that index's wave lands.
+    /// and count as done when that index lands.
     ///
     /// # Errors
     ///
     /// Returns the first failing cell's error **by cell order** — within
     /// it, the lowest failing run's — whatever the thread count, or an I/O
-    /// error from the journal. The failing cell's wave is not journaled.
+    /// error from the journal. The cells before the failing one are
+    /// journaled; it and the cells after it are not.
     pub fn run_cells(&mut self, cells: &[Cell]) -> Result<Vec<CellResult>, LabError> {
         let start = Instant::now();
         let hashes: Vec<String> = cells.iter().map(Cell::content_hash).collect();
@@ -237,12 +229,14 @@ impl Engine {
         let mut last_beat = 0usize;
         self.emit_heartbeat(warm, cells.len(), 0, warm, start);
 
-        let workers = parallel::resolve_threads(self.threads).max(1);
-        for wave in pending.chunks(workers * 4) {
-            let wave_cells: Vec<&Cell> = wave.iter().map(|p| &cells[p.leader]).collect();
-            let outs = run_cells_flat(&wave_cells, self.threads, &self.telemetry)?;
-            // Fill only this wave's slots: each leader's and its duplicates'.
-            for (p, result) in wave.iter().zip(outs.iter().map(CellResult::from)) {
+        if !pending.is_empty() {
+            let leaders: Vec<&Cell> = pending.iter().map(|p| &cells[p.leader]).collect();
+            let window = parallel::resolve_threads(self.threads).max(1) * 4;
+            let (threads, telemetry) = (self.threads, self.telemetry.clone());
+            let mut landed = pending.iter();
+            run_cells_in_order(&leaders, threads, window, &telemetry, |outcome| {
+                let p = landed.next().expect("one outcome per leader");
+                let result = CellResult::from(&outcome);
                 for &i in &p.duplicates {
                     results[i] = Some(result.clone());
                 }
@@ -250,13 +244,14 @@ impl Engine {
                 self.record(&cells[p.leader], &hashes[p.leader], result)?;
                 run_executed += 1;
                 done += 1 + p.duplicates.len();
-            }
-            if let Some(progress) = &self.progress {
-                if done - last_beat >= progress.every || done == cells.len() {
-                    last_beat = done;
-                    self.emit_heartbeat(done, cells.len(), run_executed, warm, start);
+                if let Some(progress) = &self.progress {
+                    if done - last_beat >= progress.every || done == cells.len() {
+                        last_beat = done;
+                        self.emit_heartbeat(done, cells.len(), run_executed, warm, start);
+                    }
                 }
-            }
+                Ok(())
+            })?;
         }
 
         self.finish_counters(cells.len(), run_executed, warm, start);
@@ -292,7 +287,7 @@ impl Engine {
     }
 
     /// Emits one heartbeat from the serial fold, if a sink is attached.
-    /// Reads clocks and pool stats but writes nothing except to the sink.
+    /// Reads the clock but writes nothing except to the sink.
     fn emit_heartbeat(
         &mut self,
         done: usize,
@@ -324,7 +319,6 @@ impl Engine {
             cache_hits,
             cells_per_sec,
             eta_secs,
-            pool: parallel::global_pool().stats(),
         });
     }
 }
@@ -464,14 +458,15 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_across_waves_and_the_cache_resolve_once() {
+    fn duplicates_across_windows_and_the_cache_resolve_once() {
         let dir = tmpdir("dups");
         for threads in [1usize, 2, 8] {
-            // Longer than two waves of `threads × 4` at every thread count.
+            // Longer than two windows of `threads × 4` cells at every
+            // thread count.
             let mut cells = cheap(2 * 8 * 4 + 6);
             let cached = cells[5].clone();
             cells.push(cached.clone()); // a second copy of a cached cell
-            cells.push(cells[0].clone()); // in-list duplicate, last wave
+            cells.push(cells[0].clone()); // in-list duplicate, last window
             let per_cell: Vec<CellResult> = cells
                 .iter()
                 .map(|cell| run_cell(cell, &Telemetry::off()).unwrap())
@@ -656,6 +651,45 @@ mod tests {
         let first_of_second = &beats[beats.len() - 1];
         assert_eq!(first_of_second.done, cells.len());
         assert_eq!(first_of_second.cache_hits, cells.len());
+    }
+
+    #[test]
+    fn a_failing_cell_leaves_exactly_the_cells_before_it_journaled() {
+        let dir = tmpdir("failing");
+        // Longer than one window of `threads × 4` cells at every thread
+        // count below, with the failing cell past the first window.
+        let mut cells = cheap(40);
+        let failing = 29;
+        cells[failing].protocol = "bogus".into();
+        let open = |name: &str| {
+            let path = dir.join(name);
+            let _ = std::fs::remove_file(&path);
+            let (journal, cache) = Journal::open(&path).unwrap();
+            (path, journal, cache)
+        };
+        let (before, journal, cache) = open("before.journal.jsonl");
+        Engine::new(1, Telemetry::off())
+            .with_journal(journal, cache)
+            .run_cells(&cells[..failing])
+            .unwrap();
+        let want = std::fs::read(&before).unwrap();
+        assert_eq!(scan_journal(&before).unwrap().entries, failing);
+        for threads in [1, 2, 4] {
+            let (path, journal, cache) = open(&format!("t{threads}.journal.jsonl"));
+            let err = Engine::new(threads, Telemetry::off())
+                .with_journal(journal, cache)
+                .run_cells(&cells)
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("bogus"),
+                "threads {threads}: {err}"
+            );
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                want,
+                "threads = {threads}: the journal holds exactly the cells before the failing one"
+            );
+        }
     }
 
     #[test]

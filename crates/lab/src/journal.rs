@@ -2,7 +2,7 @@
 //! line.
 //!
 //! A campaign appends each finished cell to
-//! `results/<campaign>.journal.jsonl` as soon as its wave completes, so a
+//! `results/<campaign>.journal.jsonl` as soon as its last run lands, so a
 //! killed grid resumes from the last durable line instead of restarting
 //! from zero. On load the journal is also the **result cache**: any cell
 //! whose [content hash](crate::Cell::content_hash) already appears is
@@ -205,7 +205,7 @@ impl Journal {
     }
 
     /// Appends one completed cell and flushes, so the line is durable
-    /// before the next wave starts.
+    /// before the next cell lands.
     ///
     /// # Errors
     ///

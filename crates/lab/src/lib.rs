@@ -8,7 +8,7 @@
 //!   `sweep key = a,b,c` file expanded into a deterministic [`Cell`] list,
 //!   each cell carrying a stable FNV-1a [content
 //!   hash](Cell::content_hash) over every execution-relevant parameter;
-//! * a [**sharded scheduler**](Engine) — cells partitioned across worker
+//! * a [**sharded scheduler**](Engine) — runs spread across worker
 //!   threads via [`synran_sim::parallel`], results folded in cell order so
 //!   the merged output is byte-identical at every thread count;
 //! * a [**resumable journal + result cache**](Journal) — completed cells

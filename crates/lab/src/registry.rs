@@ -220,8 +220,8 @@ fn resolve(cell: &Cell) -> Result<Plan<'_>, LabError> {
     })
 }
 
-/// A cell's execution parameters; the engine parallelises across runs, so
-/// each run's own fan-outs (valency estimation) stay on its thread.
+/// A cell's execution parameters: one thread per run, since the engine
+/// parallelises across runs.
 fn base_config(cell: &Cell) -> SimConfig {
     SimConfig::new(cell.n)
         .faults(cell.t)
@@ -240,58 +240,69 @@ impl From<&BatchOutcome> for CellResult {
     }
 }
 
-/// Executes `cells` with their runs spread over `threads` pool workers in
-/// **one** dispatch over the flat `(cell, run)` index space, then folds
-/// each cell's runs in run order. Results are identical to executing the cells one by one, serially, at
-/// every thread count.
+/// Executes `cells` with their runs spread over `threads` workers in
+/// **one** call over the flat `(cell, run)` index space, starting no run
+/// more than `window_cells` cells' worth of runs (of the widest cell)
+/// ahead of the fold. Each cell's runs are folded in run order, and `sink`
+/// receives each cell's outcome in cell order as its last run lands, so
+/// what it sees is identical to executing the cells one by one, serially,
+/// at every thread count.
 ///
 /// # Errors
 ///
-/// Returns the error of the lowest failing cell (by position in `cells`);
-/// within it, the lowest failing run's.
-pub(crate) fn run_cells_flat(
+/// Returns the error of the lowest failing cell (by position in `cells`),
+/// within it the lowest failing run's, or `sink`'s; no later cell reaches
+/// `sink`.
+pub(crate) fn run_cells_in_order(
     cells: &[&Cell],
     threads: usize,
+    window_cells: usize,
     telemetry: &Telemetry,
-) -> Result<Vec<BatchOutcome>, LabError> {
-    let mut plans = Vec::with_capacity(cells.len());
-    let mut invalid = None;
-    for &cell in cells {
-        match resolve(cell) {
-            Ok((_, step)) => plans.push((cell.runs, base_config(cell), step)),
-            // Cells after an invalid one cannot change which error wins.
-            Err(e) => {
-                invalid = Some(e);
-                break;
-            }
-        }
-    }
-    // `starts[c]` is cell c's first flat index; the last entry is the total.
-    let mut starts = Vec::with_capacity(plans.len() + 1);
+    mut sink: impl FnMut(BatchOutcome) -> Result<(), LabError>,
+) -> Result<(), LabError> {
+    // `starts[c]` is cell c's first flat index; the last entry is the
+    // total. A cell with no runs is invalid, and its one index reports so.
+    let mut starts = Vec::with_capacity(cells.len() + 1);
     starts.push(0usize);
-    for (runs, _, _) in &plans {
-        starts.push(starts[starts.len() - 1] + runs);
+    for cell in cells {
+        starts.push(starts[starts.len() - 1] + cell.runs.max(1));
     }
-    let total = starts[plans.len()];
-    let records = parallel::par_map_in(telemetry, threads, total, |k| {
-        let c = starts.partition_point(|&s| s <= k) - 1;
-        let (_, cfg, step) = &plans[c];
-        RunRecord::classify(step(cfg, k - starts[c], telemetry))
-    });
-    // Fold each cell's runs in run order.
-    let mut records = records.into_iter();
-    let mut results = Vec::with_capacity(plans.len());
-    for (runs, _, _) in &plans {
-        let cell_records = records
-            .by_ref()
-            .take(*runs)
-            .collect::<Result<Vec<_>, SimError>>()?;
-        results.push(BatchOutcome::fold(cell_records, telemetry));
-    }
-    match invalid {
-        Some(e) => Err(e),
-        None => Ok(results),
-    }
+    let widest = cells.iter().map(|cell| cell.runs).max().unwrap_or(1);
+    let (mut next, mut records) = (0, Vec::new());
+    parallel::par_each_in_order(
+        telemetry,
+        threads,
+        starts[cells.len()],
+        window_cells.saturating_mul(widest),
+        |k| -> Result<_, LabError> {
+            let c = starts.partition_point(|&s| s <= k) - 1;
+            // Resolved per run, so that no per-cell state outlives its runs.
+            let (_, step) = resolve(cells[c])?;
+            Ok(RunRecord::classify(step(
+                &base_config(cells[c]),
+                k - starts[c],
+                telemetry,
+            ))?)
+        },
+        |record| {
+            records.push(record?);
+            if records.len() == cells[next].runs {
+                sink(BatchOutcome::fold(std::mem::take(&mut records), telemetry))?;
+                next += 1;
+            }
+            Ok(())
+        },
+    )
+}
+
+/// Executes one cell's batch on `threads` workers.
+fn run_one(cell: &Cell, threads: usize, telemetry: &Telemetry) -> Result<BatchOutcome, LabError> {
+    let mut outcome = None;
+    run_cells_in_order(&[cell], threads, 1, telemetry, |batch| {
+        outcome = Some(batch);
+        Ok(())
+    })?;
+    Ok(outcome.expect("one outcome per cell"))
 }
 
 /// Validates a cell without executing anything — `status` and spec
@@ -359,11 +370,10 @@ pub fn validate_cell(cell: &Cell) -> Result<(), LabError> {
 /// for engine errors other than round-limit overruns (tallied as
 /// [`CellResult::timeouts`]).
 pub fn run_cell(cell: &Cell, telemetry: &Telemetry) -> Result<CellResult, LabError> {
-    let outcomes = run_cells_flat(&[cell], 1, telemetry)?;
-    Ok(CellResult::from(&outcomes[0]))
+    Ok(CellResult::from(&run_one(cell, 1, telemetry)?))
 }
 
-/// [`run_cell`] on `threads` pool workers, returning the protocol's own
+/// [`run_cell`] on `threads` workers, returning the protocol's own
 /// name and the folded batch itself, which also names each violating
 /// run's seed.
 ///
@@ -376,14 +386,13 @@ pub fn run_cell_batch(
     telemetry: &Telemetry,
 ) -> Result<(String, BatchOutcome), LabError> {
     let (name, _) = resolve(cell)?;
-    let mut outcomes = run_cells_flat(&[cell], threads, telemetry)?;
-    Ok((name, outcomes.pop().expect("one outcome per cell")))
+    Ok((name, run_one(cell, threads, telemetry)?))
 }
 
 /// Executes run `index` of `cell` alone — the execution its batch counts
-/// at that index — on `threads` workers and with its event trace recorded
-/// on request (both observe-only), and returns the protocol's own name
-/// and the run's verdict.
+/// at that index — on the calling thread, with its event trace recorded
+/// on request (observe-only), and returns the protocol's own name and the
+/// run's verdict.
 ///
 /// # Errors
 ///
@@ -392,12 +401,11 @@ pub fn run_cell_batch(
 pub fn run_cell_once(
     cell: &Cell,
     index: usize,
-    threads: usize,
     trace: bool,
     telemetry: &Telemetry,
 ) -> Result<(String, ConsensusVerdict), LabError> {
     let (name, step) = resolve(cell)?;
-    let cfg = base_config(cell).threads(threads).trace(trace);
+    let cfg = base_config(cell).trace(trace);
     let (_, verdict) = step(&cfg, index, telemetry)?;
     Ok((name, verdict))
 }
@@ -543,7 +551,7 @@ mod tests {
         for index in 0..3 {
             for trace in [true, false] {
                 let (name, verdict) =
-                    run_cell_once(&cell, index, 2, trace, &Telemetry::off()).unwrap();
+                    run_cell_once(&cell, index, trace, &Telemetry::off()).unwrap();
                 assert_eq!(name, "synran");
                 assert_eq!(verdict.rounds(), batch.rounds[index]);
                 let kills = verdict.report().metrics().total_kills() as u64;
@@ -565,7 +573,7 @@ mod tests {
         ] {
             let mut cell = Cell::new(protocol, "passive", 7);
             (cell.ones, cell.t) = (ones, 3);
-            let (name, verdict) = run_cell_once(&cell, 0, 1, false, &Telemetry::off()).unwrap();
+            let (name, verdict) = run_cell_once(&cell, 0, false, &Telemetry::off()).unwrap();
             assert_eq!(verdict.report().unanimous_decision(), Some(decision));
             let (batch_name, outcome) = run_cell_batch(&cell, 1, &Telemetry::off()).unwrap();
             assert_eq!(name, batch_name);
@@ -574,9 +582,7 @@ mod tests {
         let names = PROTOCOLS.iter().map(|p| {
             let mut cell = Cell::new(p.name, "passive", 4);
             cell.t = 1;
-            run_cell_once(&cell, 0, 1, false, &Telemetry::off())
-                .unwrap()
-                .0
+            run_cell_once(&cell, 0, false, &Telemetry::off()).unwrap().0
         });
         let names: Vec<String> = names.collect();
         assert_eq!(names, ["synran", "synran-sym", "flooding", "leader"]);

@@ -3,7 +3,7 @@
 //! run — the acceptance contract of the campaign engine.
 //!
 //! "Interrupted" is simulated the honest way: by truncating the journal
-//! file, both at a cell boundary (a clean kill between waves) and
+//! file, both at a cell boundary (a clean kill between cells) and
 //! mid-line (a kill during the append itself).
 
 use std::fs;

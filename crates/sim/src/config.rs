@@ -78,8 +78,8 @@ impl SimConfig {
         self
     }
 
-    /// Sets the worker-thread budget for parallel fan-outs (valency
-    /// estimation, seeded batches). `0` ([`parallel::AUTO_THREADS`]) means
+    /// Sets the worker-thread budget of a seeded batch's runs (a run itself
+    /// is always serial). `0` ([`parallel::AUTO_THREADS`]) means
     /// "use all available parallelism"; `1` forces the serial path.
     ///
     /// Results are **identical for every setting** — see the determinism

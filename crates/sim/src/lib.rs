@@ -57,12 +57,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// `deny` rather than `forbid`: the persistent worker pool in [`parallel`]
-// needs two narrowly-scoped `unsafe` idioms (a lifetime-erased task pointer
-// parked threads can hold, and disjoint-slot output writes). Those items
-// carry `#[allow(unsafe_code)]` plus SAFETY notes; everything else in the
-// crate still refuses `unsafe` at compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod adversary;
 mod bit;

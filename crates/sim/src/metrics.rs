@@ -81,6 +81,18 @@ impl Metrics {
             .max()
     }
 
+    /// A copy for a forked world, with room for one more kill round, so
+    /// that the fork's first kill round does not reallocate in `deliver`.
+    pub(crate) fn fork(&self) -> Metrics {
+        let mut kills_per_round = Vec::with_capacity(self.kills_per_round.len() + 1);
+        kills_per_round.extend_from_slice(&self.kills_per_round);
+        Metrics {
+            kills_per_round,
+            decided_at: self.decided_at.clone(),
+            ..*self
+        }
+    }
+
     pub(crate) fn on_round_completed(&mut self) {
         self.rounds_completed += 1;
     }

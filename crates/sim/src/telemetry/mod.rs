@@ -257,9 +257,9 @@ impl Telemetry {
     /// Like [`span`](Telemetry::span), attributed to worker `worker` — used
     /// by the parallel fan-out engine, one per participant. Until the guard
     /// drops, spans opened on this thread inherit `worker` as their lane.
-    /// Opened inside another worker span (a nested dispatch running inline
-    /// on the same thread), it inherits the outer lane instead: the thread
-    /// is still that participant.
+    /// Opened inside another worker span (a parallel call made from inside
+    /// a participant), it inherits the outer lane instead: the thread is
+    /// still that participant.
     ///
     /// The guard must be dropped on the thread that opened it.
     #[must_use]
@@ -308,21 +308,6 @@ impl Telemetry {
                 .expect("telemetry lock")
                 .counters
                 .insert(name, value);
-        }
-    }
-
-    /// Sets the counter `name` to `value` only if it has not been
-    /// recorded yet — a fill-in for process-wide gauges (see
-    /// [`crate::parallel::export_pool_stats`]): per-dispatch increments
-    /// already on this handle always win.
-    pub fn set_if_absent(&self, name: &'static str, value: u64) {
-        if let Some(hub) = &self.hub {
-            hub.state
-                .lock()
-                .expect("telemetry lock")
-                .counters
-                .entry(name)
-                .or_insert(value);
         }
     }
 

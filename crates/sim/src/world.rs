@@ -1079,7 +1079,7 @@ where
             slots: self.slots.clone(),
             outboxes: self.outboxes.clone(),
             budget: self.budget,
-            metrics: self.metrics.clone(),
+            metrics: self.metrics.fork(),
             // Forked futures are throwaway explorations; tracing them would
             // dominate memory in valency estimation, and telemetry from
             // thousands of probe forks would drown the parent's signal — the

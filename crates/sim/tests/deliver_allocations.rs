@@ -176,6 +176,37 @@ fn shared_set_split_rounds_allocate_nothing() {
 }
 
 #[test]
+fn forked_shared_set_split_rounds_allocate_nothing() {
+    let n = 256;
+    let mut world = World::new(SimConfig::new(n).faults(n - 1).seed(11), |pid| {
+        CountDown::new(60, Bit::from(pid.index() % 3 == 0))
+    })
+    .expect("config");
+    // One split round gives the root's metrics a kill log, which every
+    // fork copies.
+    world.phase_a().expect("phase A");
+    let first = split(&world);
+    world.deliver(first).expect("deliver");
+    world.phase_a().expect("phase A");
+    let template = split(&world);
+    // Warm-up: a fork plays the split and retires, leaving its grown
+    // scratch in the pool the root's forks share.
+    let mut warm_up = world.fork(7);
+    warm_up.deliver(template.clone()).expect("deliver");
+    warm_up.retire();
+
+    let mut fork = world.fork(7);
+    let replay = template.clone();
+    let before = thread_allocs();
+    fork.deliver(replay).expect("deliver");
+    assert_eq!(
+        thread_allocs() - before,
+        0,
+        "expected zero allocations in a forked world's first split round"
+    );
+}
+
+#[test]
 fn broadcast_bit_rounds_never_fall_back_to_the_scalar_path() {
     use synran_sim::telemetry::{Telemetry, TelemetryMode};
     let hub = Telemetry::new(TelemetryMode::Counters);

@@ -29,6 +29,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== tier1: cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== tier1: no unsafe code in the library =="
+# Every library crate forbids `unsafe` at its root, which no module can
+# opt back out of with `#[allow(unsafe_code)]`.
+for lib in src/lib.rs crates/*/src/lib.rs; do
+    grep -qx '#!\[forbid(unsafe_code)\]' "$lib" \
+        || { echo "$lib lacks #![forbid(unsafe_code)]"; exit 1; }
+done
+echo "unsafe OK: every library root forbids unsafe_code"
+
 echo "== tier1: end-to-end benchmark smoke (golden digests) =="
 # Every workload of the end-to-end benchmark, shrunk to under a second,
 # checked against its committed golden render digest (E1's coin calls, the
@@ -125,8 +134,8 @@ if ./target/release/synran report --check "$telemetry_out.cut" >/dev/null 2>&1; 
     exit 1
 fi
 echo "report smoke OK: healthy artifact passes --check ($folded_lines folded stacks), truncated copy rejected"
-# `synran batch` records through the campaign engine's pool; its artifact
-# must pass --check too. An option batch does not take must fail it.
+# `synran batch` records through the campaign engine's run path; its
+# artifact must pass --check too. An option batch does not take must fail it.
 batch_telemetry="$scratch/batch.telemetry.jsonl"
 ./target/release/synran batch --n 16 --runs 4 --telemetry-out "$batch_telemetry" >/dev/null
 ./target/release/synran report --check "$batch_telemetry" >/dev/null \
@@ -207,7 +216,8 @@ echo "== tier1: campaign kill -9 resume test =="
 # A live `campaign run` killed with SIGKILL mid-campaign must resume to
 # the serial run's stdout byte for byte, journal the same set of cell
 # lines, and leave nothing pending. The engine journals (and flushes)
-# each completed wave, so the kill loses at most the wave in flight.
+# each cell as its last run lands, and at most one window of cells is in
+# flight, so the kill loses at most that window.
 synran_bin="$OLDPWD/target/release/synran"
 cat > "$campaign_dir/kill.campaign" <<'EOF'
 campaign   = kill
@@ -223,7 +233,7 @@ crash_journal="$campaign_dir/crash/kill.journal.jsonl"
 (cd "$campaign_dir" && exec "$synran_bin" campaign run kill.campaign --threads 1 \
     --results-dir crash > /dev/null 2>&1) &
 run_pid=$!
-# Kill as soon as the first wave is journalled.
+# Kill as soon as the first cell is journalled.
 for _ in $(seq 1 500); do
     journalled="$(grep -c '"type":"cell"' "$crash_journal" 2>/dev/null || true)"
     [ "${journalled:-0}" -gt 0 ] && break

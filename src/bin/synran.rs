@@ -53,8 +53,9 @@ CAMPAIGN OPTIONS:
                        (observe-only; results identical with it on or off)
   --dir <dir>          directory scanned by campaign list    (default campaigns)
   status takes only --results-dir; list takes --dir and --results-dir.
-  Each completed wave of cells is journalled before the next starts, so
-  even a kill -9 loses at most one wave.
+  Each cell is journalled as soon as its last run lands, and at most one
+  window of threads × 4 cells is in flight, so even a kill -9 loses at
+  most that window.
 
 REPORT OPTIONS:
   --format table | json | folded   rendering                 (default table)
@@ -77,7 +78,7 @@ OPTIONS (run and batch):
   --seed <int>   master seed; `run --seed S` executes the first run that
                  `batch --seed S` counts                    (default 1)
   --runs <int>   batch size (batch only)                    (default 20)
-  --threads <int> worker threads (0 = all cores, 1 = serial;
+  --threads <int> worker threads (batch only; 0 = all cores, 1 = serial;
                  results are identical for every value)     (default 0)
   --trace        print the event trace (run only)
   --telemetry off | counters | spans                        (default off;
@@ -164,7 +165,8 @@ fn telemetry_options(
 /// and `synran batch` (the cell's whole batch, unjournalled, on the
 /// campaign engine's path).
 fn cell_cmd(cmd: &str, values: &HashMap<String, String>, flags: &[String]) -> Result<(), String> {
-    // The cell's options, plus `trace` for `run` and `runs` for `batch`.
+    // The cell's options, plus `trace` for `run` and `runs` and `threads`
+    // for `batch`.
     let common = [
         "protocol",
         "adversary",
@@ -172,20 +174,22 @@ fn cell_cmd(cmd: &str, values: &HashMap<String, String>, flags: &[String]) -> Re
         "t",
         "ones",
         "seed",
-        "threads",
         "telemetry",
         "telemetry-out",
     ];
-    let own = if cmd == "run" { "trace" } else { "runs" };
-    reject_unknown_options(cmd, &[&common[..], &[own]].concat(), values, flags)?;
+    let own: &[&str] = if cmd == "run" {
+        &["trace"]
+    } else {
+        &["runs", "threads"]
+    };
+    reject_unknown_options(cmd, &[&common[..], own].concat(), values, flags)?;
     let cell = cli_cell(values)?;
-    let threads = number(values, "threads", 0)?;
     let (mode, telemetry_out) = telemetry_options(values)?;
     let telemetry = Telemetry::new(mode);
     if cmd == "run" {
         let trace = flags.iter().any(|f| f == "trace");
         let (name, verdict) =
-            run_cell_once(&cell, 0, threads, trace, &telemetry).map_err(|e| e.to_string())?;
+            run_cell_once(&cell, 0, trace, &telemetry).map_err(|e| e.to_string())?;
         println!("protocol    : {name}");
         println!("adversary   : {}", cell.adversary);
         println!("n / t / ones: {} / {} / {}", cell.n, cell.t, cell.ones);
@@ -209,6 +213,7 @@ fn cell_cmd(cmd: &str, values: &HashMap<String, String>, flags: &[String]) -> Re
             }
         }
     } else {
+        let threads = number(values, "threads", 0)?;
         let (name, outcome) =
             run_cell_batch(&cell, threads, &telemetry).map_err(|e| e.to_string())?;
         let summary = CellResult::from(&outcome);

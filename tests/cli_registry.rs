@@ -2,7 +2,8 @@
 //! (`synran::lab::registry`): `batch` prints what it printed when the CLI
 //! kept its own name table (a committed golden transcript), `run --seed S`
 //! is the first execution `batch --seed S` counts, `run --trace` prints
-//! that execution's event trace, bad cells, unknown options and stray
+//! that execution's event trace, `run` takes no `--threads`, bad cells,
+//! unknown options and stray
 //! words fail with an `error:` line instead of a panic, a bare flag never
 //! takes the next word as its value, and `synran list` is generated from
 //! the table.
@@ -135,6 +136,20 @@ fn bad_cells_and_unknown_options_are_errors_not_panics() {
         );
         assert!(out.stdout.is_empty(), "synran {args:?} printed");
     }
+}
+
+/// A single run is serial, so `run` takes no thread count; `batch` does.
+#[test]
+fn run_takes_no_threads_option() {
+    let out = synran(&["run", "--threads", "2"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: unknown option --threads for `run`"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{out:?}");
+    stdout(&["batch", "--runs", "2", "--threads", "2"]);
 }
 
 /// `--trace` and `--check` never take a value, so the next word is a
