@@ -42,6 +42,11 @@ fn run_game<G: CoinGame>(game: &G, n: usize, samples: usize, seed: u64, table: &
 fn main() {
     let args = Args::from_env(&["fast", "samples", "seed"]);
     let samples = args.get_usize("samples", 300);
+    if samples == 0 {
+        // Checked before the banner: every row needs at least one sample.
+        eprintln!("error: --samples must be at least 1");
+        std::process::exit(1);
+    }
     let seed = args.get_u64("seed", 1);
     let sizes: Vec<usize> = if args.flag("fast") {
         vec![64, 256]

@@ -196,9 +196,14 @@ impl HideSearch for ExhaustiveHider {
 ///
 /// Hides candidates in descending preference (ties broken by index),
 /// skipping players the game marks as useless (negative preference), and
-/// stops as soon as the target outcome appears. An O(n log n) sort of the
-/// candidates, then one tracker edit per hide: O(1) for the tally games,
-/// O(depth) for recursive majority.
+/// stops as soon as the target outcome appears or the budget is spent.
+///
+/// A preference depends on the value alone, so the search asks the game
+/// once per distinct value and then walks the players one preference
+/// level at a time, highest first, in index order. No candidate list is
+/// built or sorted: past one O(n) ranking pass it touches only the
+/// players up to its last hide, and makes one tracker edit per hide
+/// (O(1) for the tally games, O(depth) for recursive majority).
 ///
 /// # Examples
 ///
@@ -225,27 +230,89 @@ impl HideSearch for GreedyHider {
         if tracker.outcome() == target {
             return SearchOutcome::Forced(Vec::new());
         }
-        let mut candidates: Vec<(i32, usize)> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (game.hide_preference(v, target), i))
-            .filter(|&(pref, _)| pref >= 0)
-            .collect();
-        // Highest preference first; stable on index for determinism.
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
+        if t == 0 {
+            return SearchOutcome::Unknown;
+        }
+        let ranks = Ranks::new(game, values, target);
         let mut hide = Vec::new();
-        for (_, i) in candidates {
-            if hide.len() >= t {
-                break;
-            }
-            tracker.set(i, Visible::Hidden);
-            hide.push(i);
-            if tracker.outcome() == target {
-                return SearchOutcome::Forced(hide);
+        for level in ranks.levels() {
+            for (i, &v) in values.iter().enumerate() {
+                if ranks.of(v) != Some(level) {
+                    continue;
+                }
+                if hide.len() >= t {
+                    return SearchOutcome::Unknown;
+                }
+                tracker.set(i, Visible::Hidden);
+                hide.push(i);
+                if tracker.outcome() == target {
+                    return SearchOutcome::Forced(hide);
+                }
             }
         }
         SearchOutcome::Unknown
+    }
+}
+
+/// Values below this bound keep their preference in a fixed table; the
+/// rest go to a sorted list.
+const SMALL_VALUES: usize = 16;
+
+/// The hide preference of each distinct value in one input vector, asked
+/// of the game once per value.
+struct Ranks {
+    /// The preference of each small value present, indexed by value.
+    small: [Option<i32>; SMALL_VALUES],
+    /// `(value, preference)` for the larger values present, sorted by value.
+    large: Vec<(Value, i32)>,
+}
+
+impl Ranks {
+    fn new<G: CoinGame + ?Sized>(game: &G, values: &[Value], target: Outcome) -> Ranks {
+        let mut small = [None; SMALL_VALUES];
+        let mut large = Vec::new();
+        for &v in values {
+            match small.get_mut(v as usize) {
+                Some(slot) => {
+                    slot.get_or_insert_with(|| game.hide_preference(v, target));
+                }
+                None => large.push(v),
+            }
+        }
+        large.sort_unstable();
+        large.dedup();
+        let large = large
+            .into_iter()
+            .map(|v| (v, game.hide_preference(v, target)))
+            .collect();
+        Ranks { small, large }
+    }
+
+    /// The preference of `v`, or `None` if no player holds it.
+    fn of(&self, v: Value) -> Option<i32> {
+        match self.small.get(v as usize) {
+            Some(&pref) => pref,
+            None => self
+                .large
+                .binary_search_by_key(&v, |&(w, _)| w)
+                .ok()
+                .map(|at| self.large[at].1),
+        }
+    }
+
+    /// The distinct non-negative preferences present, highest first.
+    fn levels(&self) -> Vec<i32> {
+        let mut levels: Vec<i32> = self
+            .small
+            .iter()
+            .flatten()
+            .copied()
+            .chain(self.large.iter().map(|&(_, pref)| pref))
+            .filter(|&pref| pref >= 0)
+            .collect();
+        levels.sort_unstable_by(|a, b| b.cmp(a));
+        levels.dedup();
+        levels
     }
 }
 
@@ -290,9 +357,288 @@ mod tests {
     use super::*;
     use crate::game::with_hidden;
     use crate::games::{
-        DictatorGame, MajorityGame, ModKGame, OneSidedGame, ParityGame, TribesGame,
+        DictatorGame, MajorityGame, ModKGame, OneSidedGame, ParityGame, RecursiveMajorityGame,
+        ThresholdGame, TribesGame,
     };
+    use crate::{estimate_control, sample_inputs};
+    use std::cell::Cell;
     use synran_sim::SimRng;
+
+    /// The greedy search as it was before the level walk: one preference
+    /// call per player, and a sort of every candidate by (preference
+    /// descending, index). The level walk must return exactly its verdict.
+    struct SortedReference;
+
+    impl HideSearch for SortedReference {
+        fn force<G: CoinGame + ?Sized>(
+            &self,
+            game: &G,
+            values: &[Value],
+            t: usize,
+            target: Outcome,
+        ) -> SearchOutcome {
+            let mut tracker = game.tracker(&all_visible(values));
+            if tracker.outcome() == target {
+                return SearchOutcome::Forced(Vec::new());
+            }
+            let mut candidates: Vec<(i32, usize)> = values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (game.hide_preference(v, target), i))
+                .filter(|&(pref, _)| pref >= 0)
+                .collect();
+            candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            let mut hide = Vec::new();
+            for (_, i) in candidates {
+                if hide.len() >= t {
+                    break;
+                }
+                tracker.set(i, Visible::Hidden);
+                hide.push(i);
+                if tracker.outcome() == target {
+                    return SearchOutcome::Forced(hide);
+                }
+            }
+            SearchOutcome::Unknown
+        }
+    }
+
+    /// Values spanning both lookup paths: the small table (< 16) and the
+    /// sorted list, up to and past 2²⁰.
+    const LEVEL_VALUES: [Value; 12] = [
+        0,
+        1,
+        2,
+        3,
+        4,
+        9,
+        15,
+        16,
+        23,
+        1 << 20,
+        (1 << 20) + 7,
+        u32::MAX,
+    ];
+
+    /// A test game with four preference levels (−1, 0, 1, 2), ties between
+    /// different values, and a preference that depends on the target.
+    /// The outcome falls from 2 to 0 as players are hidden, so forcing 1
+    /// or 0 takes about a third or two thirds of the players: more than
+    /// the top level holds.
+    struct LevelsGame(usize);
+
+    impl CoinGame for LevelsGame {
+        fn players(&self) -> usize {
+            self.0
+        }
+
+        fn outcomes(&self) -> usize {
+            3
+        }
+
+        fn sample_input(&self, _player: usize, rng: &mut SimRng) -> Value {
+            LEVEL_VALUES[rng.index(LEVEL_VALUES.len())]
+        }
+
+        fn outcome(&self, inputs: &[Visible]) -> Outcome {
+            let visible = inputs.iter().filter(|v| !v.is_hidden()).count();
+            Outcome(visible * 3 / (self.0 + 1))
+        }
+
+        fn hide_preference(&self, value: Value, target: Outcome) -> i32 {
+            ((value % 5) as i32 + target.0 as i32) % 4 - 1
+        }
+
+        fn name(&self) -> &str {
+            "levels"
+        }
+    }
+
+    /// Every committed game at size about `n` (recursive majority at the
+    /// power of three nearest it), plus the test-only levels game.
+    fn games_near(n: usize) -> Vec<Box<dyn CoinGame>> {
+        let width = (1..=n)
+            .rev()
+            .find(|&w| n.is_multiple_of(w) && w * w <= n)
+            .unwrap_or(1);
+        let depth = ((n as f64).ln() / 3f64.ln()).round().clamp(1.0, 6.0) as u32;
+        vec![
+            Box::new(MajorityGame::new(n)),
+            Box::new(ThresholdGame::new(n, 1)),
+            Box::new(ThresholdGame::new(n, n.div_ceil(2))),
+            Box::new(ThresholdGame::new(n, n)),
+            Box::new(ParityGame::new(n)),
+            Box::new(OneSidedGame::new(n)),
+            Box::new(DictatorGame::new(n)),
+            Box::new(TribesGame::new(n / width, width)),
+            Box::new(RecursiveMajorityGame::new(depth)),
+            Box::new(ModKGame::new(n, 3)),
+            Box::new(ModKGame::new(n, 20)),
+            Box::new(LevelsGame(n)),
+        ]
+    }
+
+    #[test]
+    fn level_walk_matches_the_sorted_reference() {
+        let mut rng = SimRng::new(29);
+        let mut forced_through_level_zero = 0;
+        for n in [1, 2, 63, 64, 65, 257] {
+            for game in games_near(n) {
+                let game = game.as_ref();
+                let n = game.players();
+                for _ in 0..4 {
+                    let values = sample_inputs(game, &mut rng);
+                    for t in [0, 1, n / 2, n, n + 1] {
+                        for target in (0..game.outcomes()).map(Outcome) {
+                            let walk = GreedyHider.force(game, &values, t, target);
+                            let sorted = SortedReference.force(game, &values, t, target);
+                            assert_eq!(
+                                walk,
+                                sorted,
+                                "{} n={n} t={t} {target} values={values:?}",
+                                game.name()
+                            );
+                            if let SearchOutcome::Forced(set) = &walk {
+                                if set
+                                    .iter()
+                                    .any(|&i| game.hide_preference(values[i], target) == 0)
+                                {
+                                    forced_through_level_zero += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The walk must have gone down through every level, not only
+        // hidden within the top one.
+        assert!(forced_through_level_zero > 0);
+    }
+
+    /// Counts what a search asks of the game: preference calls and
+    /// tracker edits.
+    struct Counted<'a> {
+        game: &'a dyn CoinGame,
+        preferences: Cell<u64>,
+        edits: Cell<u64>,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(game: &'a dyn CoinGame) -> Counted<'a> {
+            Counted {
+                game,
+                preferences: Cell::new(0),
+                edits: Cell::new(0),
+            }
+        }
+
+        /// `(preference calls, tracker edits)` so far.
+        fn counts(&self) -> (u64, u64) {
+            (self.preferences.get(), self.edits.get())
+        }
+    }
+
+    struct CountedTracker<'a> {
+        inner: Box<dyn Tracker + 'a>,
+        edits: &'a Cell<u64>,
+    }
+
+    impl Tracker for CountedTracker<'_> {
+        fn outcome(&self) -> Outcome {
+            self.inner.outcome()
+        }
+
+        fn set(&mut self, i: usize, v: Visible) {
+            self.edits.set(self.edits.get() + 1);
+            self.inner.set(i, v);
+        }
+    }
+
+    impl CoinGame for Counted<'_> {
+        fn players(&self) -> usize {
+            self.game.players()
+        }
+
+        fn outcomes(&self) -> usize {
+            self.game.outcomes()
+        }
+
+        fn sample_input(&self, player: usize, rng: &mut SimRng) -> Value {
+            self.game.sample_input(player, rng)
+        }
+
+        fn outcome(&self, inputs: &[Visible]) -> Outcome {
+            self.game.outcome(inputs)
+        }
+
+        fn tracker(&self, seq: &[Visible]) -> Box<dyn Tracker + '_> {
+            Box::new(CountedTracker {
+                inner: self.game.tracker(seq),
+                edits: &self.edits,
+            })
+        }
+
+        fn hide_preference(&self, value: Value, target: Outcome) -> i32 {
+            self.preferences.set(self.preferences.get() + 1);
+            self.game.hide_preference(value, target)
+        }
+
+        fn name(&self) -> &str {
+            self.game.name()
+        }
+    }
+
+    #[test]
+    fn greedy_asks_once_per_distinct_value_and_edits_once_per_hide() {
+        let mut rng = SimRng::new(31);
+        for n in [1, 2, 63, 64, 65, 257] {
+            for game in games_near(n) {
+                let n = game.players();
+                let values = sample_inputs(game.as_ref(), &mut rng);
+                let mut distinct = values.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                for t in [0, 1, n / 2, n, n + 1] {
+                    for target in (0..game.outcomes()).map(Outcome) {
+                        let candidates = values
+                            .iter()
+                            .filter(|&&v| game.hide_preference(v, target) >= 0)
+                            .count();
+                        let counted = Counted::new(game.as_ref());
+                        GreedyHider.force(&counted, &values, t, target);
+                        let (preferences, edits) = counted.counts();
+                        let name = game.name();
+                        assert!(
+                            preferences <= distinct.len() as u64,
+                            "{name} n={n} t={t} {target}: {preferences} preference calls"
+                        );
+                        assert!(
+                            edits <= t.min(candidates) as u64,
+                            "{name} n={n} t={t} {target}: {edits} edits"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_e1_row_costs_a_fixed_count_of_calls() {
+        // One row of E1's binary table: majority at n = 4096, 300 samples,
+        // the budget t = h = 4√(n·ln n). Of the 600 searches, the 300 whose
+        // target already holds ask nothing; the other 300 ask about the
+        // values 0 and 1 once each (a per-player ranking asks 4096 times
+        // per search: 1,228,800 calls). The edits are the hides themselves.
+        let game = MajorityGame::new(4096);
+        let counted = Counted::new(&game);
+        let t = crate::bias_radius(4096).round() as usize;
+        let mut rng = SimRng::new(1).derive(t as u64);
+        let est = estimate_control(&counted, &GreedyHider, t, 300, &mut rng);
+        assert_eq!(counted.counts(), (600, 4396));
+        // 172 samples open at 1: forcing 0 takes hides, 1 holds already.
+        assert_eq!(est.forcible_fractions(), [1.0, 172.0 / 300.0]);
+    }
 
     #[test]
     fn exhaustive_finds_verified_sets_within_budget() {

@@ -195,12 +195,16 @@ pub trait CoinGame {
     }
 
     /// How much the adversary should prefer hiding a player holding
-    /// `value` when trying to force `target`. Larger is hidden first.
+    /// `value` when trying to force `target`. Larger is hidden first; a
+    /// negative preference means never hide.
     ///
     /// This steers the scalable greedy adversary in
-    /// [`crate::adversary::GreedyHider`]; games where hiding priority is
-    /// not a function of the value alone can leave the default (no
-    /// preference), at the cost of a weaker greedy adversary.
+    /// [`crate::adversary::GreedyHider`]. It must be a pure function of
+    /// `(value, target)`: a search asks it once per distinct value in the
+    /// input vector, not once per player, and ranks every player holding
+    /// that value by the one answer. Games where hiding priority is not a
+    /// function of the value alone can leave the default (no preference),
+    /// at the cost of a weaker greedy adversary.
     fn hide_preference(&self, value: Value, target: Outcome) -> i32 {
         let _ = (value, target);
         0

@@ -97,6 +97,36 @@ if (cd "$tables_dir" && "$OLDPWD/target/release/e4_synran_upper" --fast 1 >/dev/
     exit 1
 fi
 echo "options OK: e4_synran_upper --fast 1 rejected"
+# A knob value the experiment cannot run must fail before any output.
+samples_out="$(cd "$tables_dir" && "$OLDPWD/target/release/e1_coin_control" --samples 0 2>/dev/null)" \
+    && { echo "e1_coin_control accepted --samples 0"; exit 1; }
+[ -z "$samples_out" ] || { echo "e1_coin_control --samples 0 wrote to stdout"; exit 1; }
+echo "options OK: e1_coin_control --samples 0 rejected before any output"
+
+echo "== tier1: committed telemetry artifacts are fresh =="
+# Each results/<bin>.telemetry.jsonl must be what its binary writes today,
+# run at its default seed and in the artifact's own mode (spans for E3, the
+# opt-in counters for E5, each binary's default elsewhere) from a scratch
+# dir. Span lines, the lab.elapsed_ns timer and the pool.utilization
+# histogram vary from run to run and machine to machine; every other line
+# repeats exactly and is compared.
+stable_lines() {
+    grep -Ev '"type":"span"|"name":"lab\.elapsed_ns"|"name":"pool\.utilization"' "$1"
+}
+artifacts_dir="$scratch/artifacts"
+mkdir "$artifacts_dir"
+for bin in e3_lower_bound e4_synran_upper e5_protocol_comparison e6_large_deviation \
+    e7_t_sweep e8_budget_ablation; do
+    flags=()
+    case "$bin" in
+        e5_*) flags=(--telemetry counters) ;;
+    esac
+    (cd "$artifacts_dir" && "$OLDPWD/target/release/$bin" "${flags[@]}" > /dev/null)
+    diff <(stable_lines "results/$bin.telemetry.jsonl") \
+        <(stable_lines "$artifacts_dir/results/$bin.telemetry.jsonl") \
+        || { echo "results/$bin.telemetry.jsonl is stale: rerun $bin ${flags[*]} to regenerate it"; exit 1; }
+done
+echo "artifacts OK: all six committed telemetry artifacts match a fresh run"
 
 echo "== tier1: telemetry smoke test =="
 # A spans-mode CLI run must produce a parseable JSONL file containing at

@@ -210,7 +210,8 @@ fn json_escapes_paths_phases_counters_and_cell_names() {
 }
 
 /// `synran report --format <format> results/*.jsonl` (in byte order of
-/// the file names), captured before telemetry moved to one record type.
+/// the file names). Re-capture them with that command, from the repo root,
+/// whenever a committed artifact is regenerated.
 const GOLDENS: [(&str, &str); 3] = [
     ("table", include_str!("golden/report_table.txt")),
     ("json", include_str!("golden/report_json.txt")),
