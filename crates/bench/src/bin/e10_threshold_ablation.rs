@@ -15,11 +15,15 @@
 //! as soon as the decide gap dips below the stability margin, with wider
 //! margins costing latency.
 
+use std::io::Write;
+
 use synran_adversary::{Balancer, BoundaryAttack};
 use synran_analysis::{fmt_f64, Summary, Table};
-use synran_bench::{banner, section, Args};
+use synran_bench::{count, Error};
 use synran_core::{run_batch, InputAssignment, SynRan, Thresholds};
-use synran_sim::{Bit, SimConfig};
+use synran_lab::cli::Options;
+use synran_lab::presets::{banner, section};
+use synran_sim::{Bit, SimConfig, SimError};
 
 /// Agreement violations and mean rounds of `runs` boundary-attack runs
 /// against the `name` variant, from its ideal split for `target`.
@@ -30,7 +34,7 @@ fn violation_rate(
     n: usize,
     runs: usize,
     base_seed: u64,
-) -> (usize, f64) {
+) -> Result<(usize, f64), SimError> {
     let outcome = run_batch(
         &SynRan::with_thresholds(thresholds),
         InputAssignment::Split {
@@ -40,29 +44,35 @@ fn violation_rate(
         runs,
         base_seed,
         |_| BoundaryAttack::targeting(target),
-    )
-    .expect("engine error");
+    )?;
     // A timeout would drop a run from both counts below.
     assert_eq!(outcome.timeouts(), 0, "{name}: a run hit the round limit");
-    (
+    Ok((
         outcome.incorrect().len(),
         Summary::of_u32(outcome.rounds()).mean(),
-    )
+    ))
 }
 
 fn main() {
-    let args = Args::from_env(&["n", "runs", "seed"]);
-    let runs = args.get_usize("runs", 40);
-    let n = args.get_usize("n", 40);
-    let seed = args.get_u64("seed", 10);
+    synran_bench::main(&["n", "runs", "seed"], &[], run);
+}
+
+fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let runs = count(opts, "runs", 40)?;
+    let n = count(opts, "n", 40)?;
+    let seed = opts.number("seed")?.unwrap_or(10);
 
     banner(
+        out,
         "E10 threshold-margin ablation (Lemma 4.2)",
         "decide − propose ≥ stability is exactly what Agreement needs — no slack",
-    );
-    println!("boundary attack, n = {n}, t = n − 1, {runs} runs per variant");
+    )?;
+    writeln!(
+        out,
+        "boundary attack, n = {n}, t = n − 1, {runs} runs per variant"
+    )?;
 
-    section("agreement under the boundary attack, by margin");
+    section(out, "agreement under the boundary attack, by margin")?;
     let variants: Vec<(&str, Thresholds)> = vec![
         ("paper (gap = margin)", Thresholds::paper()),
         ("wide gap (15/12)", Thresholds::new(15, 12, 10, 7, 2)),
@@ -82,8 +92,8 @@ fn main() {
         "mean rounds",
     ]);
     for (name, th) in &variants {
-        let (v1, mean_rounds) = violation_rate(name, *th, Bit::One, n, runs, seed);
-        let (v0, _) = violation_rate(name, *th, Bit::Zero, n, runs, seed ^ 0xF0);
+        let (v1, mean_rounds) = violation_rate(name, *th, Bit::One, n, runs, seed)?;
+        let (v0, _) = violation_rate(name, *th, Bit::Zero, n, runs, seed ^ 0xF0)?;
         table.row([
             (*name).to_string(),
             if th.respects_lemma_4_2() { "yes" } else { "NO" }.to_string(),
@@ -99,12 +109,18 @@ fn main() {
             );
         }
     }
-    print!("{table}");
-    println!("\nexpected: every margin-respecting row shows 0 violations; every");
-    println!("margin-violating row shows a substantial violation rate — the paper's");
-    println!("constants sit exactly on the safe edge.");
+    write!(out, "{table}")?;
+    writeln!(
+        out,
+        "\nexpected: every margin-respecting row shows 0 violations; every\
+         \nmargin-violating row shows a substantial violation rate — the paper's\
+         \nconstants sit exactly on the safe edge."
+    )?;
 
-    section("the latency cost of wider margins (balancer, even split)");
+    section(
+        out,
+        "the latency cost of wider margins (balancer, even split)",
+    )?;
     let mut latency = Table::new(["variant", "mean rounds", "all correct"]);
     for (name, th) in variants.iter().filter(|(_, th)| th.respects_lemma_4_2()) {
         let outcome = run_batch(
@@ -114,15 +130,18 @@ fn main() {
             runs.min(25),
             seed ^ 0xE10,
             |_| Balancer::unbounded(),
-        )
-        .expect("engine error");
+        )?;
         latency.row([
             (*name).to_string(),
             fmt_f64(outcome.mean_rounds(), 1),
             if outcome.all_correct() { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    print!("{latency}");
-    println!("\nreading: safety is free to widen, latency is not — the paper's choice");
-    println!("is the fastest margin-respecting point.");
+    write!(out, "{latency}")?;
+    writeln!(
+        out,
+        "\nreading: safety is free to widen, latency is not — the paper's choice\
+         \nis the fastest margin-respecting point."
+    )?;
+    Ok(())
 }

@@ -9,13 +9,17 @@
 //! `h = 4·√(n·ln n)` and reports, per game and per outcome, the fraction
 //! of sampled input vectors from which the searcher forces that outcome.
 
+use std::io::Write;
+
 use synran_analysis::{fmt_f64, Table};
-use synran_bench::{banner, section, Args};
+use synran_bench::{count, Error};
 use synran_coin::HideSearch;
 use synran_coin::{
     bias_radius, estimate_control, exact_influences, exact_uncontrollable, CoinGame, GreedyHider,
     MajorityGame, OneSidedGame, Outcome, ParityGame, RecursiveMajorityGame, TribesGame,
 };
+use synran_lab::cli::Options;
+use synran_lab::presets::{banner, section};
 use synran_sim::SimRng;
 
 fn run_game<G: CoinGame>(game: &G, n: usize, samples: usize, seed: u64, table: &mut Table) {
@@ -40,28 +44,30 @@ fn run_game<G: CoinGame>(game: &G, n: usize, samples: usize, seed: u64, table: &
 }
 
 fn main() {
-    let args = Args::from_env(&["fast", "samples", "seed"]);
-    let samples = args.get_usize("samples", 300);
-    if samples == 0 {
-        // Checked before the banner: every row needs at least one sample.
-        eprintln!("error: --samples must be at least 1");
-        std::process::exit(1);
-    }
-    let seed = args.get_u64("seed", 1);
-    let sizes: Vec<usize> = if args.flag("fast") {
+    synran_bench::main(&["samples", "seed"], &["fast"], run);
+}
+
+fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let samples = count(opts, "samples", 300)?;
+    let seed = opts.number("seed")?.unwrap_or(1);
+    let sizes: Vec<usize> = if opts.flag("fast") {
         vec![64, 256]
     } else {
         vec![64, 256, 1024, 4096]
     };
 
     banner(
+        out,
         "E1 coin-game control (Corollary 2.2)",
         "t > k·4·√(n·log n) hides ⇒ some outcome forcible w.p. > 1 − 1/n; \
          majority-0 is never forcible to 1",
-    );
-    println!("hide budget t = c · h where h = 4√(n·ln n); {samples} sampled input vectors per row");
+    )?;
+    writeln!(
+        out,
+        "hide budget t = c · h where h = 4√(n·ln n); {samples} sampled input vectors per row"
+    )?;
 
-    section("binary games");
+    section(out, "binary games")?;
     let mut table = Table::new(["game", "n", "c", "t", "force→0", "force→1", "controlled"]);
     for &n in &sizes {
         run_game(&MajorityGame::new(n), n, samples, seed, &mut table);
@@ -75,9 +81,12 @@ fn main() {
         let recmaj = RecursiveMajorityGame::new(depth);
         run_game(&recmaj, recmaj.players(), samples, seed ^ 4, &mut table);
     }
-    print!("{table}");
+    write!(out, "{table}")?;
 
-    section("exact Pr(U^v) at n = 16 (Lemma 2.1's quantity, no sampling)");
+    section(
+        out,
+        "exact Pr(U^v) at n = 16 (Lemma 2.1's quantity, no sampling)",
+    )?;
     // U^v = inputs from which no t-hide-set forces v; the lemma wants
     // min_v Pr(U^v) < 1/n. Enumerated over all 2^16 inputs.
     let mut exact_table = Table::new(["t", "Pr(U^0) majority", "Pr(U^1) majority", "min_v < 1/n?"]);
@@ -98,11 +107,17 @@ fn main() {
             .to_string(),
         ]);
     }
-    print!("{exact_table}");
-    println!("\nreading: Pr(U^0) collapses with t (hide the 1s) and crosses 1/n by t ≈ √n = 4,");
-    println!("while Pr(U^1) never moves (its 0.598 is Pr(no 1-majority drawn)) — Lemma 2.1's 'some v', exactly.");
+    write!(out, "{exact_table}")?;
+    writeln!(
+        out,
+        "\nreading: Pr(U^0) collapses with t (hide the 1s) and crosses 1/n by t ≈ √n = 4,\
+         \nwhile Pr(U^1) never moves (its 0.598 is Pr(no 1-majority drawn)) — Lemma 2.1's 'some v', exactly."
+    )?;
 
-    section("influence vs forcing cost (why [BOL89]'s measure does not apply)");
+    section(
+        out,
+        "influence vs forcing cost (why [BOL89]'s measure does not apply)",
+    )?;
     // Low per-player influence is the classical defence against biasing —
     // but fail-stop hiding is not input corruption: recursive majority
     // has a fraction of flat majority's influence and the same ~√n
@@ -144,16 +159,23 @@ fn main() {
             median.to_string(),
         ]);
     }
-    print!("{inf_table}");
-    println!("\n(√n ≈ 47 at n = 2187. Whatever the per-player influence — [BOL89]'s");
-    println!("defence against input *corruption* — the fail-stop hider pays a small");
-    println!("multiple of √n either way: hiding is a different threat model.)");
+    write!(out, "{inf_table}")?;
+    writeln!(
+        out,
+        "\n(√n ≈ 47 at n = 2187. Whatever the per-player influence — [BOL89]'s\
+         \ndefence against input *corruption* — the fail-stop hider pays a small\
+         \nmultiple of √n either way: hiding is a different threat model.)"
+    )?;
 
-    section("reading the table");
-    println!("• majority-0: force→0 hits 1.000 once c ≥ ~0.25 (hiding ~√n ones suffices),");
-    println!("  while force→1 stays at the no-hide base rate — the paper's one-sided example.");
-    println!("• parity: both columns ≈ 1 − 2^-n at any c with t ≥ 1 (hide one 1 to flip).");
-    println!("• one-sided: force→0 = Pr(some 0 drawn) already at c = 0; force→1 needs c ≳ 1");
-    println!("  (must hide every 0-holder: ~n/2 of them, ≫ h only for small n).");
-    println!("• Cor 2.2's guarantee: at c ≥ 1, the 'controlled' column is never '-'.");
+    section(out, "reading the table")?;
+    writeln!(
+        out,
+        "• majority-0: force→0 hits 1.000 once c ≥ ~0.25 (hiding ~√n ones suffices),\
+         \n  while force→1 stays at the no-hide base rate — the paper's one-sided example.\
+         \n• parity: both columns ≈ 1 − 2^-n at any c with t ≥ 1 (hide one 1 to flip).\
+         \n• one-sided: force→0 = Pr(some 0 drawn) already at c = 0; force→1 needs c ≳ 1\
+         \n  (must hide every 0-holder: ~n/2 of them, ≫ h only for small n).\
+         \n• Cor 2.2's guarantee: at c ≥ 1, the 'controlled' column is never '-'."
+    )?;
+    Ok(())
 }

@@ -7,22 +7,30 @@
 //! reports exact vs bound, plus the Lemma 2.1 instantiation
 //! (`α = 1/n`, `l = h = 4√(n·ln n)` ⇒ bound `1 − 1/n`).
 
+use std::io::Write;
+
 use synran_analysis::{fmt_f64, Table};
-use synran_bench::{banner, section, Args};
+use synran_bench::Error;
 use synran_coin::{bias_radius, schechtman_bound, schechtman_l0, HypercubeSet};
+use synran_lab::cli::Options;
+use synran_lab::presets::{banner, section};
 use synran_sim::SimRng;
 
 fn main() {
-    let args = Args::from_env(&["max-dim", "seed"]);
-    let seed = args.get_u64("seed", 2);
-    let max_dim = args.get_usize("max-dim", 16).min(20) as u32;
+    synran_bench::main(&["max-dim", "seed"], &[], run);
+}
+
+fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let seed = opts.number("seed")?.unwrap_or(2);
+    let max_dim = opts.number::<usize>("max-dim")?.unwrap_or(16).min(20) as u32;
 
     banner(
+        out,
         "E2 isoperimetric blow-up (Schechtman / Lemma 2.1)",
         "Pr(B(A,l)) ≥ 1 − e^{−(l−l₀)²/4n} for l ≥ l₀ = 2√(n·ln(1/α))",
-    );
+    )?;
 
-    section("exact blow-up vs closed-form bound (random sets)");
+    section(out, "exact blow-up vs closed-form bound (random sets)")?;
     let mut table = Table::new(["n", "α", "l₀", "l", "exact Pr(B(A,l))", "bound", "holds"]);
     let mut violations = 0usize;
     let mut rows = 0usize;
@@ -57,10 +65,13 @@ fn main() {
             }
         }
     }
-    print!("{table}");
-    println!("\n{rows} rows checked, {violations} violations (expected: 0)");
+    write!(out, "{table}")?;
+    writeln!(
+        out,
+        "\n{rows} rows checked, {violations} violations (expected: 0)"
+    )?;
 
-    section("worst-case sets: Hamming balls (extremal for blow-up)");
+    section(out, "worst-case sets: Hamming balls (extremal for blow-up)")?;
     let mut ball_table = Table::new(["n", "ball radius", "α", "l", "exact", "bound"]);
     for n in [10u32, 14] {
         for r in [0u32, 1] {
@@ -78,9 +89,12 @@ fn main() {
             }
         }
     }
-    print!("{ball_table}");
+    write!(out, "{ball_table}")?;
 
-    section("the Lemma 2.1 instantiation: α = 1/n, l = h = 4√(n·ln n)");
+    section(
+        out,
+        "the Lemma 2.1 instantiation: α = 1/n, l = h = 4√(n·ln n)",
+    )?;
     let mut lemma_table = Table::new(["n", "h = 4√(n·ln n)", "l₀ at α = 1/n", "bound (= 1 − 1/n)"]);
     for n in [64usize, 256, 1024, 4096, 65536] {
         let h = bias_radius(n);
@@ -93,7 +107,11 @@ fn main() {
             fmt_f64(bound, 6),
         ]);
     }
-    print!("{lemma_table}");
-    println!("\nreading: h = 2·l₀ exactly, so the bound is 1 − e^{{−ln n}} = 1 − 1/n —");
-    println!("the step that lets k blow-ups intersect and produce the contradiction in Lemma 2.1.");
+    write!(out, "{lemma_table}")?;
+    writeln!(
+        out,
+        "\nreading: h = 2·l₀ exactly, so the bound is 1 − e^{{−ln n}} = 1 − 1/n —\
+         \nthe step that lets k blow-ups intersect and produce the contradiction in Lemma 2.1."
+    )?;
+    Ok(())
 }

@@ -12,32 +12,40 @@
 //!   back into coin-flipping), while SynRan's `Z = 0 → 1` rule makes
 //!   trimming a unanimous-1 population worthless.
 
+use std::io::Write;
+
 use synran_analysis::{deterministic_rounds, fmt_f64, tight_bound_rounds, Table};
-use synran_bench::{banner, section, Args};
+use synran_bench::{count, Error};
 use synran_core::{ConsensusProtocol, FloodingConsensus, SynRan};
+use synran_lab::cli::Options;
+use synran_lab::presets::{banner, section};
 use synran_lab::{run_cell_batch, write_run_artifact, Cell};
 use synran_sim::{Telemetry, TelemetryMode};
 
 fn main() {
-    let args = Args::from_env(&["n", "runs", "seed", "telemetry"]);
-    let runs = args.get_usize("runs", 30);
-    let seed = args.get_u64("seed", 5);
-    let n = args.get_usize("n", 64);
+    synran_bench::main(&["n", "runs", "seed", "telemetry"], &[], run);
+}
+
+fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let runs = count(opts, "runs", 30)?;
+    let seed = opts.number("seed")?.unwrap_or(5);
+    let n = count(opts, "n", 64)?;
     // `--telemetry counters` (or `spans`) attaches one hub to every batch
     // below — observe-only, so the tables are unchanged — and writes the
     // aggregate to results/e5_protocol_comparison.telemetry.jsonl.
-    let mode: TelemetryMode = args
+    let mode: TelemetryMode = opts
         .get("telemetry")
         .unwrap_or("off")
         .parse()
-        .expect("--telemetry");
+        .map_err(|e| format!("--telemetry: {e}"))?;
     let hub = Telemetry::new(mode);
 
     banner(
+        out,
         "E5 protocol comparison",
         "flooding = t+1 rounds; SynRan ∝ t/√(n·log n); one-sided coin beats symmetric under attack",
-    );
-    println!("n = {n}, even-split inputs, {runs} runs/cell");
+    )?;
+    writeln!(out, "n = {n}, even-split inputs, {runs} runs/cell")?;
 
     let sqrt_n = (n as f64).sqrt().round() as usize;
     let t_values = [2, sqrt_n, n / 4, n / 2, n - 1];
@@ -48,12 +56,9 @@ fn main() {
         (cell.t, cell.runs, cell.seed, cell.rate) = (t, runs, base_seed, sqrt_n);
         cell
     };
-    let batch = |cell: &Cell| {
-        let (_, outcome) = run_cell_batch(cell, 0, &hub).expect("engine error");
-        outcome
-    };
+    let batch = |cell: &Cell| run_cell_batch(cell, 0, &hub).map(|(_, outcome)| outcome);
 
-    section("rounds to agreement under a passive adversary");
+    section(out, "rounds to agreement under a passive adversary")?;
     let mut table = Table::new([
         "t",
         "flooding",
@@ -64,6 +69,7 @@ fn main() {
     for &t in &t_values {
         let [flooding, synran, sym] =
             ["flooding", "synran", "symmetric"].map(|p| batch(&cell(p, "passive", t, seed)));
+        let (flooding, synran, sym) = (flooding?, synran?, sym?);
         for o in [&flooding, &synran, &sym] {
             assert!(o.all_correct(), "violations: {:?}", o.incorrect());
         }
@@ -75,19 +81,21 @@ fn main() {
             fmt_f64(tight_bound_rounds(n, t).max(2.0), 1),
         ]);
     }
-    print!("{table}");
-    println!(
+    write!(out, "{table}")?;
+    writeln!(
+        out,
         "\nexpected: flooding column = t + 1 exactly (e.g. t = {} ⇒ {} rounds); \
          randomized columns stay small.",
         n / 2,
         deterministic_rounds(n / 2)
-    );
+    )?;
 
-    section("rounds to agreement under adaptive attack (t = n − 1)");
+    section(out, "rounds to agreement under adaptive attack (t = n − 1)")?;
     let t = n - 1;
     let mut attack_table = Table::new(["adversary", "flooding", "synran", "synran-sym"]);
     let [flooding_r, synran_r, sym_r] =
         ["flooding", "synran", "symmetric"].map(|p| batch(&cell(p, "random", t, seed ^ 2)));
+    let (flooding_r, synran_r, sym_r) = (flooding_r?, synran_r?, sym_r?);
     attack_table.row([
         format!("random(√n = {sqrt_n})"),
         fmt_f64(flooding_r.mean_rounds(), 1),
@@ -97,8 +105,8 @@ fn main() {
     // Balancer (SynRan-family only; flooding is oblivious to it, so rerun
     // random there for a fair row).
     let balancer = cell("synran", "balancer", t, seed ^ 3);
-    let synran_b = batch(&balancer);
-    let sym_b = batch(&cell("symmetric", "balancer", t, seed ^ 3));
+    let synran_b = batch(&balancer)?;
+    let sym_b = batch(&cell("symmetric", "balancer", t, seed ^ 3))?;
     for o in [&flooding_r, &synran_r, &sym_r, &synran_b, &sym_b] {
         assert!(o.all_correct(), "violations: {:?}", o.incorrect());
     }
@@ -108,9 +116,12 @@ fn main() {
         fmt_f64(synran_b.mean_rounds(), 1),
         fmt_f64(sym_b.mean_rounds(), 1),
     ]);
-    print!("{attack_table}");
+    write!(out, "{attack_table}")?;
 
-    section("why the one-sided coin matters: validity under unanimous-1 inputs");
+    section(
+        out,
+        "why the one-sided coin matters: validity under unanimous-1 inputs",
+    )?;
     // With all inputs 1 and t ≥ ~n/3, the adversary can kill enough
     // 1-senders mid-round that survivors' counts fall into the coin band.
     // The symmetric variant then flips coins — and may decide 0, violating
@@ -122,6 +133,7 @@ fn main() {
         unanimous.ones = n;
         batch(&unanimous)
     });
+    let (syn_u, sym_u) = (syn_u?, sym_u?);
     let mut validity_table = Table::new(["protocol", "runs", "validity violations"]);
     validity_table.row([
         "synran".to_string(),
@@ -133,28 +145,31 @@ fn main() {
         runs.to_string(),
         sym_u.incorrect().len().to_string(),
     ]);
-    print!("{validity_table}");
+    write!(out, "{validity_table}")?;
     assert!(
         syn_u.all_correct(),
         "SynRan must never violate validity: {:?}",
         syn_u.incorrect()
     );
-    println!(
+    writeln!(
+        out,
         "\nexpected: synran 0 violations at any t; synran-sym violates in essentially every\n\
          run — the adversary *controls* its decision: trims block 1-convergence while\n\
          0-heavy coin rounds convert for free, so all-1 inputs end in a 0 decision."
-    );
+    )?;
 
-    section("crossover");
-    println!(
+    section(out, "crossover")?;
+    writeln!(
+        out,
         "flooding wins while t + 1 < SynRan's ~c·t/√(n·ln n) — i.e. only for t ≲ √n ≈ {sqrt_n};"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "protocol names: {} / {} / {}",
         FloodingConsensus::for_faults(1).name(),
         SynRan::new().name(),
         SynRan::symmetric().name()
-    );
+    )?;
 
     if mode != TelemetryMode::Off {
         // One representative adaptive run (run 0 of the attack section's
@@ -165,8 +180,8 @@ fn main() {
             &balancer,
             &[("seed", seed.to_string())],
             &hub,
-        )
-        .expect("write telemetry jsonl");
-        println!("\nwrote {}", path.display());
+        )?;
+        writeln!(out, "\nwrote {}", path.display())?;
     }
+    Ok(())
 }

@@ -8,16 +8,24 @@
 //! the population halves — plus an ablation of the balancer's per-round
 //! cap, which should reduce both spend *and* stalling power together.
 
+use std::io::Write;
+
 use synran_analysis::{fmt_f64, Accumulator, Table};
-use synran_bench::{banner, section, Args};
+use synran_bench::{count, Error};
 use synran_core::ln_clamped;
-use synran_lab::{run_cell_once, write_run_artifact, Cell};
+use synran_lab::cli::Options;
+use synran_lab::presets::{banner, section};
+use synran_lab::{run_cell_once, write_run_artifact, Cell, LabError};
 use synran_sim::{Telemetry, TelemetryMode};
 
 /// Per-block observations of run `index` of `cell`: population at block
 /// start, kills in the block.
-fn blocks_of_run(cell: &Cell, index: usize, telemetry: &Telemetry) -> (Vec<(usize, usize)>, u32) {
-    let (_, verdict) = run_cell_once(cell, index, false, telemetry).expect("engine error");
+fn blocks_of_run(
+    cell: &Cell,
+    index: usize,
+    telemetry: &Telemetry,
+) -> Result<(Vec<(usize, usize)>, u32), LabError> {
+    let (_, verdict) = run_cell_once(cell, index, false, telemetry)?;
     assert!(verdict.is_correct(), "{:?}", verdict.violations());
     let rounds = verdict.rounds();
     // kills per round, dense.
@@ -34,7 +42,7 @@ fn blocks_of_run(cell: &Cell, index: usize, telemetry: &Telemetry) -> (Vec<(usiz
         population -= kills;
         i += 3;
     }
-    (blocks, rounds)
+    Ok((blocks, rounds))
 }
 
 fn law(p: usize) -> f64 {
@@ -42,16 +50,23 @@ fn law(p: usize) -> f64 {
 }
 
 fn main() {
-    let args = Args::from_env(&["n", "runs", "seed"]);
-    let runs = args.get_usize("runs", 25);
-    let n = args.get_usize("n", 128);
-    let seed = args.get_u64("seed", 8);
+    synran_bench::main(&["n", "runs", "seed"], &[], run);
+}
+
+fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let runs = count(opts, "runs", 25)?;
+    let n = count(opts, "n", 128)?;
+    let seed = opts.number("seed")?.unwrap_or(8);
 
     banner(
+        out,
         "E8 stalling-cost accounting (Lemma 4.6 / Theorem 2)",
         "the adversary must spend ~√(p·log p)/16 kills per 3-round block to stall SynRan",
-    );
-    println!("n = {n}, t = n − 1, {runs} runs, even-split inputs, balancer adversary");
+    )?;
+    writeln!(
+        out,
+        "n = {n}, t = n − 1, {runs} runs, even-split inputs, balancer adversary"
+    )?;
     // One counters-mode hub across the whole experiment; exported to
     // results/e8_budget_ablation.telemetry.jsonl at the end. Observe-only:
     // the tables are identical with or without it.
@@ -65,14 +80,17 @@ fn main() {
     };
     let unbounded = balancer(seed, 0);
 
-    section("spend per 3-round block vs √(p·ln p), by population band");
+    section(
+        out,
+        "spend per 3-round block vs √(p·ln p), by population band",
+    )?;
     // Aggregate block spends into population bands [n/2^k, n/2^{k+1}).
     let bands = 5usize;
     let mut band_spend: Vec<Accumulator> = vec![Accumulator::new(); bands];
     let mut total_rounds = Accumulator::new();
     let mut total_kills = Accumulator::new();
     for r in 0..runs {
-        let (blocks, rounds) = blocks_of_run(&unbounded, r, &telemetry);
+        let (blocks, rounds) = blocks_of_run(&unbounded, r, &telemetry)?;
         total_rounds.push(f64::from(rounds));
         total_kills.push(blocks.iter().map(|&(_, k)| k as f64).sum());
         for (p, kills) in blocks {
@@ -110,22 +128,26 @@ fn main() {
         }
         top /= 2;
     }
-    print!("{table}");
-    println!(
+    write!(out, "{table}")?;
+    writeln!(
+        out,
         "\nmean run: {} rounds, {} kills — expected: the ratio column is a modest constant,",
         fmt_f64(total_rounds.mean(), 1),
         fmt_f64(total_kills.mean(), 0),
-    );
-    println!("stable across bands, i.e. spend/block tracks √(p·ln p) as p halves (Lemma 4.6).");
+    )?;
+    writeln!(
+        out,
+        "stable across bands, i.e. spend/block tracks √(p·ln p) as p halves (Lemma 4.6)."
+    )?;
 
-    section("ablation: capping the balancer's per-round spend");
+    section(out, "ablation: capping the balancer's per-round spend")?;
     let mut ablation = Table::new(["per-round cap", "mean rounds", "mean kills"]);
     for cap in [0, law(n).ceil() as usize, (law(n) / 4.0).ceil() as usize, 1] {
         let capped = balancer(seed ^ 0xAB, cap);
         let mut rounds_acc = Accumulator::new();
         let mut kills_acc = Accumulator::new();
         for r in 0..runs {
-            let (blocks, rounds) = blocks_of_run(&capped, r, &telemetry);
+            let (blocks, rounds) = blocks_of_run(&capped, r, &telemetry)?;
             rounds_acc.push(f64::from(rounds));
             kills_acc.push(blocks.iter().map(|&(_, k)| k as f64).sum());
         }
@@ -139,9 +161,12 @@ fn main() {
             fmt_f64(kills_acc.mean(), 0),
         ]);
     }
-    print!("{ablation}");
-    println!("\nexpected: caps below ~√(n·ln n) starve the split move and stalling collapses —");
-    println!("the same threshold the paper's lower-bound adversary needs per round.");
+    write!(out, "{ablation}")?;
+    writeln!(
+        out,
+        "\nexpected: caps below ~√(n·ln n) starve the split move and stalling collapses —\
+         \nthe same threshold the paper's lower-bound adversary needs per round."
+    )?;
 
     // Telemetry artifact: the experiment-wide counters plus per-round
     // kill-budget accounting from one representative unbounded run (run 0
@@ -151,7 +176,7 @@ fn main() {
         &unbounded,
         &[("seed", seed.to_string()), ("runs", runs.to_string())],
         &telemetry,
-    )
-    .expect("write telemetry jsonl");
-    println!("\ntelemetry: {}", path.display());
+    )?;
+    writeln!(out, "\ntelemetry: {}", path.display())?;
+    Ok(())
 }

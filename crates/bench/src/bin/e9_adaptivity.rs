@@ -14,11 +14,15 @@
 //!   but *immune to adaptivity* in exactly the sense the paper's tight
 //!   bound promises.
 
+use std::io::Write;
+
 use synran_adversary::{Balancer, LeaderHunter, Oblivious};
 use synran_analysis::{fmt_f64, Summary, Table};
-use synran_bench::{banner, section, Args};
+use synran_bench::{count, Error};
 use synran_core::{check_consensus, ConsensusProtocol, LeaderConsensus, SynRan};
-use synran_sim::{Adversary, Bit, Passive, Process, SimConfig, SimRng};
+use synran_lab::cli::Options;
+use synran_lab::presets::{banner, section};
+use synran_sim::{Adversary, Bit, Passive, Process, SimConfig, SimError, SimRng};
 
 fn measure<P, A>(
     protocol: &P,
@@ -27,7 +31,7 @@ fn measure<P, A>(
     runs: usize,
     seed: u64,
     mut make: impl FnMut(u64) -> A,
-) -> (f64, f64, f64)
+) -> Result<(f64, f64, f64), SimError>
 where
     P: ConsensusProtocol,
     A: Adversary<P::Proc>,
@@ -46,8 +50,7 @@ where
                 .seed(run_seed)
                 .max_rounds(200_000),
             &mut make(run_seed),
-        )
-        .expect("engine error");
+        )?;
         assert!(
             verdict.is_correct(),
             "violation at n={n} t={t}: {:?}",
@@ -57,26 +60,30 @@ where
         kills.push(verdict.report().metrics().total_kills() as u32);
     }
     let s = Summary::of_u32(&rounds);
-    (s.mean(), s.ci95_halfwidth(), Summary::of_u32(&kills).mean())
+    Ok((s.mean(), s.ci95_halfwidth(), Summary::of_u32(&kills).mean()))
 }
 
 fn main() {
-    let args = Args::from_env(&["fast", "runs", "seed"]);
-    let runs = args.get_usize("runs", 25);
-    let seed = args.get_u64("seed", 9);
-    let sizes: Vec<usize> = if args.flag("fast") {
+    synran_bench::main(&["runs", "seed"], &["fast"], run);
+}
+
+fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
+    let runs = count(opts, "runs", 25)?;
+    let seed = opts.number("seed")?.unwrap_or(9);
+    let sizes: Vec<usize> = if opts.flag("fast") {
         vec![33]
     } else {
         vec![33, 65, 129]
     };
 
     banner(
+        out,
         "E9 adaptivity is necessary (§1.2 / [CMS89])",
         "non-adaptive adversaries allow O(1) expected rounds; Theorem 1 needs adaptivity",
-    );
-    println!("even-split inputs, {runs} runs/cell; LeaderConsensus uses t = (n−1)/2 (its bound), SynRan t = n−1");
+    )?;
+    writeln!(out, "even-split inputs, {runs} runs/cell; LeaderConsensus uses t = (n−1)/2 (its bound), SynRan t = n−1")?;
 
-    section("LeaderConsensus (CMS-style): static vs adaptive");
+    section(out, "LeaderConsensus (CMS-style): static vs adaptive")?;
     let mut table = Table::new([
         "n",
         "t",
@@ -89,7 +96,7 @@ fn main() {
     for &n in &sizes {
         let t = (n - 1) / 2;
         let protocol = LeaderConsensus::for_faults(t);
-        let (m, ci, k) = measure(&protocol, n, t, runs, seed, |_| Passive);
+        let (m, ci, k) = measure(&protocol, n, t, runs, seed, |_| Passive)?;
         table.row([
             n.to_string(),
             t.to_string(),
@@ -101,7 +108,7 @@ fn main() {
         ]);
         let (m, ci, k) = measure(&protocol, n, t, runs, seed ^ 1, |s| {
             Oblivious::new(n, 1, 200, s)
-        });
+        })?;
         table.row([
             n.to_string(),
             t.to_string(),
@@ -111,7 +118,7 @@ fn main() {
             fmt_f64(k, 1),
             fmt_f64(m / t as f64, 2),
         ]);
-        let (m, ci, k) = measure(&protocol, n, t, runs, seed ^ 2, |_| LeaderHunter::new());
+        let (m, ci, k) = measure(&protocol, n, t, runs, seed ^ 2, |_| LeaderHunter::new())?;
         table.row([
             n.to_string(),
             t.to_string(),
@@ -122,11 +129,14 @@ fn main() {
             fmt_f64(m / t as f64, 2),
         ]);
     }
-    print!("{table}");
-    println!("\nexpected: passive and oblivious rows are flat (O(1), the CMS effect);");
-    println!("the hunter row grows ∝ t (rounds/t roughly constant) at ~2 kills/round.");
+    write!(out, "{table}")?;
+    writeln!(
+        out,
+        "\nexpected: passive and oblivious rows are flat (O(1), the CMS effect);\
+         \nthe hunter row grows ∝ t (rounds/t roughly constant) at ~2 kills/round."
+    )?;
 
-    section("SynRan for contrast: adaptivity changes little");
+    section(out, "SynRan for contrast: adaptivity changes little")?;
     let mut syn_table = Table::new(["n", "t", "adversary", "mean rounds", "±95%", "kills"]);
     for &n in &sizes {
         let t = n - 1;
@@ -143,7 +153,7 @@ fn main() {
                     Box::new(Balancer::unbounded())
                         as Box<dyn Adversary<synran_core::SynRanProcess> + Send>
                 })
-            };
+            }?;
             syn_table.row([
                 n.to_string(),
                 t.to_string(),
@@ -154,8 +164,12 @@ fn main() {
             ]);
         }
     }
-    print!("{syn_table}");
-    println!("\nreading: SynRan pays a bounded factor either way — its Θ(t/√(n·log n))");
-    println!("guarantee holds against adaptive adversaries, where leader protocols fall to Θ(t).");
-    println!("Both facts together are the paper's §1.2 landscape.");
+    write!(out, "{syn_table}")?;
+    writeln!(
+        out,
+        "\nreading: SynRan pays a bounded factor either way — its Θ(t/√(n·log n))\
+         \nguarantee holds against adaptive adversaries, where leader protocols fall to Θ(t).\
+         \nBoth facts together are the paper's §1.2 landscape."
+    )?;
+    Ok(())
 }

@@ -17,7 +17,9 @@
 //! * [**renderers**](presets) — the generic grid table, plus the E3, E4,
 //!   and E7 presenters that reproduce those experiment binaries'
 //!   tables byte-for-byte (the binaries themselves are thin wrappers over
-//!   this crate).
+//!   this crate);
+//! * the [**option parser**](cli) that `synran` and every experiment
+//!   binary share.
 //!
 //! Drive it from the CLI:
 //!
@@ -41,6 +43,7 @@
 
 pub mod artifact;
 pub mod cell;
+pub mod cli;
 pub mod engine;
 pub mod journal;
 pub mod presets;

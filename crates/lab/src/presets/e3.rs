@@ -64,13 +64,10 @@ impl E3Params {
     /// Returns [`LabError::Spec`] for unparseable values.
     pub fn from_spec(spec: &CampaignSpec) -> Result<E3Params, LabError> {
         Ok(E3Params {
-            sizes: match spec.sweep("n") {
-                Some(_) => spec.sweep_usize("n")?,
-                None => DEFAULT_SIZES.to_vec(),
-            },
-            runs: spec.param_usize("runs", 8)?,
-            samples: spec.param_usize("samples", 3)?,
-            seed: spec.param_u64("seed", 3)?,
+            sizes: spec.sweep_usize("n", &DEFAULT_SIZES)?,
+            runs: spec.param_num("runs", 8)?,
+            samples: spec.param_num("samples", 3)?,
+            seed: spec.param_num("seed", 3)?,
         })
     }
 

@@ -51,12 +51,9 @@ impl E4Params {
     /// Returns [`LabError::Spec`] for unparseable values.
     pub fn from_spec(spec: &CampaignSpec) -> Result<E4Params, LabError> {
         Ok(E4Params {
-            sizes: match spec.sweep("n") {
-                Some(_) => spec.sweep_usize("n")?,
-                None => DEFAULT_SIZES.to_vec(),
-            },
-            runs: spec.param_usize("runs", 30)?,
-            seed: spec.param_u64("seed", 4)?,
+            sizes: spec.sweep_usize("n", &DEFAULT_SIZES)?,
+            runs: spec.param_num("runs", 30)?,
+            seed: spec.param_num("seed", 4)?,
         })
     }
 

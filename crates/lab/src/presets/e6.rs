@@ -42,11 +42,16 @@ impl E6Params {
     ///
     /// # Errors
     ///
-    /// Returns [`LabError::Spec`] for unparseable values.
+    /// Returns [`LabError::Spec`] for unparseable values or zero trials.
     pub fn from_spec(spec: &CampaignSpec) -> Result<E6Params, LabError> {
+        let trials = spec.param_num("trials", 20_000)?;
+        if trials == 0 {
+            // The Monte-Carlo column would be 0/0.
+            return Err(LabError::Spec("trials must be at least 1".into()));
+        }
         Ok(E6Params {
-            trials: spec.param_usize("trials", 20_000)?,
-            seed: spec.param_u64("seed", 6)?,
+            trials,
+            seed: spec.param_num("seed", 6)?,
         })
     }
 
@@ -226,6 +231,12 @@ mod tests {
         let spec = CampaignSpec::parse("experiment = e6\n", "e6").unwrap();
         let params = E6Params::from_spec(&spec).unwrap();
         assert_eq!((params.trials, params.seed), (20_000, 6));
+        let zero = CampaignSpec::parse("experiment = e6\ntrials = 0\n", "e6").unwrap();
+        let err = E6Params::from_spec(&zero).unwrap_err();
+        assert!(
+            err.to_string().contains("trials must be at least 1"),
+            "{err}"
+        );
     }
 
     #[test]

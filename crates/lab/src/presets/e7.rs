@@ -54,12 +54,9 @@ impl E7Params {
     /// Returns [`LabError::Spec`] for unparseable values.
     pub fn from_spec(spec: &CampaignSpec) -> Result<E7Params, LabError> {
         Ok(E7Params {
-            sizes: match spec.sweep("n") {
-                Some(_) => spec.sweep_usize("n")?,
-                None => DEFAULT_SIZES.to_vec(),
-            },
-            runs: spec.param_usize("runs", 40)?,
-            seed: spec.param_u64("seed", 7)?,
+            sizes: spec.sweep_usize("n", &DEFAULT_SIZES)?,
+            runs: spec.param_num("runs", 40)?,
+            seed: spec.param_num("seed", 7)?,
         })
     }
 

@@ -27,7 +27,7 @@ pub mod e6;
 pub mod e7;
 
 /// Writes an experiment banner with its DESIGN.md id and the claim under
-/// test (`synran_bench::banner` prints this to stdout).
+/// test (every experiment binary opens with one).
 ///
 /// # Errors
 ///
@@ -38,8 +38,7 @@ pub fn banner(out: &mut dyn Write, id: &str, claim: &str) -> std::io::Result<()>
     writeln!(out)
 }
 
-/// Writes a named section divider (`synran_bench::section` prints this
-/// to stdout).
+/// Writes a named section divider.
 ///
 /// # Errors
 ///

@@ -95,7 +95,7 @@ impl CampaignSpec {
                 )));
             }
             if let Some(key) = lhs.strip_prefix("sweep ").map(str::trim) {
-                check_key(key, lineno)?;
+                check_key(key).map_err(|e| LabError::Spec(format!("line {lineno}: {e}")))?;
                 if SCALAR_ONLY_KEYS.contains(&key) {
                     return Err(LabError::Spec(format!(
                         "line {lineno}: {key:?} cannot be swept"
@@ -116,7 +116,7 @@ impl CampaignSpec {
                     None => sweeps.push((key.to_string(), values)),
                 }
             } else {
-                check_key(lhs, lineno)?;
+                check_key(lhs).map_err(|e| LabError::Spec(format!("line {lineno}: {e}")))?;
                 params.insert(lhs.to_string(), value.to_string());
             }
         }
@@ -159,6 +159,49 @@ impl CampaignSpec {
         CampaignSpec::parse(&text, stem)
     }
 
+    /// Overrides the scalar `key` with a typed value, as a later `key =
+    /// value` line would, under the same key check. The campaign's
+    /// identity (`campaign`, `experiment`) is fixed once parsed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LabError::Spec`] for an unknown or identity key.
+    pub fn set(&mut self, key: &str, value: impl std::fmt::Display) -> Result<(), LabError> {
+        check_key(key).map_err(LabError::Spec)?;
+        if ["campaign", "experiment"].contains(&key) {
+            return Err(LabError::Spec(format!("{key:?} cannot be overridden")));
+        }
+        self.params.insert(key.to_string(), value.to_string());
+        Ok(())
+    }
+
+    /// Replaces the values of the sweep axis `key` (or appends the axis),
+    /// as a later `sweep key = ...` line would.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LabError::Spec`] for an unknown or scalar-only key, or
+    /// no values.
+    pub fn set_sweep<T: std::fmt::Display>(
+        &mut self,
+        key: &str,
+        values: &[T],
+    ) -> Result<(), LabError> {
+        check_key(key).map_err(LabError::Spec)?;
+        if SCALAR_ONLY_KEYS.contains(&key) {
+            return Err(LabError::Spec(format!("{key:?} cannot be swept")));
+        }
+        if values.is_empty() {
+            return Err(LabError::Spec(format!("sweep {key} has no values")));
+        }
+        let values: Vec<String> = values.iter().map(ToString::to_string).collect();
+        match self.sweeps.iter_mut().find(|(k, _)| k == key) {
+            Some((_, existing)) => *existing = values,
+            None => self.sweeps.push((key.to_string(), values)),
+        }
+        Ok(())
+    }
+
     /// The campaign name (journal files are named after it).
     #[must_use]
     pub fn name(&self) -> &str {
@@ -178,43 +221,25 @@ impl CampaignSpec {
         self.params.get(key).map(String::as_str)
     }
 
-    /// A `usize` scalar parameter with a default.
+    /// An integer scalar parameter, or `default` when unassigned.
     ///
     /// # Errors
     ///
     /// Returns [`LabError::Spec`] if the value does not parse.
-    pub fn param_usize(&self, key: &str, default: usize) -> Result<usize, LabError> {
+    pub fn param_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, LabError> {
         parse_num(self.param(key), key, default)
     }
 
-    /// A `u64` scalar parameter with a default.
+    /// The sweep values of `key` as `usize`s, or `default` when the spec
+    /// does not sweep it.
     ///
     /// # Errors
     ///
-    /// Returns [`LabError::Spec`] if the value does not parse.
-    pub fn param_u64(&self, key: &str, default: u64) -> Result<u64, LabError> {
-        parse_num(self.param(key), key, default)
-    }
-
-    /// The sweep values of `key`, if the spec sweeps it.
-    #[must_use]
-    pub fn sweep(&self, key: &str) -> Option<&[String]> {
-        self.sweeps
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_slice())
-    }
-
-    /// The sweep values of `key` as `usize`s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LabError::Spec`] if the key is not swept or a value does
-    /// not parse.
-    pub fn sweep_usize(&self, key: &str) -> Result<Vec<usize>, LabError> {
-        let values = self
-            .sweep(key)
-            .ok_or_else(|| LabError::Spec(format!("expected a `sweep {key} = ...` axis")))?;
+    /// Returns [`LabError::Spec`] if a value does not parse.
+    pub fn sweep_usize(&self, key: &str, default: &[usize]) -> Result<Vec<usize>, LabError> {
+        let Some((_, values)) = self.sweeps.iter().find(|(k, _)| k == key) else {
+            return Ok(default.to_vec());
+        };
         values
             .iter()
             .map(|v| {
@@ -301,14 +326,14 @@ impl CampaignSpec {
     }
 }
 
-fn check_key(key: &str, lineno: usize) -> Result<(), LabError> {
+fn check_key(key: &str) -> Result<(), String> {
     if KNOWN_KEYS.contains(&key) {
         Ok(())
     } else {
-        Err(LabError::Spec(format!(
-            "line {lineno}: unknown key {key:?} (known: {})",
+        Err(format!(
+            "unknown key {key:?} (known: {})",
             KNOWN_KEYS.join(", ")
-        )))
+        ))
     }
 }
 
@@ -392,7 +417,7 @@ sweep t = half,max
         assert_eq!(spec.name(), "demo");
         assert_eq!(spec.experiment(), "grid");
         assert_eq!(spec.param("runs"), Some("4"));
-        assert_eq!(spec.sweep_usize("n").unwrap(), vec![8, 12]);
+        assert_eq!(spec.sweep_usize("n", &[]).unwrap(), vec![8, 12]);
         let cells = spec.expand_grid().unwrap();
         assert_eq!(cells.len(), 4);
         // First axis (n) outermost, second (t) fastest.
@@ -423,7 +448,7 @@ sweep t = half,max
     fn last_wins_and_sweep_redeclare_replaces() {
         let spec = CampaignSpec::parse("n = 8\nn = 16\nsweep t = 1,2\nsweep t = 3\n", "x").unwrap();
         assert_eq!(spec.param("n"), Some("16"));
-        assert_eq!(spec.sweep_usize("t").unwrap(), vec![3]);
+        assert_eq!(spec.sweep_usize("t", &[]).unwrap(), vec![3]);
     }
 
     #[test]
@@ -461,6 +486,26 @@ sweep t = half,max
         assert_eq!(a.content_hash(), b.content_hash());
         let c = CampaignSpec::parse(&DEMO.replace("seed = 9", "seed = 10"), "x").unwrap();
         assert_ne!(a.content_hash(), c.content_hash());
+    }
+
+    #[test]
+    fn setters_override_like_a_later_line() {
+        let mut spec = CampaignSpec::parse(DEMO, "x").unwrap();
+        spec.set("runs", 7).unwrap();
+        spec.set_sweep("n", &[16]).unwrap();
+        let later = CampaignSpec::parse(&format!("{DEMO}runs = 7\nsweep n = 16\n"), "x").unwrap();
+        assert_eq!(spec.content_hash(), later.content_hash());
+        let err = |e: LabError| e.to_string();
+        assert!(err(spec.set("bogus", 1).unwrap_err()).contains("unknown key \"bogus\""));
+        assert!(err(spec.set("campaign", "y").unwrap_err()).contains("cannot be overridden"));
+        let swept = spec.set_sweep("telemetry", &["off"]).unwrap_err();
+        assert!(err(swept).contains("cannot be swept"));
+        assert!(err(spec.set_sweep::<usize>("n", &[]).unwrap_err()).contains("no values"));
+        assert_eq!(
+            spec.content_hash(),
+            later.content_hash(),
+            "errors change nothing"
+        );
     }
 
     #[test]

@@ -38,6 +38,15 @@ for lib in src/lib.rs crates/*/src/lib.rs; do
 done
 echo "unsafe OK: every library root forbids unsafe_code"
 
+echo "== tier1: one option parser =="
+# `synran` and all ten experiment binaries parse their options through
+# `synran_lab::cli`. A second hand-written parser would strip the `--` off
+# an option in a second file.
+parsers="$(grep -rlF --include='*.rs' 'strip_prefix("--")' src crates || true)"
+[ "$(grep -c . <<< "$parsers")" -eq 1 ] \
+    || { echo "strip_prefix(\"--\") must appear in exactly one file; found: ${parsers:-none}"; exit 1; }
+echo "parser OK: one option parser ($parsers)"
+
 echo "== tier1: end-to-end benchmark smoke (golden digests) =="
 # Every workload of the end-to-end benchmark, shrunk to under a second,
 # checked against its committed golden render digest (E1's coin calls, the
@@ -85,18 +94,18 @@ for bin in e1_coin_control e2_blowup e3_lower_bound e4_synran_upper e5_protocol_
         || { echo "$bin stdout diverged from results/$bin.txt"; exit 1; }
 done
 echo "tables OK: E1-E10 stdout matches results/e*.txt"
-# An option a binary does not take must fail it, not run the defaults.
-if (cd "$tables_dir" && "$OLDPWD/target/release/e4_synran_upper" --bogus 1 >/dev/null 2>&1); then
-    echo "e4_synran_upper accepted an unknown option"
-    exit 1
-fi
-echo "options OK: e4_synran_upper --bogus 1 rejected"
-# A bare flag given a value must fail too, not read as "flag absent".
-if (cd "$tables_dir" && "$OLDPWD/target/release/e4_synran_upper" --fast 1 >/dev/null 2>&1); then
-    echo "e4_synran_upper accepted a value for the flag --fast"
-    exit 1
-fi
-echo "options OK: e4_synran_upper --fast 1 rejected"
+# An option a binary does not take, or a value after a bare flag, must
+# fail it with nothing on stdout, not run the defaults.
+for bin in e1_coin_control e2_blowup e3_lower_bound e4_synran_upper e5_protocol_comparison \
+    e6_large_deviation e7_t_sweep e8_budget_ablation e9_adaptivity e10_threshold_ablation; do
+    for bad in "--bogus 1" "--fast 1"; do
+        # $bad is unquoted on purpose: the option and its value are two words.
+        bad_out="$(cd "$tables_dir" && "$OLDPWD/target/release/$bin" $bad 2>/dev/null)" \
+            && { echo "$bin accepted $bad"; exit 1; }
+        [ -z "$bad_out" ] || { echo "$bin $bad wrote to stdout"; exit 1; }
+    done
+done
+echo "options OK: all ten binaries reject --bogus 1 and --fast 1"
 # A knob value the experiment cannot run must fail before any output.
 samples_out="$(cd "$tables_dir" && "$OLDPWD/target/release/e1_coin_control" --samples 0 2>/dev/null)" \
     && { echo "e1_coin_control accepted --samples 0"; exit 1; }

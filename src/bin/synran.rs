@@ -12,11 +12,11 @@
 //! execute it through the name registry (`synran::lab::registry`), the
 //! same path campaigns take.
 
-use std::collections::HashMap;
+use std::error::Error;
 use std::path::Path;
 use std::process::ExitCode;
-use std::str::FromStr;
 
+use synran::lab::cli::Options;
 use synran::lab::registry::{ADVERSARIES, PROTOCOLS};
 use synran::lab::{
     load_cache, presets, run_cell_batch, run_cell_once, scan_journal, write_telemetry_jsonl,
@@ -89,71 +89,62 @@ OPTIONS (run and batch):
 
 Every command rejects an option it does not take.";
 
-type Parsed = (Vec<String>, HashMap<String, String>, Vec<String>);
-
-/// The options that never take a value: the word after `--trace`,
-/// `--fresh` or `--check` is a positional (or stray), never theirs.
-const BARE_FLAGS: [&str; 3] = ["trace", "fresh", "check"];
-
-/// Splits an argument list into positionals (command words, spec paths),
-/// `--key value` pairs, and bare `--flag`s.
-fn parse(args: &[String]) -> Parsed {
-    let mut positionals = Vec::new();
-    let mut values = HashMap::new();
-    let mut flags = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            match it.peek() {
-                Some(v) if !v.starts_with("--") && !BARE_FLAGS.contains(&key) => {
-                    values.insert(key.to_string(), it.next().expect("peeked").clone());
-                }
-                _ => flags.push(key.to_string()),
-            }
-        } else {
-            positionals.push(a.clone());
-        }
-    }
-    (positionals, values, flags)
+/// Parses `args` for `command` (see [`Options::parse`]); an error names
+/// the command.
+fn options(
+    command: &str,
+    args: &[String],
+    values: &[&str],
+    flags: &[&str],
+    words: usize,
+) -> Result<Options, String> {
+    Options::parse(args.iter().cloned(), values, flags, words)
+        .map_err(|e| format!("{e} for `{command}`"))
 }
 
-/// The integer option `--key`, or `default` when it is absent.
-fn number<T: FromStr>(
-    values: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    values.get(key).map_or(Ok(default), |v| {
-        v.parse()
-            .map_err(|_| format!("--{key}: not an integer: {v}"))
-    })
+/// The options of `run` (the cell's, plus `--trace`) or `batch` (the
+/// cell's, plus `--runs` and `--threads`).
+fn cell_options(cmd: &str, args: &[String]) -> Result<Options, String> {
+    let mut values = vec![
+        "protocol",
+        "adversary",
+        "n",
+        "t",
+        "ones",
+        "seed",
+        "telemetry",
+        "telemetry-out",
+    ];
+    if cmd == "run" {
+        return options(cmd, args, &values, &["trace"], 0);
+    }
+    values.extend(["runs", "threads"]);
+    options(cmd, args, &values, &[], 0)
 }
 
 /// The one cell `run` and `batch` execute: their flags over the CLI's
 /// defaults (n = 32, t = n − 1, ones = n/2, seed 1, 20 runs, 500 000
 /// rounds, adversary knobs at their defaults).
-fn cli_cell(values: &HashMap<String, String>) -> Result<Cell, String> {
-    let protocol = values.get("protocol").map_or("synran", String::as_str);
-    let adversary = values.get("adversary").map_or("passive", String::as_str);
-    let mut cell = Cell::new(protocol, adversary, number(values, "n", 32)?);
+fn cli_cell(opts: &Options) -> Result<Cell, String> {
+    let protocol = opts.get("protocol").unwrap_or("synran");
+    let adversary = opts.get("adversary").unwrap_or("passive");
+    let mut cell = Cell::new(protocol, adversary, opts.number("n")?.unwrap_or(32));
     if protocol == "leader" {
         cell.t /= 2; // the leader protocol tolerates only t < n/2
     }
-    cell.t = number(values, "t", cell.t)?;
-    cell.ones = number(values, "ones", cell.ones)?;
-    cell.runs = number(values, "runs", 20)?;
-    cell.seed = number(values, "seed", 1)?;
+    cell.t = opts.number("t")?.unwrap_or(cell.t);
+    cell.ones = opts.number("ones")?.unwrap_or(cell.ones);
+    cell.runs = opts.number("runs")?.unwrap_or(20);
+    cell.seed = opts.number("seed")?.unwrap_or(1);
     cell.max_rounds = 500_000;
     Ok(cell)
 }
 
 /// `--telemetry` and `--telemetry-out`; an output path without an
 /// explicit mode means "record counters".
-fn telemetry_options(
-    values: &HashMap<String, String>,
-) -> Result<(TelemetryMode, Option<&String>), String> {
-    let out = values.get("telemetry-out");
-    let mode = match values.get("telemetry") {
+fn telemetry_options(opts: &Options) -> Result<(TelemetryMode, Option<&str>), String> {
+    let out = opts.get("telemetry-out");
+    let mode = match opts.get("telemetry") {
         Some(v) => v.parse().map_err(|e| format!("--telemetry: {e}"))?,
         None if out.is_some() => TelemetryMode::Counters,
         None => TelemetryMode::Off,
@@ -164,32 +155,14 @@ fn telemetry_options(
 /// `synran run` (run 0 of the cell, the first execution its batch counts)
 /// and `synran batch` (the cell's whole batch, unjournalled, on the
 /// campaign engine's path).
-fn cell_cmd(cmd: &str, values: &HashMap<String, String>, flags: &[String]) -> Result<(), String> {
-    // The cell's options, plus `trace` for `run` and `runs` and `threads`
-    // for `batch`.
-    let common = [
-        "protocol",
-        "adversary",
-        "n",
-        "t",
-        "ones",
-        "seed",
-        "telemetry",
-        "telemetry-out",
-    ];
-    let own: &[&str] = if cmd == "run" {
-        &["trace"]
-    } else {
-        &["runs", "threads"]
-    };
-    reject_unknown_options(cmd, &[&common[..], own].concat(), values, flags)?;
-    let cell = cli_cell(values)?;
-    let (mode, telemetry_out) = telemetry_options(values)?;
+fn cell_cmd(cmd: &str, args: &[String]) -> Result<(), Box<dyn Error>> {
+    let opts = cell_options(cmd, args)?;
+    let cell = cli_cell(&opts)?;
+    let (mode, telemetry_out) = telemetry_options(&opts)?;
     let telemetry = Telemetry::new(mode);
     if cmd == "run" {
-        let trace = flags.iter().any(|f| f == "trace");
-        let (name, verdict) =
-            run_cell_once(&cell, 0, trace, &telemetry).map_err(|e| e.to_string())?;
+        let trace = opts.flag("trace");
+        let (name, verdict) = run_cell_once(&cell, 0, trace, &telemetry)?;
         println!("protocol    : {name}");
         println!("adversary   : {}", cell.adversary);
         println!("n / t / ones: {} / {} / {}", cell.n, cell.t, cell.ones);
@@ -213,9 +186,8 @@ fn cell_cmd(cmd: &str, values: &HashMap<String, String>, flags: &[String]) -> Re
             }
         }
     } else {
-        let threads = number(values, "threads", 0)?;
-        let (name, outcome) =
-            run_cell_batch(&cell, threads, &telemetry).map_err(|e| e.to_string())?;
+        let threads = opts.number("threads")?.unwrap_or(0);
+        let (name, outcome) = run_cell_batch(&cell, threads, &telemetry)?;
         let summary = CellResult::from(&outcome);
         println!("protocol  : {name}");
         println!("adversary : {}", cell.adversary);
@@ -254,111 +226,82 @@ fn cell_cmd(cmd: &str, values: &HashMap<String, String>, flags: &[String]) -> Re
 /// engine (`synran::lab`). Rendered tables go to stdout; engine
 /// bookkeeping (cache hits, journal paths) goes to stderr so campaign
 /// output stays byte-identical to the experiment binaries'.
-fn campaign_cmd(
-    rest: &[String],
-    values: &HashMap<String, String>,
-    flags: &[String],
-) -> Result<(), String> {
-    let spec_path = rest.get(1).map(String::as_str);
-    let sub = rest
+fn campaign_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
+    let (sub, opts) = campaign_options(args)?;
+    let spec_path = opts.words().first().map(String::as_str);
+    match sub {
+        "status" => campaign_status(spec_path, &opts),
+        "list" => campaign_list(&opts),
+        _ => campaign_run(spec_path, &opts, sub == "run"),
+    }
+}
+
+/// The campaign command and its options: `run`, `resume` and `status`
+/// take a spec path, `list` no word.
+fn campaign_options(args: &[String]) -> Result<(&str, Options), String> {
+    let sub = args
         .first()
         .map(String::as_str)
         .ok_or("campaign expects a command: run, resume, status, or list")?;
-    // The options (`--key value` or bare `--flag`) each command accepts,
-    // and how many words it takes: the command, then a spec path.
-    let (accepted, words): (&[&str], usize) = match sub {
+    let (values, flags, words): (&[&str], &[&str], usize) = match sub {
         "run" | "resume" => (
-            &["threads", "results-dir", "fresh", "import", "progress"],
-            2,
+            &["threads", "results-dir", "import", "progress"],
+            &["fresh"],
+            1,
         ),
-        "status" => (&["results-dir"], 2),
-        "list" => (&["dir", "results-dir"], 1),
+        "status" => (&["results-dir"], &[], 1),
+        "list" => (&["dir", "results-dir"], &[], 0),
         other => {
             return Err(format!(
                 "unknown campaign command {other:?} (run, resume, status, list)"
             ))
         }
     };
-    let command = format!("campaign {sub}");
-    reject_unknown_options(&command, accepted, values, flags)?;
-    reject_stray_words(&command, rest.get(words..).unwrap_or_default())?;
-    match sub {
-        "status" => campaign_status(spec_path, values),
-        "list" => campaign_list(values),
-        _ => campaign_run(spec_path, values, flags, sub == "run"),
-    }
+    let opts = options(&format!("campaign {sub}"), &args[1..], values, flags, words)?;
+    Ok((sub, opts))
 }
 
-/// Fails on the first positional word after `command`, which takes none.
-fn reject_stray_words(command: &str, rest: &[String]) -> Result<(), String> {
-    match rest.first() {
-        Some(word) => Err(format!("unexpected argument {word:?} for `{command}`")),
-        None => Ok(()),
-    }
-}
-
-/// Fails on the first option, in name order, that `command` does not
-/// accept — a typo or a stale option must never be silently dropped.
-fn reject_unknown_options(
-    command: &str,
-    accepted: &[&str],
-    values: &HashMap<String, String>,
-    flags: &[String],
-) -> Result<(), String> {
-    let mut given: Vec<&str> = values.keys().chain(flags).map(String::as_str).collect();
-    given.sort_unstable();
-    match given.into_iter().find(|key| !accepted.contains(key)) {
-        Some(key) => Err(format!("unknown option --{key} for `{command}`")),
-        None => Ok(()),
-    }
-}
-
-fn journal_path(values: &HashMap<String, String>, campaign: &str) -> std::path::PathBuf {
-    let dir = values.get("results-dir").map_or("results", String::as_str);
+fn journal_path(opts: &Options, campaign: &str) -> std::path::PathBuf {
+    let dir = opts.get("results-dir").unwrap_or("results");
     Path::new(dir).join(format!("{campaign}.journal.jsonl"))
 }
 
 fn campaign_run(
     spec_path: Option<&str>,
-    values: &HashMap<String, String>,
-    flags: &[String],
+    opts: &Options,
     allow_fresh: bool,
-) -> Result<(), String> {
+) -> Result<(), Box<dyn Error>> {
+    // The numbers first: `--progress` takes the next word even when it is
+    // the spec path, which must then fail as a non-integer, not as a
+    // missing spec.
+    let threads = opts.number("threads")?.unwrap_or(0);
+    let progress_every: Option<usize> = opts.number("progress")?;
     let path = spec_path.ok_or("campaign run expects a spec path (e.g. campaigns/e3.campaign)")?;
-    let spec = CampaignSpec::parse_file(Path::new(path)).map_err(|e| e.to_string())?;
-    let cells = presets::campaign_cells(&spec).map_err(|e| e.to_string())?;
-    let journal_path = journal_path(values, spec.name());
-    let fresh = flags.iter().any(|f| f == "fresh");
+    let spec = CampaignSpec::parse_file(Path::new(path))?;
+    let cells = presets::campaign_cells(&spec)?;
+    let journal_path = journal_path(opts, spec.name());
+    let fresh = opts.flag("fresh");
     if fresh && !allow_fresh {
         return Err("--fresh discards the journal; use `campaign run --fresh`".into());
     }
     let (mut journal, cache) = if fresh {
-        let journal = Journal::create_fresh(&journal_path).map_err(|e| e.to_string())?;
+        let journal = Journal::create_fresh(&journal_path)?;
         (journal, CellCache::new())
     } else {
-        Journal::open(&journal_path).map_err(|e| e.to_string())?
+        Journal::open(&journal_path)?
     };
-    journal
-        .append_header(spec.name(), cells.len(), &spec.content_hash())
-        .map_err(|e| e.to_string())?;
-    let threads = number(values, "threads", 0)?;
-    let telemetry = Telemetry::new(spec.telemetry_mode().map_err(|e| e.to_string())?);
+    journal.append_header(spec.name(), cells.len(), &spec.content_hash())?;
+    let telemetry = Telemetry::new(spec.telemetry_mode()?);
     let warm = cache.len();
     let mut engine = Engine::new(threads, telemetry).with_journal(journal, cache);
-    // Opt-in heartbeats to stderr (`--progress N`, or bare `--progress`
-    // for every 25 cells). Observe-only: stdout and the journal are
-    // byte-identical with this on or off.
-    let progress_every = match values.get("progress") {
-        Some(_) => Some(number(values, "progress", 25)?),
-        None => flags.iter().any(|f| f == "progress").then_some(25),
-    };
+    // Opt-in heartbeats to stderr every `--progress N` cells.
+    // Observe-only: stdout and the journal are byte-identical with this on
+    // or off.
     if let Some(every) = progress_every {
         engine = engine.with_progress(every, Box::new(StderrProgress));
     }
-    if let Some(import) = values.get("import") {
-        let merged = engine
-            .import_cache(Path::new(import))
-            .map_err(|e| e.to_string())?;
+    if let Some(import) = opts.get("import") {
+        let merged = engine.import_cache(Path::new(import))?;
         eprintln!("imported {merged} cached cells from {import}");
     }
     if warm > 0 {
@@ -367,8 +310,7 @@ fn campaign_run(
             spec.name()
         );
     }
-    presets::run_campaign(&spec, &mut engine, &mut std::io::stdout().lock())
-        .map_err(|e| e.to_string())?;
+    presets::run_campaign(&spec, &mut engine, &mut std::io::stdout().lock())?;
     eprintln!(
         "campaign {}: {} cells executed, {} cache hits → {}",
         spec.name(),
@@ -379,15 +321,12 @@ fn campaign_run(
     Ok(())
 }
 
-fn campaign_status(
-    spec_path: Option<&str>,
-    values: &HashMap<String, String>,
-) -> Result<(), String> {
+fn campaign_status(spec_path: Option<&str>, opts: &Options) -> Result<(), Box<dyn Error>> {
     let path = spec_path.ok_or("campaign status expects a spec path")?;
-    let spec = CampaignSpec::parse_file(Path::new(path)).map_err(|e| e.to_string())?;
-    let cells = presets::campaign_cells(&spec).map_err(|e| e.to_string())?;
-    let journal_path = journal_path(values, spec.name());
-    let scan = scan_journal(&journal_path).map_err(|e| e.to_string())?;
+    let spec = CampaignSpec::parse_file(Path::new(path))?;
+    let cells = presets::campaign_cells(&spec)?;
+    let journal_path = journal_path(opts, spec.name());
+    let scan = scan_journal(&journal_path)?;
     // A cell counts as completed only if its journalled result is
     // *complete* (the cell-schema invariant), so half-written lines
     // dropped by truncation recovery — or a corrupt-but-parseable result
@@ -451,12 +390,15 @@ fn last_write_age(path: &Path) -> String {
 
 /// `synran report` — deterministic renderings of telemetry and journal
 /// artifacts (`synran::lab::Report`).
-fn report_cmd(
-    paths: &[String],
-    values: &HashMap<String, String>,
-    flags: &[String],
-) -> Result<(), String> {
-    reject_unknown_options("report", &["format", "check", "threads"], values, flags)?;
+fn report_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
+    let opts = options(
+        "report",
+        args,
+        &["format", "threads"],
+        &["check"],
+        usize::MAX,
+    )?;
+    let paths = opts.words();
     if paths.is_empty() {
         return Err(
             "report expects at least one JSONL artifact (results/*.telemetry.jsonl or \
@@ -470,32 +412,32 @@ fn report_cmd(
             .load(Path::new(path))
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    if flags.iter().any(|f| f == "check") {
+    if opts.flag("check") {
         return match report.check() {
             Ok(text) => {
                 print!("{text}");
                 println!("check: ok");
                 Ok(())
             }
-            Err(text) => Err(format!("stream integrity check failed\n{text}")),
+            Err(text) => Err(format!("stream integrity check failed\n{text}").into()),
         };
     }
-    let format = values.get("format").map_or(Ok(ReportFormat::Table), |v| {
-        ReportFormat::parse(v).map_err(|e| e.to_string())
-    })?;
+    let format = opts
+        .get("format")
+        .map_or(Ok(ReportFormat::Table), ReportFormat::parse)?;
     print!("{}", report.render(format));
     Ok(())
 }
 
-fn campaign_list(values: &HashMap<String, String>) -> Result<(), String> {
-    let dir = values.get("dir").map_or("campaigns", String::as_str);
+fn campaign_list(opts: &Options) -> Result<(), Box<dyn Error>> {
+    let dir = opts.get("dir").unwrap_or("campaigns");
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             println!("no campaign directory at {dir}/");
             return Ok(());
         }
-        Err(e) => return Err(format!("{dir}: {e}")),
+        Err(e) => return Err(format!("{dir}: {e}").into()),
     };
     let mut specs: Vec<std::path::PathBuf> = entries
         .filter_map(Result::ok)
@@ -512,8 +454,7 @@ fn campaign_list(values: &HashMap<String, String>) -> Result<(), String> {
             .and_then(|spec| Ok((presets::campaign_cells(&spec)?, spec)))
         {
             Ok((cells, spec)) => {
-                let cache =
-                    load_cache(&journal_path(values, spec.name())).map_err(|e| e.to_string())?;
+                let cache = load_cache(&journal_path(opts, spec.name()))?;
                 let cached = cells
                     .iter()
                     .filter(|c| cache.contains_key(&c.content_hash()))
@@ -555,21 +496,17 @@ fn list() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (positionals, values, flags) = parse(&args);
-    let Some(cmd) = positionals.first().map(String::as_str) else {
+    let Some((cmd, rest)) = args.split_first().filter(|(cmd, _)| *cmd != "--help") else {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     };
-    let rest = &positionals[1..];
-    let result = match cmd {
-        "list" => reject_stray_words(cmd, rest)
-            .and_then(|()| reject_unknown_options(cmd, &[], &values, &flags))
-            .map(|()| list()),
-        "campaign" => campaign_cmd(rest, &values, &flags),
-        "report" => report_cmd(rest, &values, &flags),
-        "run" | "batch" => {
-            reject_stray_words(cmd, rest).and_then(|()| cell_cmd(cmd, &values, &flags))
-        }
+    let result = match cmd.as_str() {
+        "list" => options(cmd, rest, &[], &[], 0)
+            .map(|_| list())
+            .map_err(Into::into),
+        "campaign" => campaign_cmd(rest),
+        "report" => report_cmd(rest),
+        "run" | "batch" => cell_cmd(cmd, rest),
         _ => {
             eprintln!("unknown command {cmd:?}\n\n{USAGE}");
             return ExitCode::FAILURE;
@@ -593,46 +530,52 @@ mod tests {
     }
 
     fn cell_from(args: &[&str]) -> Result<Cell, String> {
-        let (_, values, _) = parse(&owned(args));
-        cli_cell(&values)
+        cli_cell(&cell_options("batch", &owned(args))?)
     }
 
     #[test]
     fn parse_splits_command_values_and_flags() {
-        let (positionals, values, flags) =
-            parse(&owned(&["run", "--n", "16", "--trace", "--seed", "9"]));
-        assert_eq!(positionals, vec!["run".to_string()]);
-        assert_eq!(values.get("n").map(String::as_str), Some("16"));
-        assert_eq!(values.get("seed").map(String::as_str), Some("9"));
-        assert!(flags.contains(&"trace".to_string()));
+        let opts = cell_options("run", &owned(&["--n", "16", "--trace", "--seed", "9"])).unwrap();
+        assert_eq!(opts.get("n"), Some("16"));
+        assert_eq!(opts.get("seed"), Some("9"));
+        assert!(opts.flag("trace"));
+        let err = cell_options("run", &owned(&["--runs", "2"])).unwrap_err();
+        assert_eq!(err, "unknown option --runs for `run`");
+        let err = cell_options("batch", &owned(&["--trace"])).unwrap_err();
+        assert_eq!(err, "unknown option --trace for `batch`");
     }
 
     #[test]
     fn parse_keeps_every_positional_in_order() {
-        let args = owned(&["campaign", "run", "campaigns/e3.campaign", "--threads", "2"]);
-        let (positionals, values, _) = parse(&args);
-        assert_eq!(
-            positionals,
-            vec!["campaign", "run", "campaigns/e3.campaign"]
-        );
-        assert_eq!(values.get("threads").map(String::as_str), Some("2"));
+        let args = owned(&["run", "campaigns/e3.campaign", "--threads", "2"]);
+        let (sub, opts) = campaign_options(&args).unwrap();
+        assert_eq!(sub, "run");
+        assert_eq!(opts.words(), ["campaigns/e3.campaign"]);
+        assert_eq!(opts.get("threads"), Some("2"));
+        let err = campaign_options(&owned(&["status", "spec", "extra"])).unwrap_err();
+        assert_eq!(err, "unexpected argument \"extra\" for `campaign status`");
+    }
+
+    /// `campaign run` declares `--fresh` a bare flag, so the spec path
+    /// after it stays a positional, and `--progress` a value option.
+    #[test]
+    fn bare_flags_never_take_a_value() {
+        let args = owned(&["run", "--fresh", "e4.campaign", "--progress", "5"]);
+        let (_, opts) = campaign_options(&args).unwrap();
+        assert_eq!(opts.words(), ["e4.campaign"]);
+        assert!(opts.flag("fresh"));
+        assert_eq!(opts.get("progress"), Some("5"));
     }
 
     #[test]
-    fn bare_flags_never_take_a_value() {
-        let args = owned(&[
-            "campaign",
-            "run",
-            "--fresh",
-            "e4.campaign",
-            "--progress",
-            "5",
-        ]);
-        let (positionals, values, flags) = parse(&args);
-        assert_eq!(positionals, vec!["campaign", "run", "e4.campaign"]);
-        assert_eq!(flags, vec!["fresh"]);
-        // `--progress` keeps its optional value.
-        assert_eq!(values.get("progress").map(String::as_str), Some("5"));
+    fn progress_always_takes_a_value() {
+        let args = owned(&["run", "--progress", "campaigns/e3.campaign"]);
+        let (_, opts) = campaign_options(&args).unwrap();
+        assert!(opts.words().is_empty());
+        let err = campaign_run(None, &opts, true).unwrap_err().to_string();
+        assert_eq!(err, "--progress: not an integer: \"campaigns/e3.campaign\"");
+        let err = campaign_options(&owned(&["run", "spec", "--progress"])).unwrap_err();
+        assert_eq!(err, "--progress expects a value for `campaign run`");
     }
 
     #[test]
@@ -665,20 +608,20 @@ mod tests {
 
     #[test]
     fn telemetry_options_parse() {
-        let values = |args: &[&str]| parse(&owned(args)).1;
-        let v = values(&["--n", "8"]);
+        let opts = |args: &[&str]| cell_options("run", &owned(args)).unwrap();
+        let v = opts(&["--n", "8"]);
         assert_eq!(telemetry_options(&v).unwrap(), (TelemetryMode::Off, None));
-        let (mode, _) = telemetry_options(&values(&["--telemetry", "spans"])).unwrap();
+        let (mode, _) = telemetry_options(&opts(&["--telemetry", "spans"])).unwrap();
         assert_eq!(mode, TelemetryMode::Spans);
         // An output path alone implies counters.
-        let v = values(&["--telemetry-out", "t.jsonl"]);
+        let v = opts(&["--telemetry-out", "t.jsonl"]);
         let (mode, out) = telemetry_options(&v).unwrap();
         assert_eq!(mode, TelemetryMode::Counters);
-        assert_eq!(out.map(String::as_str), Some("t.jsonl"));
+        assert_eq!(out, Some("t.jsonl"));
         // An explicit mode wins over the implied default.
-        let v = values(&["--telemetry", "off", "--telemetry-out", "x.jsonl"]);
+        let v = opts(&["--telemetry", "off", "--telemetry-out", "x.jsonl"]);
         assert_eq!(telemetry_options(&v).unwrap().0, TelemetryMode::Off);
-        let err = telemetry_options(&values(&["--telemetry", "verbose"])).unwrap_err();
+        let err = telemetry_options(&opts(&["--telemetry", "verbose"])).unwrap_err();
         assert!(err.contains("--telemetry"), "{err}");
     }
 
