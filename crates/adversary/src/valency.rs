@@ -18,14 +18,22 @@
 //! adversaries (probes), and read off the empirical min/max of
 //! `Pr[decide 1]`. The estimator is exactly as strong as its probe family —
 //! see DESIGN.md's substitution table.
+//!
+//! A fork is scored by its lowest-pid process that has not failed, and it
+//! stops as soon as that process decides. Randomness is the only thing
+//! that moves a valency: a fork that flips no coin, under a probe that
+//! reads no seed, is one outcome, not a sample, so it runs once and
+//! stands for every sample of its probe. Replication changes no estimate;
+//! the early stop changes only a fork that decided inside the horizon but
+//! would have finished outside it (see [`estimate_valency`]).
 
 use std::fmt;
 use std::sync::Arc;
 
 use synran_core::SynRanProcess;
-use synran_sim::{Adversary, Bit, Passive, Process, SimError, SimRng, Telemetry, World};
+use synran_sim::{Adversary, Bit, Passive, Process, ProcessId, SimError, SimRng, Telemetry, World};
 
-use crate::{Balancer, PreferenceKiller, RandomKiller};
+use crate::{Balancer, PreferenceKiller};
 
 /// A boxed, dynamically-dispatched adversary.
 ///
@@ -33,22 +41,22 @@ use crate::{Balancer, PreferenceKiller, RandomKiller};
 /// thread of a batch.
 pub type BoxedAdversary<P> = Box<dyn Adversary<P> + Send>;
 
-/// A named factory producing fresh probe adversaries per fork seed.
+/// A named factory producing a fresh probe adversary per fork.
 ///
 /// `Send + Sync` so that the adversary holding them is too. Names are
 /// interned `Arc<str>`: estimates
 /// carry a refcount bump per probe instead of cloning a `String` on the
 /// hottest path.
-type ProbeFactory<P> = (
-    Arc<str>,
-    Box<dyn Fn(u64) -> BoxedAdversary<P> + Send + Sync>,
-);
+type ProbeFactory<P> = (Arc<str>, Box<dyn Fn() -> BoxedAdversary<P> + Send + Sync>);
 
 /// A family of reference adversaries used as probes for `min`/`max`
 /// `Pr[decide 1]`.
 ///
-/// Each probe is a named factory taking a seed, so stateful adversaries
-/// start fresh per fork.
+/// Each probe is a named factory, so stateful adversaries start fresh per
+/// fork. A factory takes no seed, and a probe must not read
+/// [`World::seed`]: its play depends only on the world it sees. That is
+/// what lets the estimator run a fork that draws no coin once for all of
+/// its probe's samples (see [`estimate_valency`]).
 pub struct ProbeSet<P: Process> {
     factories: Vec<ProbeFactory<P>>,
 }
@@ -83,7 +91,7 @@ impl<P: Process> ProbeSet<P> {
     pub fn with_probe(
         mut self,
         name: impl Into<Arc<str>>,
-        factory: impl Fn(u64) -> BoxedAdversary<P> + Send + Sync + 'static,
+        factory: impl Fn() -> BoxedAdversary<P> + Send + Sync + 'static,
     ) -> ProbeSet<P> {
         self.factories.push((name.into(), Box::new(factory)));
         self
@@ -100,17 +108,6 @@ impl<P: Process> ProbeSet<P> {
     pub fn is_empty(&self) -> bool {
         self.factories.is_empty()
     }
-
-    /// Protocol-agnostic probes: passive continuation plus a random killer
-    /// spending `per_round` kills per round.
-    #[must_use]
-    pub fn generic(per_round: usize) -> ProbeSet<P> {
-        ProbeSet::new()
-            .with_probe("passive", |_| Box::new(Passive))
-            .with_probe("random", move |seed| {
-                Box::new(RandomKiller::new(per_round, seed))
-            })
-    }
 }
 
 impl<P: Process> Default for ProbeSet<P> {
@@ -126,14 +123,14 @@ impl ProbeSet<SynRanProcess> {
     #[must_use]
     pub fn synran(per_round: usize) -> ProbeSet<SynRanProcess> {
         ProbeSet::new()
-            .with_probe("passive", |_| Box::new(Passive))
-            .with_probe("kill-ones", move |_| {
+            .with_probe("passive", || Box::new(Passive))
+            .with_probe("kill-ones", move || {
                 Box::new(PreferenceKiller::new(Bit::One, per_round))
             })
-            .with_probe("kill-zeros", move |_| {
+            .with_probe("kill-zeros", move || {
                 Box::new(PreferenceKiller::new(Bit::Zero, per_round))
             })
-            .with_probe("balancer", move |_| Box::new(Balancer::with_cap(per_round)))
+            .with_probe("balancer", move || Box::new(Balancer::with_cap(per_round)))
     }
 }
 
@@ -145,6 +142,7 @@ pub struct ValencyEstimate {
     per_probe: Vec<(Arc<str>, f64)>,
     samples_per_probe: usize,
     undecided: usize,
+    forks_driven: usize,
 }
 
 impl ValencyEstimate {
@@ -175,10 +173,20 @@ impl ValencyEstimate {
         self.samples_per_probe
     }
 
-    /// Forks that did not decide within the horizon (scored as ½).
+    /// Samples whose fork had no decision to score within the horizon
+    /// (scored as ½).
     #[must_use]
     pub fn undecided(&self) -> usize {
         self.undecided
+    }
+
+    /// Forks actually built and driven: at most probes × samples, less
+    /// wherever a probe's fork drew no coin and stood for every one of
+    /// its samples. A work count, not telemetry: it is the same whatever
+    /// telemetry handle is attached.
+    #[must_use]
+    pub fn forks_driven(&self) -> usize {
+        self.forks_driven
     }
 
     /// How far the state is from univalence: `min(1 − min_p1, max_p1)`.
@@ -250,13 +258,27 @@ pub fn classify_with(estimate: &ValencyEstimate, lo: f64, hi: f64) -> Valence {
 /// forking it `samples` times per probe and resuming each fork (bounded to
 /// `horizon` further rounds) under that probe.
 ///
-/// Forks that exceed the horizon count as undecided and contribute ½ —
-/// they genuinely are "still open" states.
+/// **Scoring.** A fork is scored by the decision of its lowest-pid
+/// process that has not failed, and it stops as soon as that process
+/// holds one: 1 for a decided 1, 0 for a decided 0. Decisions are
+/// irrevocable, so the score cannot change after that point. A fork
+/// whose scoring process has not decided within the horizon (or whose
+/// every process failed) counts as undecided and contributes ½ — it
+/// genuinely is a "still open" state. A fork that decided inside the
+/// horizon but would have finished only after it therefore scores its
+/// value, not ½.
+///
+/// **Replication.** A probe's sample-0 fork that never asked for a coin
+/// ([`World::used_rng`]) played out without reading its seed, and probes
+/// do not read seeds either (see [`ProbeSet`]). So every other sample of
+/// that probe would replay it bit for bit: its outcome fills them all and
+/// their forks are never built ([`ValencyEstimate::forks_driven`]). The
+/// estimate is the one running every fork would give.
 ///
 /// The `(probe, sample)` grid is evaluated serially on the calling thread
 /// (parallelism lives one level up, across runs): one bounded base fork of
-/// `world`, forked again per unit and driven to completion by
-/// [`World::drive`](synran_sim::World::drive). Fork seeds are derived from
+/// `world`, forked again per unit and driven by
+/// [`World::drive_until`]. Fork seeds are derived from
 /// the `(probe, sample)` index, so the estimate is **bit-for-bit identical
 /// whatever thread count `world` is configured with**. Committed golden
 /// estimates (`crates/adversary/tests/valency_golden.rs`) pin the exact
@@ -290,13 +312,15 @@ where
 /// `floor`, returning `Ok(None)`.
 ///
 /// With a floor, the grid is swept **sample-major**: sweep `s` evaluates
-/// sample `s` of every probe, and after each sweep
-/// [`uncertainty_bound`] of the partial per-probe sums is compared with
-/// the floor. The bound is exact arithmetic (scores are multiples of ½),
-/// so a cut estimate is one whose full score would have been `≤ floor`,
-/// and an estimate that completes is bit-identical to [`estimate_valency`]
-/// — same seeds, same fork outcomes, same [`reduce_outcomes`] fold. Without
-/// a floor the whole grid is one sweep and nothing is cut.
+/// sample `s` of every probe whose samples are not all known yet (a
+/// replicated probe is known after sweep 0), and after each sweep
+/// [`uncertainty_bound`] of the per-probe sums of the known samples is
+/// compared with the floor. The bound is exact arithmetic (scores are
+/// multiples of ½), so a cut estimate is one whose full score would have
+/// been `≤ floor`, and an estimate that completes is bit-identical to
+/// [`estimate_valency`] — same seeds, same fork outcomes, same
+/// [`reduce_outcomes`] fold. Without a floor the whole grid is one sweep
+/// and nothing is cut.
 ///
 /// # Errors
 ///
@@ -329,62 +353,90 @@ where
     // the serial nested loop. Seeds depend only on the pair's indices.
     let fork_seeds = derive_seed_grid(seed, probes.len(), samples);
     let base = world.fork_bounded(seed, horizon);
-    let eval = |unit: usize| -> Result<(f64, bool), SimError> {
+    // A unit's `(score, undecided)` outcome, and whether its fork asked
+    // for a coin.
+    let eval = |unit: usize| -> Result<((f64, bool), bool), SimError> {
         let mut fork = base.fork(fork_seeds[unit]);
-        let factory = &probes.factories[unit / samples].1;
-        let mut adversary = factory(fork_seeds[unit]);
-        match fork.drive(&mut adversary) {
-            Ok(()) => {
-                let report = fork.into_report();
-                Ok(match first_decision(&report) {
-                    Some(Bit::One) => (1.0, false),
-                    Some(Bit::Zero) => (0.0, false),
-                    None => (0.5, true),
-                })
-            }
-            Err(SimError::MaxRoundsExceeded { .. }) => {
-                // Horizon hit: the fork is abandoned, but its warmed
-                // scratch goes back to the shared pool for the next
-                // sample to re-use.
-                fork.retire();
-                Ok((0.5, true))
-            }
-            Err(other) => Err(other),
-        }
+        let mut adversary = (probes.factories[unit / samples].1)();
+        let outcome = match fork.drive_until(&mut adversary, |w| scoring_decision(w).is_some()) {
+            Ok(()) => match scoring_decision(&fork) {
+                Some(Bit::One) => (1.0, false),
+                Some(Bit::Zero) => (0.0, false),
+                None => (0.5, true),
+            },
+            // Horizon hit: the fork is abandoned undecided.
+            Err(SimError::MaxRoundsExceeded { .. }) => (0.5, true),
+            Err(other) => return Err(other),
+        };
+        let used_rng = fork.used_rng();
+        // The fork's warmed scratch goes back to the shared pool for the
+        // next sample to re-use.
+        fork.retire();
+        Ok((outcome, used_rng))
     };
     // Sweeps of `width` samples across every probe, probe-major: one sweep
     // of the whole grid without a floor, one sample per sweep with one.
+    // `known[p]` counts probe `p`'s samples whose outcome is in.
     let width = if floor.is_some() { 1 } else { samples };
     let mut outcomes = vec![(0.0, false); probes.len() * samples];
     let mut sums = vec![0.0; probes.len()];
+    let mut known = vec![0; probes.len()];
+    let mut forks_driven = 0;
     for first in (0..samples).step_by(width) {
         for q in 0..probes.len() * width {
-            let unit = (q / width) * samples + first + q % width;
-            outcomes[unit] = eval(unit)?;
-            sums[q / width] += outcomes[unit].0;
+            let (probe, sample) = (q / width, first + q % width);
+            if sample < known[probe] {
+                continue;
+            }
+            let (outcome, used_rng) = eval(probe * samples + sample)?;
+            forks_driven += 1;
+            // A fork that asked for no coin stands for every sample of its
+            // probe still to come: each would replay it bit for bit.
+            let last = if used_rng { sample + 1 } else { samples };
+            for slot in &mut outcomes[probe * samples + sample..probe * samples + last] {
+                *slot = outcome;
+                sums[probe] += outcome.0;
+            }
+            known[probe] = last;
         }
-        if floor.is_some_and(|floor| uncertainty_bound(&sums, first + width, samples) <= floor) {
+        if floor.is_some_and(|floor| uncertainty_bound(&sums, &known, samples) <= floor) {
             return Ok(None);
         }
     }
-    Ok(Some(reduce_outcomes(probes, samples, &outcomes, telemetry)))
+    Ok(Some(reduce_outcomes(
+        probes,
+        samples,
+        &outcomes,
+        forks_driven,
+        telemetry,
+    )))
+}
+
+/// The value a valency fork is scored by: the decision of its lowest-pid
+/// process that has not failed, once it holds one. `None` while that
+/// process is undecided, or when every process failed.
+fn scoring_decision<P: Process>(world: &World<P>) -> Option<Bit> {
+    (0..world.n())
+        .map(ProcessId::new)
+        .find(|&pid| !world.status(pid).is_failed())
+        .and_then(|pid| world.process(pid).decision())
 }
 
 /// The largest [`uncertainty`](ValencyEstimate::uncertainty) an estimate
-/// can still reach once `evaluated` of its `samples` forks per probe are
+/// can still reach once `known[p]` of probe `p`'s `samples` outcomes are
 /// in, given each probe's partial score sum `sums[p]`:
-/// `min(1 − min_p S_p/m, max_p (S_p + m − k)/m)`. Each probe's final
-/// `Pr[decide 1]` lies in `[S_p/m, (S_p + m − k)/m]`, and uncertainty is
-/// monotone in both of its terms. At `evaluated = samples` it equals the
-/// final uncertainty bit for bit: the sums are exact in `f64` (multiples
-/// of ½), and the arithmetic matches [`reduce_outcomes`].
-fn uncertainty_bound(sums: &[f64], evaluated: usize, samples: usize) -> f64 {
+/// `min(1 − min_p S_p/m, max_p (S_p + m − k_p)/m)`. Each probe's final
+/// `Pr[decide 1]` lies in `[S_p/m, (S_p + m − k_p)/m]`, and uncertainty
+/// is monotone in both of its terms. Once every `k_p = samples` it equals
+/// the final uncertainty bit for bit: the sums are exact in `f64`
+/// (multiples of ½), and the arithmetic matches [`reduce_outcomes`].
+fn uncertainty_bound(sums: &[f64], known: &[usize], samples: usize) -> f64 {
     let m = samples as f64;
-    let open = (samples - evaluated) as f64;
     let low = sums.iter().map(|&s| s / m).fold(f64::INFINITY, f64::min);
     let high = sums
         .iter()
-        .map(|&s| (s + open) / m)
+        .zip(known)
+        .map(|(&s, &k)| (s + (samples - k) as f64) / m)
         .fold(f64::NEG_INFINITY, f64::max);
     (1.0 - low).min(high)
 }
@@ -407,7 +459,8 @@ fn derive_seed_grid(seed: u64, groups: usize, per_group: usize) -> Vec<u64> {
     out
 }
 
-/// Folds per-unit `(score, undecided)` outcomes into a [`ValencyEstimate`].
+/// Folds per-unit `(score, undecided)` outcomes, `forks_driven` of which
+/// were driven, into a [`ValencyEstimate`].
 ///
 /// Reduces in unit order: float addition is not associative, so the fold
 /// must follow one fixed order. Probe-outcome counters are also tallied
@@ -416,6 +469,7 @@ fn reduce_outcomes<P: Process>(
     probes: &ProbeSet<P>,
     samples: usize,
     outcomes: &[(f64, bool)],
+    forks_driven: usize,
     telemetry: &Telemetry,
 ) -> ValencyEstimate {
     let mut per_probe = Vec::with_capacity(probes.len());
@@ -454,11 +508,8 @@ fn reduce_outcomes<P: Process>(
         per_probe,
         samples_per_probe: samples,
         undecided: undecided_total,
+        forks_driven,
     }
-}
-
-fn first_decision(report: &synran_sim::RunReport) -> Option<Bit> {
-    report.non_faulty().find_map(|pid| report.decision_of(pid))
 }
 
 #[cfg(test)]
@@ -520,6 +571,7 @@ mod tests {
             per_probe: vec![],
             samples_per_probe: 1,
             undecided: 0,
+            forks_driven: 0,
         };
         assert_eq!(classify_with(&mk(0.0, 1.0), 0.1, 0.9), Valence::Bivalent);
         assert_eq!(classify_with(&mk(0.0, 0.5), 0.1, 0.9), Valence::ZeroValent);
@@ -539,6 +591,7 @@ mod tests {
             per_probe: vec![],
             samples_per_probe: 1,
             undecided: 0,
+            forks_driven: 0,
         };
         // At round k = 0 with n = 100: lo = 0.1; a min of 0.05 is "0 still
         // reachable". By round k = 10, lo = 0.1 − 0.1 = 0 and nothing is
@@ -608,22 +661,26 @@ mod tests {
     fn cutoff_bound_never_undercuts_the_final_uncertainty() {
         // Fixed-seed property: for random outcome grids (probe counts 1–5,
         // 1–9 samples, per-probe biases from always-0 to always-1, with
-        // undecided ½ scores mixed in), the bound after every sweep prefix
-        // is ≥ the final uncertainty, and after the last sweep it *is* the
-        // final uncertainty, bit for bit.
+        // undecided ½ scores mixed in, and some probes replicated — one
+        // outcome in every sample, all known after sweep 0), the bound
+        // after every sweep prefix is ≥ the final uncertainty, and after
+        // the last sweep it *is* the final uncertainty, bit for bit.
         let mut rng = SimRng::new(0xB0D);
         for _ in 0..5_000 {
             let groups = 1 + rng.index(5);
             let samples = 1 + rng.index(9);
             let mut probes: ProbeSet<SynRanProcess> = ProbeSet::new();
             for g in 0..groups {
-                probes = probes.with_probe(format!("p{g}"), |_| Box::new(Passive));
+                probes = probes.with_probe(format!("p{g}"), || Box::new(Passive));
             }
+            let replicated: Vec<bool> = (0..groups).map(|_| rng.chance(0.4)).collect();
             let mut outcomes = Vec::with_capacity(groups * samples);
-            for _ in 0..groups {
+            for &copies in &replicated {
                 let bias = rng.index(5) as f64 / 4.0;
-                for _ in 0..samples {
-                    outcomes.push(if rng.chance(0.2) {
+                for s in 0..samples {
+                    outcomes.push(if copies && s > 0 {
+                        outcomes[outcomes.len() - 1]
+                    } else if rng.chance(0.2) {
                         (0.5, true)
                     } else {
                         (if rng.chance(bias) { 1.0 } else { 0.0 }, false)
@@ -631,20 +688,30 @@ mod tests {
                 }
             }
             let exact =
-                reduce_outcomes(&probes, samples, &outcomes, &Telemetry::off()).uncertainty();
+                reduce_outcomes(&probes, samples, &outcomes, 0, &Telemetry::off()).uncertainty();
             for evaluated in 0..=samples {
+                let known: Vec<usize> = replicated
+                    .iter()
+                    .map(|&copies| {
+                        if copies && evaluated > 0 {
+                            samples
+                        } else {
+                            evaluated
+                        }
+                    })
+                    .collect();
                 let sums: Vec<f64> = (0..groups)
                     .map(|g| {
-                        outcomes[g * samples..g * samples + evaluated]
+                        outcomes[g * samples..g * samples + known[g]]
                             .iter()
                             .map(|&(score, _)| score)
                             .sum()
                     })
                     .collect();
-                let bound = uncertainty_bound(&sums, evaluated, samples);
+                let bound = uncertainty_bound(&sums, &known, samples);
                 assert!(
                     bound >= exact,
-                    "bound {bound} < final {exact} after {evaluated}/{samples}: {outcomes:?}"
+                    "bound {bound} < final {exact} at {known:?}/{samples}: {outcomes:?}"
                 );
                 if evaluated == samples {
                     assert_eq!(bound.to_bits(), exact.to_bits());
@@ -711,10 +778,223 @@ mod tests {
         assert!(cut > 0, "no floor ever cut");
     }
 
+    /// Every `(probe, sample)` fork driven and folded, none replicated: the
+    /// estimate [`estimate_valency`] must equal bit for bit.
+    fn reference_estimate<P>(
+        world: &World<P>,
+        probes: &ProbeSet<P>,
+        samples: usize,
+        horizon: u32,
+        seed: u64,
+    ) -> ValencyEstimate
+    where
+        P: Process + Clone,
+    {
+        let fork_seeds = derive_seed_grid(seed, probes.len(), samples);
+        let base = world.fork_bounded(seed, horizon);
+        let outcomes: Vec<(f64, bool)> = (0..probes.len() * samples)
+            .map(|unit| {
+                let mut fork = base.fork(fork_seeds[unit]);
+                let mut adversary = (probes.factories[unit / samples].1)();
+                match fork.drive_until(&mut adversary, |w| scoring_decision(w).is_some()) {
+                    Ok(()) => match scoring_decision(&fork) {
+                        Some(bit) => (f64::from(u8::from(bit.is_one())), false),
+                        None => (0.5, true),
+                    },
+                    Err(SimError::MaxRoundsExceeded { .. }) => (0.5, true),
+                    Err(other) => panic!("reference fork failed: {other}"),
+                }
+            })
+            .collect();
+        reduce_outcomes(
+            probes,
+            samples,
+            &outcomes,
+            outcomes.len(),
+            &Telemetry::off(),
+        )
+    }
+
+    #[test]
+    fn replication_matches_running_every_fork() {
+        // Random mid-run worlds: near-even inputs, up to one passive round,
+        // then a random candidate kill set on a fork, probed at caps from
+        // n/4 to 3n/4. The estimate equals the every-fork reference bit
+        // for bit, and with floors around its score the cutoff fires
+        // exactly when the score is ≤ the floor.
+        let protocol = SynRan::new();
+        let mut rng = SimRng::new(0x5EED);
+        let (mut replicated, mut sampled, mut cut) = (0, 0, 0);
+        for trial in 0..32u64 {
+            let n = 8 + rng.index(25);
+            let ones = n / 2 + rng.index(3);
+            let cap = n / 4 + rng.index(n / 2);
+            let mut world = World::new(
+                SimConfig::new(n)
+                    .faults(n - 1)
+                    .seed(trial)
+                    .max_rounds(5_000),
+                |pid| protocol.spawn(pid, n, Bit::from(pid.index() < ones)),
+            )
+            .unwrap();
+            for _ in 0..rng.index(2) {
+                world.phase_a().unwrap();
+                world.deliver(Intervention::none()).unwrap();
+            }
+            world.phase_a().unwrap();
+            let alive: Vec<ProcessId> = world.alive_ids().collect();
+            let kills = rng.index(3);
+            let candidate = Intervention::kill_all_silent(
+                rng.sample_indices(alive.len(), kills)
+                    .into_iter()
+                    .map(|i| alive[i]),
+            );
+            let mut fork = world.fork_bounded(trial, 30);
+            fork.deliver(candidate).unwrap();
+            let probes = ProbeSet::synran(cap);
+            let samples = 2 + rng.index(6);
+            let est = estimate_valency(&fork, &probes, samples, 30, trial).unwrap();
+            let reference = reference_estimate(&fork, &probes, samples, 30, trial);
+            assert_eq!(reference.forks_driven(), probes.len() * samples);
+            assert_eq!(
+                ValencyEstimate {
+                    forks_driven: reference.forks_driven(),
+                    ..est.clone()
+                },
+                reference,
+                "trial {trial}"
+            );
+            // forks = r + (probes − r)·samples for r replicated probes.
+            let r = (probes.len() * samples - est.forks_driven()) / (samples - 1);
+            replicated += r;
+            sampled += probes.len() - r;
+            let score = reference.uncertainty();
+            for floor in [score - 0.5, score - 1e-9, score, score + 0.125] {
+                let above = estimate_valency_above(&fork, &probes, samples, 30, trial, Some(floor))
+                    .unwrap();
+                match above {
+                    None => {
+                        assert!(score <= floor, "cut at floor {floor}, full score {score}");
+                        cut += 1;
+                    }
+                    Some(above) => {
+                        assert!(score > floor, "floor {floor} not cut, full score {score}");
+                        assert_eq!(above, est);
+                    }
+                }
+            }
+        }
+        assert!(replicated > 0, "no probe ran coin-free");
+        assert!(sampled > 0, "no probe drew a coin");
+        assert!(cut > 0, "no floor ever cut");
+    }
+
+    /// Broadcasts its input; decides it after `decide` rounds and halts
+    /// after `halt`. Once a message has gone missing it asks for its coin
+    /// stream in every `send`, and ignores what it gets.
+    #[derive(Debug, Clone)]
+    struct Steady {
+        input: Bit,
+        decide: u32,
+        halt: u32,
+        elapsed: u32,
+        lost: bool,
+    }
+
+    impl Steady {
+        fn world(n: usize, decide: u32, halt: u32) -> World<Steady> {
+            World::new(SimConfig::new(n).faults(n - 1).seed(1), |_| Steady {
+                input: Bit::One,
+                decide,
+                halt,
+                elapsed: 0,
+                lost: false,
+            })
+            .unwrap()
+        }
+    }
+
+    impl Process for Steady {
+        type Msg = Bit;
+
+        fn send(&mut self, ctx: &mut synran_sim::Context<'_>) -> synran_sim::SendPattern<Bit> {
+            if self.lost {
+                let _ = ctx.rng();
+            }
+            synran_sim::SendPattern::Broadcast(self.input)
+        }
+
+        fn receive(&mut self, ctx: &mut synran_sim::Context<'_>, inbox: &synran_sim::Inbox<Bit>) {
+            self.elapsed += 1;
+            self.lost |= inbox.len() < ctx.n();
+        }
+
+        fn decision(&self) -> Option<Bit> {
+            (self.elapsed >= self.decide).then_some(self.input)
+        }
+
+        fn halted(&self) -> bool {
+            self.elapsed >= self.halt
+        }
+    }
+
+    #[test]
+    fn asking_for_the_rng_clears_replication_for_that_probe() {
+        // Passive play loses no message, so no `Steady` asks for its
+        // stream: one fork stands for all five samples. Under the killer a
+        // message goes missing in round 1 and every process asks (and
+        // ignores the answer) from round 2 on: all five forks run, though
+        // they play out the same.
+        let probes: ProbeSet<Steady> = ProbeSet::new()
+            .with_probe("passive", || Box::new(Passive))
+            .with_probe("killer", || Box::new(crate::RandomKiller::new(1, 0)));
+        let est = estimate_valency(&Steady::world(6, 3, 3), &probes, 5, 20, 7).unwrap();
+        assert_eq!(est.forks_driven(), 1 + 5);
+        assert_eq!((est.min_p1(), est.max_p1(), est.undecided()), (1.0, 1.0, 0));
+        // The control: decided before the killer's loss is noticed, every
+        // fork stops coin-free.
+        let est = estimate_valency(&Steady::world(6, 1, 3), &probes, 5, 20, 7).unwrap();
+        assert_eq!(est.forks_driven(), 2);
+    }
+
+    #[test]
+    fn a_fork_decided_inside_the_horizon_scores_its_value() {
+        // Every process decides 1 after one round but runs for 50: the
+        // fork stops at its decision, so a horizon of 5 scores 1, where a
+        // fork driven to completion would have hit the horizon and scored
+        // ½. Deciding after 10 rounds is past the horizon: ½, undecided.
+        let probes: ProbeSet<Steady> = ProbeSet::new().with_probe("passive", || Box::new(Passive));
+        let est = estimate_valency(&Steady::world(4, 1, 50), &probes, 3, 5, 2).unwrap();
+        assert_eq!((est.min_p1(), est.max_p1(), est.undecided()), (1.0, 1.0, 0));
+        let est = estimate_valency(&Steady::world(4, 10, 50), &probes, 3, 5, 2).unwrap();
+        assert_eq!((est.min_p1(), est.max_p1(), est.undecided()), (0.5, 0.5, 3));
+    }
+
+    #[test]
+    fn e3_fixture_fork_count_is_pinned() {
+        // E3's shape at n = 32: split inputs, the paper cap, E3's probe
+        // horizon, 8 samples, scored from the paused round-1 world.
+        // Running every fork drives probes × samples = 32, as the
+        // estimator did before coin-free forks were replicated; here
+        // passive and kill-ones run coin-free (one fork each), kill-zeros
+        // and the balancer draw coins (eight each).
+        let n = 32;
+        let cap = synran_core::per_round_kill_budget(n).ceil() as usize + 1;
+        let horizon = 3 * (n as f64).sqrt() as u32 + 20;
+        let mut world = world_with_inputs(n, n - 1, n / 2, 3);
+        world.phase_a().unwrap();
+        let probes = ProbeSet::synran(cap);
+        let est = estimate_valency(&world, &probes, 8, horizon, 3).unwrap();
+        assert!(est.forks_driven() < probes.len() * 8);
+        assert_eq!(est.forks_driven(), 18, "{est:?}");
+        // A work count, not telemetry: the same with telemetry attached.
+        world.set_telemetry(Telemetry::new(synran_sim::TelemetryMode::Counters));
+        let counted = estimate_valency(&world, &probes, 8, horizon, 3).unwrap();
+        assert_eq!(counted, est);
+    }
+
     #[test]
     fn probe_set_builders() {
-        let generic: ProbeSet<SynRanProcess> = ProbeSet::generic(2);
-        assert_eq!(generic.len(), 2);
         let syn = ProbeSet::synran(2);
         assert_eq!(syn.len(), 4);
         assert!(!syn.is_empty());

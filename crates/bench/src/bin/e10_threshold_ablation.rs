@@ -16,6 +16,7 @@
 //! margins costing latency.
 
 use std::io::Write;
+use std::process::ExitCode;
 
 use synran_adversary::{Balancer, BoundaryAttack};
 use synran_analysis::{fmt_f64, Summary, Table};
@@ -53,8 +54,8 @@ fn violation_rate(
     ))
 }
 
-fn main() {
-    synran_bench::main(&["n", "runs", "seed"], &[], run);
+fn main() -> ExitCode {
+    synran_bench::main(&["n", "runs", "seed"], &[], run)
 }
 
 fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {

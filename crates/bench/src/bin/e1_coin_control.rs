@@ -10,6 +10,7 @@
 //! of sampled input vectors from which the searcher forces that outcome.
 
 use std::io::Write;
+use std::process::ExitCode;
 
 use synran_analysis::{fmt_f64, Table};
 use synran_bench::{count, Error};
@@ -43,8 +44,8 @@ fn run_game<G: CoinGame>(game: &G, n: usize, samples: usize, seed: u64, table: &
     }
 }
 
-fn main() {
-    synran_bench::main(&["samples", "seed"], &["fast"], run);
+fn main() -> ExitCode {
+    synran_bench::main(&["samples", "seed"], &["fast"], run)
 }
 
 fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {

@@ -8,6 +8,7 @@
 //! (`α = 1/n`, `l = h = 4√(n·ln n)` ⇒ bound `1 − 1/n`).
 
 use std::io::Write;
+use std::process::ExitCode;
 
 use synran_analysis::{fmt_f64, Table};
 use synran_bench::Error;
@@ -16,13 +17,18 @@ use synran_lab::cli::Options;
 use synran_lab::presets::{banner, section};
 use synran_sim::SimRng;
 
-fn main() {
-    synran_bench::main(&["max-dim", "seed"], &[], run);
+fn main() -> ExitCode {
+    synran_bench::main(&["max-dim", "seed"], &[], run)
 }
 
 fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {
     let seed = opts.number("seed")?.unwrap_or(2);
-    let max_dim = opts.number::<usize>("max-dim")?.unwrap_or(16).min(20) as u32;
+    // The exact blow-up walks the whole cube: 2^20 points is the largest
+    // it is run on.
+    let max_dim: u32 = opts.number("max-dim")?.unwrap_or(16);
+    if max_dim > 20 {
+        return Err(format!("--max-dim must be at most 20, got {max_dim}").into());
+    }
 
     banner(
         out,

@@ -7,10 +7,12 @@
 //! report --format folded` aggregates; `--telemetry counters` (or `off`)
 //! picks the lighter modes.
 
-fn main() {
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
     synran_bench::preset(
         include_str!("../../../../campaigns/e3.campaign"),
         &["runs", "samples"],
         &[16, 24],
-    );
+    )
 }

@@ -6,10 +6,12 @@
 //! `results/e4_synran_upper.telemetry.jsonl` carries the representative
 //! run's counters; `--telemetry spans` (or `off`) picks the other modes.
 
-fn main() {
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
     synran_bench::preset(
         include_str!("../../../../campaigns/e4.campaign"),
         &["runs"],
         &[32, 64],
-    );
+    )
 }

@@ -13,6 +13,7 @@
 //!   trimming a unanimous-1 population worthless.
 
 use std::io::Write;
+use std::process::ExitCode;
 
 use synran_analysis::{deterministic_rounds, fmt_f64, tight_bound_rounds, Table};
 use synran_bench::{count, Error};
@@ -22,8 +23,8 @@ use synran_lab::presets::{banner, section};
 use synran_lab::{run_cell_batch, write_run_artifact, Cell};
 use synran_sim::{Telemetry, TelemetryMode};
 
-fn main() {
-    synran_bench::main(&["n", "runs", "seed", "telemetry"], &[], run);
+fn main() -> ExitCode {
+    synran_bench::main(&["n", "runs", "seed", "telemetry"], &[], run)
 }
 
 fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {

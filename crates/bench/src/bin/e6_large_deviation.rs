@@ -12,10 +12,12 @@
 //! `results/e6_large_deviation.telemetry.jsonl` carries the analysis
 //! counters; `--telemetry spans` (or `off`) picks the other modes.
 
-fn main() {
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
     synran_bench::preset(
         include_str!("../../../../campaigns/e6.campaign"),
         &["trials"],
         &[],
-    );
+    )
 }

@@ -6,10 +6,12 @@
 //! `results/e7_t_sweep.telemetry.jsonl` carries the representative run's
 //! counters; `--telemetry spans` (or `off`) picks the other modes.
 
-fn main() {
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
     synran_bench::preset(
         include_str!("../../../../campaigns/e7.campaign"),
         &["runs"],
         &[256],
-    );
+    )
 }

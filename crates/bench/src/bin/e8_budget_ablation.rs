@@ -9,6 +9,7 @@
 //! cap, which should reduce both spend *and* stalling power together.
 
 use std::io::Write;
+use std::process::ExitCode;
 
 use synran_analysis::{fmt_f64, Accumulator, Table};
 use synran_bench::{count, Error};
@@ -49,8 +50,8 @@ fn law(p: usize) -> f64 {
     ((p as f64) * ln_clamped(p)).sqrt()
 }
 
-fn main() {
-    synran_bench::main(&["n", "runs", "seed"], &[], run);
+fn main() -> ExitCode {
+    synran_bench::main(&["n", "runs", "seed"], &[], run)
 }
 
 fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {

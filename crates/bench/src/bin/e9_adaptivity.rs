@@ -15,6 +15,7 @@
 //!   bound promises.
 
 use std::io::Write;
+use std::process::ExitCode;
 
 use synran_adversary::{Balancer, LeaderHunter, Oblivious};
 use synran_analysis::{fmt_f64, Summary, Table};
@@ -63,8 +64,8 @@ where
     Ok((s.mean(), s.ci95_halfwidth(), Summary::of_u32(&kills).mean()))
 }
 
-fn main() {
-    synran_bench::main(&["runs", "seed"], &["fast"], run);
+fn main() -> ExitCode {
+    synran_bench::main(&["runs", "seed"], &["fast"], run)
 }
 
 fn run(opts: &Options, out: &mut dyn Write) -> Result<(), Error> {

@@ -14,8 +14,9 @@
 #![forbid(unsafe_code)]
 
 use std::io::Write;
+use std::process::ExitCode;
 
-use synran_lab::cli::Options;
+use synran_lab::cli::{self, Options};
 use synran_lab::{presets, CampaignSpec, Engine};
 use synran_sim::{Telemetry, TelemetryMode};
 
@@ -23,25 +24,19 @@ use synran_sim::{Telemetry, TelemetryMode};
 pub type Error = Box<dyn std::error::Error>;
 
 /// Runs an experiment binary taking the `--key value` options `values`
-/// and the bare `flags`: `run` writes into a buffer, which goes to stdout
-/// only on success. A bad option or a failed run prints `error: …` to
-/// stderr, nothing to stdout, and exits 1.
+/// and the bare `flags`, under [`cli::run_buffered`]: `run` writes into a
+/// buffer, which goes to stdout only on success. A bad option, a failed
+/// run or a failed write prints `error: …` to stderr, nothing to stdout,
+/// and exits 1.
 pub fn main(
     values: &[&str],
     flags: &[&str],
     run: impl FnOnce(&Options, &mut dyn Write) -> Result<(), Error>,
-) {
-    let result = Options::parse(std::env::args().skip(1), values, flags, 0)
-        .map_err(Error::from)
-        .and_then(|opts| {
-            let mut buf = Vec::new();
-            run(&opts, &mut buf)?;
-            Ok(std::io::stdout().write_all(&buf)?)
-        });
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
+) -> ExitCode {
+    cli::run_buffered(|out| {
+        let opts = Options::parse(std::env::args().skip(1), values, flags, 0)?;
+        run(&opts, out)
+    })
 }
 
 /// The integer option `--key`, or `default`, for a count the experiment
@@ -60,16 +55,20 @@ pub fn count(opts: &Options, key: &str, default: usize) -> Result<usize, Error> 
 /// Runs a preset binary: the campaign `spec`, with `--seed`,
 /// `--telemetry` and each of `keys` set through [`CampaignSpec::set`],
 /// `--fast` (if `fast` is non-empty) sweeping `n` over `fast`, on
-/// `--threads` workers.
-pub fn preset(spec: &str, keys: &[&str], fast: &[usize]) {
+/// `--threads` workers. Every key in `keys` is a count (`--runs`,
+/// `--samples`, `--trials`), so zero is refused as by [`count`].
+pub fn preset(spec: &str, keys: &[&str], fast: &[usize]) -> ExitCode {
     let mut values = vec!["seed", "telemetry", "threads"];
     values.extend(keys);
     let flags: &[&str] = if fast.is_empty() { &[] } else { &["fast"] };
     main(&values, flags, |opts, out| {
         let mut spec = CampaignSpec::parse(spec, "preset")?;
-        for &key in ["seed"].iter().chain(keys) {
-            if let Some(value) = opts.number::<u64>(key)? {
-                spec.set(key, value)?;
+        if let Some(seed) = opts.number::<u64>("seed")? {
+            spec.set("seed", seed)?;
+        }
+        for &key in keys {
+            if opts.get(key).is_some() {
+                spec.set(key, count(opts, key, 0)?)?;
             }
         }
         if let Some(mode) = opts.get("telemetry") {
@@ -82,5 +81,5 @@ pub fn preset(spec: &str, keys: &[&str], fast: &[usize]) {
         let telemetry = Telemetry::new(spec.telemetry_mode()?);
         let mut engine = Engine::new(opts.number("threads")?.unwrap_or(0), telemetry);
         Ok(presets::run_campaign(&spec, &mut engine, out)?)
-    });
+    })
 }

@@ -1,7 +1,7 @@
 //! Every experiment binary rejects a bad option the same way: exit 1, an
-//! `error:` line on stderr, and nothing on stdout. The three kinds are an
-//! option the binary does not take, a malformed integer, and a zero count
-//! the experiment cannot run with.
+//! `error:` line on stderr, and nothing on stdout. The kinds are an
+//! option the binary does not take, a malformed integer, a zero count the
+//! experiment cannot run with, and a size past what it can run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -20,12 +20,21 @@ const CASES: [(&str, &str, &[&[&str]]); 10] = [
     (
         "e2_blowup",
         env!("CARGO_BIN_EXE_e2_blowup"),
-        &[&["--bogus", "1"], &["--max-dim", "abc"]],
+        &[
+            &["--bogus", "1"],
+            &["--max-dim", "abc"],
+            &["--max-dim", "24"],
+        ],
     ),
     (
         "e3_lower_bound",
         env!("CARGO_BIN_EXE_e3_lower_bound"),
-        &[&["--bogus", "1"], &["--runs", "abc"], &["--runs", "0"]],
+        &[
+            &["--bogus", "1"],
+            &["--runs", "abc"],
+            &["--runs", "0"],
+            &["--samples", "0"],
+        ],
     ),
     (
         "e4_synran_upper",
@@ -64,8 +73,12 @@ const CASES: [(&str, &str, &[&[&str]]); 10] = [
     ),
 ];
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("synran-bench-options-{}", std::process::id()));
+/// A fresh scratch dir for one test (tests run in parallel threads).
+fn tmpdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "synran-bench-options-{test}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -73,7 +86,7 @@ fn tmpdir() -> PathBuf {
 
 #[test]
 fn bad_options_fail_cleanly_in_every_binary() {
-    let dir = tmpdir();
+    let dir = tmpdir("bad");
     for (name, exe, bad) in CASES {
         for args in bad {
             let out = Command::new(exe)
@@ -92,5 +105,36 @@ fn bad_options_fail_cleanly_in_every_binary() {
         !dir.join("results").exists(),
         "a rejected run wrote results/"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn range_errors_name_the_option() {
+    let dir = tmpdir("range");
+    for (exe, args, message) in [
+        (
+            env!("CARGO_BIN_EXE_e2_blowup"),
+            ["--max-dim", "24"],
+            "error: --max-dim must be at most 20",
+        ),
+        (
+            env!("CARGO_BIN_EXE_e3_lower_bound"),
+            ["--samples", "0"],
+            "error: --samples must be at least 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_e3_lower_bound"),
+            ["--runs", "0"],
+            "error: --runs must be at least 1",
+        ),
+    ] {
+        let out = Command::new(exe)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn experiment binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(message), "{args:?}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,8 +4,13 @@
 //! anything else is an error, never a silently ignored knob. A value
 //! option always takes the next word (so `--bias -1` works); a bare flag
 //! never does (so the word after `--fresh` stays a positional).
+//! [`run_buffered`] is the one output policy every such command runs
+//! under.
 
 use std::collections::HashMap;
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
 use std::str::FromStr;
 
 /// A parsed command line: option values, bare flags, positional words.
@@ -84,6 +89,27 @@ impl Options {
     #[must_use]
     pub fn words(&self) -> &[String] {
         &self.words
+    }
+}
+
+/// Runs a command whose `body` writes its output into a buffer, which goes
+/// to stdout, flushed, only once `body` succeeds. A failed `body` prints
+/// `error: …` to stderr and nothing to stdout; a failed write to stdout
+/// (a closed pipe, a full disk) prints its `error: …` line too. Either way
+/// the command exits 1 instead of panicking.
+pub fn run_buffered(body: impl FnOnce(&mut dyn Write) -> Result<(), Box<dyn Error>>) -> ExitCode {
+    let mut buf = Vec::new();
+    let result = body(&mut buf).and_then(|()| {
+        let mut stdout = std::io::stdout().lock();
+        stdout.write_all(&buf)?;
+        Ok(stdout.flush()?)
+    });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 

@@ -89,6 +89,7 @@ pub struct Context<'a> {
     n: usize,
     round: Round,
     rng: &'a mut SimRng,
+    used_rng: bool,
 }
 
 impl<'a> Context<'a> {
@@ -96,7 +97,13 @@ impl<'a> Context<'a> {
     /// process by hand.
     #[must_use]
     pub fn new(pid: ProcessId, n: usize, round: Round, rng: &'a mut SimRng) -> Context<'a> {
-        Context { pid, n, round, rng }
+        Context {
+            pid,
+            n,
+            round,
+            rng,
+            used_rng: false,
+        }
     }
 
     /// This process's identity.
@@ -120,9 +127,19 @@ impl<'a> Context<'a> {
     /// The round's private random stream for this process.
     ///
     /// Draws are reproducible across replays and independent across
-    /// `(process, round, phase)` triples.
+    /// `(process, round, phase)` triples. Asking for the stream counts as
+    /// using it, whether or not anything is drawn: see
+    /// [`used_rng`](Context::used_rng).
     pub fn rng(&mut self) -> &mut SimRng {
+        self.used_rng = true;
         self.rng
+    }
+
+    /// Whether [`rng`](Context::rng) was called on this context. A call
+    /// that never asked for its stream behaved the same under every seed.
+    #[must_use]
+    pub fn used_rng(&self) -> bool {
+        self.used_rng
     }
 }
 
@@ -138,8 +155,11 @@ mod tests {
         assert_eq!(ctx.pid(), ProcessId::new(2));
         assert_eq!(ctx.n(), 10);
         assert_eq!(ctx.round(), Round::new(3));
-        // The rng is usable through the context.
+        assert!(!ctx.used_rng());
+        // The rng is usable through the context, and asking for it is
+        // recorded.
         let _ = ctx.rng().bit();
+        assert!(ctx.used_rng());
     }
 
     /// The doc-example process, reused as a smoke test of the trait.

@@ -305,6 +305,9 @@ pub struct World<P: Process> {
     trace: Trace,
     telemetry: Telemetry,
     seed: u64,
+    /// Set once any `send` or `receive` since this world was built or
+    /// forked asked for its coin stream ([`Context::rng`]).
+    used_rng: bool,
     /// Bit `i` set iff process `i` is [`ProcessStatus::Alive`] — kept in
     /// lockstep with `slots` so liveness queries (and the adversaries'
     /// candidate-mask algebra) are popcounts instead of status scans.
@@ -344,6 +347,7 @@ impl<P: Process> World<P> {
         };
         Ok(World {
             seed: cfg.seed_value(),
+            used_rng: false,
             budget: FaultBudget::new(cfg.t()),
             metrics: Metrics::new(n),
             trace,
@@ -488,6 +492,18 @@ impl<P: Process> World<P> {
         self.seed
     }
 
+    /// Whether any [`Process::send`] or [`Process::receive`] since this
+    /// world was built or [forked](World::fork) asked for its coin stream
+    /// ([`Context::rng`]).
+    ///
+    /// A fork that never did played out without reading its seed: under
+    /// an adversary that does not read [`seed`](World::seed) either, every
+    /// fork of the same world plays out the same, whatever its seed.
+    #[must_use]
+    pub fn used_rng(&self) -> bool {
+        self.used_rng
+    }
+
     /// `true` once no process is actively participating (every process has
     /// halted or been failed).
     #[must_use]
@@ -531,6 +547,7 @@ impl<P: Process> World<P> {
             let mut rng = SimRng::stream(self.seed, pid, round, StreamPhase::Send);
             let mut ctx = Context::new(pid, n, round, &mut rng);
             let pattern = self.slots[i].proc.send(&mut ctx);
+            self.used_rng |= ctx.used_rng();
             validate_pattern(&pattern, pid, n)?;
             self.note_decision(pid);
             self.outboxes[i] = Some(pattern);
@@ -853,6 +870,7 @@ impl<P: Process> World<P> {
             let mut rng = SimRng::stream(self.seed, pid, round, StreamPhase::Receive);
             let mut ctx = Context::new(pid, n, round, &mut rng);
             self.slots[i].proc.receive(&mut ctx, &inbox);
+            self.used_rng |= ctx.used_rng();
             let mut buffer = inbox.into_messages();
             buffer.clear();
             self.scratch.inboxes[i] = buffer;
@@ -917,6 +935,7 @@ impl<P: Process> World<P> {
             } else {
                 self.slots[i].proc.receive(&mut ctx, &base);
             }
+            self.used_rng |= ctx.used_rng();
             self.note_decision(pid);
             if self.slots[i].proc.halted() {
                 self.slots[i].status = ProcessStatus::Halted(round);
@@ -976,10 +995,26 @@ impl<P: Process> World<P> {
     /// [`SimError::MaxRoundsExceeded`] if the execution outlives the
     /// configured limit.
     pub fn drive<A: Adversary<P>>(&mut self, adversary: &mut A) -> Result<(), SimError> {
+        self.drive_until(adversary, |_| false)
+    }
+
+    /// [`drive`](World::drive) that also stops, between rounds, as soon as
+    /// `done` holds for the world: before the first round, and after each
+    /// delivery.
+    ///
+    /// # Errors
+    ///
+    /// As [`drive`](World::drive): a world that reaches its round limit
+    /// before `done` holds returns [`SimError::MaxRoundsExceeded`].
+    pub fn drive_until<A: Adversary<P>>(
+        &mut self,
+        adversary: &mut A,
+        mut done: impl FnMut(&World<P>) -> bool,
+    ) -> Result<(), SimError> {
         // Guards own their hub handle, so holding one across `&mut self`
         // calls is fine.
         let _span = self.telemetry.span("world.drive");
-        while !self.finished() {
+        while !self.finished() && !done(self) {
             if self.round.index() > self.cfg.max_rounds_value() {
                 return Err(SimError::MaxRoundsExceeded {
                     limit: self.cfg.max_rounds_value(),
@@ -1029,9 +1064,9 @@ impl<P: Process> World<P> {
     /// forks share.
     ///
     /// Call this instead of plain `drop` on paths that abandon a fork
-    /// without [`into_report`](World::into_report) — e.g. a valency probe
-    /// that hit its horizon — so the next fork inherits the warmed-up
-    /// buffers.
+    /// without [`into_report`](World::into_report) — e.g. a valency fork,
+    /// which is scored from the world itself — so the next fork inherits
+    /// the warmed-up buffers.
     pub fn retire(self) {
         self.spares.put(self.scratch);
     }
@@ -1057,7 +1092,8 @@ where
     ///
     /// The copy has identical process states, statuses, queued outboxes,
     /// budget, and round position — but coins not yet flipped will differ
-    /// between forks with different seeds. This is the primitive behind
+    /// between forks with different seeds. Its
+    /// [`used_rng`](World::used_rng) starts clear. This is the primitive behind
     /// Monte-Carlo valency estimation: fork the paused world many times,
     /// resume each under a reference adversary, and observe the empirical
     /// distribution of decisions. `fork(self.seed())` replays this world's
@@ -1087,6 +1123,7 @@ where
             trace: Trace::disabled(),
             telemetry: Telemetry::off(),
             seed,
+            used_rng: false,
             alive: self.alive.clone(),
             scratch: self.spares.take(self.cfg.n()),
             spares: Arc::clone(&self.spares),
@@ -1317,6 +1354,44 @@ mod tests {
         assert_eq!(twin_report.decisions(), report.decisions());
         assert_eq!(twin_report.metrics(), report.metrics());
         assert_ne!(coins(&other), coins(&w), "a new seed flips new coins");
+    }
+
+    #[test]
+    fn used_rng_tracks_coin_streams_since_the_last_fork() {
+        let mut w = World::new(SimConfig::new(4).seed(3), |_| CoinCaller::new(5)).unwrap();
+        assert!(!w.used_rng(), "a fresh world has asked for nothing");
+        w.phase_a().unwrap();
+        assert!(w.used_rng(), "CoinCaller flips in send");
+        let mut fork = w.fork(9);
+        assert!(!fork.used_rng(), "fork clears the flag");
+        assert!(w.used_rng(), "the parent keeps its own");
+        // The pending round's coins were flipped before the fork.
+        fork.deliver(Intervention::none()).unwrap();
+        assert!(!fork.used_rng(), "receive asks for nothing");
+        fork.phase_a().unwrap();
+        assert!(fork.used_rng(), "a coin-flip round sets it");
+        assert!(!fork.fork(10).used_rng(), "and a fork of the fork is clear");
+
+        // A process that never asks stays clear for the whole run.
+        let mut still =
+            World::new(SimConfig::new(4).seed(3), |_| CountDown::new(3, Bit::One)).unwrap();
+        still.run(&mut Passive).unwrap();
+        assert!(!still.used_rng());
+    }
+
+    #[test]
+    fn drive_until_stops_between_rounds() {
+        let mut w = World::new(SimConfig::new(4).seed(3), |_| CountDown::new(5, Bit::One)).unwrap();
+        w.drive_until(&mut Passive, |w| w.round().index() == 3)
+            .unwrap();
+        assert_eq!(w.round().index(), 3);
+        assert!(!w.awaiting_delivery());
+        assert!(!w.finished());
+        // Holding before the first round runs nothing.
+        w.drive_until(&mut Passive, |_| true).unwrap();
+        assert_eq!(w.round().index(), 3);
+        w.drive_until(&mut Passive, |_| false).unwrap();
+        assert!(w.finished());
     }
 
     /// Scratch buffers parked in `world`'s shared pool.

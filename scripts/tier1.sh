@@ -184,6 +184,16 @@ if ./target/release/synran batch --bogus 1 >/dev/null 2>&1; then
     exit 1
 fi
 echo "batch smoke OK: batch artifact passes --check, unknown option rejected"
+# A command whose stdout cannot be written (here a full disk) must fail
+# with an `error:` line and exit 1, not panic with exit 101.
+full_status=0
+./target/release/synran list > /dev/full 2> "$scratch/full.err" || full_status=$?
+[ "$full_status" -ne 101 ] || { echo "synran list > /dev/full exited 101"; exit 1; }
+if grep -q panicked "$scratch/full.err"; then
+    echo "synran list > /dev/full panicked: $(cat "$scratch/full.err")"
+    exit 1
+fi
+echo "write-error smoke OK: synran list > /dev/full exits $full_status without a panic"
 # Every committed artifact must still pass --check (a line counts only if
 # it parses as one JSON object) and render as valid JSON, and so must a
 # fixture whose directory, counter, phase and protocol names all need

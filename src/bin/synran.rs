@@ -13,10 +13,11 @@
 //! same path campaigns take.
 
 use std::error::Error;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
-use synran::lab::cli::Options;
+use synran::lab::cli::{run_buffered, Options};
 use synran::lab::registry::{ADVERSARIES, PROTOCOLS};
 use synran::lab::{
     load_cache, presets, run_cell_batch, run_cell_once, scan_journal, write_telemetry_jsonl,
@@ -155,7 +156,7 @@ fn telemetry_options(opts: &Options) -> Result<(TelemetryMode, Option<&str>), St
 /// `synran run` (run 0 of the cell, the first execution its batch counts)
 /// and `synran batch` (the cell's whole batch, unjournalled, on the
 /// campaign engine's path).
-fn cell_cmd(cmd: &str, args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cell_cmd(cmd: &str, args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let opts = cell_options(cmd, args)?;
     let cell = cli_cell(&opts)?;
     let (mode, telemetry_out) = telemetry_options(&opts)?;
@@ -163,46 +164,56 @@ fn cell_cmd(cmd: &str, args: &[String]) -> Result<(), Box<dyn Error>> {
     if cmd == "run" {
         let trace = opts.flag("trace");
         let (name, verdict) = run_cell_once(&cell, 0, trace, &telemetry)?;
-        println!("protocol    : {name}");
-        println!("adversary   : {}", cell.adversary);
-        println!("n / t / ones: {} / {} / {}", cell.n, cell.t, cell.ones);
-        println!("rounds      : {}", verdict.rounds());
-        println!("kills       : {}", verdict.report().metrics().total_kills());
-        println!("decision    : {:?}", verdict.report().unanimous_decision());
-        println!(
+        writeln!(out, "protocol    : {name}")?;
+        writeln!(out, "adversary   : {}", cell.adversary)?;
+        writeln!(out, "n / t / ones: {} / {} / {}", cell.n, cell.t, cell.ones)?;
+        writeln!(out, "rounds      : {}", verdict.rounds())?;
+        writeln!(
+            out,
+            "kills       : {}",
+            verdict.report().metrics().total_kills()
+        )?;
+        writeln!(
+            out,
+            "decision    : {:?}",
+            verdict.report().unanimous_decision()
+        )?;
+        writeln!(
+            out,
             "correct     : {} (agreement {}, validity {}, termination {})",
             verdict.is_correct(),
             verdict.agreement(),
             verdict.validity(),
             verdict.termination()
-        );
+        )?;
         for v in verdict.violations() {
-            println!("violation   : {v}");
+            writeln!(out, "violation   : {v}")?;
         }
         if trace {
-            println!("\ntrace:");
+            writeln!(out, "\ntrace:")?;
             for e in verdict.report().trace().events() {
-                println!("  {e}");
+                writeln!(out, "  {e}")?;
             }
         }
     } else {
         let threads = opts.number("threads")?.unwrap_or(0);
         let (name, outcome) = run_cell_batch(&cell, threads, &telemetry)?;
         let summary = CellResult::from(&outcome);
-        println!("protocol  : {name}");
-        println!("adversary : {}", cell.adversary);
-        println!("n / t     : {} / {}", cell.n, cell.t);
-        println!("runs      : {}", cell.runs);
-        println!(
+        writeln!(out, "protocol  : {name}")?;
+        writeln!(out, "adversary : {}", cell.adversary)?;
+        writeln!(out, "n / t     : {} / {}", cell.n, cell.t)?;
+        writeln!(out, "runs      : {}", cell.runs)?;
+        writeln!(
+            out,
             "rounds    : mean {:.1}, max {:?}",
             summary.mean_rounds(),
             summary.max_rounds()
-        );
-        println!("kills     : mean {:.1}", summary.mean_kills());
+        )?;
+        writeln!(out, "kills     : mean {:.1}", summary.mean_kills())?;
         let correct = cell.runs - outcome.incorrect().len() - outcome.timeouts();
-        println!("correct   : {correct}/{} runs", cell.runs);
+        writeln!(out, "correct   : {correct}/{} runs", cell.runs)?;
         for (seed, violations) in outcome.incorrect() {
-            println!("  seed {seed}: {violations:?}");
+            writeln!(out, "  seed {seed}: {violations:?}")?;
         }
     }
     if let Some(path) = telemetry_out {
@@ -217,7 +228,7 @@ fn cell_cmd(cmd: &str, args: &[String]) -> Result<(), Box<dyn Error>> {
         ];
         write_telemetry_jsonl(Path::new(path), &meta, &telemetry, &[], cell.n)
             .map_err(|e| format!("--telemetry-out {path}: {e}"))?;
-        println!("telemetry   : {path} ({mode})");
+        writeln!(out, "telemetry   : {path} ({mode})")?;
     }
     Ok(())
 }
@@ -226,13 +237,13 @@ fn cell_cmd(cmd: &str, args: &[String]) -> Result<(), Box<dyn Error>> {
 /// engine (`synran::lab`). Rendered tables go to stdout; engine
 /// bookkeeping (cache hits, journal paths) goes to stderr so campaign
 /// output stays byte-identical to the experiment binaries'.
-fn campaign_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn campaign_cmd(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let (sub, opts) = campaign_options(args)?;
     let spec_path = opts.words().first().map(String::as_str);
     match sub {
-        "status" => campaign_status(spec_path, &opts),
-        "list" => campaign_list(&opts),
-        _ => campaign_run(spec_path, &opts, sub == "run"),
+        "status" => campaign_status(spec_path, &opts, out),
+        "list" => campaign_list(&opts, out),
+        _ => campaign_run(spec_path, &opts, sub == "run", out),
     }
 }
 
@@ -270,6 +281,7 @@ fn campaign_run(
     spec_path: Option<&str>,
     opts: &Options,
     allow_fresh: bool,
+    out: &mut dyn Write,
 ) -> Result<(), Box<dyn Error>> {
     // The numbers first: `--progress` takes the next word even when it is
     // the spec path, which must then fail as a non-integer, not as a
@@ -310,7 +322,7 @@ fn campaign_run(
             spec.name()
         );
     }
-    presets::run_campaign(&spec, &mut engine, &mut std::io::stdout().lock())?;
+    presets::run_campaign(&spec, &mut engine, out)?;
     eprintln!(
         "campaign {}: {} cells executed, {} cache hits → {}",
         spec.name(),
@@ -321,7 +333,11 @@ fn campaign_run(
     Ok(())
 }
 
-fn campaign_status(spec_path: Option<&str>, opts: &Options) -> Result<(), Box<dyn Error>> {
+fn campaign_status(
+    spec_path: Option<&str>,
+    opts: &Options,
+    out: &mut dyn Write,
+) -> Result<(), Box<dyn Error>> {
     let path = spec_path.ok_or("campaign status expects a spec path")?;
     let spec = CampaignSpec::parse_file(Path::new(path))?;
     let cells = presets::campaign_cells(&spec)?;
@@ -345,25 +361,27 @@ fn campaign_status(spec_path: Option<&str>, opts: &Options) -> Result<(), Box<dy
     } else {
         completed as f64 * 100.0 / cells.len() as f64
     };
-    println!("campaign   : {}", spec.name());
-    println!("experiment : {}", spec.experiment());
-    println!("spec hash  : {}", spec.content_hash());
-    println!(
+    writeln!(out, "campaign   : {}", spec.name())?;
+    writeln!(out, "experiment : {}", spec.experiment())?;
+    writeln!(out, "spec hash  : {}", spec.content_hash())?;
+    writeln!(
+        out,
         "progress   : {percent:.1}% complete ({completed}/{} cells, {} pending)",
         cells.len(),
         cells.len() - completed
-    );
+    )?;
     let dropped = if scan.skipped > 0 {
         format!(", {} lines dropped by truncation recovery", scan.skipped)
     } else {
         String::new()
     };
-    println!(
+    writeln!(
+        out,
         "journal    : {} ({} entries{dropped})",
         journal_path.display(),
         scan.entries
-    );
-    println!("last write : {}", last_write_age(&journal_path));
+    )?;
+    writeln!(out, "last write : {}", last_write_age(&journal_path))?;
     Ok(())
 }
 
@@ -390,7 +408,7 @@ fn last_write_age(path: &Path) -> String {
 
 /// `synran report` — deterministic renderings of telemetry and journal
 /// artifacts (`synran::lab::Report`).
-fn report_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn report_cmd(args: &[String], out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let opts = options(
         "report",
         args,
@@ -415,8 +433,8 @@ fn report_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
     if opts.flag("check") {
         return match report.check() {
             Ok(text) => {
-                print!("{text}");
-                println!("check: ok");
+                write!(out, "{text}")?;
+                writeln!(out, "check: ok")?;
                 Ok(())
             }
             Err(text) => Err(format!("stream integrity check failed\n{text}").into()),
@@ -425,16 +443,16 @@ fn report_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
     let format = opts
         .get("format")
         .map_or(Ok(ReportFormat::Table), ReportFormat::parse)?;
-    print!("{}", report.render(format));
+    write!(out, "{}", report.render(format))?;
     Ok(())
 }
 
-fn campaign_list(opts: &Options) -> Result<(), Box<dyn Error>> {
+fn campaign_list(opts: &Options, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let dir = opts.get("dir").unwrap_or("campaigns");
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            println!("no campaign directory at {dir}/");
+            writeln!(out, "no campaign directory at {dir}/")?;
             return Ok(());
         }
         Err(e) => return Err(format!("{dir}: {e}").into()),
@@ -446,7 +464,7 @@ fn campaign_list(opts: &Options) -> Result<(), Box<dyn Error>> {
         .collect();
     specs.sort();
     if specs.is_empty() {
-        println!("no .campaign specs under {dir}/");
+        writeln!(out, "no .campaign specs under {dir}/")?;
         return Ok(());
     }
     for path in specs {
@@ -459,66 +477,64 @@ fn campaign_list(opts: &Options) -> Result<(), Box<dyn Error>> {
                     .iter()
                     .filter(|c| cache.contains_key(&c.content_hash()))
                     .count();
-                println!(
+                writeln!(
+                    out,
                     "{:<16} {:<6} {:>4} cells ({cached} cached)  {}",
                     spec.name(),
                     spec.experiment(),
                     cells.len(),
                     path.display()
-                );
+                )?;
             }
-            Err(e) => println!("{:<16} INVALID: {e}", path.display()),
+            Err(e) => writeln!(out, "{:<16} INVALID: {e}", path.display())?,
         }
     }
     Ok(())
 }
 
 /// `synran list`: the registry's name table, then the experiments.
-fn list() {
-    println!("protocols:");
+fn list(out: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(out, "protocols:")?;
     for p in PROTOCOLS {
-        println!("  {:<12} {}", p.name, p.about);
+        writeln!(out, "  {:<12} {}", p.name, p.about)?;
     }
-    println!();
-    println!("adversaries:   attacks");
+    writeln!(out)?;
+    writeln!(out, "adversaries:   attacks")?;
     for a in ADVERSARIES {
-        println!("  {:<12} {:<18} {}", a.name, a.targets(), a.about);
+        writeln!(out, "  {:<12} {:<18} {}", a.name, a.targets(), a.about)?;
     }
-    println!();
-    println!("experiments (in crates/bench): e1_coin_control e2_blowup e3_lower_bound");
-    println!("            e4_synran_upper e5_protocol_comparison e6_large_deviation");
-    println!("            e7_t_sweep e8_budget_ablation e9_adaptivity e10_threshold_ablation");
-    println!("            → cargo run --release -p synran-bench --bin <name>");
-    println!();
-    println!("campaigns : declarative sweeps under campaigns/ (E3, E4, E6, E7 shipped)");
-    println!("            → synran campaign run campaigns/e3.campaign");
+    write!(
+        out,
+        "
+experiments (in crates/bench): e1_coin_control e2_blowup e3_lower_bound
+            e4_synran_upper e5_protocol_comparison e6_large_deviation
+            e7_t_sweep e8_budget_ablation e9_adaptivity e10_threshold_ablation
+            → cargo run --release -p synran-bench --bin <name>
+
+campaigns : declarative sweeps under campaigns/ (E3, E4, E6, E7 shipped)
+            → synran campaign run campaigns/e3.campaign
+"
+    )
 }
 
+/// Every command writes through [`run_buffered`]: its output reaches
+/// stdout only once it succeeds, and a failure — of the command or of the
+/// write to stdout — is an `error:` line and exit 1.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first().filter(|(cmd, _)| *cmd != "--help") else {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return run_buffered(|out| Ok(writeln!(out, "{USAGE}")?));
     };
-    let result = match cmd.as_str() {
-        "list" => options(cmd, rest, &[], &[], 0)
-            .map(|_| list())
-            .map_err(Into::into),
-        "campaign" => campaign_cmd(rest),
-        "report" => report_cmd(rest),
-        "run" | "batch" => cell_cmd(cmd, rest),
-        _ => {
-            eprintln!("unknown command {cmd:?}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+    run_buffered(|out| match cmd.as_str() {
+        "list" => {
+            options(cmd, rest, &[], &[], 0)?;
+            Ok(list(out)?)
         }
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+        "campaign" => campaign_cmd(rest, out),
+        "report" => report_cmd(rest, out),
+        "run" | "batch" => cell_cmd(cmd, rest, out),
+        _ => Err(format!("unknown command {cmd:?}\n\n{USAGE}").into()),
+    })
 }
 
 #[cfg(test)]
@@ -572,7 +588,9 @@ mod tests {
         let args = owned(&["run", "--progress", "campaigns/e3.campaign"]);
         let (_, opts) = campaign_options(&args).unwrap();
         assert!(opts.words().is_empty());
-        let err = campaign_run(None, &opts, true).unwrap_err().to_string();
+        let err = campaign_run(None, &opts, true, &mut Vec::new())
+            .unwrap_err()
+            .to_string();
         assert_eq!(err, "--progress: not an integer: \"campaigns/e3.campaign\"");
         let err = campaign_options(&owned(&["run", "spec", "--progress"])).unwrap_err();
         assert_eq!(err, "--progress expects a value for `campaign run`");

@@ -4,9 +4,9 @@
 //! is the first execution `batch --seed S` counts, `run --trace` prints
 //! that execution's event trace, `run` takes no `--threads`, bad cells,
 //! unknown options and stray
-//! words fail with an `error:` line instead of a panic, a bare flag never
-//! takes the next word as its value, and `synran list` is generated from
-//! the table.
+//! words fail with an `error:` line instead of a panic, so does a failed
+//! write to stdout, a bare flag never takes the next word as its value,
+//! and `synran list` is generated from the table.
 
 use std::process::{Command, Output};
 
@@ -135,6 +135,28 @@ fn bad_cells_and_unknown_options_are_errors_not_panics() {
             "synran {args:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "synran {args:?} printed");
+    }
+}
+
+/// Output goes out in one buffered write once a command succeeds, so a
+/// full disk behind stdout is an `error:` line and exit 1, not a panic.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_stdout_write_is_an_error_line() {
+    for args in [&["list"][..], &["--help"], &["run", "--n", "4"]] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let out = Command::new(env!("CARGO_BIN_EXE_synran"))
+            .args(args)
+            .stdout(full)
+            .output()
+            .expect("spawn synran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "synran {args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "synran {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "synran {args:?}: {stderr}");
     }
 }
 
