@@ -40,7 +40,7 @@ pub use balancer::Balancer;
 pub use boundary::BoundaryAttack;
 pub use exact::{ExactError, ExactEvaluator, ExactRange};
 pub use leader_hunter::LeaderHunter;
-pub use lower_bound::{find_adversarial_input, LowerBoundAdversary};
+pub use lower_bound::{find_adversarial_input, paper_cap, probe_horizon, LowerBoundAdversary};
 pub use oblivious::Oblivious;
 pub use preference::PreferenceKiller;
 pub use simple::{RandomKiller, Storm};

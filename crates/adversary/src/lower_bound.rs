@@ -23,8 +23,21 @@ use synran_sim::{
     Adversary, Bit, BitPlane, Intervention, Passive, SimConfig, SimError, SimRng, World,
 };
 
-use crate::valency::estimate_valency_above;
+use crate::valency::estimate_after;
 use crate::{Balancer, ProbeSet};
+
+/// The paper's per-round kill cap for `n` processes: `⌈4√(n·ln n)⌉ + 1`.
+#[must_use]
+pub fn paper_cap(n: usize) -> usize {
+    per_round_kill_budget(n).ceil() as usize + 1
+}
+
+/// The look-ahead the paper-parameterised adversary probes with, in
+/// rounds: `⌊3√n⌋ + 20`.
+#[must_use]
+pub fn probe_horizon(n: usize) -> u32 {
+    3 * (n as f64).sqrt() as u32 + 20
+}
 
 /// The valency-guided lower-bound adversary for SynRan-family protocols.
 ///
@@ -53,16 +66,16 @@ pub struct LowerBoundAdversary {
     horizon: u32,
     probes: ProbeSet<SynRanProcess>,
     seeder: SimRng,
+    forks_driven: usize,
 }
 
 impl LowerBoundAdversary {
     /// The paper's parameterisation for a system of `n` processes:
-    /// per-round cap `⌈4√(n·log n)⌉ + 1`, with probe costs tuned for
-    /// experiment-scale runs.
+    /// per-round cap [`paper_cap`], over a [`probe_horizon`] look-ahead,
+    /// with probe costs tuned for experiment-scale runs.
     #[must_use]
     pub fn for_system(n: usize, seed: u64) -> LowerBoundAdversary {
-        let cap = per_round_kill_budget(n).ceil() as usize + 1;
-        LowerBoundAdversary::with_params(cap, 4, 3 * (n as f64).sqrt() as u32 + 20, seed)
+        LowerBoundAdversary::with_params(paper_cap(n), 4, probe_horizon(n), seed)
     }
 
     /// Full control over the estimator: per-round kill cap, forks per
@@ -85,6 +98,7 @@ impl LowerBoundAdversary {
             horizon,
             probes: ProbeSet::synran(per_round_cap),
             seeder: SimRng::new(seed).derive(0x10E7),
+            forks_driven: 0,
         }
     }
 
@@ -92,6 +106,14 @@ impl LowerBoundAdversary {
     #[must_use]
     pub fn per_round_cap(&self) -> usize {
         self.per_round_cap
+    }
+
+    /// Valency forks driven so far, over every candidate this adversary
+    /// scored, the ones the cutoff gave up on included. A work count, not
+    /// telemetry: the same whatever handle the world carries.
+    #[must_use]
+    pub fn forks_driven(&self) -> usize {
+        self.forks_driven
     }
 
     /// Candidate interventions in *preference order*: the structural
@@ -152,56 +174,51 @@ impl Adversary<SynRanProcess> for LowerBoundAdversary {
         if candidates.len() == 1 {
             return candidates.into_iter().next().expect("none candidate");
         }
-        let mut best: Option<(f64, usize, Intervention)> = None;
+        let mut best: Option<(f64, Intervention)> = None;
         for (i, candidate) in candidates.into_iter().enumerate() {
-            let probe_seed = self
+            let seed = self
                 .seeder
                 .derive(world.round().index().into())
-                .derive(i as u64);
-            // Evaluate the candidate on a fork: apply it, then measure how
-            // open the resulting state is.
-            let mut fork = world.fork_bounded(probe_seed.clone().next_u64(), self.horizon);
-            if fork.deliver(candidate.clone()).is_err() {
-                continue; // e.g. a stale candidate that exceeds the budget
-            }
+                .derive(i as u64)
+                .next_u64();
             // A later candidate must beat the incumbent by a clear margin:
             // with few samples the estimates are noisy, and on a near-tie
             // the earlier (structurally stronger) move should stand. The
             // margin is also the cutoff: sampling stops as soon as the
             // candidate provably cannot clear it (exact, so the chosen
             // intervention is the one full scoring would choose).
-            let floor = best.as_ref().map(|(bs, _, _)| bs + 0.125);
-            let est = match estimate_valency_above(
-                &fork,
+            let floor = best.as_ref().map(|(bs, _)| bs + 0.125);
+            let scored = estimate_after(
+                world,
+                &candidate,
                 &self.probes,
                 self.samples,
                 self.horizon,
-                probe_seed.clone().next_u64() ^ 0x5EED,
+                seed,
                 floor,
-            ) {
-                Ok(Some(est)) => est,
-                Ok(None) => {
-                    world.telemetry().incr("adversary.candidates_cut", 1);
-                    continue;
-                }
-                Err(_) => continue,
+            );
+            // A candidate that fails to deliver (e.g. a stale one that
+            // exceeds the budget) is skipped.
+            let Ok((est, forks)) = scored else { continue };
+            self.forks_driven += forks;
+            let Some(est) = est else {
+                world.telemetry().incr("adversary.candidates_cut", 1);
+                continue;
             };
-            let kills = candidate.kills().len();
             let score = est.uncertainty();
-            let better = floor.is_none_or(|floor| score > floor);
-            if better {
-                best = Some((score, kills, candidate));
+            if floor.is_none_or(|floor| score > floor) {
+                best = Some((score, candidate));
             }
             // Uncertainty is capped at 1.0, so once the incumbent scores
             // ≥ 0.875 no later candidate can clear the +0.125 margin —
-            // skip the remaining forks and estimates outright. Sound
-            // because scoring is side-effect-free (`seeder.derive` is
-            // non-mutating), so skipped candidates leave no state behind.
-            if matches!(&best, Some((bs, _, _)) if *bs >= 1.0 - 0.125) {
+            // skip the remaining candidates outright. Sound because no
+            // later decision reads what scoring leaves behind
+            // (`seeder.derive` is non-mutating; only the work count grows).
+            if matches!(&best, Some((bs, _)) if *bs >= 1.0 - 0.125) {
                 break;
             }
         }
-        best.map(|(_, _, iv)| iv).unwrap_or_else(Intervention::none)
+        best.map(|(_, iv)| iv).unwrap_or_else(Intervention::none)
     }
 
     fn name(&self) -> &str {
@@ -317,8 +334,13 @@ mod tests {
     #[test]
     fn for_system_uses_paper_cap() {
         let lb = LowerBoundAdversary::for_system(100, 0);
-        let expected = per_round_kill_budget(100).ceil() as usize + 1;
-        assert_eq!(lb.per_round_cap(), expected);
+        assert_eq!(
+            lb.per_round_cap(),
+            per_round_kill_budget(100).ceil() as usize + 1
+        );
+        assert_eq!(lb.per_round_cap(), paper_cap(100));
+        assert_eq!(lb.horizon, probe_horizon(100));
+        assert_eq!(probe_horizon(100), 50);
     }
 
     #[test]
@@ -352,21 +374,20 @@ mod tests {
         }
         let mut best: Option<(f64, Intervention)> = None;
         for (i, candidate) in candidates.into_iter().enumerate() {
-            let probe_seed = lb
+            let seed = lb
                 .seeder
                 .derive(world.round().index().into())
-                .derive(i as u64);
-            let mut fork = world.fork_bounded(probe_seed.clone().next_u64(), lb.horizon);
+                .derive(i as u64)
+                .next_u64();
+            let mut fork = world.fork(seed);
             if fork.deliver(candidate.clone()).is_err() {
                 continue;
             }
-            let Ok(est) = estimate_valency(
-                &fork,
-                &lb.probes,
-                lb.samples,
-                lb.horizon,
-                probe_seed.clone().next_u64() ^ 0x5EED,
-            ) else {
+            // The fork is a round past `world`: one round less of horizon
+            // stops its rollouts after the same round.
+            let Ok(est) =
+                estimate_valency(&fork, &lb.probes, lb.samples, lb.horizon - 1, seed ^ 0x5EED)
+            else {
                 continue;
             };
             let score = est.uncertainty();
@@ -401,13 +422,11 @@ mod tests {
             (16, 6, 2, 40, 3, 0),
         ];
         for n in [16usize, 32] {
-            let budget = per_round_kill_budget(n);
-            let paper_cap = budget.ceil() as usize + 1;
-            let starved_cap = ((budget / 16.0).ceil() as usize).max(1);
-            let horizon = 3 * (n as f64).sqrt() as u32 + 20;
+            let starved_cap = ((per_round_kill_budget(n) / 16.0).ceil() as usize).max(1);
+            let horizon = probe_horizon(n);
             fixtures.extend([
-                (n, paper_cap, 3, horizon, 0u64, 6),
-                (n, paper_cap, 3, horizon, 1, 6),
+                (n, paper_cap(n), 3, horizon, 0u64, 6),
+                (n, paper_cap(n), 3, horizon, 1, 6),
                 (n, starved_cap, 3, horizon, 2, 0),
                 (n, starved_cap, 3, horizon, 5, 0),
             ]);
@@ -445,6 +464,38 @@ mod tests {
         // The cutoff actually fired: the comparison above is not vacuous.
         let cut = telemetry.snapshot().counter("adversary.candidates_cut");
         assert!(cut.is_some_and(|c| c > 0), "cutoff never fired: {cut:?}");
+    }
+
+    #[test]
+    fn forks_driven_counts_cut_estimates() {
+        // E3's shape at n = 32: split inputs, the paper cap and probe
+        // horizon, 3 samples, seed 3, six decisions. Most candidates after
+        // the first are cut, and their forks count in the total too. A
+        // work count, not telemetry: the same with no handle attached.
+        let n = 32;
+        let protocol = SynRan::new();
+        let run = |telemetry: Telemetry| {
+            let mut world = World::new(
+                SimConfig::new(n).faults(n - 1).seed(3).max_rounds(100_000),
+                |pid| protocol.spawn(pid, n, Bit::from(pid.index() < n / 2)),
+            )
+            .unwrap();
+            world.set_telemetry(telemetry);
+            let mut lb = LowerBoundAdversary::with_params(paper_cap(n), 3, probe_horizon(n), 3);
+            for _ in 0..6 {
+                assert!(!world.finished(), "decided at {:?}", world.round());
+                world.phase_a().unwrap();
+                let chosen = lb.intervene(&world);
+                world.deliver(chosen).unwrap();
+            }
+            lb.forks_driven()
+        };
+        let telemetry = Telemetry::new(TelemetryMode::Counters);
+        let forks = run(telemetry.clone());
+        let cut = telemetry.snapshot().counter("adversary.candidates_cut");
+        assert!(cut.is_some_and(|c| c > 0), "no estimate was cut: {cut:?}");
+        assert_eq!(forks, 38, "forks driven over six decisions");
+        assert_eq!(run(Telemetry::off()), forks);
     }
 
     #[test]

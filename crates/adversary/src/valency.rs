@@ -31,7 +31,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use synran_core::SynRanProcess;
-use synran_sim::{Adversary, Bit, Passive, Process, ProcessId, SimError, SimRng, Telemetry, World};
+use synran_sim::{
+    Adversary, Bit, Intervention, Passive, Process, ProcessId, SimError, SimRng, Telemetry, World,
+};
 
 use crate::{Balancer, PreferenceKiller};
 
@@ -276,10 +278,11 @@ pub fn classify_with(estimate: &ValencyEstimate, lo: f64, hi: f64) -> Valence {
 /// estimate is the one running every fork would give.
 ///
 /// The `(probe, sample)` grid is evaluated serially on the calling thread
-/// (parallelism lives one level up, across runs): one bounded base fork of
-/// `world`, forked again per unit and driven by
-/// [`World::drive_until`]. Fork seeds are derived from
-/// the `(probe, sample)` index, so the estimate is **bit-for-bit identical
+/// (parallelism lives one level up, across runs): each unit is a fork of
+/// `world` driven by [`World::drive_until`] until its scoring process
+/// decides or its round passes `world.round() + horizon`; the world's own
+/// round limit bounds it too. Fork seeds are derived from the
+/// `(probe, sample)` index, so the estimate is **bit-for-bit identical
 /// whatever thread count `world` is configured with**. Committed golden
 /// estimates (`crates/adversary/tests/valency_golden.rs`) pin the exact
 /// bits.
@@ -303,68 +306,87 @@ where
     P: Process + Clone + Send + Sync,
     P::Msg: Send + Sync,
 {
-    let estimate = estimate_valency_above(world, probes, samples, horizon, seed, None)?;
+    let last = world.round().index().saturating_add(horizon);
+    let (estimate, _) = sweep_probes(world, probes, samples, last, seed, None)?;
     Ok(estimate.expect("no floor, no cutoff"))
 }
 
-/// [`estimate_valency`] that gives up as soon as the estimate provably
-/// cannot reach an [`uncertainty`](ValencyEstimate::uncertainty) above
-/// `floor`, returning `Ok(None)`.
+/// Scores a candidate: the valency estimate of the state `intervention`
+/// leaves `world` in, or `None` once it provably cannot reach an
+/// [`uncertainty`](ValencyEstimate::uncertainty) above `floor`, with the
+/// forks driven either way.
 ///
-/// With a floor, the grid is swept **sample-major**: sweep `s` evaluates
-/// sample `s` of every probe whose samples are not all known yet (a
-/// replicated probe is known after sweep 0), and after each sweep
-/// [`uncertainty_bound`] of the per-probe sums of the known samples is
-/// compared with the floor. The bound is exact arithmetic (scores are
-/// multiples of ½), so a cut estimate is one whose full score would have
-/// been `≤ floor`, and an estimate that completes is bit-identical to
-/// [`estimate_valency`] — same seeds, same fork outcomes, same
-/// [`reduce_outcomes`] fold. Without a floor the whole grid is one sweep
-/// and nothing is cut.
+/// `world` is forked once with `seed` and the intervention delivered on
+/// that fork, which records no telemetry (forks are detached); the probe
+/// sweep forks it again from the seed `seed ^ 0x5EED`. Rollouts stop once
+/// their round passes `world.round() + horizon`.
+///
+/// With a floor the grid is swept **sample-major**: after sweep `s`
+/// (sample `s` of every probe not yet fully known; a replicated probe is
+/// known after sweep 0), [`uncertainty_bound`] of the known per-probe sums
+/// is compared with the floor. The bound is exact (scores are multiples of
+/// ½), so a cut estimate's full score is `≤ floor`, and an estimate that
+/// completes is bit-identical to the one without a floor.
 ///
 /// # Errors
 ///
-/// As [`estimate_valency`], over the forks actually evaluated: a fork the
-/// cutoff skipped never reports its error.
+/// The delivery's error, or as [`estimate_valency`] over the forks
+/// actually driven.
 ///
 /// # Panics
 ///
-/// Panics if `probes` is empty or `samples` is zero.
-pub(crate) fn estimate_valency_above<P>(
+/// As [`estimate_valency`].
+pub(crate) fn estimate_after<P: Process + Clone>(
     world: &World<P>,
+    intervention: &Intervention,
     probes: &ProbeSet<P>,
     samples: usize,
     horizon: u32,
     seed: u64,
     floor: Option<f64>,
-) -> Result<Option<ValencyEstimate>, SimError>
-where
-    P: Process + Clone + Send + Sync,
-    P::Msg: Send + Sync,
-{
+) -> Result<(Option<ValencyEstimate>, usize), SimError> {
+    let mut base = world.fork(seed);
+    base.deliver(intervention.clone())?;
+    let last = world.round().index().saturating_add(horizon);
+    let scored = sweep_probes(&base, probes, samples, last, seed ^ 0x5EED, floor);
+    base.retire();
+    scored
+}
+
+/// The probe sweep behind [`estimate_valency`] and [`estimate_after`], on
+/// forks of `base` that stop once their round passes `last`; it records
+/// into `base`'s telemetry handle.
+fn sweep_probes<P: Process + Clone>(
+    base: &World<P>,
+    probes: &ProbeSet<P>,
+    samples: usize,
+    last: u32,
+    seed: u64,
+    floor: Option<f64>,
+) -> Result<(Option<ValencyEstimate>, usize), SimError> {
     assert!(!probes.is_empty(), "need at least one probe");
     assert!(samples > 0, "need at least one sample per probe");
     // Telemetry is observe-only: the span and counters below never touch
     // the fork seeds or the fold, so the estimate is identical with any
-    // handle (or none) attached to `world`.
-    let telemetry = world.telemetry();
+    // handle (or none) attached to `base`.
+    let telemetry = base.telemetry();
     let _span = telemetry.span("valency.estimate");
     // One work unit per (probe, sample) pair, indexed probe-major as in
     // the serial nested loop. Seeds depend only on the pair's indices.
     let fork_seeds = derive_seed_grid(seed, probes.len(), samples);
-    let base = world.fork_bounded(seed, horizon);
     // A unit's `(score, undecided)` outcome, and whether its fork asked
     // for a coin.
     let eval = |unit: usize| -> Result<((f64, bool), bool), SimError> {
         let mut fork = base.fork(fork_seeds[unit]);
         let mut adversary = (probes.factories[unit / samples].1)();
-        let outcome = match fork.drive_until(&mut adversary, |w| scoring_decision(w).is_some()) {
+        let stop = |w: &World<P>| w.round().index() > last || scoring_decision(w).is_some();
+        let outcome = match fork.drive_until(&mut adversary, stop) {
             Ok(()) => match scoring_decision(&fork) {
                 Some(Bit::One) => (1.0, false),
                 Some(Bit::Zero) => (0.0, false),
                 None => (0.5, true),
             },
-            // Horizon hit: the fork is abandoned undecided.
+            // Past the world's own round limit: undecided, as past `last`.
             Err(SimError::MaxRoundsExceeded { .. }) => (0.5, true),
             Err(other) => return Err(other),
         };
@@ -400,16 +422,11 @@ where
             known[probe] = last;
         }
         if floor.is_some_and(|floor| uncertainty_bound(&sums, &known, samples) <= floor) {
-            return Ok(None);
+            return Ok((None, forks_driven));
         }
     }
-    Ok(Some(reduce_outcomes(
-        probes,
-        samples,
-        &outcomes,
-        forks_driven,
-        telemetry,
-    )))
+    let estimate = reduce_outcomes(probes, samples, &outcomes, forks_driven, telemetry);
+    Ok((Some(estimate), forks_driven))
 }
 
 /// The value a valency fork is scored by: the decision of its lowest-pid
@@ -722,11 +739,11 @@ mod tests {
 
     #[test]
     fn cutoff_is_exact_on_random_candidates() {
-        // Random lower-bound-style candidates — a paused world, a random
-        // kill set delivered on a fork — scored fully and with floors
-        // around the full score: the cutoff fires exactly when the full
-        // score is ≤ the floor, and an estimate that completes is the full
-        // estimate, bit for bit.
+        // Random lower-bound-style candidates — a paused world and a random
+        // kill set — scored fully and with floors around the full score:
+        // the cutoff fires exactly when the full score is ≤ the floor, a
+        // cut estimate drove no more forks than the full one, and an
+        // estimate that completes is the full estimate, bit for bit.
         let protocol = SynRan::new();
         let probes = ProbeSet::synran(3);
         let mut rng = SimRng::new(0xCA7);
@@ -749,10 +766,13 @@ mod tests {
                     .into_iter()
                     .map(|i| alive[i]),
             );
-            let mut fork = world.fork_bounded(trial, 30);
-            fork.deliver(candidate).unwrap();
             let samples = 1 + rng.index(5);
-            let full = estimate_valency(&fork, &probes, samples, 30, trial).unwrap();
+            let score_above = |floor| {
+                estimate_after(&world, &candidate, &probes, samples, 30, trial, floor).unwrap()
+            };
+            let (full, full_forks) = score_above(None);
+            let full = full.unwrap();
+            assert_eq!(full_forks, full.forks_driven());
             let score = full.uncertainty();
             for floor in [
                 score - 0.5,
@@ -761,16 +781,15 @@ mod tests {
                 score,
                 score + 0.125,
             ] {
-                let above = estimate_valency_above(&fork, &probes, samples, 30, trial, Some(floor))
-                    .unwrap();
-                match above {
-                    None => {
+                match score_above(Some(floor)) {
+                    (None, forks) => {
                         assert!(score <= floor, "cut at floor {floor}, full score {score}");
+                        assert!(forks <= full_forks, "{forks} > {full_forks}");
                         cut += 1;
                     }
-                    Some(est) => {
+                    (Some(est), forks) => {
                         assert!(score > floor, "floor {floor} not cut, full score {score}");
-                        assert_eq!(est, full);
+                        assert_eq!((est, forks), (full.clone(), full_forks));
                     }
                 }
             }
@@ -778,31 +797,31 @@ mod tests {
         assert!(cut > 0, "no floor ever cut");
     }
 
-    /// Every `(probe, sample)` fork driven and folded, none replicated: the
-    /// estimate [`estimate_valency`] must equal bit for bit.
+    /// Every `(probe, sample)` fork driven until it decides or its round
+    /// passes `last`, and folded, none replicated: the estimate the
+    /// estimator must equal bit for bit.
     fn reference_estimate<P>(
         world: &World<P>,
         probes: &ProbeSet<P>,
         samples: usize,
-        horizon: u32,
+        last: u32,
         seed: u64,
     ) -> ValencyEstimate
     where
         P: Process + Clone,
     {
         let fork_seeds = derive_seed_grid(seed, probes.len(), samples);
-        let base = world.fork_bounded(seed, horizon);
         let outcomes: Vec<(f64, bool)> = (0..probes.len() * samples)
             .map(|unit| {
-                let mut fork = base.fork(fork_seeds[unit]);
+                let mut fork = world.fork(fork_seeds[unit]);
                 let mut adversary = (probes.factories[unit / samples].1)();
-                match fork.drive_until(&mut adversary, |w| scoring_decision(w).is_some()) {
-                    Ok(()) => match scoring_decision(&fork) {
-                        Some(bit) => (f64::from(u8::from(bit.is_one())), false),
-                        None => (0.5, true),
-                    },
-                    Err(SimError::MaxRoundsExceeded { .. }) => (0.5, true),
-                    Err(other) => panic!("reference fork failed: {other}"),
+                fork.drive_until(&mut adversary, |w| {
+                    w.round().index() > last || scoring_decision(w).is_some()
+                })
+                .expect("reference fork failed");
+                match scoring_decision(&fork) {
+                    Some(bit) => (f64::from(u8::from(bit.is_one())), false),
+                    None => (0.5, true),
                 }
             })
             .collect();
@@ -849,12 +868,18 @@ mod tests {
                     .into_iter()
                     .map(|i| alive[i]),
             );
-            let mut fork = world.fork_bounded(trial, 30);
-            fork.deliver(candidate).unwrap();
             let probes = ProbeSet::synran(cap);
             let samples = 2 + rng.index(6);
-            let est = estimate_valency(&fork, &probes, samples, 30, trial).unwrap();
-            let reference = reference_estimate(&fork, &probes, samples, 30, trial);
+            let score_above = |floor| {
+                estimate_after(&world, &candidate, &probes, samples, 30, trial, floor).unwrap()
+            };
+            let est = score_above(None).0.unwrap();
+            // The reference delivers the candidate on its own fork, one
+            // round past the world: rollouts stop after the same round.
+            let mut fork = world.fork(trial);
+            fork.deliver(candidate.clone()).unwrap();
+            let last = world.round().index() + 30;
+            let reference = reference_estimate(&fork, &probes, samples, last, trial ^ 0x5EED);
             assert_eq!(reference.forks_driven(), probes.len() * samples);
             assert_eq!(
                 ValencyEstimate {
@@ -870,9 +895,7 @@ mod tests {
             sampled += probes.len() - r;
             let score = reference.uncertainty();
             for floor in [score - 0.5, score - 1e-9, score, score + 0.125] {
-                let above = estimate_valency_above(&fork, &probes, samples, 30, trial, Some(floor))
-                    .unwrap();
-                match above {
+                match score_above(Some(floor)).0 {
                     None => {
                         assert!(score <= floor, "cut at floor {floor}, full score {score}");
                         cut += 1;
@@ -971,6 +994,28 @@ mod tests {
     }
 
     #[test]
+    fn candidate_rollouts_run_through_the_candidates_round_plus_the_horizon() {
+        // Every process decides 1 after six rounds. The candidate completes
+        // the paused world's round 1, and its rollouts may run through
+        // round 1 + horizon: a horizon of 5 reaches the decision, 4 stops
+        // one round short and scores ½, as estimating the paused world
+        // itself does. A candidate that cannot be delivered is an error.
+        let probes: ProbeSet<Steady> = ProbeSet::new().with_probe("passive", || Box::new(Passive));
+        let mut world = Steady::world(4, 6, 50);
+        world.phase_a().unwrap();
+        let none = Intervention::none();
+        for (horizon, p1, undecided) in [(5, 1.0, 0), (4, 0.5, 3)] {
+            let (est, forks) = estimate_after(&world, &none, &probes, 3, horizon, 2, None).unwrap();
+            let est = est.unwrap();
+            assert_eq!((est.min_p1(), est.undecided(), forks), (p1, undecided, 1));
+            let paused = estimate_valency(&world, &probes, 3, horizon, 2).unwrap();
+            assert_eq!(paused.min_p1(), p1, "horizon {horizon}");
+        }
+        let everyone = Intervention::kill_all_silent(world.alive_ids().collect::<Vec<_>>());
+        assert!(estimate_after(&world, &everyone, &probes, 3, 5, 2, None).is_err());
+    }
+
+    #[test]
     fn e3_fixture_fork_count_is_pinned() {
         // E3's shape at n = 32: split inputs, the paper cap, E3's probe
         // horizon, 8 samples, scored from the paused round-1 world.
@@ -979,8 +1024,7 @@ mod tests {
         // passive and kill-ones run coin-free (one fork each), kill-zeros
         // and the balancer draw coins (eight each).
         let n = 32;
-        let cap = synran_core::per_round_kill_budget(n).ceil() as usize + 1;
-        let horizon = 3 * (n as f64).sqrt() as u32 + 20;
+        let (cap, horizon) = (crate::paper_cap(n), crate::probe_horizon(n));
         let mut world = world_with_inputs(n, n - 1, n / 2, 3);
         world.phase_a().unwrap();
         let probes = ProbeSet::synran(cap);

@@ -17,9 +17,9 @@
 //!    univalent.
 //!
 //! This adversary is the finest-grained (and most expensive) realisation
-//! of the lower bound in the workspace: every step of the walk costs a
-//! valency estimate ([`estimate_valency`], one bounded base fork forked
-//! again per `(probe, sample)` pair). Use
+//! of the lower bound in the workspace: every step of the walk costs one
+//! valency estimate of the state after it — a fork of the world with the
+//! step delivered, forked again per `(probe, sample)` pair. Use
 //! [`LowerBoundAdversary`](crate::LowerBoundAdversary)
 //! for experiments at scale; use this to *watch the proof work* at small
 //! `n` (see `examples/message_walk.rs`).
@@ -29,7 +29,12 @@ use synran_sim::{
     Adversary, Bit, DeliveryFilter, Intervention, ProcessId, SimError, SimRng, World,
 };
 
-use crate::{estimate_valency, ProbeSet, ValencyEstimate};
+use crate::valency::estimate_after;
+use crate::{ProbeSet, ValencyEstimate};
+
+/// States with uncertainty at or above this are "still open" — the walk
+/// stops there.
+const OPEN_THRESHOLD: f64 = 0.35;
 
 /// The step-by-step §3.4 adversary for SynRan-family protocols.
 #[derive(Debug)]
@@ -39,9 +44,6 @@ pub struct MessageWalker {
     horizon: u32,
     probes: ProbeSet<SynRanProcess>,
     seeder: SimRng,
-    /// States with uncertainty at or above this are "still open" — the
-    /// walk stops there.
-    open_threshold: f64,
 }
 
 impl MessageWalker {
@@ -61,25 +63,26 @@ impl MessageWalker {
             horizon,
             probes: ProbeSet::synran(per_round_cap),
             seeder: SimRng::new(seed).derive(0x3A1C),
-            open_threshold: 0.35,
         }
     }
 
-    fn estimate_after(
+    /// The valency estimate of the state `step` leaves `world` in.
+    fn score(
         &mut self,
         world: &World<SynRanProcess>,
-        intervention: &Intervention,
+        step: &Intervention,
     ) -> Result<ValencyEstimate, SimError> {
         let seed = self.seeder.next_u64();
-        let mut fork = world.fork_bounded(seed, self.horizon);
-        fork.deliver(intervention.clone())?;
-        estimate_valency(
-            &fork,
+        let (estimate, _) = estimate_after(
+            world,
+            step,
             &self.probes,
             self.samples,
             self.horizon,
-            seed ^ 0x5EED,
-        )
+            seed,
+            None,
+        )?;
+        Ok(estimate.expect("no floor, no cutoff"))
     }
 
     /// The walk's victim order: processes preferring the value the state
@@ -107,10 +110,10 @@ impl Adversary<SynRanProcess> for MessageWalker {
         }
 
         // Step 0: would passing every message keep the state open?
-        let Ok(baseline) = self.estimate_after(world, &Intervention::none()) else {
+        let Ok(baseline) = self.score(world, &Intervention::none()) else {
             return Intervention::none();
         };
-        if baseline.uncertainty() >= self.open_threshold {
+        if baseline.uncertainty() >= OPEN_THRESHOLD {
             return Intervention::none();
         }
         // The state is collapsing; which way?
@@ -126,15 +129,14 @@ impl Adversary<SynRanProcess> for MessageWalker {
         // receiver by receiver, checking the estimated state after every
         // step and keeping the first intervention that re-opens it.
         let mut committed = Intervention::none();
-        let mut best_score = baseline.uncertainty();
         for (v_idx, &victim) in victims.iter().enumerate().take(cap) {
             // Case 2 first: fail the victim but send all its messages.
             let mut step = committed.clone().kill(victim, DeliveryFilter::All);
-            if let Ok(est) = self.estimate_after(world, &step) {
-                if est.uncertainty() >= self.open_threshold {
-                    return step;
-                }
-                best_score = best_score.max(est.uncertainty());
+            if self
+                .score(world, &step)
+                .is_ok_and(|est| est.uncertainty() >= OPEN_THRESHOLD)
+            {
+                return step;
             }
             // Case 3: cut the victim's messages one receiver at a time
             // (coarsened to halving steps to bound the estimate count).
@@ -150,9 +152,9 @@ impl Adversary<SynRanProcess> for MessageWalker {
                         DeliveryFilter::To(keep.into())
                     },
                 );
-                match self.estimate_after(world, &step) {
-                    Ok(est) if est.uncertainty() >= self.open_threshold => return step,
-                    Ok(est) => best_score = best_score.max(est.uncertainty()),
+                match self.score(world, &step) {
+                    Ok(est) if est.uncertainty() >= OPEN_THRESHOLD => return step,
+                    Ok(_) => {}
                     Err(_) => break,
                 }
             }

@@ -169,7 +169,7 @@ fn horizon_hit_forks_match_golden_bits() {
 #[test]
 fn config_max_rounds_cap_matches_golden_bits() {
     // The world's own `max_rounds` is tighter than the probe horizon:
-    // bounded forks clamp to it and score ½ when they run past it.
+    // forks stop at it and score ½ when they run past it.
     let probes = ProbeSet::synran(2);
     assert_golden(
         "max_rounds 3",

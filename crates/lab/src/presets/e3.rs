@@ -8,7 +8,7 @@
 
 use std::io::Write;
 
-use synran_adversary::find_adversarial_input;
+use synran_adversary::{find_adversarial_input, paper_cap, probe_horizon};
 use synran_analysis::{fmt_f64, lower_bound_rounds, ShapeFit, Summary, Table};
 use synran_core::{per_round_kill_budget, SynRan};
 use synran_sim::SimConfig;
@@ -35,18 +35,6 @@ pub struct E3Params {
 
 /// The binary's full-size default sweep.
 pub const DEFAULT_SIZES: [usize; 5] = [16, 24, 32, 48, 64];
-
-/// The `t/√(n·ln n)` fork-probe horizon the binary uses: `3√n + 20`.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn probe_horizon(n: usize) -> u32 {
-    3 * (n as f64).sqrt() as u32 + 20
-}
-
-/// The paper's per-round cap: `⌈4√(n·ln n)⌉ + 1`.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn paper_cap(n: usize) -> usize {
-    per_round_kill_budget(n).ceil() as usize + 1
-}
 
 /// The pinch section's starved cap: `max(⌈budget/16⌉, 1)`.
 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]

@@ -623,10 +623,9 @@ mod tests {
             Echo::new(Bit::from(pid.index() % 2 == 0))
         })
         .unwrap();
-        let base = world.fork_bounded(0, 50);
         let run = |threads: usize| -> Vec<Vec<Option<Bit>>> {
             try_par_map_in(&Telemetry::off(), threads, 13, |i| {
-                let mut fork = base.fork(1000 + i as u64);
+                let mut fork = world.fork(1000 + i as u64);
                 fork.drive(&mut Passive)?;
                 Ok::<_, SimError>(fork.into_report().decisions().to_vec())
             })
@@ -639,14 +638,13 @@ mod tests {
     }
 
     #[test]
-    fn horizon_hit_worlds_report_like_max_rounds() {
-        // Bounded forks of a never-halting world stop at the horizon with
+    fn forks_past_the_round_limit_report_max_rounds() {
+        // Forks of a never-halting world stop at its round limit with
         // `MaxRoundsExceeded`, whatever the thread count.
-        let world = World::new(SimConfig::new(4).seed(3).max_rounds(1_000), |_| Forever).unwrap();
-        let base = world.fork_bounded(0, 5);
+        let world = World::new(SimConfig::new(4).seed(3).max_rounds(5), |_| Forever).unwrap();
         for threads in [1usize, 2, 8] {
             let outcomes = par_map(threads, 5, |i| {
-                let mut fork = base.fork(7 + i as u64);
+                let mut fork = world.fork(7 + i as u64);
                 let outcome = fork.drive(&mut Passive);
                 fork.retire();
                 outcome

@@ -292,9 +292,8 @@ impl<M> ScratchPool<M> {
 /// ```
 #[derive(Debug)]
 pub struct World<P: Process> {
-    /// Shared, not owned: forks of this world bump the `Arc` instead of
-    /// cloning the config (copy-on-write — the only mutation,
-    /// [`World::fork_bounded`] tightening `max_rounds`, makes a new `Arc`).
+    /// Shared, never mutated: forks of this world bump the `Arc` instead
+    /// of cloning the config.
     cfg: Arc<SimConfig>,
     round: Round,
     phase: Phase,
@@ -1129,36 +1128,6 @@ where
             spares: Arc::clone(&self.spares),
         }
     }
-
-    /// Like [`fork`](World::fork), but the copy's round limit is capped at
-    /// `horizon` rounds past the current round.
-    ///
-    /// Valency probes use this to bound exploration cost: a fork that has
-    /// not decided within the horizon reports
-    /// [`SimError::MaxRoundsExceeded`], which estimators treat as
-    /// "undecided".
-    #[must_use]
-    pub fn fork_bounded(&self, seed: u64, horizon: u32) -> World<P> {
-        let mut copy = self.fork(seed);
-        copy.cfg = bounded_cfg(&self.cfg, self.round, horizon);
-        copy
-    }
-}
-
-/// The fork config for a `horizon`-bounded exploration from `round`:
-/// shares `cfg`'s `Arc` when the horizon does not actually tighten the
-/// round limit, and copies-on-write otherwise.
-fn bounded_cfg(cfg: &Arc<SimConfig>, round: Round, horizon: u32) -> Arc<SimConfig> {
-    let limit = round
-        .index()
-        .saturating_add(horizon)
-        .min(cfg.max_rounds_value())
-        .max(round.index());
-    if limit == cfg.max_rounds_value() {
-        Arc::clone(cfg)
-    } else {
-        Arc::new(cfg.as_ref().clone().max_rounds(limit))
-    }
 }
 
 fn validate_pattern<M>(
@@ -1493,7 +1462,7 @@ mod tests {
         fork.retire();
         assert_eq!(spares(&w), 1);
         // A fork of a fork draws from and returns to the root's one pool.
-        let child = w.fork_bounded(9, 5);
+        let child = w.fork(9);
         let grandchild = child.fork(10);
         assert_eq!(spares(&w), 0);
         grandchild.retire();
@@ -1561,40 +1530,6 @@ mod tests {
         let report = w.run(&mut Reaper).unwrap();
         assert_eq!(report.rounds(), 1);
         assert!(report.statuses().iter().all(|s| s.is_failed()));
-    }
-
-    #[test]
-    fn fork_bounded_caps_the_horizon() {
-        /// Never halts — only the horizon can stop a fork of it.
-        #[derive(Debug, Clone)]
-        struct Forever;
-        impl Process for Forever {
-            type Msg = Bit;
-            fn send(&mut self, _: &mut Context<'_>) -> SendPattern<Bit> {
-                SendPattern::Broadcast(Bit::One)
-            }
-            fn receive(&mut self, _: &mut Context<'_>, _: &Inbox<Bit>) {}
-            fn decision(&self) -> Option<Bit> {
-                None
-            }
-            fn halted(&self) -> bool {
-                false
-            }
-        }
-        let mut w = World::new(SimConfig::new(3).seed(1).max_rounds(1_000), |_| Forever).unwrap();
-        // Advance two full rounds, then fork with a 5-round horizon.
-        for _ in 0..2 {
-            w.phase_a().unwrap();
-            w.deliver(Intervention::none()).unwrap();
-        }
-        let mut fork = w.fork_bounded(99, 5);
-        let err = fork.run(&mut Passive).unwrap_err();
-        assert_eq!(err, SimError::MaxRoundsExceeded { limit: 8 });
-        // The horizon never exceeds the parent's own limit.
-        let fork2 = w.fork_bounded(99, 10_000);
-        assert_eq!(fork2.config().max_rounds_value(), 1_000);
-        // The parent is untouched.
-        assert_eq!(w.round().index(), 3);
     }
 
     #[test]

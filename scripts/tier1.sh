@@ -63,6 +63,16 @@ echo "== tier1: full-size upper_bound pass (golden digest) =="
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
     --bin bench_e2e -- run --workload upper_bound --seconds 1
 
+echo "== tier1: full-size lower_bound passes (golden digests) =="
+# The smoke sizes (n = 16, 24) never run the valency-guided adversary at
+# n = 256 with the paper cap. One full pass of the lower_bound workload
+# (E3 up to n = 256, well under a second) at each committed seed checks
+# its `full 3` and `full 42` render digests.
+for seed in 3 42; do
+    cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
+        --bin bench_e2e -- run --workload lower_bound --seconds 0 --seed "$seed"
+done
+
 echo "== tier1: committed experiment tables =="
 # E1-E10 at default settings must reproduce results/<bin>.txt byte for
 # byte, E1's exact Pr(U^v) rows at n = 16 (t = 16 among them, which the
