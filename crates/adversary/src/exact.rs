@@ -52,8 +52,6 @@ pub enum ExactError {
         /// Number of simultaneous coin flips requested.
         flips: usize,
     },
-    /// A process used a send pattern the evaluator does not model.
-    UnsupportedSend,
 }
 
 impl fmt::Display for ExactError {
@@ -65,9 +63,6 @@ impl fmt::Display for ExactError {
             }
             ExactError::SeedSearchExhausted { flips } => {
                 write!(f, "no seed found realising a {flips}-coin vector")
-            }
-            ExactError::UnsupportedSend => {
-                write!(f, "exact evaluation supports broadcast sends only")
             }
         }
     }
@@ -203,7 +198,7 @@ impl ExactEvaluator {
         let mut best_min = f64::INFINITY;
         let mut best_max = f64::NEG_INFINITY;
         for intervention in enumerate_interventions(&staged) {
-            let flips = flip_set(&staged, &intervention)?;
+            let flips = flip_set(&staged, &intervention);
             let k = flips.len();
             let mut sum_min = 0.0;
             let mut sum_max = 0.0;
@@ -261,10 +256,7 @@ fn enumerate_interventions(staged: &World<SynRanProcess>) -> Vec<Intervention> {
 
 /// The set of alive processes that will flip a coin when `intervention`
 /// is applied to the staged (post-Phase-A) world.
-fn flip_set(
-    staged: &World<SynRanProcess>,
-    intervention: &Intervention,
-) -> Result<Vec<ProcessId>, ExactError> {
+fn flip_set(staged: &World<SynRanProcess>, intervention: &Intervention) -> Vec<ProcessId> {
     let n = staged.n();
     let killed = |pid: ProcessId| {
         intervention
@@ -285,7 +277,8 @@ fn flip_set(
         // Count what this receiver will see.
         let (mut n_r, mut o_r, mut z_r) = (0usize, 0usize, 0usize);
         for sender in ProcessId::all(n) {
-            let Some(pattern) = staged.outbox(sender) else {
+            // A silent sender reaches no one, like one with no outbox.
+            let Some(SendPattern::Broadcast(msg)) = staged.outbox(sender) else {
                 continue;
             };
             let delivered = match killed(sender) {
@@ -295,12 +288,6 @@ fn flip_set(
             if !delivered {
                 continue;
             }
-            let msg = match pattern {
-                SendPattern::Broadcast(m) => m,
-                // SynRan broadcasts exclusively; anything else means this
-                // evaluator is being used with a foreign process type.
-                _ => return Err(ExactError::UnsupportedSend),
-            };
             n_r += 1;
             match msg {
                 SynRanMsg::Pref(Bit::One) => o_r += 1,
@@ -312,7 +299,7 @@ fn flip_set(
             flips.push(receiver);
         }
     }
-    Ok(flips)
+    flips
 }
 
 #[cfg(test)]

@@ -80,16 +80,6 @@ impl HypercubeSet {
         s
     }
 
-    /// Builds a set from an iterator of points.
-    #[must_use]
-    pub fn from_points<I: IntoIterator<Item = u32>>(n: u32, points: I) -> HypercubeSet {
-        let mut s = HypercubeSet::empty(n);
-        for p in points {
-            s.insert(p);
-        }
-        s
-    }
-
     /// A random set including each point independently with probability `p`.
     #[must_use]
     pub fn random(n: u32, p: f64, rng: &mut SimRng) -> HypercubeSet {

@@ -131,8 +131,8 @@ pub enum LeaderMsg {
 }
 
 /// Leader-election messages carry a 64-bit priority alongside the value,
-/// so none of them fit in a single delivery bit; every round takes the
-/// engine's scalar pair path.
+/// so none of them packs to a single bit: no leader round has a tally,
+/// and every one counts as `round.deliver.scalar`.
 impl PlaneMsg for LeaderMsg {}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

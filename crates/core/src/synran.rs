@@ -270,19 +270,15 @@ pub enum SynRanMsg {
 }
 
 impl PlaneMsg for SynRanMsg {
-    /// `Pref(b)` packs to `b`, so probabilistic-stage rounds — the
-    /// dominant, every-round broadcast of preferences — ride the engine's
-    /// bit-plane fast path. `Known(S)` never packs: any round carrying a
-    /// flooding set takes the scalar pair path.
+    /// `Pref(b)` packs to `b`, so an inbox's tally counts the round's
+    /// preferences — `(Z^r, O^r)` — once, when it is built. `Known(S)`
+    /// never packs: it counts toward `N^r` only, and
+    /// [`Inbox::unpackable`] finds it.
     fn pack(&self) -> Option<Bit> {
         match self {
             SynRanMsg::Pref(b) => Some(*b),
             SynRanMsg::Known(_) => None,
         }
-    }
-
-    fn unpack(bit: Bit) -> Option<SynRanMsg> {
-        Some(SynRanMsg::Pref(bit))
     }
 }
 

@@ -117,21 +117,14 @@ impl From<Bit> for ValueSet {
 
 impl PlaneMsg for ValueSet {
     /// Singletons pack to their one value; the empty and full sets do
-    /// not. This keeps flooding's early rounds — where every process still
-    /// broadcasts the singleton of its input — on the engine's bit-plane
-    /// fast path, and satisfies the round-trip law because [`unpack`]
-    /// always reproduces the singleton that packed.
-    ///
-    /// [`unpack`]: PlaneMsg::unpack
+    /// not. So flooding's early rounds — where every process still
+    /// broadcasts the singleton of its input — count as rounds whose every
+    /// payload packs (`round.deliver.plane`).
     fn pack(&self) -> Option<Bit> {
         match self.len() {
             1 => self.min(),
             _ => None,
         }
-    }
-
-    fn unpack(bit: Bit) -> Option<ValueSet> {
-        Some(ValueSet::single(bit))
     }
 }
 

@@ -1,7 +1,8 @@
-//! SynRan and flooding rides the engine's bit-plane fast path (their
-//! messages pack into single bits); these tests pin the protocols'
-//! observable behaviour — threshold proposals, decisions, round counts,
-//! whole reports — to the scalar pair path via [`Scalarized`] oracles.
+//! SynRan's preferences and flooding's singletons pack into single bits,
+//! so their inboxes tally them through the value mask; these tests pin
+//! the protocols' observable behaviour — threshold proposals, decisions,
+//! round counts, whole reports — to [`Scalarized`] twins whose payloads
+//! never pack.
 
 use synran_core::{ConsensusProtocol, FloodingConsensus, SynRan};
 use synran_sim::testing::Scalarized;
@@ -35,9 +36,10 @@ fn assert_plane_scalar_parity<P: ConsensusProtocol>(protocol: &P, n: usize, seed
 
 #[test]
 fn synran_threshold_decisions_match_the_scalar_oracle() {
-    // The probabilistic stage's O-vs-N threshold comparisons are popcounts
-    // on the plane path and pair scans on the scalar path; any off-by-one
-    // in the tallies would flip a proposal and change the whole run.
+    // The probabilistic stage's O-vs-N threshold comparisons read tallies
+    // taken from the value mask plainly and from the unwrapped inbox
+    // scalarized; any off-by-one in them would flip a proposal and change
+    // the whole run.
     for n in [10, 63, 64, 70] {
         for seed in [1, 7, 1234] {
             assert_plane_scalar_parity(&SynRan::new(), n, seed);
@@ -48,8 +50,8 @@ fn synran_threshold_decisions_match_the_scalar_oracle() {
 
 #[test]
 fn flooding_matches_the_scalar_oracle() {
-    // Flooding's singleton rounds pack; rounds carrying {0,1} fall back.
-    // Both must agree with the all-scalar oracle.
+    // Flooding's singleton rounds pack and rounds carrying {0,1} do not;
+    // both must agree with the never-packing twin.
     for n in [9, 65] {
         for seed in [3, 99] {
             assert_plane_scalar_parity(&FloodingConsensus::for_faults(2), n, seed);

@@ -150,9 +150,11 @@ fn synran_factory(cell: &Cell) -> Result<Factory<SynRanProcess>, LabError> {
                 })
             }
         }
+        // A knob of 0 takes the walker's default; any other value is used
+        // as given.
         "walker" => {
-            let walker_cap = if cap == 0 { rate.max(2) } else { cap };
-            let walker_samples = samples.max(3);
+            let walker_cap = if cap == 0 { rate } else { cap };
+            let walker_samples = if samples == 0 { 3 } else { samples };
             let walker_horizon = if horizon == 0 { 30 } else { horizon };
             Box::new(move |s| {
                 Box::new(MessageWalker::new(
@@ -586,6 +588,20 @@ mod tests {
         });
         let names: Vec<String> = names.collect();
         assert_eq!(names, ["synran", "synran-sym", "flooding", "leader"]);
+    }
+
+    #[test]
+    fn walker_knobs_are_used_as_given() {
+        let walker = |samples: usize, rate: usize| {
+            let mut cell = Cell::new("synran", "walker", 12);
+            (cell.runs, cell.seed, cell.samples, cell.rate) = (4, 0, samples, rate);
+            let result = run_cell(&cell, &Telemetry::off()).unwrap();
+            (result.rounds, result.kills)
+        };
+        assert_ne!(walker(1, 0), walker(3, 0), "samples 1 vs 3");
+        assert_ne!(walker(0, 1), walker(0, 2), "rate 1 vs 2");
+        // 0 keeps meaning the defaults: 3 samples, a cap of ⌈√12⌉ = 4.
+        assert_eq!(walker(0, 0), walker(3, 4));
     }
 
     #[test]

@@ -43,15 +43,6 @@ pub enum SimError {
         /// The repeated id.
         pid: ProcessId,
     },
-    /// A process addressed a message to a nonexistent recipient.
-    InvalidRecipient {
-        /// The sender.
-        from: ProcessId,
-        /// The nonexistent destination.
-        to: ProcessId,
-        /// System size.
-        n: usize,
-    },
     /// The run did not terminate within the configured round limit.
     MaxRoundsExceeded {
         /// The configured limit.
@@ -91,10 +82,6 @@ impl fmt::Display for SimError {
             SimError::DuplicateVictim { pid } => {
                 write!(f, "process {pid} named twice in one intervention")
             }
-            SimError::InvalidRecipient { from, to, n } => write!(
-                f,
-                "process {from} addressed nonexistent recipient {to} (n = {n})"
-            ),
             SimError::MaxRoundsExceeded { limit } => {
                 write!(f, "execution exceeded the round limit of {limit}")
             }

@@ -49,7 +49,7 @@
 //! | [`Adversary`], [`Intervention`], [`DeliveryFilter`] | the fault-side interface |
 //! | [`FaultBudget`] | engine-enforced `t` |
 //! | [`SimRng`] | deterministic splittable randomness |
-//! | [`plane`] | word-packed bit-plane rows behind the broadcast fast path |
+//! | [`plane`] | word-packed bit-plane rows: inbox sender masks, alive sets |
 //! | [`Trace`], [`Metrics`], [`RunReport`] | observability |
 //! | [`telemetry`] | spans, counters/histograms, the JSONL record |
 //! | [`json`] | the flat JSONL line codec every artifact reader and writer shares |

@@ -27,26 +27,22 @@
 //! so popcounts never need a trailing mask and whole-word equality is
 //! value equality.
 //!
-//! [`PlaneMsg`] is the bridge between generic message types and the
-//! planes: a message that packs to a single bit can ride the fabric; one
-//! that does not forces the engine back onto the scalar pair-vector path.
+//! [`PlaneMsg`] says which payloads pack to a single bit: the round
+//! engine keeps a value mask of the senders whose payload packs to a one,
+//! so a round's tallies are popcounts whatever its payloads are.
 
 use crate::{Bit, ProcessId};
 
-/// A message type that may collapse into one bit of a round plane.
+/// A message type whose values may pack to one bit.
 ///
-/// The round engine's fast delivery path engages only when every queued
-/// message of a round packs: the round is then stored as two [`BitPlane`]
-/// rows instead of `n²` pairs, and inboxes decode messages back out of the
-/// planes on demand.
-///
-/// # Contract
-///
-/// Packing must round-trip **exactly**: whenever `m.pack() == Some(b)`,
-/// `M::unpack(b)` must return `Some(m')` with `m' == m` (bit-for-bit — the
-/// engine's determinism guarantee rests on it). Types that cannot satisfy
-/// this simply keep the defaults (`None` both ways) and always use the
-/// scalar path.
+/// The round engine delivers every payload from one table the round's
+/// receivers share; a receiver's inbox is a sender mask over it (see
+/// [`Inbox`](crate::Inbox)). What `pack` adds is the tally: the engine
+/// marks the senders whose payload packs to [`Bit::One`] in a value mask
+/// and counts the packed zeros once per inbox, so
+/// [`Inbox::tally`](crate::Inbox::tally) is O(1) and reads no payload. A
+/// payload that does not pack (the default) counts toward the inbox's
+/// length but toward neither side of its tally.
 ///
 /// # Examples
 ///
@@ -54,22 +50,12 @@ use crate::{Bit, ProcessId};
 /// use synran_sim::{Bit, PlaneMsg};
 ///
 /// assert_eq!(Bit::One.pack(), Some(Bit::One));
-/// assert_eq!(<Bit as PlaneMsg>::unpack(Bit::Zero), Some(Bit::Zero));
-/// // u32 payloads never pack: rounds of them stay on the scalar path.
+/// // u32 payloads never pack: they count toward no tally.
 /// assert_eq!(7u32.pack(), None);
-/// assert_eq!(<u32 as PlaneMsg>::unpack(Bit::One), None);
 /// ```
-pub trait PlaneMsg: Sized {
-    /// The single bit this message packs to, or `None` if it cannot be
-    /// represented in a plane.
+pub trait PlaneMsg {
+    /// The single bit this message packs to, or `None` if it has none.
     fn pack(&self) -> Option<Bit> {
-        None
-    }
-
-    /// Reconstructs the message a sender must have packed `bit` from, or
-    /// `None` if this type never packs.
-    fn unpack(bit: Bit) -> Option<Self> {
-        let _ = bit;
         None
     }
 }
@@ -77,10 +63,6 @@ pub trait PlaneMsg: Sized {
 impl PlaneMsg for Bit {
     fn pack(&self) -> Option<Bit> {
         Some(*self)
-    }
-
-    fn unpack(bit: Bit) -> Option<Bit> {
-        Some(bit)
     }
 }
 
@@ -492,13 +474,12 @@ mod tests {
     }
 
     #[test]
-    fn plane_msg_round_trip_for_bit() {
+    fn plane_msg_packs_bits_only() {
         for b in Bit::BOTH {
             assert_eq!(b.pack(), Some(b));
-            assert_eq!(<Bit as PlaneMsg>::unpack(b), Some(b));
         }
         assert_eq!(3u64.pack(), None);
-        assert_eq!(<String as PlaneMsg>::unpack(Bit::One), None);
+        assert_eq!(String::from("1").pack(), None);
         assert_eq!(().pack(), None);
     }
 }

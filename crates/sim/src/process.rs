@@ -52,11 +52,11 @@ use crate::{Bit, Inbox, ProcessId, Round, SendPattern, SimRng};
 pub trait Process: std::fmt::Debug {
     /// The message type this process exchanges.
     ///
-    /// The [`PlaneMsg`](crate::PlaneMsg) bound is what lets the round
-    /// engine route broadcast rounds through the bit-plane fast path:
-    /// message types that pack to a bit ride the planes, the rest use the
-    /// scalar pair-vector path. Types with no natural bit packing just
-    /// take the trait's defaults (`impl PlaneMsg for MyMsg {}`).
+    /// The [`PlaneMsg`](crate::PlaneMsg) bound is what lets an inbox
+    /// tally the messages that pack to a bit once, when it is built.
+    /// Types with no natural bit packing just take the trait's default
+    /// (`impl PlaneMsg for MyMsg {}`): their messages count toward an
+    /// inbox's length and toward neither side of its tally.
     type Msg: Clone + std::fmt::Debug + crate::PlaneMsg;
 
     /// Phase A of a round: flip coins, compute, and emit messages.
@@ -202,7 +202,7 @@ mod tests {
         let mut ctx = Context::new(ProcessId::new(0), 1, Round::FIRST, &mut rng);
         let out = p.send(&mut ctx);
         assert_eq!(out, SendPattern::Broadcast(Bit::One));
-        p.receive(&mut ctx, &Inbox::empty());
+        p.receive(&mut ctx, &Inbox::from_messages(Vec::new()));
         assert_eq!(p.decision(), Some(Bit::One));
         assert!(p.halted());
     }

@@ -95,11 +95,6 @@ impl SimRng {
         splitmix64(self.state)
     }
 
-    /// Returns the next 32 uniformly random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly random [`Bit`] — the paper's fair local coin.
     pub fn bit(&mut self) -> Bit {
         Bit::from(self.next_u64() & 1 == 1)

@@ -4,7 +4,7 @@
 //! behaviour (phases, kills, delivery filters, budgets) can be tested
 //! without dragging in a real consensus protocol.
 
-use crate::{Bit, Context, Inbox, PlaneMsg, Process, ProcessId, SendPattern};
+use crate::{Bit, Context, Inbox, PlaneMsg, Process, SendPattern};
 
 /// Broadcasts its input once, then decides it and halts.
 ///
@@ -154,24 +154,24 @@ impl Process for CoinCaller {
 /// A message wrapper that hides its payload's bit packing.
 ///
 /// `Opaque<M>` carries `M` but its [`PlaneMsg`] impl never packs, so every
-/// round of `Opaque` messages takes the engine's scalar pair path even when
-/// `M` itself would ride the planes. Differential tests wrap a protocol in
-/// [`Scalarized`] to re-run it through the scalar path as the oracle for
-/// the plane fast path.
+/// `Opaque` payload is a non-packing payload even when `M` itself packs.
+/// Differential tests wrap a protocol in [`Scalarized`] to re-run it with
+/// non-packing payloads and compare it with the plain run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Opaque<M>(pub M);
 
 impl<M> PlaneMsg for Opaque<M> {}
 
-/// Runs any process through the scalar delivery path by wrapping its
-/// messages in [`Opaque`].
+/// Runs any process with non-packing payloads by wrapping its messages in
+/// [`Opaque`].
 ///
 /// `Scalarized<P>` is observationally identical to `P` — same sends (modulo
 /// the wrapper), same receives, same decisions, same coins — but its
-/// message type never packs, so the engine never takes the plane fast
-/// path. Running a protocol plain and scalarized from the same seed and
-/// comparing traces, metrics, and reports is the plane/scalar differential
-/// oracle.
+/// message type never packs, so the engine counts its rounds as
+/// `round.deliver.scalar` and its inboxes count their zeros through the
+/// packed plane instead of the sent mask. Running a protocol plain and
+/// scalarized from the same seed and comparing traces, metrics, and
+/// reports checks that packing changes nothing a process can observe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scalarized<P>(pub P);
 
@@ -181,9 +181,6 @@ impl<P: Process> Process for Scalarized<P> {
     fn send(&mut self, ctx: &mut Context<'_>) -> SendPattern<Opaque<P::Msg>> {
         match self.0.send(ctx) {
             SendPattern::Broadcast(m) => SendPattern::Broadcast(Opaque(m)),
-            SendPattern::To(list) => {
-                SendPattern::To(list.into_iter().map(|(to, m)| (to, Opaque(m))).collect())
-            }
             SendPattern::Silent => SendPattern::Silent,
         }
     }
@@ -192,8 +189,6 @@ impl<P: Process> Process for Scalarized<P> {
         let unwrapped: Inbox<P::Msg> = inbox
             .iter()
             .map(|(sender, Opaque(m))| (sender, m))
-            .collect::<Vec<(ProcessId, P::Msg)>>()
-            .into_iter()
             .collect();
         self.0.receive(ctx, &unwrapped);
     }
@@ -210,7 +205,7 @@ impl<P: Process> Process for Scalarized<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Passive, SimConfig, World};
+    use crate::{Passive, ProcessId, SimConfig, World};
 
     #[test]
     fn echo_decides_input() {

@@ -1,4 +1,4 @@
-//! Verifies the pooled-scratch claim: once the inbox buffers have warmed
+//! Verifies the pooled-scratch claim: once the round buffers have warmed
 //! up, a steady-state round (`phase_a` + `deliver`) performs **zero** heap
 //! allocations.
 //!
@@ -56,9 +56,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `CountDown` with a payload that never bit-packs: the engine is forced
-/// onto the scalar pair path. Reads only the inbox length, so any
-/// allocation measured below is the engine's, not the process's.
+/// `CountDown` with a payload that never bit-packs, so its rounds count
+/// their zeros through the packed plane. Reads only the inbox length, so
+/// any allocation measured below is the engine's, not the process's.
 #[derive(Debug, Clone)]
 struct OpaqueCountDown {
     remaining: u32,
@@ -89,8 +89,8 @@ impl Process for OpaqueCountDown {
 /// Runs 5 warm-up rounds then measures 50 steady-state rounds of `world`,
 /// asserting the engine performed zero heap allocations.
 fn assert_steady_state_alloc_free<P: Process>(world: &mut World<P>, label: &str) {
-    // Warm-up: the pooled buffers (pair inboxes or bit planes) grow to
-    // their steady-state capacity during the first few broadcast rounds.
+    // Warm-up: the pooled buffers grow to their steady-state capacity
+    // during the first few broadcast rounds.
     for _ in 0..5 {
         world.phase_a().expect("phase A");
         world.deliver(Intervention::none()).expect("deliver");
@@ -112,25 +112,24 @@ fn assert_steady_state_alloc_free<P: Process>(world: &mut World<P>, label: &str)
 
 #[test]
 fn steady_state_plane_rounds_allocate_nothing() {
-    // `CountDown` broadcasts `Bit`s, which pack: these rounds ride the
-    // bit-plane fast path.
+    // `CountDown` broadcasts `Bit`s, which pack: these are plane rounds.
     let n = 32;
     let mut world =
         World::new(SimConfig::new(n).seed(11), |_| CountDown::new(60, Bit::One)).expect("config");
-    assert_steady_state_alloc_free(&mut world, "plane-path broadcast");
+    assert_steady_state_alloc_free(&mut world, "packing broadcast");
 }
 
 #[test]
 fn steady_state_scalar_rounds_allocate_nothing() {
-    // `Opaque` payloads never pack: the same rounds take the scalar pair
-    // path, whose recycled `Vec` pools must stay allocation-free too.
+    // `Opaque` payloads never pack: the same rounds also fill the packed
+    // plane, and must stay allocation-free too.
     let n = 32;
     let mut world = World::new(SimConfig::new(n).seed(11), |_| OpaqueCountDown {
         remaining: 60,
         last_inbox_len: 0,
     })
     .expect("config");
-    assert_steady_state_alloc_free(&mut world, "scalar-path broadcast");
+    assert_steady_state_alloc_free(&mut world, "non-packing broadcast");
 }
 
 /// The split move: kill the lower half of the alive processes, delivering
@@ -225,7 +224,7 @@ fn broadcast_bit_rounds_never_fall_back_to_the_scalar_path() {
     assert_eq!(
         snap.counter("round.deliver.plane"),
         Some(u64::from(rounds)),
-        "every broadcast-Bit round must engage the plane fast path"
+        "every broadcast-Bit round counts as a plane round"
     );
     assert_eq!(snap.counter("round.deliver.scalar"), None);
 }

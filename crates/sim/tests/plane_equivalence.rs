@@ -1,18 +1,21 @@
-//! Differential tests pinning the bit-plane fast path to the scalar path.
+//! Delivery against a reference, and packing against non-packing payloads.
 //!
-//! The engine promises that routing broadcast rounds through word-packed
-//! planes is *observationally invisible*: inbox contents, process
-//! decisions, traces, metrics, and reports are bit-for-bit what the
-//! scalar pair representation produces. These tests enforce that promise
-//! with fixed-seed randomized cases over the awkward widths (`n < 64`,
-//! `n` not a multiple of 64, word boundaries) and with whole-world
-//! differential runs against [`Scalarized`] oracles.
+//! The engine has one delivery path: every sender broadcasts, so each
+//! inbox is a sender mask over the round's shared payload table. These
+//! tests pin it two ways. A test-only reference builds each recipient's
+//! `(sender, message)` list straight from the queued outboxes and the
+//! intervention, and every inbox accessor must agree with it, at the
+//! awkward widths (`n < 64`, `n` not a multiple of 64, word boundaries)
+//! and with payloads that pack and payloads that do not in one round.
+//! Whole-world runs then compare a protocol against its [`Scalarized`]
+//! twin, whose payloads never pack: traces, metrics, reports and coins
+//! must match byte for byte.
 
 use std::sync::Arc;
 
 use synran_sim::testing::{CoinCaller, CountDown, Scalarized};
 use synran_sim::{
-    Adversary, Bit, BitPlane, Context, DeliveryFilter, Inbox, Intervention, Passive, Process,
+    Adversary, Bit, Context, DeliveryFilter, Inbox, Intervention, Passive, PlaneMsg, Process,
     ProcessId, SendPattern, SimConfig, SimRng, World,
 };
 
@@ -20,66 +23,199 @@ use synran_sim::{
 /// one-past, and multi-word with a ragged tail.
 const WIDTHS: [usize; 7] = [1, 5, 63, 64, 65, 100, 130];
 
-/// Builds the pair-backed and plane-backed views of the same delivery
-/// (senders ⊆ 0..n with per-sender bits) and returns both.
-fn twin_inboxes(n: usize, rng: &mut SimRng) -> (Inbox<Bit>, Inbox<Bit>) {
-    let mut sent = BitPlane::new(n);
-    let mut ones = BitPlane::new(n);
-    let mut pairs = Vec::new();
-    for i in 0..n {
-        if rng.index(3) == 0 {
-            continue; // this sender stays silent
+/// A payload that packs as a preference and does not as a set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Mixed {
+    Pref(Bit),
+    Set(u32),
+}
+
+impl PlaneMsg for Mixed {
+    fn pack(&self) -> Option<Bit> {
+        match self {
+            Mixed::Pref(b) => Some(*b),
+            Mixed::Set(_) => None,
         }
-        let bit = Bit::from(rng.index(2) == 1);
-        sent.set(i);
-        if bit.is_one() {
-            ones.set(i);
-        }
-        pairs.push((ProcessId::new(i), bit));
     }
-    (Inbox::from_messages(pairs), Inbox::from_plane(sent, ones))
+}
+
+/// What one inbox answered, accessor by accessor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Seen {
+    iter: Vec<(usize, Mixed)>,
+    len: usize,
+    tally: (usize, usize),
+    unpackable: Vec<(usize, Mixed)>,
+    /// `from(s)` for every sender `s` and one past the last.
+    from: Vec<Option<Mixed>>,
+}
+
+impl Seen {
+    fn of(inbox: &Inbox<Mixed>, n: usize) -> Seen {
+        Seen {
+            iter: inbox.iter().map(|(s, m)| (s.index(), m)).collect(),
+            len: inbox.len(),
+            tally: inbox.tally(),
+            unpackable: inbox
+                .unpackable()
+                .map(|(s, m)| (s.index(), m.clone()))
+                .collect(),
+            from: (0..=n).map(|s| inbox.from(ProcessId::new(s))).collect(),
+        }
+    }
+
+    /// What an inbox holding exactly `msgs` (ascending senders) answers.
+    fn expected(msgs: Vec<(usize, Mixed)>, n: usize) -> Seen {
+        let count = |bit| msgs.iter().filter(|(_, m)| m.pack() == Some(bit)).count();
+        let mut from = vec![None; n + 1];
+        for (s, m) in &msgs {
+            from[*s] = Some(m.clone());
+        }
+        Seen {
+            len: msgs.len(),
+            tally: (count(Bit::Zero), count(Bit::One)),
+            unpackable: msgs
+                .iter()
+                .filter(|(_, m)| m.pack().is_none())
+                .cloned()
+                .collect(),
+            from,
+            iter: msgs,
+        }
+    }
+}
+
+/// Sends a packing preference, a non-packing set or nothing, at random,
+/// in proportions that change with the round — round 1 mod 3 packs
+/// everything — and records what each inbox answered.
+#[derive(Debug, Clone)]
+struct Recorder {
+    seen: Vec<Seen>,
+}
+
+impl Process for Recorder {
+    type Msg = Mixed;
+
+    fn send(&mut self, ctx: &mut Context<'_>) -> SendPattern<Mixed> {
+        let sets = ctx.round().index() % 3;
+        let rng = ctx.rng();
+        if rng.index(10) == 0 {
+            SendPattern::Silent
+        } else if rng.index(3) < sets as usize {
+            SendPattern::Broadcast(Mixed::Set(rng.index(1000) as u32))
+        } else {
+            SendPattern::Broadcast(Mixed::Pref(rng.bit()))
+        }
+    }
+
+    fn receive(&mut self, ctx: &mut Context<'_>, inbox: &Inbox<Mixed>) {
+        self.seen.push(Seen::of(inbox, ctx.n()));
+    }
+
+    fn decision(&self) -> Option<Bit> {
+        None
+    }
+
+    fn halted(&self) -> bool {
+        false
+    }
+}
+
+/// The reference: each recipient's `(sender, message)` list, built from
+/// the queued outboxes and the intervention alone. A sender's broadcast
+/// reaches `r` unless the sender is a victim whose filter does not allow
+/// `r`; a silent sender reaches no one.
+fn reference(world: &World<Recorder>, iv: &Intervention) -> Vec<Vec<(usize, Mixed)>> {
+    let n = world.n();
+    let filter_of = |s: usize| {
+        iv.kills()
+            .iter()
+            .find(|k| k.victim.index() == s)
+            .map(|k| &k.delivered)
+    };
+    (0..n)
+        .map(|r| {
+            (0..n)
+                .filter_map(|s| match world.outbox(ProcessId::new(s)) {
+                    Some(SendPattern::Broadcast(m)) => Some((s, m.clone())),
+                    _ => None,
+                })
+                .filter(|&(s, _)| filter_of(s).is_none_or(|f| f.allows(ProcessId::new(r))))
+                .collect()
+        })
+        .collect()
+}
+
+/// A random intervention over the alive set: about one victim in four,
+/// each with an `All`, `None`, private `To`, shared `To` or `Prefix`
+/// filter. Two receiver sets are shared, each by every victim that draws
+/// it, so several victims name one `Arc`.
+fn random_kills(world: &World<Recorder>, rng: &mut SimRng) -> Intervention {
+    let n = world.n();
+    let random_set = |rng: &mut SimRng| -> Arc<[ProcessId]> {
+        (0..n)
+            .filter(|_| rng.index(2) == 0)
+            .map(ProcessId::new)
+            .collect()
+    };
+    let shared = [random_set(rng), random_set(rng)];
+    let mut iv = Intervention::new();
+    for victim in world.alive_ids() {
+        if rng.index(4) != 0 {
+            continue;
+        }
+        let filter = match rng.index(6) {
+            0 => DeliveryFilter::All,
+            1 => DeliveryFilter::None,
+            2 => DeliveryFilter::To(random_set(rng)),
+            3 => DeliveryFilter::Prefix(rng.index(n + 2)),
+            k => DeliveryFilter::To(Arc::clone(&shared[k - 4])),
+        };
+        iv = iv.kill(victim, filter);
+    }
+    iv
 }
 
 #[test]
-fn plane_and_pair_inboxes_are_observationally_equal_at_every_edge_width() {
+fn every_inbox_accessor_matches_the_reference_delivery() {
     let mut rng = SimRng::new(0x9_1A4E);
+    let (mut shared_rounds, mut mixed_rounds) = (0, 0);
     for n in WIDTHS {
-        for case in 0..16 {
-            let (pairs, plane) = twin_inboxes(n, &mut rng);
-            assert_eq!(pairs, plane, "n={n} case={case}");
-            assert_eq!(pairs.len(), plane.len(), "n={n} case={case}");
-            assert_eq!(pairs.tally(), plane.tally(), "n={n} case={case}");
-            assert!(
-                pairs.iter().eq(plane.iter()),
-                "n={n} case={case}: iteration order diverges"
-            );
-            // Per-sender lookups agree, in and out of range.
-            for i in 0..n {
-                assert_eq!(
-                    pairs.from(ProcessId::new(i)),
-                    plane.from(ProcessId::new(i)),
-                    "n={n} case={case} sender={i}"
-                );
+        for seed in 0..3 {
+            let cfg = SimConfig::new(n).faults(n).seed(seed);
+            let mut world = World::new(cfg, |_| Recorder { seen: Vec::new() }).unwrap();
+            for round in 1..=6 {
+                if world.finished() {
+                    break;
+                }
+                world.phase_a().unwrap();
+                let iv = random_kills(&world, &mut rng);
+                let expected = reference(&world, &iv);
+                let mut sharers = std::collections::HashMap::new();
+                for kill in iv.kills() {
+                    if let DeliveryFilter::To(set) = &kill.delivered {
+                        *sharers.entry(Arc::as_ptr(set)).or_insert(0) += 1;
+                    }
+                }
+                shared_rounds += usize::from(sharers.values().any(|&k| k > 1));
+                world.deliver(iv).unwrap();
+                for (pid, p, status) in world.processes() {
+                    if !status.is_alive() {
+                        continue;
+                    }
+                    let want = Seen::expected(expected[pid.index()].clone(), n);
+                    mixed_rounds += usize::from(want.tally.0 + want.tally.1 < want.len);
+                    assert_eq!(
+                        p.seen.last(),
+                        Some(&want),
+                        "n={n} seed={seed} round={round} recipient={pid}"
+                    );
+                }
             }
-            assert_eq!(plane.from(ProcessId::new(n + 7)), None);
-            assert_eq!(
-                pairs.count_where(|m| m.is_one()),
-                plane.count_where(|m| m.is_one()),
-            );
         }
     }
-}
-
-#[test]
-fn all_dead_round_yields_an_empty_inbox_on_both_reprs() {
-    for n in WIDTHS {
-        let pairs: Inbox<Bit> = Inbox::from_messages(Vec::new());
-        let plane: Inbox<Bit> = Inbox::from_plane(BitPlane::new(n), BitPlane::new(n));
-        assert_eq!(pairs, plane, "n={n}");
-        assert!(plane.is_empty());
-        assert_eq!(plane.tally(), (0, 0));
-        assert_eq!(plane.iter().count(), 0);
-    }
+    assert!(shared_rounds > 10, "victims share receiver sets");
+    assert!(mixed_rounds > 100, "inboxes hold unpackable payloads");
 }
 
 /// A deterministic scripted adversary: at round `r` (1-based), kill the
@@ -138,7 +274,7 @@ fn kill_script() -> Scripted {
 #[test]
 fn world_runs_identically_on_plane_and_scalar_paths_under_every_filter_kind() {
     use synran_sim::telemetry::{Telemetry, TelemetryMode};
-    // The plane path must not care about the worker budget either.
+    // Delivery must not care about the worker budget either.
     for threads in [1, 2, 8] {
         for n in [9, 40, 70] {
             let cfg = SimConfig::new(n)
@@ -159,11 +295,10 @@ fn world_runs_identically_on_plane_and_scalar_paths_under_every_filter_kind() {
             assert_eq!(
                 format!("{plain:?}"),
                 format!("{scalar:?}"),
-                "threads={threads} n={n}: plane vs scalar report bytes diverge"
+                "threads={threads} n={n}: packing vs non-packing report bytes diverge"
             );
-            // Rounds with only All/None/Prefix/To-free broadcasts stay on the
-            // fast path; the To/Prefix kills above don't evict it (they are
-            // delivery filters, not send patterns).
+            // Every payload of the plain run packs, so every round counts as
+            // a plane round, whatever its kills' delivery filters.
             let snap = plane_hub.snapshot();
             assert_eq!(
                 snap.counter("round.deliver.scalar"),
@@ -180,7 +315,7 @@ fn world_runs_identically_on_plane_and_scalar_paths_under_every_filter_kind() {
 
 #[test]
 fn coin_streams_are_unperturbed_by_the_delivery_representation() {
-    // CoinCaller draws one RNG bit per round in Phase A; if the plane path
+    // CoinCaller draws one RNG bit per round in Phase A; if packing
     // consumed or reordered randomness, histories would diverge.
     for n in [7, 64, 96] {
         let run_plain = {
@@ -392,16 +527,16 @@ fn shared_receiver_sets_run_identically_on_both_paths_and_as_private_copies() {
     assert_eq!(
         plain,
         run_scalar(kills.clone()),
-        "plane vs scalar path diverge"
+        "packing vs non-packing payloads diverge"
     );
     assert_eq!(
         plain,
         run_plain(private_copies(&kills)),
-        "shared sets vs per-victim copies diverge on the plane path"
+        "shared sets vs per-victim copies diverge with packing payloads"
     );
     assert_eq!(
         plain,
         run_scalar(private_copies(&kills)),
-        "shared sets vs per-victim copies diverge on the scalar path"
+        "shared sets vs per-victim copies diverge with non-packing payloads"
     );
 }

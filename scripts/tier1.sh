@@ -62,6 +62,19 @@ echo "== tier1: full-size upper_bound pass (golden digest) =="
 # them and checks its committed `full` render digest.
 cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
     --bin bench_e2e -- run --workload upper_bound --seconds 1
+# Its other committed seed, 42, where SynRan's non-packing `Known(S)`
+# flooding rounds meet thousands of victims, against the `full 42` digest.
+cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
+    --bin bench_e2e -- run --workload upper_bound --seconds 0 --seed 42
+
+echo "== tier1: full-size campaign_grid passes (golden digests) =="
+# The smoke grid is a fraction of the 8,000 cells. One full pass (fresh,
+# warm and resumed) at each committed seed checks its `full 5` and
+# `full 42` render digests.
+for seed in 5 42; do
+    cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml \
+        --bin bench_e2e -- run --workload campaign_grid --seconds 0 --seed "$seed"
+done
 
 echo "== tier1: full-size lower_bound passes (golden digests) =="
 # The smoke sizes (n = 16, 24) never run the valency-guided adversary at
