@@ -272,7 +272,6 @@ mod tests {
         assert!(verdict.is_correct());
         assert!(verdict
             .report()
-            .metrics()
             .kills_per_round()
             .iter()
             .all(|&(_, k)| k <= 3));
@@ -354,6 +353,6 @@ mod tests {
         .unwrap();
         assert!(verdict.is_correct());
         assert_eq!(verdict.report().unanimous_decision(), Some(Bit::One));
-        assert_eq!(verdict.report().metrics().total_kills(), 0);
+        assert_eq!(verdict.report().failed_count(), 0);
     }
 }

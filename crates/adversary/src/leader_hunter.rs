@@ -287,7 +287,7 @@ mod tests {
         )
         .unwrap();
         assert!(verdict.is_correct());
-        let kills = verdict.report().metrics().total_kills() as f64;
+        let kills = verdict.report().failed_count() as f64;
         let rounds = f64::from(verdict.rounds());
         assert!(
             rounds > 10.0,

@@ -325,7 +325,6 @@ mod tests {
         assert!(verdict.is_correct());
         assert!(verdict
             .report()
-            .metrics()
             .kills_per_round()
             .iter()
             .all(|&(_, k)| k <= 2));

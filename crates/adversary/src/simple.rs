@@ -135,9 +135,9 @@ mod tests {
         )
         .unwrap();
         assert!(verdict.is_correct(), "{:?}", verdict.violations());
-        let metrics = verdict.report().metrics();
-        assert!(metrics.total_kills() <= t);
-        assert!(metrics.kills_per_round().iter().all(|&(_, k)| k <= 3));
+        let report = verdict.report();
+        assert!(report.failed_count() <= t);
+        assert!(report.kills_per_round().iter().all(|&(_, k)| k <= 3));
     }
 
     #[test]
@@ -153,7 +153,7 @@ mod tests {
         )
         .unwrap();
         assert!(verdict.is_correct(), "{:?}", verdict.violations());
-        let kills = verdict.report().metrics().kills_per_round();
+        let kills = verdict.report().kills_per_round();
         assert_eq!(kills.len(), 1, "storm kills only in round 1");
         assert_eq!(kills[0].0, synran_sim::Round::FIRST);
         assert_eq!(kills[0].1, 14);

@@ -270,8 +270,8 @@ pub fn classify_with(estimate: &ValencyEstimate, lo: f64, hi: f64) -> Valence {
 /// horizon but would have finished only after it therefore scores its
 /// value, not ½.
 ///
-/// **Replication.** A probe's sample-0 fork that never asked for a coin
-/// ([`World::used_rng`]) played out without reading its seed, and probes
+/// **Replication.** A probe's sample-0 fork that drew no coin
+/// ([`World::coins`] is zero) played out without reading its seed, and probes
 /// do not read seeds either (see [`ProbeSet`]). So every other sample of
 /// that probe would replay it bit for bit: its outcome fills them all and
 /// their forks are never built ([`ValencyEstimate::forks_driven`]). The
@@ -374,9 +374,8 @@ fn sweep_probes<P: Process + Clone>(
     // One work unit per (probe, sample) pair, indexed probe-major as in
     // the serial nested loop. Seeds depend only on the pair's indices.
     let fork_seeds = derive_seed_grid(seed, probes.len(), samples);
-    // A unit's `(score, undecided)` outcome, and whether its fork asked
-    // for a coin.
-    let eval = |unit: usize| -> Result<((f64, bool), bool), SimError> {
+    // A unit's `(score, undecided)` outcome, and the coins its fork drew.
+    let eval = |unit: usize| -> Result<((f64, bool), u64), SimError> {
         let mut fork = base.fork(fork_seeds[unit]);
         let mut adversary = (probes.factories[unit / samples].1)();
         let stop = |w: &World<P>| w.round().index() > last || scoring_decision(w).is_some();
@@ -390,11 +389,11 @@ fn sweep_probes<P: Process + Clone>(
             Err(SimError::MaxRoundsExceeded { .. }) => (0.5, true),
             Err(other) => return Err(other),
         };
-        let used_rng = fork.used_rng();
+        let coins = fork.coins();
         // The fork's warmed scratch goes back to the shared pool for the
         // next sample to re-use.
         fork.retire();
-        Ok((outcome, used_rng))
+        Ok((outcome, coins))
     };
     // Sweeps of `width` samples across every probe, probe-major: one sweep
     // of the whole grid without a floor, one sample per sweep with one.
@@ -410,11 +409,11 @@ fn sweep_probes<P: Process + Clone>(
             if sample < known[probe] {
                 continue;
             }
-            let (outcome, used_rng) = eval(probe * samples + sample)?;
+            let (outcome, coins) = eval(probe * samples + sample)?;
             forks_driven += 1;
-            // A fork that asked for no coin stands for every sample of its
+            // A fork that drew no coin stands for every sample of its
             // probe still to come: each would replay it bit for bit.
-            let last = if used_rng { sample + 1 } else { samples };
+            let last = if coins == 0 { samples } else { sample + 1 };
             for slot in &mut outcomes[probe * samples + sample..probe * samples + last] {
                 *slot = outcome;
                 sums[probe] += outcome.0;

@@ -26,12 +26,12 @@ fn blocks_of_run(
     index: usize,
     telemetry: &Telemetry,
 ) -> Result<(Vec<(usize, usize)>, u32), LabError> {
-    let (_, verdict) = run_cell_once(cell, index, false, telemetry)?;
+    let (_, verdict) = run_cell_once(cell, index, telemetry)?;
     assert!(verdict.is_correct(), "{:?}", verdict.violations());
     let rounds = verdict.rounds();
     // kills per round, dense.
     let mut per_round = vec![0usize; rounds as usize + 1];
-    for &(round, k) in verdict.report().metrics().kills_per_round() {
+    for (round, k) in verdict.report().kills_per_round() {
         per_round[round.index() as usize - 1] += k;
     }
     let mut blocks = Vec::new();

@@ -58,7 +58,7 @@ where
             verdict.violations()
         );
         rounds.push(verdict.rounds());
-        kills.push(verdict.report().metrics().total_kills() as u32);
+        kills.push(verdict.report().failed_count() as u32);
     }
     let s = Summary::of_u32(&rounds);
     Ok((s.mean(), s.ci95_halfwidth(), Summary::of_u32(&kills).mean()))

@@ -139,8 +139,8 @@ where
     let n = cfg.n();
     let mut world = World::new(cfg, |pid| protocol.spawn(pid, n, inputs[pid.index()]))?;
     world.set_telemetry(telemetry.clone());
-    // The world is discarded here, so consume it into the report instead
-    // of cloning the metrics and trace out of it.
+    // The world is discarded here, so consume it into the report, which
+    // returns its scratch to the pool.
     world.drive(adversary)?;
     Ok(evaluate(inputs, world.into_report()))
 }

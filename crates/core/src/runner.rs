@@ -219,7 +219,7 @@ impl RunRecord {
             Ok((seed, verdict)) => Ok(Some(RunRecord {
                 seed,
                 rounds: verdict.rounds(),
-                kills: verdict.report().metrics().total_kills(),
+                kills: verdict.report().failed_count(),
                 violations: verdict.violations().to_vec(),
             })),
             Err(SimError::MaxRoundsExceeded { .. }) => Ok(None),

@@ -657,6 +657,24 @@ mod tests {
     }
 
     #[test]
+    fn coins_count_the_flips_of_one_fixed_run() {
+        // Unanimous inputs decide without a flip. Split inputs at seed 5
+        // draw 16 coins in 4 rounds: each FlipCoin step is one
+        // `Context::rng` call.
+        let coins = |inputs: fn(usize) -> Bit| {
+            let n = 16;
+            let mut world = World::new(SimConfig::new(n).seed(5), |pid| {
+                SynRan::new().spawn(pid, n, inputs(pid.index()))
+            })
+            .unwrap();
+            let report = world.run(&mut Passive).unwrap();
+            (report.rounds(), world.coins())
+        };
+        assert_eq!(coins(|_| Bit::One), (2, 0));
+        assert_eq!(coins(|i| Bit::from(i % 2 == 0)), (4, 16));
+    }
+
+    #[test]
     fn massive_first_round_kill_triggers_deterministic_stage() {
         // Kill all but 2 of 16 in round 1: survivors see N < √(n/ln n) and
         // hand over to flooding.

@@ -12,7 +12,7 @@ use synran_sim::{Bit, Passive, SimConfig, World};
 /// the full run reports match byte for byte.
 fn assert_plane_scalar_parity<P: ConsensusProtocol>(protocol: &P, n: usize, seed: u64) {
     let inputs: Vec<Bit> = (0..n).map(|i| Bit::from(i % 3 == 0)).collect();
-    let cfg = SimConfig::new(n).seed(seed).max_rounds(10_000).trace(true);
+    let cfg = SimConfig::new(n).seed(seed).max_rounds(10_000);
     let plain = {
         let mut w = World::new(cfg.clone(), |pid| {
             protocol.spawn(pid, n, inputs[pid.index()])

@@ -31,7 +31,7 @@ pub fn results_telemetry_path(bin: &str) -> PathBuf {
 /// record's file order
 /// ([`TelemetryStream::events`](synran_sim::TelemetryStream::events)).
 ///
-/// `kills_per_round` is [`synran_sim::Metrics::kills_per_round`] output
+/// `kills_per_round` is [`synran_sim::RunReport::kills_per_round`] output
 /// from a representative run — sorted, one entry per round.
 ///
 /// # Errors
@@ -74,7 +74,7 @@ pub fn write_telemetry_jsonl(
 /// `telemetry`. The `meta` lines
 /// are `experiment` (= `bin`), `adversary`, `n` and `t` from the cell,
 /// then `extra_meta` in order; the `round_kills` lines are the run's
-/// [`kills_per_round`](synran_sim::Metrics::kills_per_round). Returns the
+/// [`kills_per_round`](synran_sim::RunReport::kills_per_round). Returns the
 /// path written.
 ///
 /// # Errors
@@ -87,7 +87,7 @@ pub fn write_run_artifact(
     extra_meta: &[(&str, String)],
     telemetry: &Telemetry,
 ) -> Result<PathBuf, LabError> {
-    let (_, verdict) = run_cell_once(cell, 0, false, telemetry)?;
+    let (_, verdict) = run_cell_once(cell, 0, telemetry)?;
     let mut meta = vec![
         ("experiment", bin.to_string()),
         ("adversary", cell.adversary.clone()),
@@ -100,7 +100,7 @@ pub fn write_run_artifact(
         &path,
         &meta,
         telemetry,
-        verdict.report().metrics().kills_per_round(),
+        &verdict.report().kills_per_round(),
         cell.n,
     )?;
     Ok(path)
@@ -183,10 +183,12 @@ mod tests {
         assert_eq!(meta, expected);
 
         let kills_of_run = |index| {
-            let (_, verdict) = run_cell_once(&cell, index, false, &Telemetry::off()).unwrap();
-            let kills = verdict.report().metrics().kills_per_round().iter();
-            kills
-                .map(|&(round, kills)| (u64::from(round.index()), kills as u64))
+            let (_, verdict) = run_cell_once(&cell, index, &Telemetry::off()).unwrap();
+            verdict
+                .report()
+                .kills_per_round()
+                .into_iter()
+                .map(|(round, kills)| (u64::from(round.index()), kills as u64))
                 .collect::<Vec<(u64, u64)>>()
         };
         let want = kills_of_run(0);

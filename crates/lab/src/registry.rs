@@ -392,9 +392,8 @@ pub fn run_cell_batch(
 }
 
 /// Executes run `index` of `cell` alone — the execution its batch counts
-/// at that index — on the calling thread, with its event trace recorded
-/// on request (observe-only), and returns the protocol's own name and the
-/// run's verdict.
+/// at that index — on the calling thread, and returns the protocol's own
+/// name and the run's verdict.
 ///
 /// # Errors
 ///
@@ -403,12 +402,10 @@ pub fn run_cell_batch(
 pub fn run_cell_once(
     cell: &Cell,
     index: usize,
-    trace: bool,
     telemetry: &Telemetry,
 ) -> Result<(String, ConsensusVerdict), LabError> {
     let (name, step) = resolve(cell)?;
-    let cfg = base_config(cell).trace(trace);
-    let (_, verdict) = step(&cfg, index, telemetry)?;
+    let (_, verdict) = step(&base_config(cell), index, telemetry)?;
     Ok((name, verdict))
 }
 
@@ -551,16 +548,11 @@ mod tests {
         cell.seed = 9;
         let batch = run_cell(&cell, &Telemetry::off()).unwrap();
         for index in 0..3 {
-            for trace in [true, false] {
-                let (name, verdict) =
-                    run_cell_once(&cell, index, trace, &Telemetry::off()).unwrap();
-                assert_eq!(name, "synran");
-                assert_eq!(verdict.rounds(), batch.rounds[index]);
-                let kills = verdict.report().metrics().total_kills() as u64;
-                assert_eq!(kills, batch.kills[index]);
-                let events = verdict.report().trace().events();
-                assert_eq!(!events.is_empty(), trace, "trace = {trace}");
-            }
+            let (name, verdict) = run_cell_once(&cell, index, &Telemetry::off()).unwrap();
+            assert_eq!(name, "synran");
+            assert_eq!(verdict.rounds(), batch.rounds[index]);
+            let kills = verdict.report().failed_count() as u64;
+            assert_eq!(kills, batch.kills[index]);
         }
     }
 
@@ -575,7 +567,7 @@ mod tests {
         ] {
             let mut cell = Cell::new(protocol, "passive", 7);
             (cell.ones, cell.t) = (ones, 3);
-            let (name, verdict) = run_cell_once(&cell, 0, false, &Telemetry::off()).unwrap();
+            let (name, verdict) = run_cell_once(&cell, 0, &Telemetry::off()).unwrap();
             assert_eq!(verdict.report().unanimous_decision(), Some(decision));
             let (batch_name, outcome) = run_cell_batch(&cell, 1, &Telemetry::off()).unwrap();
             assert_eq!(name, batch_name);
@@ -584,7 +576,7 @@ mod tests {
         let names = PROTOCOLS.iter().map(|p| {
             let mut cell = Cell::new(p.name, "passive", 4);
             cell.t = 1;
-            run_cell_once(&cell, 0, false, &Telemetry::off()).unwrap().0
+            run_cell_once(&cell, 0, &Telemetry::off()).unwrap().0
         });
         let names: Vec<String> = names.collect();
         assert_eq!(names, ["synran", "synran-sym", "flooding", "leader"]);

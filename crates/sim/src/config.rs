@@ -15,8 +15,7 @@ use crate::SimError;
 /// let cfg = SimConfig::new(64)
 ///     .faults(21)
 ///     .seed(0xfeed)
-///     .max_rounds(500)
-///     .trace(true);
+///     .max_rounds(500);
 /// assert_eq!(cfg.n(), 64);
 /// assert_eq!(cfg.t(), 21);
 /// ```
@@ -26,7 +25,6 @@ pub struct SimConfig {
     t: usize,
     seed: u64,
     max_rounds: u32,
-    trace: bool,
     threads: usize,
 }
 
@@ -36,7 +34,7 @@ pub const DEFAULT_MAX_ROUNDS: u32 = 100_000;
 
 impl SimConfig {
     /// Starts a configuration for a system of `n` processes with no faults,
-    /// seed 0, the default round limit, and tracing off.
+    /// seed 0, the default round limit, and the automatic thread budget.
     #[must_use]
     pub fn new(n: usize) -> SimConfig {
         SimConfig {
@@ -44,7 +42,6 @@ impl SimConfig {
             t: 0,
             seed: 0,
             max_rounds: DEFAULT_MAX_ROUNDS,
-            trace: false,
             threads: crate::parallel::AUTO_THREADS,
         }
     }
@@ -68,13 +65,6 @@ impl SimConfig {
     #[must_use]
     pub fn max_rounds(mut self, max_rounds: u32) -> SimConfig {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Enables or disables event tracing.
-    #[must_use]
-    pub fn trace(mut self, enabled: bool) -> SimConfig {
-        self.trace = enabled;
         self
     }
 
@@ -116,12 +106,6 @@ impl SimConfig {
     #[must_use]
     pub fn max_rounds_value(&self) -> u32 {
         self.max_rounds
-    }
-
-    /// Whether tracing is enabled.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.trace
     }
 
     /// The configured worker-thread budget (`0` = auto).
@@ -173,13 +157,11 @@ mod tests {
             .faults(5)
             .seed(9)
             .max_rounds(77)
-            .trace(true)
             .threads(3);
         assert_eq!(cfg.n(), 16);
         assert_eq!(cfg.t(), 5);
         assert_eq!(cfg.seed_value(), 9);
         assert_eq!(cfg.max_rounds_value(), 77);
-        assert!(cfg.trace_enabled());
         assert_eq!(cfg.threads_value(), 3, "the request is stored verbatim");
         assert_eq!(
             cfg.resolved_threads(),
@@ -196,7 +178,6 @@ mod tests {
         assert_eq!(cfg.t(), 0);
         assert_eq!(cfg.seed_value(), 0);
         assert_eq!(cfg.max_rounds_value(), DEFAULT_MAX_ROUNDS);
-        assert!(!cfg.trace_enabled());
         assert_eq!(cfg.threads_value(), crate::parallel::AUTO_THREADS);
         assert!(cfg.resolved_threads() >= 1, "auto resolves to at least one");
         cfg.validate().unwrap();

@@ -50,8 +50,8 @@
 //! | [`FaultBudget`] | engine-enforced `t` |
 //! | [`SimRng`] | deterministic splittable randomness |
 //! | [`plane`] | word-packed bit-plane rows: inbox sender masks, alive sets |
-//! | [`Trace`], [`Metrics`], [`RunReport`] | observability |
-//! | [`telemetry`] | spans, counters/histograms, the JSONL record |
+//! | [`RunReport`] | the run record: statuses, decision rounds, kills per round |
+//! | [`telemetry`] | spans, counters/histograms (message totals among them), the JSONL record |
 //! | [`json`] | the flat JSONL line codec every artifact reader and writer shares |
 //! | [`testing`] | trivial processes for tests and docs |
 
@@ -67,7 +67,6 @@ mod error;
 mod id;
 pub mod json;
 mod message;
-mod metrics;
 pub mod parallel;
 pub mod plane;
 mod process;
@@ -75,7 +74,6 @@ mod report;
 mod rng;
 pub mod telemetry;
 pub mod testing;
-mod trace;
 mod world;
 
 pub use adversary::{Adversary, DeliveryFilter, Intervention, Kill, Passive};
@@ -85,7 +83,6 @@ pub use config::{SimConfig, DEFAULT_MAX_ROUNDS};
 pub use error::{ParseBitError, SimError};
 pub use id::{ProcessId, Round};
 pub use message::{Inbox, SendPattern};
-pub use metrics::Metrics;
 pub use plane::{BitPlane, PlaneMsg};
 pub use process::{Context, Process};
 pub use report::RunReport;
@@ -94,5 +91,4 @@ pub use telemetry::aggregate::{
     LineKind, OwnedSpan, PhaseStat, RoundKillRow, SpanNode, SpanTree, TelemetryStream,
 };
 pub use telemetry::{MemorySink, Telemetry, TelemetryEvent, TelemetryMode};
-pub use trace::{Event, Trace};
 pub use world::{ProcessStatus, World};

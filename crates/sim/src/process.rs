@@ -89,7 +89,7 @@ pub struct Context<'a> {
     n: usize,
     round: Round,
     rng: &'a mut SimRng,
-    used_rng: bool,
+    coins: u64,
 }
 
 impl<'a> Context<'a> {
@@ -102,7 +102,7 @@ impl<'a> Context<'a> {
             n,
             round,
             rng,
-            used_rng: false,
+            coins: 0,
         }
     }
 
@@ -127,19 +127,18 @@ impl<'a> Context<'a> {
     /// The round's private random stream for this process.
     ///
     /// Draws are reproducible across replays and independent across
-    /// `(process, round, phase)` triples. Asking for the stream counts as
-    /// using it, whether or not anything is drawn: see
-    /// [`used_rng`](Context::used_rng).
+    /// `(process, round, phase)` triples. Each call counts as one coin,
+    /// whatever is drawn from the stream: see [`coins`](Context::coins).
     pub fn rng(&mut self) -> &mut SimRng {
-        self.used_rng = true;
+        self.coins += 1;
         self.rng
     }
 
-    /// Whether [`rng`](Context::rng) was called on this context. A call
-    /// that never asked for its stream behaved the same under every seed.
+    /// How many times [`rng`](Context::rng) was called on this context. A
+    /// call that drew no coin behaved the same under every seed.
     #[must_use]
-    pub fn used_rng(&self) -> bool {
-        self.used_rng
+    pub fn coins(&self) -> u64 {
+        self.coins
     }
 }
 
@@ -155,11 +154,13 @@ mod tests {
         assert_eq!(ctx.pid(), ProcessId::new(2));
         assert_eq!(ctx.n(), 10);
         assert_eq!(ctx.round(), Round::new(3));
-        assert!(!ctx.used_rng());
-        // The rng is usable through the context, and asking for it is
-        // recorded.
+        assert_eq!(ctx.coins(), 0);
+        // The rng is usable through the context, and every call asking
+        // for it is counted.
         let _ = ctx.rng().bit();
-        assert!(ctx.used_rng());
+        assert_eq!(ctx.coins(), 1);
+        let _ = ctx.rng();
+        assert_eq!(ctx.coins(), 2);
     }
 
     /// The doc-example process, reused as a smoke test of the trait.

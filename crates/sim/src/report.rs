@@ -1,39 +1,45 @@
 //! Execution summaries.
 
-use crate::{Bit, Metrics, ProcessId, ProcessStatus, Trace};
+use crate::{Bit, ProcessId, ProcessStatus, Round};
 
-/// The outcome of a completed (or interrupted) execution.
+/// The outcome of a completed (or interrupted) execution: the one record
+/// of a run.
+///
+/// It holds what the paper measures an execution by — each process's
+/// final status (so which processes the adversary failed, and in which
+/// round) and the round in which each process first decided — plus the
+/// rounds run. Kills per round and decision times are views of it.
 ///
 /// Produced by [`World::run`](crate::World::run) and
 /// [`World::report`](crate::World::report). The report owns its data — it
 /// stays valid after the world is dropped or reused.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
     decisions: Vec<Option<Bit>>,
+    decided_in: Vec<Option<Round>>,
     statuses: Vec<ProcessStatus>,
-    metrics: Metrics,
-    trace: Trace,
+    rounds: u32,
 }
 
 impl RunReport {
     pub(crate) fn new(
         decisions: Vec<Option<Bit>>,
+        decided_in: Vec<Option<Round>>,
         statuses: Vec<ProcessStatus>,
-        metrics: Metrics,
-        trace: Trace,
+        rounds: u32,
     ) -> RunReport {
         RunReport {
             decisions,
+            decided_in,
             statuses,
-            metrics,
-            trace,
+            rounds,
         }
     }
 
     /// Rounds fully executed.
     #[must_use]
     pub fn rounds(&self) -> u32 {
-        self.metrics.rounds_completed()
+        self.rounds
     }
 
     /// Final decisions, indexed by process.
@@ -48,6 +54,14 @@ impl RunReport {
         self.decisions.get(pid.index()).copied().flatten()
     }
 
+    /// The round in which `pid` first reported a decision, and its final
+    /// decision, if it decided.
+    #[must_use]
+    pub fn decided_at(&self, pid: ProcessId) -> Option<(Round, Bit)> {
+        let round = self.decided_in.get(pid.index()).copied().flatten()?;
+        Some((round, self.decision_of(pid)?))
+    }
+
     /// Final lifecycle status of every process.
     #[must_use]
     pub fn statuses(&self) -> &[ProcessStatus] {
@@ -60,16 +74,23 @@ impl RunReport {
         self.statuses.iter().filter(|s| s.is_failed()).count()
     }
 
-    /// Execution metrics (kills per round, message counts, decision times).
+    /// `(round, kills)` for every round in which the adversary failed at
+    /// least one process: sorted by round, one entry per round.
     #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Event trace (empty unless tracing was enabled).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    pub fn kills_per_round(&self) -> Vec<(Round, usize)> {
+        let mut rounds: Vec<Round> = self
+            .statuses
+            .iter()
+            .filter_map(|s| match s {
+                ProcessStatus::Failed(round) => Some(*round),
+                _ => None,
+            })
+            .collect();
+        rounds.sort_unstable();
+        rounds
+            .chunk_by(|a, b| a == b)
+            .map(|same| (same[0], same.len()))
+            .collect()
     }
 
     /// Ids of processes that were **not** failed by the adversary — the
@@ -110,11 +131,10 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Round;
 
     fn report(decisions: Vec<Option<Bit>>, statuses: Vec<ProcessStatus>) -> RunReport {
         let n = decisions.len();
-        RunReport::new(decisions, statuses, Metrics::new(n), Trace::disabled())
+        RunReport::new(decisions, vec![None; n], statuses, 0)
     }
 
     #[test]
@@ -179,5 +199,53 @@ mod tests {
         assert_eq!(r.decision_of(ProcessId::new(1)), None);
         // Out-of-range lookups are None, not panics.
         assert_eq!(r.decision_of(ProcessId::new(9)), None);
+    }
+
+    #[test]
+    fn kills_per_round_is_sorted_and_merged() {
+        // Failures listed out of round order, with a gap at round 2 and
+        // survivors in between, count to one sorted entry per round.
+        let failed = |r| ProcessStatus::Failed(Round::new(r));
+        let statuses = vec![
+            failed(3),
+            failed(1),
+            ProcessStatus::Halted(Round::new(4)),
+            failed(3),
+            failed(4),
+            failed(1),
+            ProcessStatus::Alive,
+            failed(3),
+        ];
+        let r = report(vec![None; 8], statuses);
+        assert_eq!(
+            r.kills_per_round(),
+            [(Round::new(1), 2), (Round::new(3), 3), (Round::new(4), 1)]
+        );
+        let total: usize = r.kills_per_round().iter().map(|&(_, k)| k).sum();
+        assert_eq!(total, r.failed_count());
+        assert!(report(vec![None; 2], vec![ProcessStatus::Alive; 2])
+            .kills_per_round()
+            .is_empty());
+    }
+
+    #[test]
+    fn decided_at_pairs_the_round_with_the_decision() {
+        let r = RunReport::new(
+            vec![Some(Bit::One), None, Some(Bit::Zero)],
+            vec![Some(Round::new(3)), None, Some(Round::new(1))],
+            vec![ProcessStatus::Halted(Round::new(3)); 3],
+            3,
+        );
+        assert_eq!(
+            r.decided_at(ProcessId::new(0)),
+            Some((Round::new(3), Bit::One))
+        );
+        assert_eq!(r.decided_at(ProcessId::new(1)), None);
+        assert_eq!(
+            r.decided_at(ProcessId::new(2)),
+            Some((Round::new(1), Bit::Zero))
+        );
+        assert_eq!(r.decided_at(ProcessId::new(9)), None);
+        assert_eq!(r.rounds(), 3);
     }
 }

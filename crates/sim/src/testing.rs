@@ -170,8 +170,9 @@ impl<M> PlaneMsg for Opaque<M> {}
 /// message type never packs, so the engine counts its rounds as
 /// `round.deliver.scalar` and its inboxes count their zeros through the
 /// packed plane instead of the sent mask. Running a protocol plain and
-/// scalarized from the same seed and comparing traces, metrics, and
-/// reports checks that packing changes nothing a process can observe.
+/// scalarized from the same seed and comparing their reports, inboxes and
+/// message counters checks that packing changes nothing a process can
+/// observe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scalarized<P>(pub P);
 
@@ -234,7 +235,7 @@ mod tests {
         let factory = |pid: ProcessId| Echo::new(Bit::from(pid.index().is_multiple_of(2)));
         let plain = {
             let hub = Telemetry::new(TelemetryMode::Counters);
-            let mut w = World::new(SimConfig::new(5).seed(9).trace(true), factory).unwrap();
+            let mut w = World::new(SimConfig::new(5).seed(9), factory).unwrap();
             w.set_telemetry(hub.clone());
             let report = w.run(&mut Passive).unwrap();
             assert_eq!(hub.snapshot().counter("round.deliver.plane"), Some(1));
@@ -243,16 +244,15 @@ mod tests {
         };
         let hub = Telemetry::new(TelemetryMode::Counters);
         let scalar = {
-            let mut w = World::new(SimConfig::new(5).seed(9).trace(true), |pid| {
-                Scalarized(factory(pid))
-            })
-            .unwrap();
+            let mut w =
+                World::new(SimConfig::new(5).seed(9), |pid| Scalarized(factory(pid))).unwrap();
             w.set_telemetry(hub.clone());
             w.run(&mut Passive).unwrap()
         };
         assert_eq!(hub.snapshot().counter("round.deliver.scalar"), Some(1));
         assert_eq!(hub.snapshot().counter("round.deliver.plane"), None);
-        // Same decisions, statuses, metrics, and trace — byte for byte.
+        // Same decisions, decision rounds, statuses and rounds — byte for
+        // byte.
         assert_eq!(format!("{plain:?}"), format!("{scalar:?}"));
     }
 

@@ -3,9 +3,9 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::{
-    telemetry::per_round_kill_cap, trace::Event, Adversary, Bit, BitPlane, Context, DeliveryFilter,
-    FaultBudget, Inbox, Intervention, Kill, Metrics, PlaneMsg, Process, ProcessId, Round,
-    RunReport, SendPattern, SimConfig, SimError, SimRng, StreamPhase, Telemetry, Trace,
+    telemetry::per_round_kill_cap, Adversary, Bit, BitPlane, Context, DeliveryFilter, FaultBudget,
+    Inbox, Intervention, Kill, PlaneMsg, Process, ProcessId, Round, RunReport, SendPattern,
+    SimConfig, SimError, SimRng, StreamPhase, Telemetry,
 };
 
 /// Lifecycle of a process within an execution.
@@ -62,29 +62,17 @@ impl Phase {
 struct Slot<P> {
     proc: P,
     status: ProcessStatus,
+    /// The round in which `proc` first reported a decision.
+    decided_in: Option<Round>,
 }
 
 /// Sentinel in [`RoundScratch::filter_of`]: the sender was not killed this
 /// round.
 const NO_KILL: u32 = u32::MAX;
 
-/// Sentinel in [`KillStat::group`]: the kill's filter is `All` or `None`,
-/// which need no receiver set.
+/// Sentinel in [`RoundScratch::kill_group`]: the kill's filter is `All`
+/// or `None`, which need no receiver set.
 const NO_GROUP: u32 = u32::MAX;
-
-/// Bookkeeping for one kill while a round's delivery is in flight.
-#[derive(Debug)]
-struct KillStat {
-    victim: ProcessId,
-    delivered: usize,
-    suppressed: usize,
-    /// Whether the victim had an outbox to filter (it always does after a
-    /// normal Phase A; kept for robustness and trace parity).
-    had_outbox: bool,
-    /// Index of the kill's receiver group in [`RoundScratch::groups`], or
-    /// [`NO_GROUP`].
-    group: u32,
-}
 
 /// The kills of one round that share a receiver set: one
 /// [`DeliveryFilter::To`] list (the same `Arc`, compared by pointer) or one
@@ -124,7 +112,7 @@ impl SetGroup {
 /// Reusable per-round buffers, pooled across rounds so [`World::deliver`]
 /// performs no per-round allocations once the group pool has warmed up.
 ///
-/// Invariant: between [`World::deliver`] calls `kill_stats` and `groups`
+/// Invariant: between [`World::deliver`] calls `kill_group` and `groups`
 /// are empty, every pooled group and the round planes (`sent_base`,
 /// `ones_base`, `packed`, `adj_mark`) are all-zeros, every `filter_of`
 /// entry is [`NO_KILL`], and `payloads` is unshared and all `None` — so a
@@ -138,8 +126,9 @@ pub(crate) struct RoundScratch<M> {
     payloads: Arc<Vec<Option<M>>>,
     /// Per-sender index into this round's kill list, or [`NO_KILL`].
     filter_of: Vec<u32>,
-    /// Delivery stats per kill, in intervention order.
-    kill_stats: Vec<KillStat>,
+    /// Per kill, in intervention order: the index of its receiver group in
+    /// `groups`, or [`NO_GROUP`].
+    kill_group: Vec<u32>,
     /// Bit `s` set iff sender `s`'s broadcast reaches everyone.
     sent_base: BitPlane,
     /// Bit `s` set iff that broadcast packed to [`Bit::One`].
@@ -165,7 +154,7 @@ impl<M> RoundScratch<M> {
         RoundScratch {
             payloads: Arc::new(empty_table(n)),
             filter_of: vec![NO_KILL; n],
-            kill_stats: Vec::new(),
+            kill_group: Vec::new(),
             sent_base: BitPlane::new(n),
             ones_base: BitPlane::new(n),
             packed: BitPlane::new(n),
@@ -309,13 +298,11 @@ pub struct World<P: Process> {
     slots: Vec<Slot<P>>,
     outboxes: Vec<Option<SendPattern<P::Msg>>>,
     budget: FaultBudget,
-    metrics: Metrics,
-    trace: Trace,
     telemetry: Telemetry,
     seed: u64,
-    /// Set once any `send` or `receive` since this world was built or
-    /// forked asked for its coin stream ([`Context::rng`]).
-    used_rng: bool,
+    /// [`Context::rng`] calls by every `send` and `receive` since this
+    /// world was built or forked.
+    coins: u64,
     /// Bit `i` set iff process `i` is [`ProcessStatus::Alive`] — kept in
     /// lockstep with `slots` so liveness queries (and the adversaries'
     /// candidate-mask algebra) are popcounts instead of status scans.
@@ -346,19 +333,13 @@ impl<P: Process> World<P> {
             .map(|pid| Slot {
                 proc: factory(pid),
                 status: ProcessStatus::Alive,
+                decided_in: None,
             })
             .collect();
-        let trace = if cfg.trace_enabled() {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        };
         Ok(World {
             seed: cfg.seed_value(),
-            used_rng: false,
+            coins: 0,
             budget: FaultBudget::new(cfg.t()),
-            metrics: Metrics::new(n),
-            trace,
             telemetry: Telemetry::off(),
             round: Round::FIRST,
             phase: Phase::BeforeSend,
@@ -403,18 +384,6 @@ impl<P: Process> World<P> {
         &self.budget
     }
 
-    /// Execution metrics so far.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The event trace (empty unless tracing was enabled).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// The telemetry handle this world records into (off by default).
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
@@ -422,10 +391,11 @@ impl<P: Process> World<P> {
     }
 
     /// Attaches a telemetry handle; subsequent rounds record engine
-    /// counters (and, in span mode, phase timings) into it.
+    /// counters (message totals among them) and, in span mode, phase
+    /// timings into it.
     ///
     /// Telemetry is **observe-only**: the execution — decisions, statuses,
-    /// metrics, trace, every coin — is byte-identical whatever handle (or
+    /// the report, every coin — is byte-identical whatever handle (or
     /// none) is attached. Forks made with [`World::fork`] detach it.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
@@ -500,16 +470,16 @@ impl<P: Process> World<P> {
         self.seed
     }
 
-    /// Whether any [`Process::send`] or [`Process::receive`] since this
-    /// world was built or [forked](World::fork) asked for its coin stream
-    /// ([`Context::rng`]).
+    /// How many coins every [`Process::send`] and [`Process::receive`]
+    /// since this world was built or [forked](World::fork) drew: the calls
+    /// to [`Context::rng`].
     ///
-    /// A fork that never did played out without reading its seed: under
+    /// A fork that drew none played out without reading its seed: under
     /// an adversary that does not read [`seed`](World::seed) either, every
     /// fork of the same world plays out the same, whatever its seed.
     #[must_use]
-    pub fn used_rng(&self) -> bool {
-        self.used_rng
+    pub fn coins(&self) -> u64 {
+        self.coins
     }
 
     /// `true` once no process is actively participating (every process has
@@ -517,12 +487,6 @@ impl<P: Process> World<P> {
     #[must_use]
     pub fn finished(&self) -> bool {
         self.alive.is_empty()
-    }
-
-    /// Current decisions, indexed by process.
-    #[must_use]
-    pub fn decisions(&self) -> Vec<Option<Bit>> {
-        self.slots.iter().map(|s| s.proc.decision()).collect()
     }
 
     // ----- stepping --------------------------------------------------------
@@ -543,7 +507,6 @@ impl<P: Process> World<P> {
         }
         let _span = self.telemetry.span("round.phase_a");
         let round = self.round;
-        self.trace.record(|| Event::RoundStarted(round));
         let n = self.n();
         for i in 0..n {
             if !self.slots[i].status.is_alive() {
@@ -554,7 +517,7 @@ impl<P: Process> World<P> {
             let mut rng = SimRng::stream(self.seed, pid, round, StreamPhase::Send);
             let mut ctx = Context::new(pid, n, round, &mut rng);
             let pattern = self.slots[i].proc.send(&mut ctx);
-            self.used_rng |= ctx.used_rng();
+            self.coins += ctx.coins();
             self.note_decision(pid);
             self.outboxes[i] = Some(pattern);
         }
@@ -617,9 +580,8 @@ impl<P: Process> World<P> {
         }
 
         // Apply the kills, resolving each `To`/`Prefix` filter to its
-        // receiver group (the stats are tracked during dispatch so the
-        // trace needs no rescan afterwards).
-        debug_assert!(self.scratch.kill_stats.is_empty());
+        // receiver group.
+        debug_assert!(self.scratch.kill_group.is_empty());
         for (idx, kill) in kills.iter().enumerate() {
             self.slots[kill.victim.index()].status = ProcessStatus::Failed(round);
             self.alive.clear(kill.victim.index());
@@ -629,15 +591,8 @@ impl<P: Process> World<P> {
                 }
                 DeliveryFilter::All | DeliveryFilter::None => NO_GROUP,
             };
-            self.scratch.kill_stats.push(KillStat {
-                victim: kill.victim,
-                delivered: 0,
-                suppressed: 0,
-                had_outbox: false,
-                group,
-            });
+            self.scratch.kill_group.push(group);
         }
-        self.metrics.on_kills(round, kills.len());
 
         // Every sender broadcasts, so one path delivers every round. The
         // counters tell rounds whose every queued payload packs to a bit
@@ -656,50 +611,14 @@ impl<P: Process> World<P> {
             1,
         );
         let (delivered, suppressed) = self.dispatch(kills, all_pack);
-        self.metrics.on_delivered(delivered);
-        self.metrics.on_suppressed(suppressed);
-        // Trace the kills: victims that had an outbox first, in sender-id
-        // order (matching dispatch order), then outbox-less victims in
-        // intervention order — the stats were tracked during dispatch, so no
-        // trace rescan is needed.
-        if self.trace.is_enabled() {
-            for s in 0..n {
-                let kill_idx = self.scratch.filter_of[s];
-                if kill_idx == NO_KILL {
-                    continue;
-                }
-                let stat = &self.scratch.kill_stats[kill_idx as usize];
-                if stat.had_outbox {
-                    let (victim, d, cut) = (stat.victim, stat.delivered, stat.suppressed);
-                    self.trace.record(|| Event::Killed {
-                        victim,
-                        round,
-                        delivered: d,
-                        suppressed: cut,
-                    });
-                }
-            }
-            for stat in &self.scratch.kill_stats {
-                if !stat.had_outbox {
-                    let victim = stat.victim;
-                    self.trace.record(|| Event::Killed {
-                        victim,
-                        round,
-                        delivered: 0,
-                        suppressed: 0,
-                    });
-                }
-            }
-        }
         // Restore the scratch invariant in O(kills), not O(n).
         self.unmark_victims(kills);
-        self.scratch.kill_stats.clear();
+        self.scratch.kill_group.clear();
 
         // Receives: every still-alive process consumes its inbox.
         self.receive(round, all_pack);
         self.scratch.recycle_groups();
 
-        self.metrics.on_round_completed();
         let kill_count = kills.len() as u64;
         self.telemetry.record_round(
             kill_count,
@@ -707,10 +626,6 @@ impl<P: Process> World<P> {
             suppressed,
             kill_count > per_round_kill_cap(n),
         );
-        self.trace.record(|| Event::RoundCompleted {
-            round,
-            messages_delivered: delivered,
-        });
         self.round = round.next();
         self.phase = Phase::BeforeSend;
         Ok(())
@@ -760,7 +675,7 @@ impl<P: Process> World<P> {
                         }
                         Some(DeliveryFilter::None) => (0, n),
                         Some(DeliveryFilter::To(_) | DeliveryFilter::Prefix(_)) => {
-                            let group = scratch.kill_stats[kill_idx as usize].group;
+                            let group = scratch.kill_group[kill_idx as usize];
                             let group = &mut scratch.groups[group as usize];
                             group.sent.set(s);
                             if one {
@@ -773,12 +688,6 @@ impl<P: Process> World<P> {
             };
             delivered += sent_here as u64;
             suppressed += cut_here as u64;
-            if kill_idx != NO_KILL {
-                let stat = &mut scratch.kill_stats[kill_idx as usize];
-                stat.had_outbox = true;
-                stat.delivered = sent_here;
-                stat.suppressed = cut_here;
-            }
         }
         (delivered, suppressed)
     }
@@ -845,12 +754,11 @@ impl<P: Process> World<P> {
             } else {
                 self.slots[i].proc.receive(&mut ctx, &base);
             }
-            self.used_rng |= ctx.used_rng();
+            self.coins += ctx.coins();
             self.note_decision(pid);
             if self.slots[i].proc.halted() {
                 self.slots[i].status = ProcessStatus::Halted(round);
                 self.alive.clear(i);
-                self.trace.record(|| Event::Halted { pid, round });
             }
         }
         // Restore the scratch invariant: planes cleared and returned to the
@@ -902,8 +810,8 @@ impl<P: Process> World<P> {
     /// report.
     ///
     /// The loop behind [`run`](World::run), split out for callers that
-    /// finish with [`into_report`](World::into_report) (no metrics/trace
-    /// clone) or that only inspect the final world state.
+    /// finish with [`into_report`](World::into_report) or that only
+    /// inspect the final world state.
     ///
     /// # Errors
     ///
@@ -948,32 +856,25 @@ impl<P: Process> World<P> {
         Ok(())
     }
 
-    /// Summarises the execution so far.
+    /// Summarises the execution so far: each process's decision, first
+    /// decision round and status, and the rounds completed.
     #[must_use]
     pub fn report(&self) -> RunReport {
         RunReport::new(
             self.slots.iter().map(|s| s.proc.decision()).collect(),
+            self.slots.iter().map(|s| s.decided_in).collect(),
             self.slots.iter().map(|s| s.status).collect(),
-            self.metrics.clone(),
-            self.trace.clone(),
+            self.round.index() - 1,
         )
     }
 
-    /// Consumes the world into a report, moving the metrics and trace
-    /// instead of cloning them.
-    ///
-    /// Prefer `drive` + `into_report` over [`run`](World::run) when the
-    /// world is not needed afterwards — on traced runs this skips copying
-    /// the entire event log.
+    /// [`report`](World::report), consuming the world and returning its
+    /// scratch buffers to the pool its forks share.
     #[must_use]
     pub fn into_report(self) -> RunReport {
+        let report = self.report();
         self.spares.put(self.scratch);
-        RunReport::new(
-            self.slots.iter().map(|s| s.proc.decision()).collect(),
-            self.slots.iter().map(|s| s.status).collect(),
-            self.metrics,
-            self.trace,
-        )
+        report
     }
 
     /// Discards this world, returning its scratch buffers to the pool its
@@ -988,13 +889,10 @@ impl<P: Process> World<P> {
     }
 
     fn note_decision(&mut self, pid: ProcessId) {
-        if let Some(value) = self.slots[pid.index()].proc.decision() {
-            if self.metrics.decided_at(pid).is_none() {
-                let round = self.round;
-                self.metrics.on_decided(pid, round, value);
-                self.telemetry.record_decision(round.index());
-                self.trace.record(|| Event::Decided { pid, round, value });
-            }
+        let slot = &mut self.slots[pid.index()];
+        if slot.decided_in.is_none() && slot.proc.decision().is_some() {
+            slot.decided_in = Some(self.round);
+            self.telemetry.record_decision(self.round.index());
         }
     }
 }
@@ -1008,8 +906,8 @@ where
     ///
     /// The copy has identical process states, statuses, queued outboxes,
     /// budget, and round position — but coins not yet flipped will differ
-    /// between forks with different seeds. Its
-    /// [`used_rng`](World::used_rng) starts clear. This is the primitive behind
+    /// between forks with different seeds. Its [`coins`](World::coins)
+    /// count starts at zero. This is the primitive behind
     /// Monte-Carlo valency estimation: fork the paused world many times,
     /// resume each under a reference adversary, and observe the empirical
     /// distribution of decisions. `fork(self.seed())` replays this world's
@@ -1031,15 +929,12 @@ where
             slots: self.slots.clone(),
             outboxes: self.outboxes.clone(),
             budget: self.budget,
-            metrics: self.metrics.fork(),
-            // Forked futures are throwaway explorations; tracing them would
-            // dominate memory in valency estimation, and telemetry from
-            // thousands of probe forks would drown the parent's signal — the
-            // estimators count probe outcomes themselves instead.
-            trace: Trace::disabled(),
+            // Telemetry from thousands of probe forks would drown the
+            // parent's signal — the estimators count probe outcomes
+            // themselves instead.
             telemetry: Telemetry::off(),
             seed,
-            used_rng: false,
+            coins: 0,
             alive: self.alive.clone(),
             scratch: self.spares.take(self.cfg.n()),
             spares: Arc::clone(&self.spares),
@@ -1050,6 +945,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetryMode;
     use crate::testing::{CoinCaller, CountDown, Echo, Scalarized};
     use crate::Passive;
 
@@ -1169,12 +1065,11 @@ mod tests {
     #[test]
     fn same_seed_reproduces_execution() {
         let run = |seed: u64| {
-            let mut w = World::new(SimConfig::new(6).seed(seed).trace(true), |pid| {
+            let mut w = World::new(SimConfig::new(6).seed(seed), |pid| {
                 Echo::new(Bit::from(pid.index() % 2 == 0))
             })
             .unwrap();
-            let report = w.run(&mut Passive).unwrap();
-            (report.decisions().to_vec(), w.trace().events().to_vec())
+            w.run(&mut Passive).unwrap()
         };
         assert_eq!(run(42), run(42));
     }
@@ -1218,32 +1113,75 @@ mod tests {
         let twin_report = twin.run(&mut Passive).unwrap();
         other.run(&mut Passive).unwrap();
         assert_eq!(coins(&twin), coins(&w), "same seed, same coins");
-        assert_eq!(twin_report.decisions(), report.decisions());
-        assert_eq!(twin_report.metrics(), report.metrics());
+        assert_eq!(twin_report, report);
         assert_ne!(coins(&other), coins(&w), "a new seed flips new coins");
     }
 
     #[test]
-    fn used_rng_tracks_coin_streams_since_the_last_fork() {
+    fn coins_count_coin_streams_since_the_last_fork() {
         let mut w = World::new(SimConfig::new(4).seed(3), |_| CoinCaller::new(5)).unwrap();
-        assert!(!w.used_rng(), "a fresh world has asked for nothing");
+        assert_eq!(w.coins(), 0, "a fresh world has drawn nothing");
         w.phase_a().unwrap();
-        assert!(w.used_rng(), "CoinCaller flips in send");
+        assert_eq!(w.coins(), 4, "each CoinCaller flips once in send");
         let mut fork = w.fork(9);
-        assert!(!fork.used_rng(), "fork clears the flag");
-        assert!(w.used_rng(), "the parent keeps its own");
+        assert_eq!(fork.coins(), 0, "a fork starts at zero");
+        assert_eq!(w.coins(), 4, "the parent keeps its own count");
         // The pending round's coins were flipped before the fork.
         fork.deliver(Intervention::none()).unwrap();
-        assert!(!fork.used_rng(), "receive asks for nothing");
+        assert_eq!(fork.coins(), 0, "receive draws nothing");
         fork.phase_a().unwrap();
-        assert!(fork.used_rng(), "a coin-flip round sets it");
-        assert!(!fork.fork(10).used_rng(), "and a fork of the fork is clear");
+        assert_eq!(fork.coins(), 4, "a coin-flip round counts one per process");
+        assert_eq!(
+            fork.fork(10).coins(),
+            0,
+            "and a fork of the fork is at zero"
+        );
 
-        // A process that never asks stays clear for the whole run.
+        // Four processes, five rounds, one flip per send.
+        w.drive(&mut Passive).unwrap();
+        assert_eq!(w.report().rounds(), 5);
+        assert_eq!(w.coins(), 20);
+
+        // A process that never asks draws nothing for the whole run.
         let mut still =
             World::new(SimConfig::new(4).seed(3), |_| CountDown::new(3, Bit::One)).unwrap();
         still.run(&mut Passive).unwrap();
-        assert!(!still.used_rng());
+        assert_eq!(still.coins(), 0);
+    }
+
+    #[test]
+    fn first_decision_wins() {
+        /// Decides 1 after its second round and keeps reporting it until it
+        /// halts after its fifth.
+        #[derive(Debug, Clone)]
+        struct Lingers(u32);
+        impl Process for Lingers {
+            type Msg = Bit;
+            fn send(&mut self, _: &mut Context<'_>) -> SendPattern<Bit> {
+                SendPattern::Broadcast(Bit::One)
+            }
+            fn receive(&mut self, _: &mut Context<'_>, _: &Inbox<Bit>) {
+                self.0 += 1;
+            }
+            fn decision(&self) -> Option<Bit> {
+                (self.0 >= 2).then_some(Bit::One)
+            }
+            fn halted(&self) -> bool {
+                self.0 >= 5
+            }
+        }
+        let hub = Telemetry::new(TelemetryMode::Counters);
+        let mut w = World::new(SimConfig::new(2).seed(1), |_| Lingers(0)).unwrap();
+        w.set_telemetry(hub.clone());
+        let report = w.run(&mut Passive).unwrap();
+        assert_eq!(report.rounds(), 5);
+        for pid in ProcessId::all(2) {
+            // Decided in round 2's receive; rounds 3-5 repeat it.
+            assert_eq!(report.decided_at(pid), Some((Round::new(2), Bit::One)));
+        }
+        let decisions = hub.snapshot().histogram("decision.round").unwrap();
+        assert_eq!(decisions.count, 2, "one decision record per process");
+        assert_eq!((decisions.min, decisions.max), (2, 2));
     }
 
     #[test]
@@ -1267,7 +1205,7 @@ mod tests {
     }
 
     /// A world of `n` processes built by `factory` (one fault allowed),
-    /// paused after Phase A of round 3 so its metrics carry history.
+    /// paused after Phase A of round 3 so its report carries history.
     fn paused_world<P: Process>(n: usize, seed: u64, factory: impl Fn() -> P) -> World<P> {
         let mut w = World::new(SimConfig::new(n).faults(1).seed(seed), |_| factory()).unwrap();
         for _ in 0..2 {
@@ -1416,6 +1354,8 @@ mod tests {
             CountDown::new(5, Bit::One)
         })
         .unwrap();
+        let hub = Telemetry::new(TelemetryMode::Counters);
+        w.set_telemetry(hub.clone());
         w.phase_a().unwrap();
         let iv = Intervention::new().kill(ProcessId::new(3), DeliveryFilter::Prefix(2));
         w.deliver(iv).unwrap();
@@ -1423,7 +1363,13 @@ mod tests {
         assert_eq!(w.process(ProcessId::new(0)).last_inbox_len(), 4);
         assert_eq!(w.process(ProcessId::new(1)).last_inbox_len(), 4);
         assert_eq!(w.process(ProcessId::new(2)).last_inbox_len(), 3);
-        assert_eq!(w.metrics().messages_suppressed(), 2, "cut to P2 and P3");
+        let snap = hub.snapshot();
+        assert_eq!(
+            snap.counter("sim.messages_suppressed"),
+            Some(2),
+            "cut to P2 and P3"
+        );
+        assert_eq!(snap.counter("sim.messages_delivered"), Some(14));
     }
 
     #[test]
@@ -1452,17 +1398,23 @@ mod tests {
 
     #[test]
     fn metrics_track_kills_and_messages() {
-        let mut w = World::new(SimConfig::new(4).faults(2).seed(9).trace(true), |_| {
+        let mut w = World::new(SimConfig::new(4).faults(2).seed(9), |_| {
             CountDown::new(3, Bit::One)
         })
         .unwrap();
+        let hub = Telemetry::new(TelemetryMode::Counters);
+        w.set_telemetry(hub.clone());
         w.phase_a().unwrap();
         w.deliver(Intervention::kill_all_silent([ProcessId::new(3)]))
             .unwrap();
-        assert_eq!(w.metrics().total_kills(), 1);
+        let report = w.report();
+        assert_eq!(report.failed_count(), 1);
+        assert_eq!(report.kills_per_round(), [(Round::FIRST, 1)]);
+        assert_eq!(report.rounds(), 1);
         // 3 alive broadcast to 4, P3's broadcast fully suppressed.
-        assert_eq!(w.metrics().messages_delivered(), 12);
-        assert_eq!(w.metrics().messages_suppressed(), 4);
-        assert_eq!(w.trace().kills().count(), 1);
+        let snap = hub.snapshot();
+        assert_eq!(snap.counter("sim.messages_delivered"), Some(12));
+        assert_eq!(snap.counter("sim.messages_suppressed"), Some(4));
+        assert_eq!(snap.counter("sim.kills"), Some(1));
     }
 }

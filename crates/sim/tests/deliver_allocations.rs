@@ -149,8 +149,7 @@ fn shared_set_split_rounds_allocate_nothing() {
     })
     .expect("config");
     // Warm-up: one split round grows the receiver-group pool and the
-    // adjusted-inbox planes, and gives the metrics' kill log its first
-    // buffer (room for several rounds).
+    // adjusted-inbox planes.
     world.phase_a().expect("phase A");
     let warm_up = split(&world);
     world.deliver(warm_up).expect("deliver");
@@ -181,8 +180,7 @@ fn forked_shared_set_split_rounds_allocate_nothing() {
         CountDown::new(60, Bit::from(pid.index() % 3 == 0))
     })
     .expect("config");
-    // One split round gives the root's metrics a kill log, which every
-    // fork copies.
+    // One split round on the root first, so its forks start mid-run.
     world.phase_a().expect("phase A");
     let first = split(&world);
     world.deliver(first).expect("deliver");

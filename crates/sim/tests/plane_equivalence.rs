@@ -8,16 +8,25 @@
 //! awkward widths (`n < 64`, `n` not a multiple of 64, word boundaries)
 //! and with payloads that pack and payloads that do not in one round.
 //! Whole-world runs then compare a protocol against its [`Scalarized`]
-//! twin, whose payloads never pack: traces, metrics, reports and coins
-//! must match byte for byte.
+//! twin, whose payloads never pack: reports, inboxes, coins and the
+//! engine's message counters must match byte for byte.
 
 use std::sync::Arc;
 
 use synran_sim::testing::{CoinCaller, CountDown, Scalarized};
 use synran_sim::{
     Adversary, Bit, Context, DeliveryFilter, Inbox, Intervention, Passive, PlaneMsg, Process,
-    ProcessId, SendPattern, SimConfig, SimRng, World,
+    ProcessId, SendPattern, SimConfig, SimRng, Telemetry, TelemetryMode, World,
 };
+
+/// The engine's message totals in `hub`: `(delivered, suppressed)`.
+fn message_counts(hub: &Telemetry) -> (Option<u64>, Option<u64>) {
+    let snap = hub.snapshot();
+    (
+        snap.counter("sim.messages_delivered"),
+        snap.counter("sim.messages_suppressed"),
+    )
+}
 
 /// Widths that exercise every word-edge case: sub-word, word boundary,
 /// one-past, and multi-word with a ragged tail.
@@ -273,23 +282,20 @@ fn kill_script() -> Scripted {
 
 #[test]
 fn world_runs_identically_on_plane_and_scalar_paths_under_every_filter_kind() {
-    use synran_sim::telemetry::{Telemetry, TelemetryMode};
     // Delivery must not care about the worker budget either.
     for threads in [1, 2, 8] {
         for n in [9, 40, 70] {
-            let cfg = SimConfig::new(n)
-                .seed(0xD1FF)
-                .faults(6)
-                .trace(true)
-                .threads(threads);
+            let cfg = SimConfig::new(n).seed(0xD1FF).faults(6).threads(threads);
             let plane_hub = Telemetry::new(TelemetryMode::Counters);
             let plain = {
                 let mut w = World::new(cfg.clone(), |_| CountDown::new(8, Bit::One)).unwrap();
                 w.set_telemetry(plane_hub.clone());
                 w.run(&mut kill_script()).unwrap()
             };
+            let scalar_hub = Telemetry::new(TelemetryMode::Counters);
             let scalar = {
                 let mut w = World::new(cfg, |_| Scalarized(CountDown::new(8, Bit::One))).unwrap();
+                w.set_telemetry(scalar_hub.clone());
                 w.run(&mut kill_script()).unwrap()
             };
             assert_eq!(
@@ -297,6 +303,15 @@ fn world_runs_identically_on_plane_and_scalar_paths_under_every_filter_kind() {
                 format!("{scalar:?}"),
                 "threads={threads} n={n}: packing vs non-packing report bytes diverge"
             );
+            // Every filter kind's delivered and cut counts, summed: a
+            // packing-dependent miscount in any arm shows here.
+            let counts = message_counts(&plane_hub);
+            assert_eq!(
+                counts,
+                message_counts(&scalar_hub),
+                "threads={threads} n={n}: packing vs non-packing message counts diverge"
+            );
+            assert!(counts.1 > Some(0), "threads={threads} n={n}: {counts:?}");
             // Every payload of the plain run packs, so every round counts as
             // a plane round, whatever its kills' delivery filters.
             let snap = plane_hub.snapshot();
@@ -440,30 +455,42 @@ fn mixed_script(kills: Vec<(usize, DeliveryFilter)>) -> Scripted {
 }
 
 fn mixed_cfg() -> SimConfig {
-    SimConfig::new(MIXED_N).seed(0x5E75).faults(40).trace(true)
+    SimConfig::new(MIXED_N).seed(0x5E75).faults(40)
 }
 
-/// Every observable of a finished world: its report (decisions, statuses,
-/// metrics with kill counts, the trace with each kill's delivered and
-/// suppressed counts) and each process's inboxes and coins.
-fn observe<P: Process>(world: &World<P>, listener: impl Fn(&P) -> &Listener) -> String {
+/// Every observable of a finished world: its report (decisions, decision
+/// rounds, statuses), each process's inboxes and coins, and the message
+/// totals its telemetry `hub` counted.
+fn observe<P: Process>(
+    world: &World<P>,
+    hub: &Telemetry,
+    listener: impl Fn(&P) -> &Listener,
+) -> String {
     let states: Vec<_> = world
         .processes()
         .map(|(_, p, _)| (&listener(p).heard, &listener(p).coins))
         .collect();
-    format!("{:?}\n{states:?}", world.report())
+    format!(
+        "{:?}\n{states:?}\n{:?}",
+        world.report(),
+        message_counts(hub)
+    )
 }
 
 fn run_plain(kills: Vec<(usize, DeliveryFilter)>) -> String {
+    let hub = Telemetry::new(TelemetryMode::Counters);
     let mut w = World::new(mixed_cfg(), |_| Listener::new(4)).unwrap();
+    w.set_telemetry(hub.clone());
     w.run(&mut mixed_script(kills)).unwrap();
-    observe(&w, |p| p)
+    observe(&w, &hub, |p| p)
 }
 
 fn run_scalar(kills: Vec<(usize, DeliveryFilter)>) -> String {
+    let hub = Telemetry::new(TelemetryMode::Counters);
     let mut w = World::new(mixed_cfg(), |_| Scalarized(Listener::new(4))).unwrap();
+    w.set_telemetry(hub.clone());
     w.run(&mut mixed_script(kills)).unwrap();
-    observe(&w, |p| &p.0)
+    observe(&w, &hub, |p| &p.0)
 }
 
 #[test]

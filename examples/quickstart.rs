@@ -23,21 +23,21 @@ fn main() -> Result<(), SimError> {
     // ...against an adversary that kills √n random processes per round.
     let mut adversary = RandomKiller::new((n as f64).sqrt() as usize, seed);
 
-    let cfg = SimConfig::new(n).faults(t).seed(seed).trace(true);
+    let cfg = SimConfig::new(n).faults(t).seed(seed);
     let verdict = check_consensus(&protocol, &inputs, cfg, &mut adversary)?;
 
     println!("protocol   : {}", protocol.name());
     println!("system     : n = {n}, fault budget t = {t}");
     println!("rounds     : {}", verdict.rounds());
-    println!("kills used : {}", verdict.report().metrics().total_kills());
+    println!("kills used : {}", verdict.report().failed_count());
     println!("decision   : {:?}", verdict.report().unanimous_decision());
     println!("agreement  : {}", verdict.agreement());
     println!("validity   : {}", verdict.validity());
     println!("termination: {}", verdict.termination());
 
-    println!("\nfirst events of the execution:");
-    for event in verdict.report().trace().events().iter().take(12) {
-        println!("  {event}");
+    println!("\nkills per round:");
+    for (round, kills) in verdict.report().kills_per_round() {
+        println!("  {round}: {kills} killed");
     }
 
     assert!(verdict.is_correct(), "{:?}", verdict.violations());

@@ -47,6 +47,19 @@ parsers="$(grep -rlF --include='*.rs' 'strip_prefix("--")' src crates || true)"
     || { echo "strip_prefix(\"--\") must appear in exactly one file; found: ${parsers:-none}"; exit 1; }
 echo "parser OK: one option parser ($parsers)"
 
+echo "== tier1: examples run =="
+# Clippy only compiles the examples; each one asserts consensus on its own
+# run, so run every release example from a scratch dir and require exit 0.
+cargo build --release --examples
+examples_run=0
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    (cd "$scratch" && "$OLDPWD/target/release/examples/$name" > /dev/null) \
+        || { echo "example $name failed"; exit 1; }
+    examples_run=$((examples_run + 1))
+done
+echo "examples OK: all $examples_run examples exit 0"
+
 echo "== tier1: end-to-end benchmark smoke (golden digests) =="
 # Every workload of the end-to-end benchmark, shrunk to under a second,
 # checked against its committed golden render digest (E1's coin calls, the

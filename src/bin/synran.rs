@@ -24,7 +24,7 @@ use synran::lab::{
     CampaignSpec, Cell, CellCache, CellResult, Engine, Journal, Report, ReportFormat,
     StderrProgress,
 };
-use synran::sim::{Telemetry, TelemetryMode};
+use synran::sim::{ProcessId, ProcessStatus, Round, RunReport, Telemetry, TelemetryMode};
 
 const USAGE: &str = "\
 synran — randomized synchronous consensus vs adaptive fail-stop adversaries
@@ -81,7 +81,7 @@ OPTIONS (run and batch):
   --runs <int>   batch size (batch only)                    (default 20)
   --threads <int> worker threads (batch only; 0 = all cores, 1 = serial;
                  results are identical for every value)     (default 0)
-  --trace        print the event trace (run only)
+  --trace        print each round's kills, decisions and halts (run only)
   --telemetry off | counters | spans                        (default off;
                  counters if --telemetry-out is given)
   --telemetry-out <path>  write the run's telemetry as JSONL (one event per
@@ -153,6 +153,32 @@ fn telemetry_options(opts: &Options) -> Result<(TelemetryMode, Option<&str>), St
     Ok((mode, out))
 }
 
+/// `run --trace`: the report round by round. Each round starts, then
+/// lists the processes killed in it, then those that first decided or
+/// halted in it, each in id order.
+fn write_trace(report: &RunReport, out: &mut dyn Write) -> std::io::Result<()> {
+    let statuses = report.statuses();
+    for round in (1..=report.rounds()).map(Round::new) {
+        writeln!(out, "  {round}: started")?;
+        for pid in ProcessId::all(statuses.len()) {
+            if statuses[pid.index()] == ProcessStatus::Failed(round) {
+                writeln!(out, "  {round}: {pid} killed")?;
+            }
+        }
+        for pid in ProcessId::all(statuses.len()) {
+            if let Some((decided, value)) = report.decided_at(pid) {
+                if decided == round {
+                    writeln!(out, "  {round}: {pid} decided {value}")?;
+                }
+            }
+            if statuses[pid.index()] == ProcessStatus::Halted(round) {
+                writeln!(out, "  {round}: {pid} halted")?;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// `synran run` (run 0 of the cell, the first execution its batch counts)
 /// and `synran batch` (the cell's whole batch, unjournalled, on the
 /// campaign engine's path).
@@ -162,17 +188,12 @@ fn cell_cmd(cmd: &str, args: &[String], out: &mut dyn Write) -> Result<(), Box<d
     let (mode, telemetry_out) = telemetry_options(&opts)?;
     let telemetry = Telemetry::new(mode);
     if cmd == "run" {
-        let trace = opts.flag("trace");
-        let (name, verdict) = run_cell_once(&cell, 0, trace, &telemetry)?;
+        let (name, verdict) = run_cell_once(&cell, 0, &telemetry)?;
         writeln!(out, "protocol    : {name}")?;
         writeln!(out, "adversary   : {}", cell.adversary)?;
         writeln!(out, "n / t / ones: {} / {} / {}", cell.n, cell.t, cell.ones)?;
         writeln!(out, "rounds      : {}", verdict.rounds())?;
-        writeln!(
-            out,
-            "kills       : {}",
-            verdict.report().metrics().total_kills()
-        )?;
+        writeln!(out, "kills       : {}", verdict.report().failed_count())?;
         writeln!(
             out,
             "decision    : {:?}",
@@ -189,11 +210,9 @@ fn cell_cmd(cmd: &str, args: &[String], out: &mut dyn Write) -> Result<(), Box<d
         for v in verdict.violations() {
             writeln!(out, "violation   : {v}")?;
         }
-        if trace {
+        if opts.flag("trace") {
             writeln!(out, "\ntrace:")?;
-            for e in verdict.report().trace().events() {
-                writeln!(out, "  {e}")?;
-            }
+            write_trace(verdict.report(), out)?;
         }
     } else {
         let threads = opts.number("threads")?.unwrap_or(0);

@@ -1,8 +1,9 @@
 //! `synran run` and `synran batch` resolve names through the registry
 //! (`synran::lab::registry`): `batch` prints what it printed when the CLI
 //! kept its own name table (a committed golden transcript), `run --seed S`
-//! is the first execution `batch --seed S` counts, `run --trace` prints
-//! that execution's event trace, `run` takes no `--threads`, bad cells,
+//! is the first execution `batch --seed S` counts, `run --trace` lists
+//! that execution's kills, decisions and halts round by round, `run` takes
+//! no `--threads`, bad cells,
 //! unknown options and stray
 //! words fail with an `error:` line instead of a panic, so does a failed
 //! write to stdout, a bare flag never takes the next word as its value,
@@ -98,6 +99,31 @@ fn run_trace_prints_the_runs_event_trace() {
         trace.starts_with("\ntrace:\n  round 1: started\n"),
         "{trace}"
     );
+
+    // The whole listing of one attacked run: every round starts, then its
+    // kills, decisions and halts, each in process-id order.
+    let args = ["run", "--adversary", "random", "--n", "8", "--seed", "3"];
+    let plain = stdout(&args);
+    let traced = stdout(&[&args[..], &["--trace"]].concat());
+    let trace = traced.strip_prefix(plain.as_str()).expect("{traced}");
+    let mut want = String::from("\ntrace:\n");
+    for round in 1..=8 {
+        want += &format!("  round {round}: started\n");
+        let killed: &[u32] = match round {
+            1 => &[2, 3, 5],
+            2 => &[0, 1, 7],
+            3 => &[4],
+            _ => &[],
+        };
+        for pid in killed {
+            want += &format!("  round {round}: P{pid} killed\n");
+        }
+    }
+    want += "  round 8: P6 decided 0\n  round 8: P6 halted\n";
+    assert_eq!(trace, want);
+    assert_eq!(field(&plain, "rounds"), "8");
+    let killed = trace.lines().filter(|l| l.ends_with(" killed")).count();
+    assert_eq!(killed.to_string(), field(&plain, "kills"));
 }
 
 #[test]

@@ -121,7 +121,8 @@ fn flooding_is_correct_and_exact() {
 }
 
 /// The engine never lets any adversary overspend its budget, and the
-/// reported kill count matches the failed-process count.
+/// report's failed processes match the kills the engine's telemetry
+/// counted as each intervention was applied.
 #[test]
 fn fault_accounting_is_exact() {
     let mut gen = SimRng::new(0xFA017);
@@ -132,16 +133,21 @@ fn fault_accounting_is_exact() {
         let choice = random_adversary(&mut gen);
         let inputs: Vec<Bit> = (0..n).map(|i| Bit::from(i % 2 == 0)).collect();
         let mut adversary = choice.build(seed);
-        let verdict = check_consensus(
+        let telemetry = Telemetry::new(TelemetryMode::Counters);
+        let verdict = check_consensus_with(
             &SynRan::new(),
             &inputs,
             SimConfig::new(n).faults(t).seed(seed).max_rounds(50_000),
             &mut adversary,
+            &telemetry,
         )
         .unwrap();
-        let kills = verdict.report().metrics().total_kills();
+        let kills = verdict.report().failed_count();
         assert!(kills <= t, "kills {kills} > budget {t}");
-        assert_eq!(kills, verdict.report().failed_count());
+        let counted = telemetry.snapshot().counter("sim.kills").unwrap_or(0);
+        assert_eq!(kills as u64, counted);
+        let per_round: usize = verdict.report().kills_per_round().iter().map(|k| k.1).sum();
+        assert_eq!(per_round, kills);
     }
 }
 

@@ -250,7 +250,7 @@ fn deterministic_replay_across_the_whole_stack() {
         (
             verdict.rounds(),
             verdict.report().unanimous_decision(),
-            verdict.report().metrics().total_kills(),
+            verdict.report().failed_count(),
         )
     };
     assert_eq!(run(42), run(42), "same seed must replay identically");
@@ -269,9 +269,9 @@ fn budget_is_never_exceeded_by_any_adversary() {
         .unwrap();
         assert!(verdict.is_correct());
         assert!(
-            verdict.report().metrics().total_kills() <= t,
+            verdict.report().failed_count() <= t,
             "t = {t}: kills = {}",
-            verdict.report().metrics().total_kills()
+            verdict.report().failed_count()
         );
     }
 }

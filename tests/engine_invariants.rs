@@ -49,6 +49,9 @@ impl Process for Auditor {
 #[derive(Debug, Clone)]
 struct Scripted {
     script: Vec<Vec<(usize, u8, usize)>>, // per round: (victim, filter kind, param)
+    /// `(round, victims submitted)` for every round it killed in: an
+    /// account of the kills kept apart from the engine's.
+    submitted: Vec<(Round, usize)>,
 }
 
 impl<P: Process> Adversary<P> for Scripted {
@@ -82,6 +85,9 @@ impl<P: Process> Adversary<P> for Scripted {
             iv = iv.kill(victim, filter);
             used += 1;
         }
+        if used > 0 {
+            self.submitted.push((world.round(), used));
+        }
         iv
     }
 }
@@ -110,6 +116,7 @@ fn random_script(rng: &mut SimRng) -> Vec<Vec<(usize, u8, usize)>> {
 #[test]
 fn engine_invariants_hold() {
     let mut gen = SimRng::new(0xE16_1E5);
+    let mut kills_checked = 0;
     for case in 0..64 {
         let n = 2 + gen.index(14);
         let t = gen.index(16).min(n);
@@ -121,15 +128,21 @@ fn engine_invariants_hold() {
             |_| Auditor::new(lifetime),
         )
         .unwrap();
-        let report = world.run(&mut Scripted { script }).unwrap();
+        let mut adversary = Scripted {
+            script,
+            submitted: Vec::new(),
+        };
+        let report = world.run(&mut adversary).unwrap();
 
-        // Budget and status accounting.
+        // Budget and status accounting: the report's kills per round are
+        // exactly the victims the adversary submitted.
         assert!(report.failed_count() <= t, "case {case}");
-        assert_eq!(report.failed_count(), report.metrics().total_kills());
+        assert_eq!(report.kills_per_round(), adversary.submitted, "case {case}");
+        kills_checked += report.failed_count();
 
         let mut alive_per_round: Vec<usize> = Vec::new();
         let mut kills_by_round = vec![0usize; report.rounds() as usize + 1];
-        for &(round, k) in report.metrics().kills_per_round() {
+        for (round, k) in report.kills_per_round() {
             kills_by_round[round.index() as usize - 1] = k;
         }
         let mut alive = n;
@@ -168,4 +181,5 @@ fn engine_invariants_hold() {
             }
         }
     }
+    assert!(kills_checked > 20, "the scripts kill: {kills_checked}");
 }

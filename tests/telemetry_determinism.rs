@@ -132,7 +132,7 @@ fn run_batch_is_telemetry_invariant() {
 
 /// The counters a run records are themselves deterministic: two identical
 /// instrumented runs produce identical counter snapshots, and the
-/// simulator-level counters agree with the report's metrics.
+/// simulator-level counters agree with the report.
 #[test]
 fn recorded_counters_are_deterministic_and_consistent() {
     let n = 10;
@@ -156,20 +156,25 @@ fn recorded_counters_are_deterministic_and_consistent() {
         snap_a.counters, snap_b.counters,
         "counters are reproducible"
     );
-    let metrics = verdict.report().metrics();
+    let report = verdict.report();
     assert_eq!(
         snap_a.counter("sim.rounds"),
-        Some(u64::from(metrics.rounds_completed())),
+        Some(u64::from(report.rounds())),
         "sim.rounds matches the report"
     );
     assert_eq!(
         snap_a.counter("sim.kills"),
-        Some(metrics.total_kills() as u64),
+        Some(report.failed_count() as u64),
         "sim.kills matches the report"
     );
+    let decided: Vec<u64> = ProcessId::all(n)
+        .filter_map(|pid| report.decided_at(pid))
+        .map(|(round, _)| u64::from(round.index()))
+        .collect();
+    let histogram = snap_a.histogram("decision.round").expect("decisions");
     assert_eq!(
-        snap_a.counter("sim.messages_delivered"),
-        Some(metrics.messages_delivered()),
-        "sim.messages_delivered matches the report"
+        (histogram.count, histogram.sum),
+        (decided.len() as u64, decided.iter().sum()),
+        "decision.round records each process's first decision round"
     );
 }
